@@ -19,7 +19,6 @@ from .families import (
     make_family,
     make_vase,
 )
-from .kernels import BACKEND as kernel_backend
 from .mesh import (
     DomainSpec,
     SurfaceMesh,
@@ -89,5 +88,4 @@ __all__ = [
     "estimate_mean_curvature",
     "write_obj",
     "write_ply",
-    "kernel_backend",
 ]

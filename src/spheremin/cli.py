@@ -2,7 +2,9 @@
 
 Exit codes: 0 success, 1 runtime/IO failure, 2 invalid parameters,
 3 verification failure.  Flags override values from --config (a JSON
-file mirroring the flag names).  Identical configuration yields
+file mirroring the flag names), which override the defaults; a flag
+the family cannot honour is rejected.  Every per-family decision reads
+the family table in `families.py`.  Identical configuration yields
 byte-identical outputs.
 """
 
@@ -11,7 +13,9 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
+from dataclasses import asdict, replace
 
 import numpy as np
 
@@ -23,13 +27,7 @@ from .errors import (
     SphereminError,
     UnrecognizedEndType,
 )
-from .families import (
-    FamilyInstance,
-    double_vase_weierstrass_data,
-    make_catenoid_fixture,
-    make_family,
-    vase_weierstrass_data,
-)
+from .families import FAMILIES, construct, provenance
 from .mesh import (
     DomainSpec,
     estimate_mean_curvature,
@@ -38,21 +36,13 @@ from .mesh import (
     write_obj,
     write_ply,
 )
-from .periods import (
-    DoubleVaseParams,
-    VaseParams,
-    period_report,
-    solve_double_vase_a,
-    solve_vase_rho,
-)
+from .periods import period_report
 from .weierstrass import verification_report
 
 EXIT_OK = 0
 EXIT_RUNTIME = 1
 EXIT_PARAMS = 2
 EXIT_VERIFICATION = 3
-
-DEFAULT_TOL = {"vase": 1e-9, "double_vase": 1e-8, "catenoid": 1e-9}
 
 
 def _parser() -> argparse.ArgumentParser:
@@ -64,13 +54,13 @@ def _parser() -> argparse.ArgumentParser:
     top.add_argument("--version", action="version", version=__version__)
     sub = top.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("--family", choices=["vase", "double_vase", "catenoid"])
-        p.add_argument("--k", type=int)
-        p.add_argument("--a", type=float)
-        p.add_argument("--b", type=float)
+    def common(p, surface=True):
+        p.add_argument("--family", choices=list(FAMILIES))
         p.add_argument("--config", help="JSON config file; flags override it")
-        p.add_argument("--tol", type=float, help="period-closure tolerance")
+        if surface:
+            p.add_argument("--k", type=int)
+            p.add_argument("--a", type=float)
+            p.add_argument("--b", type=float)
 
     p_solve = sub.add_parser("solve", help="solve the family's period equation")
     common(p_solve)
@@ -78,11 +68,13 @@ def _parser() -> argparse.ArgumentParser:
 
     p_verify = sub.add_parser("verify", help="run the full verification suite")
     common(p_verify)
+    p_verify.add_argument("--tol", type=float, help="period-closure tolerance")
     p_verify.add_argument("--rho", type=float, help="override rho (vase only)")
     p_verify.add_argument("--out", "-o", help="write the JSON report here")
 
     p_export = sub.add_parser("export", help="sample and export a mesh")
     common(p_export)
+    p_export.add_argument("--tol", type=float, help="period-closure tolerance")
     p_export.add_argument("--out", "-o", required=True, help="mesh output path")
     p_export.add_argument("--format", choices=["obj", "ply"], default="obj")
     p_export.add_argument("--rmin", type=float)
@@ -95,7 +87,7 @@ def _parser() -> argparse.ArgumentParser:
     )
 
     p_report = sub.add_parser("report", help="parameter-grid CSV sweep")
-    common(p_report)
+    common(p_report, surface=False)
     p_report.add_argument("--k-min", type=int, default=2)
     p_report.add_argument("--k-max", type=int, default=6)
     p_report.add_argument(
@@ -107,15 +99,63 @@ def _parser() -> argparse.ArgumentParser:
     return top
 
 
-def _apply_config(args: argparse.Namespace):
+def _parse(argv) -> argparse.Namespace:
+    """Parse the command line.  The entries of a --config file are read as
+    flags placed ahead of the command line's own, so that flags override
+    the config and the config overrides the parser's defaults."""
+    parser = _parser()
+    args = parser.parse_args(argv)
     if not getattr(args, "config", None):
-        return
+        return args
     with open(args.config) as fh:
         cfg = json.load(fh)
+    if not isinstance(cfg, dict):
+        raise ParameterDomainError("the config file must hold a JSON object")
+    flags = []
     for key, value in cfg.items():
-        attr = key.replace("-", "_")
-        if hasattr(args, attr) and getattr(args, attr) in (None, False):
-            setattr(args, attr, value)
+        dest = key.replace("-", "_")
+        if dest in ("command", "config") or dest not in vars(args):
+            raise ParameterDomainError(
+                f"unknown config key {key!r} for {args.command}"
+            )
+        flag = "--" + dest.replace("_", "-")
+        if isinstance(getattr(args, dest), bool):  # a switch such as --force
+            flags += [flag] if value else []
+        elif value is not None:
+            flags += [flag, str(value)]
+    argv = list(sys.argv[1:] if argv is None else argv)
+    return parser.parse_args([argv[0], *flags, *argv[1:]])
+
+
+def _resolve(args):
+    """The family's table entry, after rejecting the flags it cannot
+    honour: a parameter it does not take, --rho where it has no rho, and
+    a --tol or --rho that is not positive and finite."""
+    if args.family is None:
+        raise ParameterDomainError("--family is required")
+    spec = FAMILIES[args.family]
+    taken = {"k", spec.input_param} if spec.solver else set()
+    if spec.solved_param == "rho":
+        taken.add("rho")
+    stray = [
+        f"--{n}" for n in ("k", "a", "b", "rho")
+        if getattr(args, n, None) is not None and n not in taken
+    ]
+    if stray:
+        raise ParameterDomainError(f"{spec.name} does not take {', '.join(stray)}")
+    for name in ("tol", "rho"):
+        value = getattr(args, name, None)
+        if value is not None and not (math.isfinite(value) and value > 0):
+            raise ParameterDomainError(f"--{name} must be positive and finite, got {value}")
+    return spec
+
+
+def _input(args, spec):
+    return getattr(args, spec.input_param) if spec.input_param else None
+
+
+def _tolerance(args, spec) -> float:
+    return args.tol if args.tol is not None else spec.period_tol
 
 
 def _emit(payload: dict, out: str | None):
@@ -138,55 +178,23 @@ def _base_payload(args) -> dict:
     }
 
 
-def cmd_solve(args) -> int:
+def cmd_solve(args, spec) -> int:
+    res = spec.solve(args.k, _input(args, spec))
     payload = _base_payload(args)
-    if args.family == "vase":
-        res = solve_vase_rho(args.k, args.a)
-        payload["solved"] = {"parameter": "rho", "value": res.value}
-    elif args.family == "double_vase":
-        res = solve_double_vase_a(args.k, args.b)
-        payload["solved"] = {"parameter": "a", "value": res.value}
-    else:
-        raise ParameterDomainError("the catenoid fixture has nothing to solve")
-    payload["solved"].update(
-        closed_form=res.closed_form,
-        numeric_root=res.numeric_root,
-        residual=res.residual,
-        mismatch=res.mismatch,
-    )
+    payload["solved"] = {
+        "parameter": spec.solved_param, "value": res.value, **provenance(res)
+    }
     _emit(payload, args.out)
     return EXIT_OK
 
 
-def _build_data(args, rho_override=None):
-    """Weierstrass data plus solved parameters, without the gate (so that
-    verify can report failures instead of raising)."""
-    if args.family == "vase":
-        if args.k is None or args.a is None:
-            raise ParameterDomainError("vase requires --k and --a")
-        rho = rho_override or solve_vase_rho(args.k, args.a).value
-        params = VaseParams(args.k, args.a, rho)
-        return vase_weierstrass_data(args.k, args.a, rho), params
-    if args.family == "double_vase":
-        if args.k is None or args.b is None:
-            raise ParameterDomainError("double_vase requires --k and --b")
-        a = solve_double_vase_a(args.k, args.b).value
-        params = DoubleVaseParams(args.k, args.b, a)
-        return double_vase_weierstrass_data(args.k, args.b, a), params
-    if args.family == "catenoid":
-        return make_catenoid_fixture().data, None
-    raise ParameterDomainError(f"unknown family {args.family!r}")
-
-
-def cmd_verify(args) -> int:
-    tol = args.tol or DEFAULT_TOL[args.family]
-    data, params = _build_data(args, rho_override=getattr(args, "rho", None))
+def cmd_verify(args, spec) -> int:
+    tol = _tolerance(args, spec)
+    data, params, _ = spec.build_data(args.k, _input(args, spec), args.rho)
     payload = _base_payload(args)
     payload["tolerance"] = tol
     if params is not None:
-        payload["resolved_parameters"] = {
-            f: getattr(params, f) for f in params.__dataclass_fields__
-        }
+        payload["resolved_parameters"] = asdict(params)
     failures = []
     try:
         payload.update(verification_report(data))
@@ -211,58 +219,36 @@ def cmd_verify(args) -> int:
     return EXIT_OK if not failures else EXIT_VERIFICATION
 
 
-_EXPORT_DOMAIN = {
-    "catenoid": DomainSpec(0.5, 2.0),
-    "vase": DomainSpec(0.45, 2.2),
-    "double_vase": DomainSpec(0.6, 1.8),
-}
-
-
-def export_domain(family: str, params, rmin=None, rmax=None, nr=None,
-                  ntheta=None, exclusion_radius=None) -> DomainSpec:
-    base = _EXPORT_DOMAIN[family]
-    base_point = 1.0 + 0j
-    if family == "vase":
-        base_point = complex(0.5 * (1.0 + params.a))
-    return DomainSpec(
-        rmin if rmin is not None else base.r_min,
-        rmax if rmax is not None else base.r_max,
-        nr if nr is not None else base.n_r,
-        ntheta if ntheta is not None else base.n_theta,
-        base_point,
-        exclusion_radius
-        if exclusion_radius is not None
-        else base.exclusion_radius,
-    )
-
-
-def cmd_export(args) -> int:
-    tol = args.tol or DEFAULT_TOL[args.family]
+def cmd_export(args, spec) -> int:
+    tol = _tolerance(args, spec)
+    value = _input(args, spec)
     try:
-        instance = make_family(args.family, args.k, args.a, args.b)
-        data, params = instance.data, instance.params
+        instance = construct(spec, args.k, value, tol)
+        data, params, report = instance.data, instance.params, instance.period
         descriptor = instance.to_descriptor()
-    except (PeriodViolation, SphereminError) as exc:
+    except SphereminError as exc:
         if isinstance(exc, (ParameterDomainError, NoRoot)):
             raise
         if not args.force:
             print(f"verification failed: {exc}", file=sys.stderr)
             return EXIT_VERIFICATION
-        data, params = _build_data(args)
-        descriptor = {"family": args.family, "forced": True}
+        data, params, _ = spec.build_data(args.k, value)
+        report = getattr(exc, "report", None) or period_report(data, tol)
+        descriptor = {"family": spec.name, "forced": True}
 
-    spec = export_domain(
-        args.family, params, args.rmin, args.rmax, args.nr, args.ntheta,
-        args.exclusion_radius,
+    window = {"r_min": args.rmin, "r_max": args.rmax, "n_r": args.nr,
+              "n_theta": args.ntheta, "exclusion_radius": args.exclusion_radius}
+    domain = replace(
+        DomainSpec(spec.r_min, spec.r_max, base_point=spec.base_point(params)),
+        **{f: v for f, v in window.items() if v is not None},
     )
-    mesh = sample_mesh(data, spec, metadata={"family": descriptor})
+    mesh = sample_mesh(data, domain, metadata={"family": descriptor})
     if args.format == "ply":
         write_ply(mesh, args.out)
     else:
         write_obj(mesh, args.out)
     write_metadata(mesh, args.out + ".json")
 
-    report = period_report(data, tol)
     H, interior = estimate_mean_curvature(mesh)
     median_h = float(np.median(H[interior])) if interior.any() else float("nan")
     print(
@@ -273,29 +259,17 @@ def cmd_export(args) -> int:
     return EXIT_OK
 
 
-def cmd_report(args) -> int:
-    if args.family not in ("vase", "double_vase"):
-        raise ParameterDomainError("report sweeps need --family vase|double_vase")
+def cmd_report(args, spec) -> int:
+    if spec.solver is None:
+        solvable = [name for name, f in FAMILIES.items() if f.solver]
+        raise ParameterDomainError("report sweeps need --family " + "|".join(solvable))
     values = [float(v) for v in args.values.split(",")]
     rows = []
     for k in range(args.k_min, args.k_max + 1):
         for v in values:
-            if args.family == "vase":
-                res = solve_vase_rho(k, v)
-            else:
-                res = solve_double_vase_a(k, v)
-            rows.append(
-                {
-                    "family": args.family,
-                    "k": k,
-                    "param": v,
-                    "solved_value": res.value,
-                    "closed_form": res.closed_form,
-                    "numeric_root": res.numeric_root,
-                    "residual": res.residual,
-                    "mismatch": res.mismatch,
-                }
-            )
+            res = spec.solve(k, v)
+            rows.append({"family": spec.name, "k": k, "param": v,
+                         "solved_value": res.value, **provenance(res)})
     with open(args.out, "w", newline="\n") as fh:
         writer = csv.DictWriter(fh, fieldnames=list(rows[0]), lineterminator="\n")
         writer.writeheader()
@@ -313,12 +287,9 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
     try:
-        _apply_config(args)
-        if getattr(args, "family", None) is None:
-            raise ParameterDomainError("--family is required")
-        return _COMMANDS[args.command](args)
+        args = _parse(argv)
+        return _COMMANDS[args.command](args, _resolve(args))
     except (ParameterDomainError, NoRoot) as exc:
         print(f"invalid parameters: {exc}", file=sys.stderr)
         return EXIT_PARAMS

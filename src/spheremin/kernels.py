@@ -1,19 +1,15 @@
-"""Kernel backend selection.
+"""The hot evaluation kernel: pointwise factored products over complex
+node arrays (the inner loop of contour residues and path quadrature)."""
 
-Imports the compiled extension when available, otherwise the numpy
-fallback.  Set SPHEREMIN_KERNEL=python to force the fallback (used by
-the benchmark and for debugging).
-"""
 
-import os
+def eval_product(coeff, kinds, ks, cs, exps, z, out):
+    """Evaluate coeff * prod(factor**exp) at every point of `z`.
 
-if os.environ.get("SPHEREMIN_KERNEL", "").lower() == "python":
-    from . import _kernels_py as _impl
-else:
-    try:
-        from . import _kernels as _impl  # type: ignore[attr-defined]
-    except ImportError:
-        from . import _kernels_py as _impl
-
-BACKEND = _impl.BACKEND
-eval_product = _impl.eval_product
+    kinds: 0 = monomial (z), 1 = shifted power (z**k - c).
+    `out` must be a complex128 array of the same shape as `z`.
+    """
+    out[...] = coeff
+    for kind, k, c, e in zip(kinds, ks, cs, exps):
+        base = z if kind == 0 else z ** int(k) - c
+        out *= base ** int(e)
+    return out

@@ -217,16 +217,9 @@ def classify_end(data: WeierstrassData, p) -> EndDescriptor:
     if og == 0 and odh == -2:
         res = height_residue(data, p)
         sign = -1 if res.real > 0 else (1 if res.real < 0 else 0)
-        normal = tuple(gauss_normal(data, p) if not is_infinity(p)
-                       else _normal_at_infinity(data))
+        normal = tuple(gauss_normal(data, p))
         return EndDescriptor(p, CATENOID_NON_VERTICAL, normal, sign)
     raise UnrecognizedEndType(p, og, odh)
-
-
-def _normal_at_infinity(data: WeierstrassData) -> np.ndarray:
-    g = gauss_value(data, INF)
-    m2 = abs(g) ** 2
-    return np.array([2.0 * g.real, 2.0 * g.imag, m2 - 1.0]) / (m2 + 1.0)
 
 
 def classify_all_ends(data: WeierstrassData):

@@ -307,6 +307,15 @@ def test_scalar_and_array_evaluation_agree(factors, z):
     assert cmath.isclose(got, want, rel_tol=1e-10)
 
 
+def test_kernel_drives_full_evaluation():
+    # eval_array goes through spheremin.kernels.eval_product
+    f = FactoredMeromorphic(2.0, [monomial(1), shifted_power(2, 1.0, -1)])
+    z = np.array([2.0 + 0j, 0.5j])
+    got = f.eval_array(z)
+    want = np.array([f.eval(2.0), f.eval(0.5j)])
+    assert np.allclose(got, want, rtol=1e-13)
+
+
 @settings(max_examples=40, deadline=None)
 @given(_factors, _factors)
 def test_order_additivity_under_product(fa, fb):

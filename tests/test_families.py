@@ -1,12 +1,14 @@
 """Family constructors: verification gates, symmetry, serialization."""
 
 import cmath
+import json
 import math
 
 import pytest
 
 from spheremin.errors import ParameterDomainError
 from spheremin.families import (
+    FAMILIES,
     FamilyInstance,
     double_vase_weierstrass_data,
     from_descriptor,
@@ -121,3 +123,17 @@ def test_default_base_points(vase2, dvase2, catenoid):
     assert vase2.default_base_point == pytest.approx(0.75)
     assert dvase2.default_base_point == 1.0 + 0j
     assert catenoid.default_base_point == 1.0 + 0j
+
+
+@pytest.mark.parametrize("name", list(FAMILIES))
+def test_descriptor_round_trip_each_family(name):
+    spec = FAMILIES[name]
+    inputs = {"k": 2, spec.input_param: 0.5} if spec.solver else {}
+    inst = make_family(name, **inputs)
+    rebuilt = from_descriptor(json.loads(json.dumps(inst.to_descriptor())))
+    assert rebuilt.family == name
+    assert rebuilt.params == inst.params
+    assert rebuilt.to_descriptor() == inst.to_descriptor()
+    assert str(rebuilt.data.gauss_map) == str(inst.data.gauss_map)
+    assert str(rebuilt.data.dh) == str(inst.data.dh)
+    assert rebuilt.period.closed
