@@ -6,6 +6,12 @@ Gauss maps and height-differential coefficients of all surfaces built
 here while keeping zeros, poles, orders and residues exactly enumerable.
 Sums are never represented structurally; composite integrands are
 evaluated pointwise.
+
+Two finite points are the same point when they lie within a relative
+1e-9 of each other (`same_point`); every root, pole and puncture match
+in the package goes through that one rule.  A function's table of
+(root, aggregated order) pairs is built once, when it is created, and
+every zero/pole query reads it.
 """
 
 from __future__ import annotations
@@ -133,7 +139,7 @@ def shifted_power(k: int, c: complex, exponent: int = 1) -> Factor:
 class FactoredMeromorphic:
     """coefficient * prod(factor**exponent), immutable after construction."""
 
-    __slots__ = ("coefficient", "factors", "_packed")
+    __slots__ = ("coefficient", "factors", "_packed", "_roots")
 
     def __init__(self, coefficient: complex, factors=()):
         coefficient = complex(coefficient)
@@ -155,7 +161,6 @@ class FactoredMeromorphic:
         kept.sort(key=lambda f: (f.kind, f.k, f.c.real, f.c.imag))
         object.__setattr__(self, "coefficient", coefficient)
         object.__setattr__(self, "factors", tuple(kept))
-        n = len(kept)
         packed = (
             np.array([f.kind for f in kept], dtype=np.int64),
             np.array([f.k for f in kept], dtype=np.int64),
@@ -163,7 +168,18 @@ class FactoredMeromorphic:
             np.array([f.exponent for f in kept], dtype=np.int64),
         )
         object.__setattr__(self, "_packed", packed)
-        assert n == len(packed[0])
+        # (root, aggregated order) over every factor root; entries whose
+        # orders cancel stay, so contour sizing still sees them
+        roots: list = []
+        for f in kept:
+            for r in f.roots():
+                for i, (r0, o) in enumerate(roots):
+                    if same_point(r0, r):
+                        roots[i] = (r0, o + f.exponent)
+                        break
+                else:
+                    roots.append((r, f.exponent))
+        object.__setattr__(self, "_roots", tuple(roots))
 
     def __setattr__(self, name, value):
         raise AttributeError("FactoredMeromorphic is immutable")
@@ -219,16 +235,7 @@ class FactoredMeromorphic:
     def finite_roots(self):
         """(root, order) pairs over all finite zeros and poles, orders
         aggregated when distinct factors share a root."""
-        acc = []
-        for f in self.factors:
-            for r in f.roots():
-                for i, (r0, _) in enumerate(acc):
-                    if abs(r - r0) <= _ROOT_MATCH_TOL * max(1.0, abs(r0)):
-                        acc[i] = (r0, acc[i][1] + f.exponent)
-                        break
-                else:
-                    acc.append((r, f.exponent))
-        return [(r, o) for r, o in acc if o != 0]
+        return [(r, o) for r, o in self._roots if o != 0]
 
     def finite_poles(self):
         return [r for r, o in self.finite_roots() if o < 0]
@@ -237,14 +244,7 @@ class FactoredMeromorphic:
         """Zero order (>0), pole order (<0) or 0 at a sphere point."""
         if is_infinity(p):
             return -self.degree
-        p = complex(p)
-        total = 0
-        for f in self.factors:
-            for r in f.roots():
-                if abs(p - r) <= _ROOT_MATCH_TOL * max(1.0, abs(r)):
-                    total += f.exponent
-                    break
-        return total
+        return sum(o for r, o in self._roots if same_point(r, p))
 
     def __mul__(self, other):
         if isinstance(other, FactoredMeromorphic):
@@ -304,18 +304,17 @@ def one_form_order_at(f: FactoredMeromorphic, p) -> int:
 # -- residues ---------------------------------------------------------
 
 
+def contour_radius(p, points) -> float:
+    """Half the distance from p to the nearest other point, or 1.0 when
+    there is none: no other singularity comes within twice the radius, so
+    the trapezoidal error decays at least like 2**-nodes."""
+    dists = [abs(q - p) for q in points if not same_point(p, q)]
+    return 0.5 * min(dists) if dists else 1.0
+
+
 def default_contour_radius(f: FactoredMeromorphic, p: complex) -> float:
-    """Half the distance from p to the nearest other root of any factor."""
-    p = complex(p)
-    best = math.inf
-    for fac in f.factors:
-        for r in fac.roots():
-            d = abs(r - p)
-            if d > _ROOT_MATCH_TOL * max(1.0, abs(p)):
-                best = min(best, d)
-    if not math.isfinite(best):
-        best = 2.0  # entire function: any radius works
-    return 0.5 * best
+    """`contour_radius` over every root of every factor of f."""
+    return contour_radius(complex(p), [r for r, _ in f._roots])
 
 
 def residue_contour(f, p, radius=None, nodes=64, rel_tol=1e-12, max_nodes=4096):
@@ -337,7 +336,7 @@ def residue_contour(f, p, radius=None, nodes=64, rel_tol=1e-12, max_nodes=4096):
         raise ValueError("need at least 16 nodes")
     if isinstance(f, FactoredMeromorphic):
         for q in f.finite_poles():
-            if abs(q - p) > _ROOT_MATCH_TOL * max(1.0, abs(p)) and abs(q - p) <= radius:
+            if not same_point(p, q) and abs(q - p) <= radius:
                 raise SingularityInsideContour(
                     f"pole at {q!r} lies within radius {radius} of {p!r}"
                 )
@@ -380,10 +379,7 @@ def residue_limit(f: FactoredMeromorphic, p, pole_order: int) -> complex:
     value = f.coefficient
     logd = 0j  # g'(p)/g(p), accumulated by the product rule
     for fac in f.factors:
-        vanishes = any(
-            abs(p - r) <= _ROOT_MATCH_TOL * max(1.0, abs(r)) for r in fac.roots()
-        )
-        if not vanishes:
+        if not any(same_point(r, p) for r in fac.roots()):
             base = fac.base_value(p)
             value *= base ** fac.exponent
             logd += fac.exponent * fac.base_derivative(p) / base
@@ -392,7 +388,7 @@ def residue_limit(f: FactoredMeromorphic, p, pole_order: int) -> complex:
             continue  # z**e / (z - 0)**e cancels exactly
         # (z**k - c)**e / (z - p)**e = prod over the other roots (z - r)**e
         for r in fac.roots():
-            if abs(p - r) <= _ROOT_MATCH_TOL * max(1.0, abs(r)):
+            if same_point(r, p):
                 continue
             value *= (p - r) ** fac.exponent
             logd += fac.exponent / (p - r)

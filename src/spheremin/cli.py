@@ -108,7 +108,10 @@ def _parse(argv) -> argparse.Namespace:
     if not getattr(args, "config", None):
         return args
     with open(args.config) as fh:
-        cfg = json.load(fh)
+        try:
+            cfg = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ParameterDomainError(f"config file is not valid JSON: {exc}") from None
     if not isinstance(cfg, dict):
         raise ParameterDomainError("the config file must hold a JSON object")
     flags = []
@@ -263,7 +266,12 @@ def cmd_report(args, spec) -> int:
     if spec.solver is None:
         solvable = [name for name, f in FAMILIES.items() if f.solver]
         raise ParameterDomainError("report sweeps need --family " + "|".join(solvable))
-    values = [float(v) for v in args.values.split(",")]
+    try:
+        values = [float(v) for v in args.values.split(",")]
+    except ValueError:
+        raise ParameterDomainError(f"--values must be numbers, got {args.values!r}") from None
+    if args.k_min > args.k_max:
+        raise ParameterDomainError(f"empty sweep: --k-min {args.k_min} > --k-max {args.k_max}")
     rows = []
     for k in range(args.k_min, args.k_max + 1):
         for v in values:

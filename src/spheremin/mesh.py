@@ -19,7 +19,12 @@ import numpy as np
 from .algebra import is_infinity
 from .errors import DegenerateTriangle, ParameterDomainError, Unroutable
 from .paths import default_exclusions, integrate_point, plan_path
-from .weierstrass import WeierstrassData, coordinate_forms
+from .weierstrass import (
+    WeierstrassData,
+    coordinate_forms,
+    metric_scale,
+    stereographic_normal,
+)
 
 
 @dataclass(frozen=True)
@@ -36,14 +41,17 @@ class DomainSpec:
     exclusion_radius: float | None = None
 
     def __post_init__(self):
-        if not 0.0 < self.r_min < self.r_max:
+        if not 0.0 < self.r_min < self.r_max < math.inf:
             raise ParameterDomainError(
-                f"need 0 < r_min < r_max, got [{self.r_min}, {self.r_max}]"
+                f"need finite 0 < r_min < r_max, got [{self.r_min}, {self.r_max}]"
             )
         if self.n_r < 8 or self.n_theta < 8:
             raise ParameterDomainError("resolutions must be >= 8")
-        if self.exclusion_radius is not None and self.exclusion_radius <= 0:
-            raise ParameterDomainError("exclusion_radius must be positive")
+        radius = self.exclusion_radius
+        if radius is not None and not 0.0 < radius < math.inf:
+            raise ParameterDomainError(
+                f"exclusion_radius must be positive and finite, got {radius}"
+            )
 
     def refined(self, factor: int = 2) -> "DomainSpec":
         return DomainSpec(
@@ -121,14 +129,8 @@ def sample_mesh(data: WeierstrassData, spec: DomainSpec,
     verts = X[valid]
 
     g = data.gauss_map.eval_array(src)
-    dh = data.dh.eval_array(src)
-    mag = np.abs(g)
-    denom = mag ** 2 + 1.0
-    normals = np.stack(
-        [2.0 * g.real / denom, 2.0 * g.imag / denom, (mag ** 2 - 1.0) / denom],
-        axis=1,
-    )
-    conformal = 0.5 * (mag + 1.0 / mag) * np.abs(dh)
+    normals = np.stack(stereographic_normal(g), axis=1)
+    conformal = metric_scale(g, data.dh.eval_array(src))
 
     faces = []
     for i in range(spec.n_r - 1):

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .algebra import is_infinity, same_point
 from .errors import QuadratureFailure, Unroutable
 from .weierstrass import CoordinateForms, WeierstrassData, coordinate_forms
 
@@ -80,7 +81,7 @@ class IntegrationPath:
     def __post_init__(self):
         segs = tuple(self.segments)
         for s, t in zip(segs, segs[1:]):
-            if abs(s.end - t.start) > 1e-9 * max(1.0, abs(s.end)):
+            if not same_point(s.end, t.start):
                 raise ValueError("path segments do not chain")
         object.__setattr__(self, "segments", segs)
 
@@ -254,9 +255,8 @@ def check_path_independence(
     """Norm of the difference of X along two paths sharing endpoints; small
     for period-closed data even when the paths wind around punctures."""
     if path_a.segments and path_b.segments:
-        if abs(path_a.start - path_b.start) > 1e-9 or abs(
-            path_a.end - path_b.end
-        ) > 1e-9:
+        if not (same_point(path_a.start, path_b.start)
+                and same_point(path_a.end, path_b.end)):
             raise ValueError("paths must share start and end points")
     xa = integrate_point(data, path_a)
     xb = integrate_point(data, path_b)
@@ -265,17 +265,11 @@ def check_path_independence(
 
 def default_exclusions(data: WeierstrassData, scale: float = 0.05):
     """Exclusion disks: around each puncture, `scale` times the distance to
-    its nearest other singularity."""
-    from .algebra import is_infinity
-
-    sing = data.finite_singularities()
+    its nearest other singularity or puncture."""
     finite_punctures = [complex(p) for p in data.punctures if not is_infinity(p)]
+    others = data.finite_singularities() + finite_punctures
     out = []
     for p in finite_punctures:
-        dists = [abs(p - s) for s in sing if abs(p - s) > 1e-9 * max(1.0, abs(p))]
-        for q in finite_punctures:
-            if q is not p and abs(p - q) > 1e-12:
-                dists.append(abs(p - q))
-        r = scale * min(dists) if dists else scale
-        out.append((p, r))
+        dists = [abs(p - q) for q in others if not same_point(p, q)]
+        out.append((p, scale * min(dists) if dists else scale))
     return out

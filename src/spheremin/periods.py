@@ -18,6 +18,7 @@ import numpy as np
 
 from .algebra import (
     INF,
+    contour_radius,
     is_infinity,
     residue_at,
     residue_contour,
@@ -68,21 +69,15 @@ class DoubleVaseParams:
 # -- residue machinery ------------------------------------------------
 
 
-def _finite_contour_radius(data: WeierstrassData, p: complex) -> float:
-    best = math.inf
-    for s in data.finite_singularities():
-        d = abs(s - p)
-        if d > 1e-9 * max(1.0, abs(p)):
-            best = min(best, d)
-    return 0.5 * best if math.isfinite(best) else 1.0
-
-
 def _combo_residue(data: WeierstrassData, p, sign: float) -> complex:
     """Res_p((1/G + sign*G) dh) by the trapezoidal contour rule; the sum is
     evaluated pointwise (no structural addition of factored forms)."""
     G, dh = data.gauss_map, data.dh
 
     if is_infinity(p):
+        # the contour_radius rule read in the w = 1/z chart, where each s
+        # sits at w = 1/s; written as 0.5 / max|s| because going through
+        # 1/s changes the last bit of the radius
         finite = [abs(s) for s in data.finite_singularities() if abs(s) > 0]
         radius = 0.5 / max(finite) if finite else 1.0
 
@@ -93,7 +88,7 @@ def _combo_residue(data: WeierstrassData, p, sign: float) -> complex:
 
         return residue_contour(integrand, 0.0, radius=radius)
 
-    radius = _finite_contour_radius(data, complex(p))
+    radius = contour_radius(complex(p), data.finite_singularities())
 
     def integrand(z):
         g = G.eval_array(z)

@@ -45,19 +45,20 @@ class WeierstrassData:
                 if same_point(p, q):
                     raise ValueError(f"punctures are not pairwise distinct: {p!r}")
         object.__setattr__(self, "punctures", pts)
+        singular: list = []
+        for f in (self.gauss_map, self.dh):
+            for r, _ in f.finite_roots():
+                if not any(same_point(q, r) for q in singular):
+                    singular.append(r)
+        object.__setattr__(self, "_singular", tuple(singular))
 
     def is_puncture(self, p) -> bool:
         return any(same_point(p, q) for q in self.punctures)
 
     def finite_singularities(self):
         """All finite zeros/poles of G and dh (candidate special points for
-        routing, audits and contour sizing)."""
-        pts: list[complex] = []
-        for f in (self.gauss_map, self.dh):
-            for r, _ in f.finite_roots():
-                if not any(abs(r - q) <= 1e-9 * max(1.0, abs(q)) for q in pts):
-                    pts.append(r)
-        return pts
+        routing, audits and contour sizing), built once with the data."""
+        return list(self._singular)
 
 
 @dataclass(frozen=True)
@@ -77,15 +78,6 @@ class CoordinateForms:
             [0.5 * (inv - g) * dh, 0.5j * (inv + g) * dh, dh]
         )
 
-    def phi1(self, z):
-        return self.stacked(np.asarray(z, dtype=np.complex128))[0]
-
-    def phi2(self, z):
-        return self.stacked(np.asarray(z, dtype=np.complex128))[1]
-
-    def phi3(self, z):
-        return self.stacked(np.asarray(z, dtype=np.complex128))[2]
-
 
 def coordinate_forms(data: WeierstrassData) -> CoordinateForms:
     return CoordinateForms(data)
@@ -99,26 +91,38 @@ def gauss_value(data: WeierstrassData, p) -> complex:
     return data.gauss_map.eval(p)
 
 
+def stereographic_normal(g):
+    """(n_x, n_y, n_z) by inverse stereographic projection of G values, a
+    scalar or an array; G = 0 maps to the south pole (0, 0, -1)."""
+    m2 = abs(g) ** 2
+    denom = m2 + 1.0
+    return 2.0 * g.real / denom, 2.0 * g.imag / denom, (m2 - 1.0) / denom
+
+
+def metric_scale(g, dh):
+    """Induced-metric scale 0.5*(|G| + 1/|G|)*|dh| from values of G and of
+    the dh coefficient, scalars or arrays."""
+    mag = abs(g)
+    return 0.5 * (mag + 1.0 / mag) * abs(dh)
+
+
 def gauss_normal(data: WeierstrassData, z) -> np.ndarray:
-    """Unit normal by inverse stereographic projection of G; G = 0 maps to
-    the south pole (0, 0, -1), G = infinity to (0, 0, 1)."""
+    """Unit normal at a sphere point; G = infinity maps to (0, 0, 1)."""
     try:
         g = gauss_value(data, z)
     except PoleEvaluation:
+        g = complex(math.inf)
+    if not math.isfinite(abs(g)):
         return np.array([0.0, 0.0, 1.0])
-    m2 = abs(g) ** 2
-    if not math.isfinite(m2):
-        return np.array([0.0, 0.0, 1.0])
-    return np.array([2.0 * g.real, 2.0 * g.imag, m2 - 1.0]) / (m2 + 1.0)
+    return np.array(stereographic_normal(g))
 
 
 def conformal_factor(data: WeierstrassData, z: complex) -> float:
-    """Induced-metric scale 0.5*(|G| + 1/|G|)*|dh| at a regular point."""
+    """Induced-metric scale at a regular point."""
     g = data.gauss_map.eval(z)
     if g == 0:
         raise PoleEvaluation(z, "1/G")
-    dh = data.dh.eval(z)
-    return 0.5 * (abs(g) + 1.0 / abs(g)) * abs(dh)
+    return metric_scale(g, data.dh.eval(z))
 
 
 # -- audits -----------------------------------------------------------

@@ -312,3 +312,52 @@ def test_export_tol_gates_the_export(tmp_path, capsys):
     assert out_path.exists()
     meta = json.loads((tmp_path / "cat.obj.json").read_text())
     assert meta["family"] == {"family": "catenoid", "forced": True}
+
+
+# -- bad input exits 2, not a traceback ------------------------------------
+
+
+def test_empty_report_sweep_is_parameter_error(tmp_path, capsys):
+    code, _, err = run(
+        ["report", "--family", "vase", "--k-min", "5", "--k-max", "3",
+         "--out", str(tmp_path / "sweep.csv")],
+        capsys,
+    )
+    assert code == EXIT_PARAMS
+    assert "empty sweep" in err
+
+
+def test_non_numeric_report_values_is_parameter_error(tmp_path, capsys):
+    code, _, err = run(
+        ["report", "--family", "vase", "--values", "x",
+         "--out", str(tmp_path / "sweep.csv")],
+        capsys,
+    )
+    assert code == EXIT_PARAMS
+    assert "--values" in err
+
+
+def test_malformed_config_is_parameter_error(tmp_path, capsys):
+    cfg = tmp_path / "bad.json"
+    cfg.write_text("{bad")
+    code, out, err = run(["solve", "--config", str(cfg)], capsys)
+    assert code == EXIT_PARAMS
+    assert out == ""
+    assert "not valid JSON" in err
+
+
+@pytest.mark.parametrize(
+    "flag, value",
+    [("--rmin", "nan"), ("--rmax", "inf"), ("--rmax", "nan"),
+     ("--exclusion-radius", "nan"), ("--exclusion-radius", "inf")],
+)
+def test_nonfinite_export_window_rejected(flag, value, tmp_path, capsys):
+    out_path = tmp_path / "cat.obj"
+    code, out, _ = run(
+        ["export", "--family", "catenoid", "--nr", "8", "--ntheta", "8",
+         f"{flag}={value}", "--out", str(out_path)],
+        capsys,
+    )
+    assert code == EXIT_PARAMS
+    assert out == ""
+    assert not out_path.exists()

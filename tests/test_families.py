@@ -6,6 +6,7 @@ import math
 
 import pytest
 
+from spheremin.algebra import contour_radius, is_infinity, same_point
 from spheremin.errors import ParameterDomainError
 from spheremin.families import (
     FAMILIES,
@@ -137,3 +138,15 @@ def test_descriptor_round_trip_each_family(name):
     assert str(rebuilt.data.gauss_map) == str(inst.data.gauss_map)
     assert str(rebuilt.data.dh) == str(inst.data.dh)
     assert rebuilt.period.closed
+    # the zero/pole tables agree with the point queries, and every finite
+    # puncture's residue contour holds no other singularity
+    data = inst.data
+    for f in (data.gauss_map, data.dh):
+        for r, o in f.finite_roots():
+            assert f.order_at(r) == o
+    singular = data.finite_singularities()
+    for p in data.punctures:
+        if is_infinity(p):
+            continue
+        radius = contour_radius(p, singular)
+        assert all(abs(s - p) > radius for s in singular if not same_point(p, s))

@@ -8,6 +8,7 @@ import pytest
 
 from spheremin.algebra import INF, FactoredMeromorphic, monomial
 from spheremin.errors import ParameterDomainError, Unroutable
+from spheremin.families import FAMILIES, construct
 from spheremin.mesh import (
     DomainSpec,
     estimate_mean_curvature,
@@ -18,7 +19,7 @@ from spheremin.mesh import (
     write_obj,
     write_ply,
 )
-from spheremin.weierstrass import WeierstrassData
+from spheremin.weierstrass import WeierstrassData, conformal_factor, gauss_normal
 
 
 def test_domain_spec_validation():
@@ -31,6 +32,20 @@ def test_domain_spec_validation():
     spec = DomainSpec(0.5, 2.0, 16, 32)
     fine = spec.refined()
     assert (fine.n_r, fine.n_theta) == (32, 64)
+
+
+@pytest.mark.parametrize("name", list(FAMILIES))
+def test_sampler_matches_scalar_diagnostics(name):
+    spec = FAMILIES[name]
+    inst = construct(spec, *((2, 0.5) if spec.solver else ()))
+    domain = DomainSpec(spec.r_min, spec.r_max, 8, 8,
+                        base_point=spec.base_point(inst.params))
+    mesh = sample_mesh(inst.data, domain)
+    assert mesh.n_vertices > 0
+    for z, normal, conformal in zip(mesh.source_z, mesh.normals, mesh.conformal):
+        assert np.max(np.abs(normal - gauss_normal(inst.data, z))) <= 1e-14
+        want = conformal_factor(inst.data, z)
+        assert abs(conformal - want) <= 1e-14 * max(1.0, want)
 
 
 def test_catenoid_mesh_identity(catenoid):
