@@ -13,11 +13,15 @@ from .algebra import (
     shifted_power,
 )
 from .families import (
+    DoubleVaseParams,
     FamilyInstance,
+    VaseParams,
     make_catenoid_fixture,
     make_double_vase,
     make_family,
     make_vase,
+    solve_double_vase_a,
+    solve_vase_rho,
 )
 from .mesh import (
     DomainSpec,
@@ -33,14 +37,7 @@ from .paths import (
     integrate_point,
     plan_path,
 )
-from .periods import (
-    DoubleVaseParams,
-    VaseParams,
-    assert_period_closed,
-    puncture_periods,
-    solve_double_vase_a,
-    solve_vase_rho,
-)
+from .periods import assert_period_closed, puncture_periods
 from .weierstrass import (
     WeierstrassData,
     classify_end,

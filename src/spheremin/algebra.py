@@ -139,7 +139,7 @@ def shifted_power(k: int, c: complex, exponent: int = 1) -> Factor:
 class FactoredMeromorphic:
     """coefficient * prod(factor**exponent), immutable after construction."""
 
-    __slots__ = ("coefficient", "factors", "_packed", "_roots")
+    __slots__ = ("coefficient", "factors", "_packed", "_roots", "_charts")
 
     def __init__(self, coefficient: complex, factors=()):
         coefficient = complex(coefficient)
@@ -180,6 +180,7 @@ class FactoredMeromorphic:
                 else:
                     roots.append((r, f.exponent))
         object.__setattr__(self, "_roots", tuple(roots))
+        object.__setattr__(self, "_charts", {})  # see infinity_chart
 
     def __setattr__(self, name, value):
         raise AttributeError("FactoredMeromorphic is immutable")
@@ -274,8 +275,15 @@ def infinity_chart(f: FactoredMeromorphic, one_form: bool = False) -> FactoredMe
 
     As a function the result is w -> f(1/w); as a one-form coefficient
     (dz = -dw/w**2) it is w -> -f(1/w)/w**2.  Both stay in factored form:
-    (z**k - c)**e becomes (-c)**e * (w**k - 1/c)**e * w**(-k e).
+    (z**k - c)**e becomes (-c)**e * (w**k - 1/c)**e * w**(-k e).  Each
+    chart is built once and kept on the immutable f, for every caller.
     """
+    if one_form not in f._charts:
+        f._charts[one_form] = _build_infinity_chart(f, one_form)
+    return f._charts[one_form]
+
+
+def _build_infinity_chart(f: FactoredMeromorphic, one_form: bool) -> FactoredMeromorphic:
     coeff = f.coefficient
     mono_exp = 0
     new_factors = []

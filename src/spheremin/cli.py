@@ -123,6 +123,8 @@ def _parse(argv) -> argparse.Namespace:
             )
         flag = "--" + dest.replace("_", "-")
         if isinstance(getattr(args, dest), bool):  # a switch such as --force
+            if not isinstance(value, bool):
+                raise ParameterDomainError(f"config key {key!r} must be true or false")
             flags += [flag] if value else []
         elif value is not None:
             flags += [flag, str(value)]

@@ -1,11 +1,17 @@
-"""Constructors for the verified surface families.
+"""The verified surface families: data, period equation and solver of each.
 
-Family 1 (vase of catenoids):
+Family 1 (vase of catenoids), solved for rho by `solve_vase_rho`:
     G = rho * z * (z^k - a^k),  dh = (a^k - z^k) / (z (z^k - 1)^2) dz
-Family 2 (glued double vase, rho pinned to 1):
+    period equation Res_1((1/G + G) dh) = 0
+Family 2 (glued double vase, rho = 1), solved for a by `solve_double_vase_a`:
     G = z^(k+1) (z^k - a^k) / (a^k z^k - 1)
     dh = b^(2k) z^(k-1) (z^k - a^k)(a^k z^k - 1) / (a^k (z^k - b^k)^2 (b^k z^k - 1)^2) dz
+    period equation Res_b((1/G + G) dh) = 0, a quadratic in a^k
 plus the classical catenoid (G = z, dh = dz/z) as a known-answer fixture.
+
+Each solver checks the printed radical against a bracketed root
+(`periods.hybrid_root`) and returns the data it built at the solution,
+which the constructor then gates; the gate in `periods.py` knows no family.
 
 Each family is one `FamilySpec` entry of `FAMILIES`; every per-family
 decision (solver, tolerance, export window, base point, descriptor) reads
@@ -17,27 +23,55 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import asdict, dataclass
+import sys
+from dataclasses import asdict, dataclass, field
 from typing import Callable
 
 from .algebra import INF, FactoredMeromorphic, monomial, shifted_power
-from .errors import ParameterDomainError, SphereminError
-from .periods import (
-    DoubleVaseParams,
-    PeriodReport,
-    SolveResult,
-    VaseParams,
-    assert_period_closed,
-    solve_double_vase_a,
-    solve_vase_rho,
-)
+from .errors import ClosedFormMismatch, NoRoot, ParameterDomainError, SphereminError
+from .periods import PeriodReport, _combo_residue, assert_period_closed, hybrid_root
 from .weierstrass import WeierstrassData, degree_audit, point_json, regularity_check
+
 
 def _roots_by_argument(k: int, c: float):
     """The k roots of z^k = c (c > 0 real), sorted by increasing argument."""
     r = c ** (1.0 / k)
     pts = [r * cmath.exp(2j * math.pi * j / k) for j in range(k)]
     return sorted(pts, key=lambda z: (cmath.phase(z) % (2.0 * math.pi)))
+
+
+@dataclass(frozen=True)
+class SolveResult:
+    """A solved period equation and the data built at its solution."""
+
+    value: float
+    closed_form: float
+    numeric_root: float
+    residual: float
+    mismatch: bool = False
+    data: WeierstrassData | None = field(default=None, compare=False, repr=False)
+
+
+# -- family 1: vase of catenoids --------------------------------------
+
+
+@dataclass(frozen=True)
+class VaseParams:
+    """Vase-of-catenoids parameters: k > 1, a in (0, 1), scale rho > 0."""
+
+    k: int
+    a: float
+    rho: float = 0.0
+
+    def __post_init__(self):
+        if self.k <= 1:
+            raise ParameterDomainError(f"k must be an integer > 1, got {self.k}")
+        if not 0.0 < self.a < 1.0:
+            raise ParameterDomainError(f"a must lie in (0, 1), got {self.a}")
+        if self.a ** self.k < sys.float_info.min:
+            raise ParameterDomainError(f"a^k underflows at k={self.k}, a={self.a}")
+        if self.rho and (self.rho <= 0 or not math.isfinite(self.rho)):
+            raise ParameterDomainError(f"rho must be positive, got {self.rho}")
 
 
 def vase_weierstrass_data(k: int, a: float, rho: float) -> WeierstrassData:
@@ -50,6 +84,72 @@ def vase_weierstrass_data(k: int, a: float, rho: float) -> WeierstrassData:
     )
     punctures = (0j, INF, *_roots_by_argument(k, 1.0))
     return WeierstrassData(G, dh, punctures)
+
+
+def vase_residue_at_one(params: VaseParams, check_oracle: bool = True) -> float:
+    """The single period equation of the vase: Res_1((1/G + G) dh).
+
+    Closed form: rho*(a^k - 1)*(k a^k + k - a^k + 1)/k^2 + (k + 1)/(rho k^2).
+    When check_oracle is set, the contour value must agree within 1e-9.
+    """
+    k, a, rho = params.k, params.a, params.rho
+    if rho <= 0:
+        raise ParameterDomainError("rho must be positive")
+    ak = a ** k
+    closed = rho * (ak - 1.0) * (k * ak + k - ak + 1.0) / k ** 2 + (k + 1.0) / (
+        rho * k ** 2
+    )
+    if check_oracle:
+        data = vase_weierstrass_data(k, a, rho)
+        oracle = _combo_residue(data, 1.0, +1.0)
+        if abs(closed - oracle) > 1e-9 * max(1.0, abs(closed), abs(oracle)):
+            raise ClosedFormMismatch(
+                f"vase residue closed form {closed!r} vs contour {oracle!r} "
+                f"at k={k}, a={a}, rho={rho}"
+            )
+    return closed
+
+
+def solve_vase_rho(k: int, a: float) -> SolveResult:
+    """Scale rho closing the vase period: the printed radical, verified by
+    an independent bracketed root of the residue equation."""
+    params = VaseParams(k, a)  # validates the domain
+    ak = a ** k
+    closed = math.sqrt((k + 1.0) / ((1.0 - ak) * (k * ak + k - ak + 1.0)))
+
+    def eq(rho):
+        return vase_residue_at_one(VaseParams(k, a, rho), check_oracle=False)
+
+    root, _ = hybrid_root(eq, 1e-3 * closed, 1e3 * closed)
+    if abs(closed - root) > 1e-10 * closed:
+        raise ClosedFormMismatch(
+            f"vase rho closed form {closed} vs numeric root {root} at k={k}, a={a}"
+        )
+    data = vase_weierstrass_data(k, a, closed)
+    residual = abs(_combo_residue(data, 1.0, +1.0))
+    return SolveResult(closed, closed, root, residual, False, data)
+
+
+# -- family 2: glued double vase --------------------------------------
+
+
+@dataclass(frozen=True)
+class DoubleVaseParams:
+    """Glued double-vase parameters: k > 1, b in (0, 1), a > 0."""
+
+    k: int
+    b: float
+    a: float = 0.0
+
+    def __post_init__(self):
+        if self.k <= 1:
+            raise ParameterDomainError(f"k must be an integer > 1, got {self.k}")
+        if not 0.0 < self.b < 1.0:
+            raise ParameterDomainError(f"b must lie in (0, 1), got {self.b}")
+        if self.b ** self.k < sys.float_info.min:
+            raise ParameterDomainError(f"b^k underflows at k={self.k}, b={self.b}")
+        if self.a and (self.a <= 0 or not math.isfinite(self.a)):
+            raise ParameterDomainError(f"a must be positive, got {self.a}")
 
 
 def double_vase_weierstrass_data(k: int, b: float, a: float) -> WeierstrassData:
@@ -79,6 +179,111 @@ def double_vase_weierstrass_data(k: int, b: float, a: float) -> WeierstrassData:
         *_roots_by_argument(k, 1.0 / bk),
     )
     return WeierstrassData(G, dh, punctures)
+
+
+def double_vase_printed_residue(k: int, b: float, a: float,
+                                verbatim: bool = False) -> float:
+    """Closed-form Res_b((1/G + G) dh): a quadratic in a^k over the common
+    denominator a^k * b * (b^k - 1)^3 * (b^k + 1)^3 * k^2.
+
+    The widely quoted form of this expression carries an overall sign flip
+    relative to the defining contour integral (verified symbolically); the
+    root set is identical either way.  The corrected sign is returned
+    unless `verbatim` is set.
+    """
+    ak = a ** k
+    bk = b ** k
+    A = b ** (2 * k) * (
+        k - 1.0
+        + b ** (2 + 2 * k) * (k - 1.0)
+        + (b ** 2 + b ** (2 * k)) * (k + 1.0)
+    )
+    B = 2.0 * bk * (
+        1.0
+        + b ** (2 + 4 * k)
+        - (b ** (2 * k) + b ** (2 + 2 * k)) * (2.0 * k + 1.0)
+    )
+    C = (
+        -k - 1.0
+        + b ** (2 * k)
+        + b ** (2 + 4 * k)
+        - b ** (2 + 6 * k)
+        + 3.0 * k * b ** (2 * k)
+        + 3.0 * k * b ** (2 + 4 * k)
+        - k * b ** (2 + 6 * k)
+    )
+    denom = ak * b * (bk - 1.0) ** 3 * (bk + 1.0) ** 3 * k ** 2
+    value = (A * ak ** 2 + B * ak + C) / denom
+    return value if verbatim else -value
+
+
+def double_vase_residue_at_b(params: DoubleVaseParams,
+                             check_oracle: bool = True) -> float:
+    """The double-vase period equation at z = b with rho = 1.
+
+    Evaluates the printed quadratic-in-a^k expression; with check_oracle
+    set, the contour value of Res_b((1/G + G) dh) must agree within 1e-8
+    relative (the oracle guards against transcription drift)."""
+    k, b, a = params.k, params.b, params.a
+    if a <= 0:
+        raise ParameterDomainError("a must be positive")
+    closed = double_vase_printed_residue(k, b, a)
+    if check_oracle:
+        data = double_vase_weierstrass_data(k, b, a)
+        oracle = _combo_residue(data, b, +1.0)
+        if abs(closed - oracle) > 1e-8 * max(abs(closed), abs(oracle), 1e-12):
+            raise ClosedFormMismatch(
+                f"double-vase residue printed {closed!r} vs contour {oracle!r} "
+                f"at k={k}, b={b}, a={a}"
+            )
+    return closed
+
+
+def double_vase_closed_form_a(k: int, b: float) -> float:
+    """The printed radical for a(k, b)."""
+    num = (
+        -1.0
+        - b ** (2 + 4 * k)
+        + (b ** (2 * k) + b ** (2 + 2 * k)) * (2.0 * k + 1.0)
+        + (1.0 - b ** (2 * k))
+        * math.sqrt(
+            k ** 2
+            + b ** 2 * (1.0 - b ** (2 * k)) ** 2 * (2.0 * k + 1.0)
+            + k ** 2 * b ** 2 * (1.0 + b ** (4 * k) + b ** (2 + 4 * k))
+        )
+    )
+    den = b ** k * (
+        k - 1.0
+        + b ** (2 + 2 * k) * (k - 1.0)
+        + (b ** 2 + b ** (2 * k)) * (k + 1.0)
+    )
+    ratio = num / den
+    if ratio <= 0:
+        raise NoRoot(f"closed-form radicand nonpositive at k={k}, b={b}")
+    return ratio ** (1.0 / k)
+
+
+def solve_double_vase_a(k: int, b: float) -> SolveResult:
+    """Neck parameter a closing the double-vase period, from the printed
+    radical plus an independent bracketed root; on disagreement the
+    numeric root is returned with the mismatch flag set."""
+    DoubleVaseParams(k, b)  # validates the domain
+    closed = double_vase_closed_form_a(k, b)
+
+    def eq(a):
+        return double_vase_residue_at_b(DoubleVaseParams(k, b, a),
+                                        check_oracle=False)
+
+    root, _ = hybrid_root(eq, 1e-3, 1e3)
+    mismatch = bool(abs(closed - root) > 1e-8 * max(closed, root))
+    value = root if mismatch else closed
+    # final oracle check at the solution: the contour residue must vanish
+    data = double_vase_weierstrass_data(k, b, value)
+    residual = abs(_combo_residue(data, b, +1.0))
+    return SolveResult(value, closed, root, residual, mismatch, data)
+
+
+# -- the catenoid fixture and the family table ------------------------
 
 
 def catenoid_weierstrass_data() -> WeierstrassData:
@@ -130,16 +335,17 @@ class FamilySpec:
 
     def build_data(self, k=None, value=None, solved=None):
         """Solve (unless `solved` fixes the solved parameter) and build the
-        data without the gate.  Returns (data, params, provenance)."""
+        data without the gate; a solve hands on the data it built.
+        Returns (data, params, provenance)."""
         if self.solver is None:
             return self.build(None), None, {}
         self._require(k, value)
-        record = {}
-        if solved is None:
-            result = self.solver(k, value)
-            solved, record = result.value, provenance(result)
-        params = self.params_type(k, value, solved)
-        return self.build(params), params, record
+        if solved is not None:
+            params = self.params_type(k, value, solved)
+            return self.build(params), params, {}
+        result = self.solver(k, value)
+        params = self.params_type(k, value, result.value)
+        return result.data, params, provenance(result)
 
 
 FAMILIES = {spec.name: spec for spec in (

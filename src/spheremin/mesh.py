@@ -94,7 +94,8 @@ def exclusion_disks(data: WeierstrassData, spec: DomainSpec):
 
 def sample_mesh(data: WeierstrassData, spec: DomainSpec,
                 metadata: dict | None = None) -> SurfaceMesh:
-    """Integrate the immersion over the polar grid and triangulate it."""
+    """Integrate the immersion over the polar grid and triangulate it;
+    a window that leaves no face raises ParameterDomainError."""
     exclusions = exclusion_disks(data, spec)
     s = np.linspace(math.log(spec.r_min), math.log(spec.r_max), spec.n_r)
     theta = 2.0 * math.pi * np.arange(spec.n_theta) / spec.n_theta
@@ -142,13 +143,16 @@ def sample_mesh(data: WeierstrassData, spec: DomainSpec,
                 continue
             faces.append((v00, v01, v11))
             faces.append((v00, v11, v10))
-    faces_arr = np.array(faces, dtype=np.int64).reshape(-1, 3)
+    if not faces:
+        raise ParameterDomainError(
+            "the sampling window leaves no face outside the exclusion disks"
+        )
+    faces_arr = np.array(faces, dtype=np.int64)
 
     # drop zero-area faces
-    if len(faces_arr):
-        p0 = verts[faces_arr[:, 0]]
-        cross = np.cross(verts[faces_arr[:, 1]] - p0, verts[faces_arr[:, 2]] - p0)
-        faces_arr = faces_arr[np.linalg.norm(cross, axis=1) > 1e-30]
+    p0 = verts[faces_arr[:, 0]]
+    cross = np.cross(verts[faces_arr[:, 1]] - p0, verts[faces_arr[:, 2]] - p0)
+    faces_arr = faces_arr[np.linalg.norm(cross, axis=1) > 1e-30]
 
     meta = dict(metadata or {})
     meta["domain"] = {

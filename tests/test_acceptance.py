@@ -21,18 +21,15 @@ from spheremin import (
 )
 from spheremin.algebra import INF, is_infinity, residue_at, residue_at_infinity
 from spheremin.families import (
+    DoubleVaseParams,
+    double_vase_residue_at_b,
     double_vase_weierstrass_data,
     make_vase,
     vase_weierstrass_data,
 )
 from spheremin.mesh import fd_tangents, interior_vertices
 from spheremin.paths import check_path_independence, default_exclusions, plan_path
-from spheremin.periods import (
-    DoubleVaseParams,
-    _combo_residue,
-    double_vase_residue_at_b,
-    period_report,
-)
+from spheremin.periods import _combo_residue, period_report
 from spheremin.weierstrass import (
     CATENOID_NON_VERTICAL,
     CATENOID_VERTICAL_DOWN,

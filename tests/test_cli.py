@@ -258,6 +258,33 @@ def test_unknown_config_key_is_parameter_error(tmp_path, capsys):
     assert "unknown config key 'nr'" in err
 
 
+@pytest.mark.parametrize("value", ["false", "true", 0, 1, None])
+def test_config_switch_must_be_a_json_boolean(value, tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"force": value, "tol": 1e-30}))
+    out_path = tmp_path / "cat.obj"
+    argv = ["export", "--family", "catenoid", "--config", str(cfg),
+            "--out", str(out_path), "--nr", "8", "--ntheta", "8"]
+    code, out, err = run(argv, capsys)
+    assert code == EXIT_PARAMS
+    assert out == ""
+    assert "'force'" in err
+    assert not out_path.exists()
+
+
+def test_config_switch_json_booleans(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    out_path = tmp_path / "cat.obj"
+    argv = ["export", "--family", "catenoid", "--config", str(cfg),
+            "--out", str(out_path), "--nr", "8", "--ntheta", "8"]
+    cfg.write_text(json.dumps({"force": False, "tol": 1e-30}))
+    assert run(argv, capsys)[0] == EXIT_VERIFICATION
+    assert not out_path.exists()
+    cfg.write_text(json.dumps({"force": True, "tol": 1e-30}))
+    assert run(argv, capsys)[0] == EXIT_OK
+    assert out_path.exists()
+
+
 # -- flags are honoured or rejected --------------------------------------
 
 
@@ -361,3 +388,32 @@ def test_nonfinite_export_window_rejected(flag, value, tmp_path, capsys):
     assert code == EXIT_PARAMS
     assert out == ""
     assert not out_path.exists()
+
+
+def test_export_window_without_faces_is_parameter_error(tmp_path, capsys):
+    out_path = tmp_path / "cat.obj"
+    code, out, err = run(
+        ["export", "--family", "catenoid", "--nr", "8", "--ntheta", "8",
+         "--rmin", "1e-300", "--rmax", "1e-299", "--out", str(out_path)],
+        capsys,
+    )
+    assert code == EXIT_PARAMS
+    assert out == ""
+    assert "no face" in err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "--family", "vase", "--k", "110", "--a", "0.001"],
+        ["solve", "--family", "vase", "--k", "110", "--a", "0.001"],
+        ["verify", "--family", "double_vase", "--k", "110", "--b", "0.001"],
+        ["solve", "--family", "double_vase", "--k", "110", "--b", "0.001"],
+    ],
+)
+def test_underflowing_power_is_parameter_error(argv, capsys):
+    code, out, err = run(argv, capsys)
+    assert code == EXIT_PARAMS
+    assert out == ""
+    assert "underflows" in err

@@ -13,7 +13,9 @@ from spheremin.families import (
     FamilyInstance,
     double_vase_weierstrass_data,
     from_descriptor,
+    make_double_vase,
     make_family,
+    make_vase,
     vase_weierstrass_data,
 )
 
@@ -150,3 +152,29 @@ def test_descriptor_round_trip_each_family(name):
             continue
         radius = contour_radius(p, singular)
         assert all(abs(s - p) > radius for s in singular if not same_point(p, s))
+
+
+@pytest.mark.parametrize("make, args",
+                         [(make_vase, (6, 0.5)), (make_double_vase, (6, 0.25))])
+def test_constructor_builds_its_data_once(make, args, monkeypatch):
+    """The solver hands the data it built to the gate, and the degree audit
+    and the residue at infinity share one chart of dh."""
+    from spheremin import algebra
+    from spheremin.weierstrass import WeierstrassData
+
+    counts = {"data": 0, "chart": 0}
+    post_init = WeierstrassData.__post_init__
+    build_chart = algebra._build_infinity_chart
+
+    def counting_post_init(self):
+        counts["data"] += 1
+        post_init(self)
+
+    def counting_build_chart(*a, **kw):
+        counts["chart"] += 1
+        return build_chart(*a, **kw)
+
+    monkeypatch.setattr(WeierstrassData, "__post_init__", counting_post_init)
+    monkeypatch.setattr(algebra, "_build_infinity_chart", counting_build_chart)
+    make(*args)
+    assert counts == {"data": 1, "chart": 1}

@@ -12,24 +12,24 @@ from spheremin.errors import (
     PeriodViolation,
 )
 from spheremin.families import (
-    double_vase_weierstrass_data,
-    vase_weierstrass_data,
-)
-from spheremin.periods import (
     DoubleVaseParams,
     VaseParams,
-    _combo_residue,
-    assert_period_closed,
-    combo_residue_exact,
     double_vase_closed_form_a,
     double_vase_printed_residue,
     double_vase_residue_at_b,
-    hybrid_root,
-    period_report,
-    puncture_periods,
+    double_vase_weierstrass_data,
     solve_double_vase_a,
     solve_vase_rho,
     vase_residue_at_one,
+    vase_weierstrass_data,
+)
+from spheremin.periods import (
+    _combo_residue,
+    assert_period_closed,
+    combo_residue_exact,
+    hybrid_root,
+    period_report,
+    puncture_periods,
 )
 
 # frozen independent oracles (exact rationals obtained symbolically)
@@ -193,11 +193,11 @@ def test_puncture_periods_single_entry(dvase2):
 
 def test_closed_form_mismatch_guard(monkeypatch):
     # a drifting contour oracle must trip the closed-form cross-check
-    import spheremin.periods as periods
+    import spheremin.families as families
 
-    original = periods._combo_residue
+    original = families._combo_residue
     monkeypatch.setattr(
-        periods, "_combo_residue", lambda *a, **k: original(*a, **k) + 1e-6
+        families, "_combo_residue", lambda *a, **k: original(*a, **k) + 1e-6
     )
     with pytest.raises(ClosedFormMismatch):
         vase_residue_at_one(VaseParams(2, 0.5, 1.0), check_oracle=True)
