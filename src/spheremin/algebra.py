@@ -312,6 +312,12 @@ def one_form_order_at(f: FactoredMeromorphic, p) -> int:
 # -- residues ---------------------------------------------------------
 
 
+# achievable relative accuracy of a factored evaluation: near high-order
+# poles its values carry cancellation noise of about this size relative to
+# the local magnitude, which no quadrature refinement can resolve
+NOISE_REL = 1e-12
+
+
 def contour_radius(p, points) -> float:
     """Half the distance from p to the nearest other point, or 1.0 when
     there is none: no other singularity comes within twice the radius, so
@@ -325,13 +331,70 @@ def default_contour_radius(f: FactoredMeromorphic, p: complex) -> float:
     return contour_radius(complex(p), [r for r, _ in f._roots])
 
 
+def _ring(nodes: int) -> np.ndarray:
+    """The trapezoidal rule's nodes on the unit circle: the roots of unity."""
+    theta = 2.0 * math.pi * np.arange(nodes) / nodes
+    return np.exp(1j * theta)
+
+
+LAURENT_NODES = 256
+
+
+def laurent_coefficients(f: FactoredMeromorphic, p, radius: float,
+                         orders) -> np.ndarray:
+    """Coefficients of (z - p)**(-m), m in `orders`, of the Laurent series of
+    f about p that holds on the circle |z - p| = radius, by the trapezoidal
+    rule: radius**m * mean(f(p + radius*ring) * ring**m).
+
+    With no singularity of f between radius/2 and 2*radius from p (the
+    `contour_radius` rule about a pole, and a radius of twice the largest
+    root about 0 for the polynomial part) the aliasing error is below
+    2**-LAURENT_NODES relative, so the node count is fixed.
+    """
+    ring = _ring(LAURENT_NODES)
+    vals = f.eval_array(complex(p) + radius * ring)
+    return np.array([radius ** m * np.mean(vals * ring ** m) for m in orders],
+                    dtype=np.complex128)
+
+
+def antiderivative(f: FactoredMeromorphic):
+    """An antiderivative of f dz with its log terms kept apart.
+
+    Returns (rational, logs): `rational` lists (pole, coefficients) pairs
+    for np.polyval, in z for the polynomial part (pole None) and in
+    1/(z - p) for the principal part at p; `logs` lists the (p, c_1) of
+    the c_1 log(z - p) terms.  Pole orders and the degree are read from
+    f's zero/pole table.
+    """
+    rational, logs = [], []
+    if f.degree >= 0:
+        n = np.arange(f.degree + 1)
+        # twice the largest root, and at least 1 when every root is at 0
+        radius = 2.0 * max([abs(r) for r, _ in f._roots] + [0.5])
+        a = laurent_coefficients(f, 0.0, radius, -n)  # a_n of z**n
+        rational.append((None, np.append((a / (n + 1))[::-1], 0.0)))
+    for p, order in f.finite_roots():
+        if order >= 0:
+            continue
+        m = np.arange(1, -order + 1)
+        c = laurent_coefficients(f, p, default_contour_radius(f, p), m)
+        logs.append((complex(p), c[0]))
+        if len(m) > 1:
+            # c_m (z - p)**-m integrates to c_m / (1 - m) * t**(m - 1), t = 1/(z - p)
+            b = c[1:] / (1 - m[1:])
+            rational.append((complex(p), np.append(b[::-1], 0.0)))
+    return rational, logs
+
+
 def residue_contour(f, p, radius=None, nodes=64, rel_tol=1e-12, max_nodes=4096):
     """(1/2 pi i) * contour integral of f around p by the trapezoidal rule.
 
     f may be a FactoredMeromorphic or any callable accepting complex
-    arrays.  Node count doubles until two successive estimates agree;
-    spectral accuracy makes this converge geometrically for integrands
-    analytic in a neighborhood of the circle.
+    arrays.  Node count doubles until two successive estimates agree,
+    within `rel_tol` relative or within the noise floor
+    NOISE_REL * radius * max|f| of the values on the circle; spectral
+    accuracy makes this converge geometrically for integrands analytic in
+    a neighborhood of the circle.
     """
     p = complex(p)
     if radius is None:
@@ -355,11 +418,12 @@ def residue_contour(f, p, radius=None, nodes=64, rel_tol=1e-12, max_nodes=4096):
     prev = None
     n = nodes
     while n <= max_nodes:
-        theta = 2.0 * math.pi * np.arange(n) / n
-        ring = np.exp(1j * theta)
+        ring = _ring(n)
         vals = np.asarray(fn(p + radius * ring))
         est = complex(radius * np.mean(vals * ring))
-        if prev is not None and abs(est - prev) <= rel_tol * max(1.0, abs(est)):
+        floor = NOISE_REL * radius * float(np.max(np.abs(vals)))
+        tol = max(rel_tol * max(1.0, abs(est)), floor)
+        if prev is not None and abs(est - prev) <= tol:
             return est
         prev = est
         n *= 2

@@ -27,7 +27,7 @@ from .errors import (
     SphereminError,
     UnrecognizedEndType,
 )
-from .families import FAMILIES, construct, provenance
+from .families import FAMILIES, FamilyInstance, gate, provenance
 from .mesh import (
     DomainSpec,
     estimate_mean_curvature,
@@ -226,20 +226,23 @@ def cmd_verify(args, spec) -> int:
 
 def cmd_export(args, spec) -> int:
     tol = _tolerance(args, spec)
-    value = _input(args, spec)
-    try:
-        instance = construct(spec, args.k, value, tol)
-        data, params, report = instance.data, instance.params, instance.period
-        descriptor = instance.to_descriptor()
+    data = None
+    try:  # `construct`, in two steps, so that --force reuses the data
+        data, params, record = spec.build_data(args.k, _input(args, spec))
+        report = gate(data, tol)
     except SphereminError as exc:
         if isinstance(exc, (ParameterDomainError, NoRoot)):
             raise
         if not args.force:
             print(f"verification failed: {exc}", file=sys.stderr)
             return EXIT_VERIFICATION
-        data, params, _ = spec.build_data(args.k, value)
+        if data is None:  # the solve itself failed: nothing to export
+            raise
         report = getattr(exc, "report", None) or period_report(data, tol)
         descriptor = {"family": spec.name, "forced": True}
+    else:
+        instance = FamilyInstance(spec.name, data, params, record, report)
+        descriptor = instance.to_descriptor()
 
     window = {"r_min": args.rmin, "r_max": args.rmax, "n_r": args.nr,
               "n_theta": args.ntheta, "exclusion_radius": args.exclusion_radius}
@@ -248,14 +251,14 @@ def cmd_export(args, spec) -> int:
         **{f: v for f, v in window.items() if v is not None},
     )
     mesh = sample_mesh(data, domain, metadata={"family": descriptor})
+    # the curvature check runs first, so that a mesh it refuses is not written
+    H, interior = estimate_mean_curvature(mesh)
+    median_h = float(np.median(H[interior])) if interior.any() else float("nan")
     if args.format == "ply":
         write_ply(mesh, args.out)
     else:
         write_obj(mesh, args.out)
     write_metadata(mesh, args.out + ".json")
-
-    H, interior = estimate_mean_curvature(mesh)
-    median_h = float(np.median(H[interior])) if interior.any() else float("nan")
     print(
         f"wrote {args.out}: {mesh.n_vertices} vertices, {mesh.n_faces} faces; "
         f"max period defect {report.worst.defect:.3e}; "

@@ -181,24 +181,15 @@ def double_vase_weierstrass_data(k: int, b: float, a: float) -> WeierstrassData:
     return WeierstrassData(G, dh, punctures)
 
 
-def double_vase_printed_residue(k: int, b: float, a: float,
-                                verbatim: bool = False) -> float:
-    """Closed-form Res_b((1/G + G) dh): a quadratic in a^k over the common
-    denominator a^k * b * (b^k - 1)^3 * (b^k + 1)^3 * k^2.
-
-    The widely quoted form of this expression carries an overall sign flip
-    relative to the defining contour integral (verified symbolically); the
-    root set is identical either way.  The corrected sign is returned
-    unless `verbatim` is set.
-    """
-    ak = a ** k
-    bk = b ** k
+def _double_vase_quadratic(k: int, b: float):
+    """The coefficients (A, B, C) of the double-vase period equation as a
+    quadratic A x^2 + B x + C in x = a^k (up to its denominator)."""
     A = b ** (2 * k) * (
         k - 1.0
         + b ** (2 + 2 * k) * (k - 1.0)
         + (b ** 2 + b ** (2 * k)) * (k + 1.0)
     )
-    B = 2.0 * bk * (
+    B = 2.0 * b ** k * (
         1.0
         + b ** (2 + 4 * k)
         - (b ** (2 * k) + b ** (2 + 2 * k)) * (2.0 * k + 1.0)
@@ -212,6 +203,22 @@ def double_vase_printed_residue(k: int, b: float, a: float,
         + 3.0 * k * b ** (2 + 4 * k)
         - k * b ** (2 + 6 * k)
     )
+    return A, B, C
+
+
+def double_vase_printed_residue(k: int, b: float, a: float,
+                                verbatim: bool = False) -> float:
+    """Closed-form Res_b((1/G + G) dh): a quadratic in a^k over the common
+    denominator a^k * b * (b^k - 1)^3 * (b^k + 1)^3 * k^2.
+
+    The widely quoted form of this expression carries an overall sign flip
+    relative to the defining contour integral (verified symbolically); the
+    root set is identical either way.  The corrected sign is returned
+    unless `verbatim` is set.
+    """
+    ak = a ** k
+    bk = b ** k
+    A, B, C = _double_vase_quadratic(k, b)
     denom = ak * b * (bk - 1.0) ** 3 * (bk + 1.0) ** 3 * k ** 2
     value = (A * ak ** 2 + B * ak + C) / denom
     return value if verbatim else -value
@@ -274,7 +281,15 @@ def solve_double_vase_a(k: int, b: float) -> SolveResult:
         return double_vase_residue_at_b(DoubleVaseParams(k, b, a),
                                         check_oracle=False)
 
-    root, _ = hybrid_root(eq, 1e-3, 1e3)
+    lo, hi = 1e-3, 1e3
+    A, _, C = _double_vase_quadratic(k, b)
+    if C / A > 0:
+        # both roots x1, x2 of the quadratic are positive (x1 x2 = C/A):
+        # bracket only the side of their geometric midpoint in a that
+        # holds the radical, so that the other root is never picked
+        mid = (C / A) ** (0.5 / k)
+        lo, hi = (mid, hi) if closed > mid else (lo, mid)
+    root, _ = hybrid_root(eq, lo, hi)
     mismatch = bool(abs(closed - root) > 1e-8 * max(closed, root))
     value = root if mismatch else closed
     # final oracle check at the solution: the contour residue must vanish
@@ -393,7 +408,7 @@ class FamilyInstance:
         return d
 
 
-def _verify(data: WeierstrassData, tol: float) -> PeriodReport:
+def gate(data: WeierstrassData, tol: float) -> PeriodReport:
     """Regularity, degree audit and period closure; raises on the first
     failure and returns the period report otherwise."""
     violations = regularity_check(data)
@@ -410,7 +425,7 @@ def construct(spec: FamilySpec, k=None, value=None,
     """The one constructor path: solve, build the data, gate it at `tol`
     (default: the family's period tolerance)."""
     data, params, record = spec.build_data(k, value)
-    report = _verify(data, spec.period_tol if tol is None else tol)
+    report = gate(data, spec.period_tol if tol is None else tol)
     return FamilyInstance(spec.name, data, params, record, report)
 
 

@@ -1,30 +1,34 @@
 """Surface sampling, discrete curvature diagnostics and mesh export.
 
 The domain is a polar annulus in the log chart z = exp(s + i*theta)
-minus the puncture exclusion disks.  X is integrated to every grid node
-along radial spokes, reusing the accumulated value at the previous node
-so each step integrates only one short segment (sound once the periods
-close).  Output meshes are deterministic for a fixed spec.
+minus the puncture exclusion disks.  X is evaluated at every grid node
+at once from its closed form (`weierstrass.Immersion`): no path is
+planned and no quadrature runs.  Vertex ids, faces, edge counts and the
+writers are array operations.  Output meshes are deterministic for a
+fixed spec.
 """
 
 from __future__ import annotations
 
 import json
 import math
-import struct
 from dataclasses import dataclass
 
 import numpy as np
 
 from .algebra import is_infinity
 from .errors import DegenerateTriangle, ParameterDomainError, Unroutable
-from .paths import default_exclusions, integrate_point, plan_path
+from .paths import default_exclusions
 from .weierstrass import (
+    Immersion,
     WeierstrassData,
     coordinate_forms,
     metric_scale,
     stereographic_normal,
 )
+
+# a face is dropped as zero-area when |cross| <= ZERO_AREA * extent**2
+ZERO_AREA = 1e-12
 
 
 @dataclass(frozen=True)
@@ -94,14 +98,15 @@ def exclusion_disks(data: WeierstrassData, spec: DomainSpec):
 
 def sample_mesh(data: WeierstrassData, spec: DomainSpec,
                 metadata: dict | None = None) -> SurfaceMesh:
-    """Integrate the immersion over the polar grid and triangulate it;
+    """Evaluate the immersion over the polar grid and triangulate it;
     a window that leaves no face raises ParameterDomainError."""
     exclusions = exclusion_disks(data, spec)
     s = np.linspace(math.log(spec.r_min), math.log(spec.r_max), spec.n_r)
     theta = 2.0 * math.pi * np.arange(spec.n_theta) / spec.n_theta
     grid_z = np.exp(s[:, None] + 1j * theta[None, :])
 
-    # nodes must also clear the inflated detour circles used for routing
+    # nodes keep clear of 1.2x each exclusion disk, so that the path
+    # oracle (`paths.plan_path`, detours at 1.1x) reaches every vertex
     valid = np.ones(grid_z.shape, dtype=bool)
     for c, r in exclusions:
         valid &= np.abs(grid_z - c) > 1.2 * r
@@ -110,49 +115,33 @@ def sample_mesh(data: WeierstrassData, spec: DomainSpec,
     if any(abs(base - c) <= r for c, r in exclusions):
         raise Unroutable(f"base point {base!r} lies inside an exclusion disk")
 
-    X = np.full((spec.n_r, spec.n_theta, 3), np.nan)
-    for j in range(spec.n_theta):
-        prev_z, prev_x = base, np.zeros(3)
-        for i in range(spec.n_r):
-            if not valid[i, j]:
-                continue
-            z = complex(grid_z[i, j])
-            path = plan_path(exclusions, prev_z, z)
-            X[i, j] = prev_x + integrate_point(data, path)
-            prev_z, prev_x = z, X[i, j]
-
     # vertex table in grid-major order (radial index outer)
-    vid = -np.ones(grid_z.shape, dtype=np.int64)
-    order = np.argwhere(valid)
-    for n, (i, j) in enumerate(order):
-        vid[i, j] = n
+    vid = np.full(grid_z.shape, -1, dtype=np.int64)
+    vid[valid] = np.arange(np.count_nonzero(valid))
+
+    # two triangles per cell (i, j)-(i+1, j+1), the angle wrapping round
+    nxt = np.roll(vid, -1, axis=1)
+    v00, v01, v10, v11 = vid[:-1], nxt[:-1], vid[1:], nxt[1:]
+    cells = np.stack([v00, v01, v11, v00, v11, v10], axis=-1)
+    faces_arr = cells[(cells >= 0).all(axis=-1)].reshape(-1, 3)
+    if not len(faces_arr):
+        raise ParameterDomainError(
+            "the sampling window leaves no face outside the exclusion disks"
+        )
+
     src = grid_z[valid]
-    verts = X[valid]
+    immersion = Immersion(data, base)
+    verts = immersion(src)
 
     g = data.gauss_map.eval_array(src)
     normals = np.stack(stereographic_normal(g), axis=1)
     conformal = metric_scale(g, data.dh.eval_array(src))
 
-    faces = []
-    for i in range(spec.n_r - 1):
-        for j in range(spec.n_theta):
-            j2 = (j + 1) % spec.n_theta
-            v00, v01 = vid[i, j], vid[i, j2]
-            v10, v11 = vid[i + 1, j], vid[i + 1, j2]
-            if min(v00, v01, v10, v11) < 0:
-                continue
-            faces.append((v00, v01, v11))
-            faces.append((v00, v11, v10))
-    if not faces:
-        raise ParameterDomainError(
-            "the sampling window leaves no face outside the exclusion disks"
-        )
-    faces_arr = np.array(faces, dtype=np.int64)
-
-    # drop zero-area faces
+    # drop zero-area faces, relative to the size of the surface
+    extent = float(np.max(np.ptp(verts, axis=0)))
     p0 = verts[faces_arr[:, 0]]
     cross = np.cross(verts[faces_arr[:, 1]] - p0, verts[faces_arr[:, 2]] - p0)
-    faces_arr = faces_arr[np.linalg.norm(cross, axis=1) > 1e-30]
+    faces_arr = faces_arr[np.linalg.norm(cross, axis=1) > ZERO_AREA * extent ** 2]
 
     meta = dict(metadata or {})
     meta["domain"] = {
@@ -163,6 +152,7 @@ def sample_mesh(data: WeierstrassData, spec: DomainSpec,
         "base_point": {"re": base.real, "im": base.imag},
         "exclusion_radius": spec.exclusion_radius,
     }
+    meta["max_dropped_log_imag"] = immersion.dropped_imag
     return SurfaceMesh(verts, normals, src, conformal, faces_arr, meta)
 
 
@@ -171,20 +161,17 @@ def sample_mesh(data: WeierstrassData, spec: DomainSpec,
 
 def interior_vertices(mesh: SurfaceMesh) -> np.ndarray:
     """Mask of vertices whose one-ring is complete (no boundary edge)."""
-    edge_count: dict = {}
-    for f in mesh.faces:
-        for a, b in ((f[0], f[1]), (f[1], f[2]), (f[2], f[0])):
-            key = (min(a, b), max(a, b))
-            edge_count[key] = edge_count.get(key, 0) + 1
-    mask = np.zeros(mesh.n_vertices, dtype=bool)
-    used = np.zeros(mesh.n_vertices, dtype=bool)
-    boundary = np.zeros(mesh.n_vertices, dtype=bool)
-    for (a, b), n in edge_count.items():
-        used[a] = used[b] = True
-        if n == 1:
-            boundary[a] = boundary[b] = True
-    mask[used & ~boundary] = True
-    return mask
+    n = mesh.n_vertices
+    F = np.asarray(mesh.faces, dtype=np.int64).reshape(-1, 3)
+    a, b = F.ravel(), F[:, [1, 2, 0]].ravel()
+    keys, counts = np.unique(np.minimum(a, b) * n + np.maximum(a, b),
+                             return_counts=True)
+    used = np.zeros(n, dtype=bool)
+    boundary = np.zeros(n, dtype=bool)
+    used[keys // n] = used[keys % n] = True
+    edge = keys[counts == 1]
+    boundary[edge // n] = boundary[edge % n] = True
+    return used & ~boundary
 
 
 def estimate_mean_curvature(mesh: SurfaceMesh):
@@ -256,7 +243,7 @@ def estimate_mean_curvature(mesh: SurfaceMesh):
 def fd_tangents(data: WeierstrassData, z: complex, h: float = 1e-3):
     """Tangents of X along the log-chart directions (s, theta) at z, by
     central differences of four short local integrations; independent of
-    the sampler's spoke accumulation."""
+    the sampler's closed form."""
     forms = coordinate_forms(data)
 
     def local(dz_target):
@@ -279,16 +266,16 @@ def fd_tangents(data: WeierstrassData, z: complex, h: float = 1e-3):
 
 def write_obj(mesh: SurfaceMesh, path: str):
     """Wavefront OBJ with per-vertex normals, 9 significant digits, LF."""
-    lines = []
-    for v in mesh.vertices:
-        lines.append(f"v {v[0]:.9g} {v[1]:.9g} {v[2]:.9g}")
-    for n in mesh.normals:
-        lines.append(f"vn {n[0]:.9g} {n[1]:.9g} {n[2]:.9g}")
-    for f in mesh.faces:
-        a, b, c = int(f[0]) + 1, int(f[1]) + 1, int(f[2]) + 1
-        lines.append(f"f {a}//{a} {b}//{b} {c}//{c}")
+    idx = np.repeat(np.reshape(mesh.faces, (-1, 3)).astype(np.int64) + 1, 2, axis=1)
+    text = (
+        "v %.9g %.9g %.9g\n" * mesh.n_vertices
+        % tuple(np.ravel(mesh.vertices).tolist())
+        + "vn %.9g %.9g %.9g\n" * len(mesh.normals)
+        % tuple(np.ravel(mesh.normals).tolist())
+        + "f %d//%d %d//%d %d//%d\n" * mesh.n_faces % tuple(idx.ravel().tolist())
+    )
     with open(path, "w", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(text or "\n")
 
 
 def write_ply(mesh: SurfaceMesh, path: str):
@@ -317,8 +304,10 @@ def write_ply(mesh: SurfaceMesh, path: str):
             [mesh.vertices, mesh.normals, mesh.conformal[:, None]]
         ).astype("<f4")
         fh.write(vdata.tobytes())
-        for f in mesh.faces:
-            fh.write(struct.pack("<Biii", 3, int(f[0]), int(f[1]), int(f[2])))
+        fdata = np.zeros(mesh.n_faces, dtype=[("n", "u1"), ("v", "<i4", 3)])
+        fdata["n"] = 3
+        fdata["v"] = np.reshape(mesh.faces, (-1, 3))
+        fh.write(fdata.tobytes())
 
 
 def write_metadata(mesh: SurfaceMesh, path: str):

@@ -1,10 +1,16 @@
-"""Puncture-avoiding integration paths and path quadrature.
+"""Puncture-avoiding integration paths and path quadrature: an oracle.
 
 Paths are chains of line segments and circular arcs in the complex
 plane.  X(z) is the real part of the component-wise path integral of the
 coordinate forms, computed per segment by adaptive bisected Gauss
 quadrature (integrands are analytic along admissible paths, so the
 panels converge fast; a subdivision budget guards near-pole routes).
+
+No mesh vertex is integrated here: `mesh.sample_mesh` evaluates the
+closed form `weierstrass.Immersion` and takes only the exclusion disks
+from this module.  Path integrals are an independent check of the closed
+form, for winding paths (`check_path_independence`) and for
+finite-difference tangents (`mesh.fd_tangents`).
 """
 
 from __future__ import annotations
@@ -15,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import is_infinity, same_point
+from .algebra import NOISE_REL, is_infinity, same_point
 from .errors import QuadratureFailure, Unroutable
 from .weierstrass import CoordinateForms, WeierstrassData, coordinate_forms
 
@@ -201,9 +207,6 @@ def _gl_panel(fvec, a: float, b: float):
     return half * vals @ _GL_WEIGHTS, float(np.max(np.abs(vals)))
 
 
-_NOISE_REL = 1e-12  # achievable relative accuracy of the integrand values
-
-
 def _integrate_segment(fvec, tol: float, budget: list):
     whole, _ = _gl_panel(fvec, 0.0, 1.0)
     stack = [(0.0, 1.0, whole, tol)]
@@ -221,7 +224,7 @@ def _integrate_segment(fvec, tol: float, budget: list):
         # carries cancellation noise ~1e-12 relative to the local
         # integrand magnitude, so a panel of width w cannot be resolved
         # below ~NOISE_REL * max|f| * w no matter how far it is split
-        floor = _NOISE_REL * max(mag_l, mag_r) * (b - a)
+        floor = NOISE_REL * max(mag_l, mag_r) * (b - a)
         if err <= max(tol_local, floor) or (b - a) < 1e-10:
             total += left + right
         else:

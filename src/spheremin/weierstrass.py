@@ -1,8 +1,12 @@
-"""Weierstrass data: coordinate forms, audits, Gauss map and end types.
+"""Weierstrass data: coordinate forms, audits, Gauss map, end types and
+the immersion in closed form.
 
 The immersion is X(z) = Re of the path integral of
-(0.5*(1/G - G)*dh, 0.5i*(1/G + G)*dh, dh); this module holds the data
-triple and everything that can be checked without integrating.
+(0.5*(1/G - G)*dh, 0.5i*(1/G + G)*dh, dh).  The three forms combine
+u = dh/G, v = G dh and w = dh, each a factored product whose
+antiderivative is a polynomial, principal parts and c_1 log(z - p) terms
+(`Immersion`); once the periods close every c_1 is real, so X needs no
+path and no quadrature.
 """
 
 from __future__ import annotations
@@ -15,6 +19,7 @@ import numpy as np
 from .algebra import (
     INF,
     FactoredMeromorphic,
+    antiderivative,
     infinity_chart,
     is_infinity,
     one_form_order_at,
@@ -81,6 +86,57 @@ class CoordinateForms:
 
 def coordinate_forms(data: WeierstrassData) -> CoordinateForms:
     return CoordinateForms(data)
+
+
+# (phi1, phi2, phi3) = _COMBINATION @ (u, v, w), u = dh/G, v = G dh, w = dh
+_COMBINATION = np.array([[0.5, -0.5, 0.0], [0.5j, 0.5j, 0.0], [0.0, 0.0, 1.0]])
+
+
+class Immersion:
+    """X(z) = Re F(z) - Re F(base), F the exact antiderivative of
+    (phi1, phi2, phi3), evaluated on arrays.
+
+    Each log term enters as Re(c_1) log|z - p|, c_1 the coefficient of one
+    coordinate; `dropped_imag`, the largest |Im c_1| left out, bounds how
+    far the surface depends on the path (0 up to rounding once the periods
+    close).
+    """
+
+    def __init__(self, data: WeierstrassData, base: complex):
+        g, dh = data.gauss_map, data.dh
+        self._rational = []  # (column of _COMBINATION, pole, coefficients)
+        points, coeffs = [], []
+        for col, f in enumerate((dh * g.inverse(), g * dh, dh)):
+            rational, logs = antiderivative(f)
+            self._rational += [(col, p, c) for p, c in rational]
+            for p, c1 in logs:
+                i = next((i for i, q in enumerate(points) if same_point(q, p)), None)
+                if i is None:
+                    i = len(points)
+                    points.append(p)
+                    coeffs.append(np.zeros(3, dtype=np.complex128))
+                coeffs[i] += _COMBINATION[:, col] * c1
+        self._log_points = np.array(points, dtype=np.complex128)
+        self._log_coeffs = np.array(coeffs, dtype=np.complex128).reshape(-1, 3)
+        imag = np.abs(self._log_coeffs.imag)
+        self.dropped_imag = float(imag.max()) if imag.size else 0.0
+        self._offset = self._re_primitive(np.array([complex(base)]))[0]
+
+    def _re_primitive(self, z: np.ndarray) -> np.ndarray:
+        """(n, 3) array of Re F at the points z."""
+        # rational parts of the antiderivatives of u, v and w
+        R = np.zeros((3, len(z)), dtype=np.complex128)
+        for col, p, c in self._rational:
+            R[col] += np.polyval(c, z if p is None else 1.0 / (z - p))
+        X = (_COMBINATION @ R).real
+        for p, c1 in zip(self._log_points, self._log_coeffs.real):
+            X += np.outer(c1, np.log(np.abs(z - p)))
+        return X.T
+
+    def __call__(self, z) -> np.ndarray:
+        """(n, 3) array of X at the points z."""
+        z = np.ravel(np.asarray(z, dtype=np.complex128))
+        return self._re_primitive(z) - self._offset
 
 
 def gauss_value(data: WeierstrassData, p) -> complex:

@@ -1,0 +1,80 @@
+"""The closed-form immersion against an independent high-precision path
+integral (mpmath quadrature of the coordinate forms)."""
+
+import math
+import random
+
+import mpmath
+import numpy as np
+import pytest
+
+from spheremin.algebra import MONOMIAL, is_infinity
+from spheremin.families import FAMILIES, construct
+from spheremin.mesh import DomainSpec, sample_mesh
+
+CASES = [
+    ("catenoid", None, None),
+    ("vase", 2, 0.5),
+    ("vase", 8, 0.00621),
+    ("double_vase", 6, 0.25),
+    ("double_vase", 3, 0.0321),  # its spoke quadrature ran out of subdivisions
+]
+
+
+def mp_value(f, z):
+    """A FactoredMeromorphic evaluated in mpmath arithmetic."""
+    acc = mpmath.mpc(f.coefficient)
+    for fac in f.factors:
+        base = z if fac.kind == MONOMIAL else z ** fac.k - mpmath.mpc(fac.c)
+        acc *= base ** fac.exponent
+    return acc
+
+
+def mp_immersion(data, base, z):
+    """X(z) - X(base): the arc |w| = |base| from arg 0 to arg z, then the
+    ray at arg z out to |z|."""
+    cache = {}  # the three components share their quadrature nodes
+
+    def form(w, c):
+        if w not in cache:
+            g, dh = mp_value(data.gauss_map, w), mp_value(data.dh, w)
+            cache[w] = (0.5 * (1 / g - g) * dh, 0.5j * (1 / g + g) * dh, dh)
+        return cache[w][c]
+
+    rb, th = abs(base), mpmath.arg(z)
+    x = []
+    for c in range(3):
+        arc = mpmath.quad(lambda t: form(rb * mpmath.expj(t), c) * 1j * rb
+                          * mpmath.expj(t), [0, th])
+        ray = mpmath.quad(lambda s: form(s * mpmath.expj(th), c)
+                          * mpmath.expj(th), [rb, abs(z)])
+        x.append(float(mpmath.re(arc + ray)))
+    return np.array(x)
+
+
+def path_clearance(data, base, z):
+    rb, r, th = abs(base), abs(z), math.atan2(z.imag, z.real)
+    t = np.linspace(0.0, 1.0, 200)
+    path = np.concatenate([rb * np.exp(1j * th * t),
+                           (rb + (r - rb) * t) * np.exp(1j * th)])
+    return min(np.min(np.abs(path - complex(p)))
+               for p in data.punctures if not is_infinity(p))
+
+
+@pytest.mark.parametrize("family, k, value", CASES)
+def test_closed_form_matches_mpmath_path_integral(family, k, value):
+    spec = FAMILIES[family]
+    inst = construct(spec, k, value)
+    base = spec.base_point(inst.params)
+    mesh = sample_mesh(inst.data, DomainSpec(spec.r_min, spec.r_max, 16, 32,
+                                             base_point=base))
+    extent = np.max(np.ptp(mesh.vertices, axis=0))
+    rng = random.Random(2016)
+    order = rng.sample(range(mesh.n_vertices), mesh.n_vertices)
+    nodes = [i for i in order
+             if path_clearance(inst.data, base, complex(mesh.source_z[i])) > 0.1][:3]
+    assert len(nodes) == 3
+    for i in nodes:
+        with mpmath.workdps(20):
+            want = mp_immersion(inst.data, base, complex(mesh.source_z[i]))
+        assert np.max(np.abs(mesh.vertices[i] - want)) <= 1e-12 * extent

@@ -1,15 +1,20 @@
 """CLI subcommands, exit codes and config handling."""
 
+import dataclasses
 import json
+import math
 
 import pytest
 
+from spheremin import cli
 from spheremin.cli import (
     EXIT_OK,
     EXIT_PARAMS,
+    EXIT_RUNTIME,
     EXIT_VERIFICATION,
     main,
 )
+from spheremin.errors import DegenerateTriangle
 from spheremin.families import FAMILIES
 
 
@@ -339,6 +344,56 @@ def test_export_tol_gates_the_export(tmp_path, capsys):
     assert out_path.exists()
     meta = json.loads((tmp_path / "cat.obj.json").read_text())
     assert meta["family"] == {"family": "catenoid", "forced": True}
+
+
+def test_forced_export_solves_once(monkeypatch, tmp_path, capsys):
+    spec = FAMILIES["vase"]
+    calls = []
+
+    def counting_solver(k, a):
+        calls.append((k, a))
+        return spec.solver(k, a)
+
+    monkeypatch.setitem(FAMILIES, "vase",
+                        dataclasses.replace(spec, solver=counting_solver))
+    code, _, _ = run(
+        ["export", "--family", "vase", "--k", "2", "--a", "0.5", "--nr", "8",
+         "--ntheta", "8", "--tol", "1e-30", "--force",
+         "--out", str(tmp_path / "v.obj")],
+        capsys,
+    )
+    assert code == EXIT_OK
+    assert calls == [(2, 0.5)]
+
+
+def test_tiny_surface_exports_its_faces(tmp_path, capsys):
+    # this surface spans about 7e-17: an absolute area cut dropped every face
+    out_path = tmp_path / "dv.obj"
+    code, out, _ = run(
+        ["export", "--family", "double_vase", "--k", "8", "--b", "0.00856",
+         "--nr", "16", "--ntheta", "32", "--out", str(out_path)],
+        capsys,
+    )
+    assert code == EXIT_OK
+    assert "512 vertices, 960 faces" in out
+    assert math.isfinite(float(out.rsplit("median |H| ", 1)[1]))
+
+
+@pytest.mark.parametrize("fmt", ["obj", "ply"])
+def test_failed_curvature_check_writes_no_file(fmt, monkeypatch, tmp_path, capsys):
+    def degenerate(mesh):
+        raise DegenerateTriangle("a face angle exceeds 179 degrees")
+
+    monkeypatch.setattr(cli, "estimate_mean_curvature", degenerate)
+    out_path = tmp_path / f"c.{fmt}"
+    code, _, err = run(
+        ["export", "--family", "catenoid", "--nr", "8", "--ntheta", "8",
+         "--format", fmt, "--out", str(out_path)],
+        capsys,
+    )
+    assert code == EXIT_RUNTIME
+    assert "179 degrees" in err
+    assert list(tmp_path.iterdir()) == []
 
 
 # -- bad input exits 2, not a traceback ------------------------------------

@@ -178,3 +178,11 @@ def test_constructor_builds_its_data_once(make, args, monkeypatch):
     monkeypatch.setattr(algebra, "_build_infinity_chart", counting_build_chart)
     make(*args)
     assert counts == {"data": 1, "chart": 1}
+
+
+def test_double_vase_gate_above_the_contour_noise_floor():
+    # the integrand reaches radius * max|f| ~ 1e2 on the contour here, so
+    # successive trapezoidal estimates differ by ~1e-12 at every node count
+    inst = make_double_vase(3, 0.99014)
+    assert inst.period.closed
+    assert inst.period.worst.defect < 1e-10

@@ -12,6 +12,7 @@ from spheremin.families import FAMILIES, construct
 from spheremin.mesh import (
     DomainSpec,
     estimate_mean_curvature,
+    exclusion_disks,
     fd_tangents,
     interior_vertices,
     sample_mesh,
@@ -53,6 +54,108 @@ def test_catenoid_mesh_identity(catenoid):
     X = mesh.vertices
     res = (X[:, 0] - 1.0) ** 2 + X[:, 1] ** 2 - np.cosh(X[:, 2]) ** 2
     assert np.max(np.abs(res)) < 1e-12
+
+
+def test_enneper_polynomial_part():
+    # G = z, dh = z dz, one puncture at infinity: X is a polynomial
+    data = WeierstrassData(FactoredMeromorphic(1.0, [monomial(1)]),
+                           FactoredMeromorphic(1.0, [monomial(1)]), (INF,))
+    mesh = sample_mesh(data, DomainSpec(0.5, 2.0, 16, 32))
+
+    def exact(z):
+        return np.stack([(0.5 * (z - z ** 3 / 3)).real,
+                         (0.5j * (z + z ** 3 / 3)).real,
+                         (z ** 2 / 2).real], axis=-1)
+
+    want = exact(mesh.source_z) - exact(np.array(1.0 + 0j))
+    assert np.max(np.abs(mesh.vertices - want)) <= 1e-13
+
+
+def test_zero_area_cut_is_relative_to_extent(catenoid):
+    # the same surface scaled by 1e-20 keeps every face
+    spec = DomainSpec(0.5, 2.0, 16, 32)
+    tiny = WeierstrassData(catenoid.data.gauss_map, 1e-20 * catenoid.data.dh,
+                           catenoid.data.punctures)
+    mesh, small = sample_mesh(catenoid.data, spec), sample_mesh(tiny, spec)
+    assert small.n_faces == mesh.n_faces == 960
+    assert np.array_equal(small.faces, mesh.faces)
+    assert np.allclose(small.vertices, 1e-20 * mesh.vertices, rtol=0, atol=1e-33)
+
+
+def test_sidecar_bounds_the_dropped_log_imaginary_parts(vase2, tmp_path):
+    mesh = sample_mesh(vase2.data, DomainSpec(0.45, 2.2, 8, 8, base_point=0.75))
+    write_metadata(mesh, str(tmp_path / "m.json"))
+    meta = json.loads((tmp_path / "m.json").read_text())
+    assert 0.0 <= meta["max_dropped_log_imag"] < 1e-12
+
+
+# -- the loops that the array assembly replaced, kept as its reference --
+
+
+def loop_faces(valid):
+    vid = -np.ones(valid.shape, dtype=np.int64)
+    for n, (i, j) in enumerate(np.argwhere(valid)):
+        vid[i, j] = n
+    n_r, n_theta = valid.shape
+    faces = []
+    for i in range(n_r - 1):
+        for j in range(n_theta):
+            j2 = (j + 1) % n_theta
+            v00, v01 = vid[i, j], vid[i, j2]
+            v10, v11 = vid[i + 1, j], vid[i + 1, j2]
+            if min(v00, v01, v10, v11) < 0:
+                continue
+            faces.append((v00, v01, v11))
+            faces.append((v00, v11, v10))
+    return np.array(faces, dtype=np.int64)
+
+
+def loop_interior_vertices(mesh):
+    edge_count = {}
+    for f in mesh.faces:
+        for a, b in ((f[0], f[1]), (f[1], f[2]), (f[2], f[0])):
+            key = (min(a, b), max(a, b))
+            edge_count[key] = edge_count.get(key, 0) + 1
+    used = np.zeros(mesh.n_vertices, dtype=bool)
+    boundary = np.zeros(mesh.n_vertices, dtype=bool)
+    for (a, b), n in edge_count.items():
+        used[a] = used[b] = True
+        if n == 1:
+            boundary[a] = boundary[b] = True
+    return used & ~boundary
+
+
+def loop_obj_text(mesh):
+    lines = [f"v {v[0]:.9g} {v[1]:.9g} {v[2]:.9g}" for v in mesh.vertices]
+    lines += [f"vn {n[0]:.9g} {n[1]:.9g} {n[2]:.9g}" for n in mesh.normals]
+    for f in mesh.faces:
+        a, b, c = int(f[0]) + 1, int(f[1]) + 1, int(f[2]) + 1
+        lines.append(f"f {a}//{a} {b}//{b} {c}//{c}")
+    return "\n".join(lines) + "\n"
+
+
+def test_array_assembly_matches_the_loops(vase2, tmp_path):
+    # exclusion disks of radius 0.2 cut holes, so there are inner boundaries
+    spec = DomainSpec(0.45, 2.2, 16, 32, base_point=0.75, exclusion_radius=0.2)
+    mesh = sample_mesh(vase2.data, spec)
+    grid = np.exp(np.linspace(np.log(0.45), np.log(2.2), 16)[:, None]
+                  + 2j * np.pi * np.arange(32)[None, :] / 32)
+    valid = np.ones(grid.shape, dtype=bool)
+    for c, r in exclusion_disks(vase2.data, spec):
+        valid &= np.abs(grid - c) > 1.2 * r
+    assert not valid.all()
+    assert np.array_equal(mesh.faces, loop_faces(valid))
+
+    interior = interior_vertices(mesh)
+    assert np.array_equal(interior, loop_interior_vertices(mesh))
+    assert 0 < interior.sum() < mesh.n_vertices - 64  # the holes have rims
+
+    write_obj(mesh, str(tmp_path / "m.obj"))
+    assert (tmp_path / "m.obj").read_text() == loop_obj_text(mesh)
+
+    write_ply(mesh, str(tmp_path / "m.ply"))
+    records = b"".join(struct.pack("<Biii", 3, *map(int, f)) for f in mesh.faces)
+    assert (tmp_path / "m.ply").read_bytes().endswith(records)
 
 
 def test_catenoid_source_map(catenoid):

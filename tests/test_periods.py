@@ -10,6 +10,7 @@ from spheremin.errors import (
     NoRoot,
     ParameterDomainError,
     PeriodViolation,
+    SphereminError,
 )
 from spheremin.families import (
     DoubleVaseParams,
@@ -18,6 +19,7 @@ from spheremin.families import (
     double_vase_printed_residue,
     double_vase_residue_at_b,
     double_vase_weierstrass_data,
+    make_double_vase,
     solve_double_vase_a,
     solve_vase_rho,
     vase_residue_at_one,
@@ -142,6 +144,30 @@ def test_double_vase_closed_form_matches_numeric_root():
         res = solve_double_vase_a(k, b)
         assert res.closed_form == pytest.approx(res.numeric_root, rel=1e-8)
         assert res.value == double_vase_closed_form_a(k, b)
+
+
+@pytest.mark.parametrize("k, b, a", [(2, 0.9, 1.08839), (2, 0.99, 1.00981)])
+def test_double_vase_solves_to_the_radicals_root(k, b, a):
+    # both roots of the quadratic in a^k are positive here: the bracket
+    # used to pick the other one (b = 0.9) or to miss both (b = 0.99)
+    res = solve_double_vase_a(k, b)
+    assert not res.mismatch
+    assert res.value == pytest.approx(a, abs=5e-6)
+    assert res.numeric_root == pytest.approx(res.closed_form, rel=1e-8)
+
+
+def test_double_vase_near_unit_b_sweep():
+    failures = []
+    for k in range(2, 25):
+        for b in (0.9, 0.95, 0.99, 0.994):
+            try:
+                inst = make_double_vase(k, b)
+            except SphereminError as exc:
+                failures.append((k, b, type(exc).__name__))
+                continue
+            if inst.provenance["mismatch"]:
+                failures.append((k, b, "mismatch"))
+    assert failures == []
 
 
 def test_hybrid_root_simple_function():
