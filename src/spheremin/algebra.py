@@ -12,6 +12,11 @@ Two finite points are the same point when they lie within a relative
 in the package goes through that one rule.  A function's table of
 (root, aggregated order) pairs is built once, when it is created, and
 every zero/pole query reads it.
+
+Residues at poles of order 1 and 2 come from exact factor cancellation.
+Every other Laurent coefficient, residues of higher order and of
+pointwise sums included, comes from one trapezoidal rule at a fixed
+LAURENT_NODES nodes on a `contour_radius` circle (`laurent_coefficients`).
 """
 
 from __future__ import annotations
@@ -24,7 +29,6 @@ import numpy as np
 
 from . import kernels
 from .errors import (
-    NoConvergence,
     PoleEvaluation,
     SingularityInsideContour,
     SingularPoint,
@@ -312,12 +316,6 @@ def one_form_order_at(f: FactoredMeromorphic, p) -> int:
 # -- residues ---------------------------------------------------------
 
 
-# achievable relative accuracy of a factored evaluation: near high-order
-# poles its values carry cancellation noise of about this size relative to
-# the local magnitude, which no quadrature refinement can resolve
-NOISE_REL = 1e-12
-
-
 def contour_radius(p, points) -> float:
     """Half the distance from p to the nearest other point, or 1.0 when
     there is none: no other singularity comes within twice the radius, so
@@ -331,29 +329,25 @@ def default_contour_radius(f: FactoredMeromorphic, p: complex) -> float:
     return contour_radius(complex(p), [r for r, _ in f._roots])
 
 
-def _ring(nodes: int) -> np.ndarray:
-    """The trapezoidal rule's nodes on the unit circle: the roots of unity."""
-    theta = 2.0 * math.pi * np.arange(nodes) / nodes
-    return np.exp(1j * theta)
-
-
 LAURENT_NODES = 256
+# the trapezoidal rule's nodes on the unit circle: the roots of unity
+_RING = np.exp(1j * (2.0 * math.pi * np.arange(LAURENT_NODES) / LAURENT_NODES))
 
 
-def laurent_coefficients(f: FactoredMeromorphic, p, radius: float,
-                         orders) -> np.ndarray:
+def laurent_coefficients(f, p, radius: float, orders) -> np.ndarray:
     """Coefficients of (z - p)**(-m), m in `orders`, of the Laurent series of
     f about p that holds on the circle |z - p| = radius, by the trapezoidal
-    rule: radius**m * mean(f(p + radius*ring) * ring**m).
+    rule: radius**m * mean(f(p + radius*ring) * ring**m).  f is a
+    FactoredMeromorphic or any callable accepting complex arrays.
 
     With no singularity of f between radius/2 and 2*radius from p (the
     `contour_radius` rule about a pole, and a radius of twice the largest
     root about 0 for the polynomial part) the aliasing error is below
     2**-LAURENT_NODES relative, so the node count is fixed.
     """
-    ring = _ring(LAURENT_NODES)
-    vals = f.eval_array(complex(p) + radius * ring)
-    return np.array([radius ** m * np.mean(vals * ring ** m) for m in orders],
+    fn = f.eval_array if isinstance(f, FactoredMeromorphic) else f
+    vals = fn(complex(p) + radius * _RING)
+    return np.array([radius ** m * np.mean(vals * _RING ** m) for m in orders],
                     dtype=np.complex128)
 
 
@@ -386,15 +380,13 @@ def antiderivative(f: FactoredMeromorphic):
     return rational, logs
 
 
-def residue_contour(f, p, radius=None, nodes=64, rel_tol=1e-12, max_nodes=4096):
-    """(1/2 pi i) * contour integral of f around p by the trapezoidal rule.
+def residue_contour(f, p, radius=None):
+    """(1/2 pi i) * contour integral of f around p: the m = 1 coefficient of
+    `laurent_coefficients`, at its fixed LAURENT_NODES nodes.
 
-    f may be a FactoredMeromorphic or any callable accepting complex
-    arrays.  Node count doubles until two successive estimates agree,
-    within `rel_tol` relative or within the noise floor
-    NOISE_REL * radius * max|f| of the values on the circle; spectral
-    accuracy makes this converge geometrically for integrands analytic in
-    a neighborhood of the circle.
+    f may be a FactoredMeromorphic, whose radius defaults to
+    `default_contour_radius` and whose other poles must stay outside the
+    circle, or any callable accepting complex arrays, with a radius given.
     """
     p = complex(p)
     if radius is None:
@@ -403,33 +395,13 @@ def residue_contour(f, p, radius=None, nodes=64, rel_tol=1e-12, max_nodes=4096):
         radius = default_contour_radius(f, p)
     if radius <= 0:
         raise ValueError("contour radius must be positive")
-    if nodes < 16:
-        raise ValueError("need at least 16 nodes")
     if isinstance(f, FactoredMeromorphic):
         for q in f.finite_poles():
             if not same_point(p, q) and abs(q - p) <= radius:
                 raise SingularityInsideContour(
                     f"pole at {q!r} lies within radius {radius} of {p!r}"
                 )
-        fn = f.eval_array
-    else:
-        fn = f
-
-    prev = None
-    n = nodes
-    while n <= max_nodes:
-        ring = _ring(n)
-        vals = np.asarray(fn(p + radius * ring))
-        est = complex(radius * np.mean(vals * ring))
-        floor = NOISE_REL * radius * float(np.max(np.abs(vals)))
-        tol = max(rel_tol * max(1.0, abs(est)), floor)
-        if prev is not None and abs(est - prev) <= tol:
-            return est
-        prev = est
-        n *= 2
-    raise NoConvergence(
-        f"trapezoidal residue at {p!r} did not settle by {max_nodes} nodes"
-    )
+    return complex(laurent_coefficients(f, p, radius, (1,))[0])
 
 
 def residue_limit(f: FactoredMeromorphic, p, pole_order: int) -> complex:
@@ -471,13 +443,7 @@ def residue_limit(f: FactoredMeromorphic, p, pole_order: int) -> complex:
 
 def residue_at_infinity(f: FactoredMeromorphic) -> complex:
     """Residue of the one-form f dz at z = infinity, via the w = 1/z chart."""
-    g = infinity_chart(f, one_form=True)
-    m = -g.order_at(0)
-    if m <= 0:
-        return 0j
-    if m <= 2:
-        return residue_limit(g, 0.0, m)
-    return residue_contour(g, 0.0)
+    return residue_at(infinity_chart(f, one_form=True), 0.0)
 
 
 def residue_at(f: FactoredMeromorphic, p) -> complex:

@@ -29,10 +29,6 @@ class SingularityInsideContour(SphereminError):
     """A pole other than the target lies inside the residue contour."""
 
 
-class NoConvergence(SphereminError):
-    """Trapezoidal node doubling stalled before reaching tolerance."""
-
-
 class UnsupportedOrder(SphereminError):
     """residue_limit only handles pole orders 1 and 2."""
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import is_infinity
-from .errors import DegenerateTriangle, ParameterDomainError, Unroutable
+from .errors import DegenerateTriangle, ParameterDomainError
 from .paths import default_exclusions
 from .weierstrass import (
     Immersion,
@@ -98,8 +98,9 @@ def exclusion_disks(data: WeierstrassData, spec: DomainSpec):
 
 def sample_mesh(data: WeierstrassData, spec: DomainSpec,
                 metadata: dict | None = None) -> SurfaceMesh:
-    """Evaluate the immersion over the polar grid and triangulate it;
-    a window that leaves no face raises ParameterDomainError."""
+    """Evaluate the immersion over the polar grid and triangulate it; a
+    base point inside an exclusion disk, or a window that leaves no face,
+    raises ParameterDomainError."""
     exclusions = exclusion_disks(data, spec)
     s = np.linspace(math.log(spec.r_min), math.log(spec.r_max), spec.n_r)
     theta = 2.0 * math.pi * np.arange(spec.n_theta) / spec.n_theta
@@ -113,7 +114,9 @@ def sample_mesh(data: WeierstrassData, spec: DomainSpec,
 
     base = complex(spec.base_point)
     if any(abs(base - c) <= r for c, r in exclusions):
-        raise Unroutable(f"base point {base!r} lies inside an exclusion disk")
+        raise ParameterDomainError(
+            f"base point {base!r} lies inside an exclusion disk"
+        )
 
     # vertex table in grid-major order (radial index outer)
     vid = np.full(grid_z.shape, -1, dtype=np.int64)

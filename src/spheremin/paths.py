@@ -21,13 +21,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import NOISE_REL, is_infinity, same_point
+from .algebra import is_infinity, same_point
 from .errors import QuadratureFailure, Unroutable
 from .weierstrass import CoordinateForms, WeierstrassData, coordinate_forms
 
 DETOUR_INFLATION = 1.1
 SEGMENT_TOL = 1e-12
 SUBDIVISION_BUDGET = 10_000
+# achievable relative accuracy of a factored evaluation: near high-order
+# poles its values carry cancellation noise of about this size relative to
+# the local magnitude, which no quadrature refinement can resolve
+NOISE_REL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -220,10 +224,8 @@ def _integrate_segment(fvec, tol: float, budget: list):
         left, mag_l = _gl_panel(fvec, a, m)
         right, mag_r = _gl_panel(fvec, m, b)
         err = np.max(np.abs(left + right - est))
-        # noise floor: near high-order poles the factored evaluation
-        # carries cancellation noise ~1e-12 relative to the local
-        # integrand magnitude, so a panel of width w cannot be resolved
-        # below ~NOISE_REL * max|f| * w no matter how far it is split
+        # noise floor: a panel of width w cannot be resolved below
+        # ~NOISE_REL * max|f| * w no matter how far it is split
         floor = NOISE_REL * max(mag_l, mag_r) * (b - a)
         if err <= max(tol_local, floor) or (b - a) < 1e-10:
             total += left + right

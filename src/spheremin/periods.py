@@ -30,11 +30,10 @@ def _combo_residue(data: WeierstrassData, p, sign: float) -> complex:
     G, dh = data.gauss_map, data.dh
 
     if is_infinity(p):
-        # the contour_radius rule read in the w = 1/z chart, where each s
-        # sits at w = 1/s; written as 0.5 / max|s| because going through
-        # 1/s changes the last bit of the radius
-        finite = [abs(s) for s in data.finite_singularities() if abs(s) > 0]
-        radius = 0.5 / max(finite) if finite else 1.0
+        # the contour_radius rule read in the w = 1/z chart
+        radius = contour_radius(
+            0.0, [1.0 / s for s in data.finite_singularities() if s != 0]
+        )
 
         def integrand(w):
             z = 1.0 / w
@@ -155,15 +154,21 @@ def assert_period_closed(data: WeierstrassData, tol: float = 1e-8) -> PeriodRepo
     return report
 
 
-def hybrid_root(fn, lo: float, hi: float, n_grid: int = 200,
-                coarse: float = 1e-6, xtol: float = 1e-12):
-    """Bracket on a geometric grid, bisect to `coarse`, Newton-polish with a
-    central-difference derivative to `xtol`.  Returns (root, sign_changes)."""
-    xs = np.geomspace(lo, hi, n_grid)
+# hybrid_root: grid points, bisection and Newton tolerances (relative)
+ROOT_GRID = 200
+ROOT_COARSE = 1e-6
+ROOT_XTOL = 1e-12
+
+
+def hybrid_root(fn, lo: float, hi: float):
+    """Bracket on a geometric grid of ROOT_GRID points, bisect to
+    ROOT_COARSE, Newton-polish with a central-difference derivative to
+    ROOT_XTOL.  Returns (root, sign_changes)."""
+    xs = np.geomspace(lo, hi, ROOT_GRID)
     vals = [fn(x) for x in xs]
     brackets = [
         (xs[i], xs[i + 1], vals[i], vals[i + 1])
-        for i in range(n_grid - 1)
+        for i in range(ROOT_GRID - 1)
         if vals[i] == 0.0 or (vals[i] < 0) != (vals[i + 1] < 0)
     ]
     if not brackets:
@@ -171,7 +176,7 @@ def hybrid_root(fn, lo: float, hi: float, n_grid: int = 200,
     a, b, fa, fb = brackets[0]
     if fa == 0.0:
         return float(a), len(brackets)
-    while b - a > coarse * max(1.0, abs(a)):
+    while b - a > ROOT_COARSE * max(1.0, abs(a)):
         m = 0.5 * (a + b)
         fm = fn(m)
         if fm == 0.0:
@@ -192,6 +197,6 @@ def hybrid_root(fn, lo: float, hi: float, n_grid: int = 200,
         if not (lo <= x_new <= hi):
             break
         x = x_new
-        if abs(step) <= xtol * max(1.0, abs(x)):
+        if abs(step) <= ROOT_XTOL * max(1.0, abs(x)):
             break
     return float(x), len(brackets)

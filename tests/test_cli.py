@@ -458,6 +458,19 @@ def test_export_window_without_faces_is_parameter_error(tmp_path, capsys):
     assert list(tmp_path.iterdir()) == []
 
 
+def test_export_base_point_in_exclusion_disk_is_parameter_error(tmp_path, capsys):
+    out_path = tmp_path / "cat.obj"
+    code, out, err = run(
+        ["export", "--family", "catenoid", "--nr", "8", "--ntheta", "8",
+         "--exclusion-radius", "5", "--out", str(out_path)],
+        capsys,
+    )
+    assert code == EXIT_PARAMS
+    assert out == ""
+    assert "exclusion disk" in err
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize(
     "argv",
     [

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from spheremin.algebra import INF, FactoredMeromorphic, monomial
-from spheremin.errors import ParameterDomainError, Unroutable
+from spheremin.errors import ParameterDomainError
 from spheremin.families import FAMILIES, construct
 from spheremin.mesh import (
     DomainSpec,
@@ -234,11 +234,11 @@ def test_fd_tangents_are_conformal(vase2):
     assert abs(nu - nv) < 1e-4 * nu
 
 
-def test_base_point_inside_exclusion_unroutable():
+def test_base_point_inside_exclusion_is_parameter_error():
     g = FactoredMeromorphic(1.0, [monomial(1)])
     dh = FactoredMeromorphic(1.0, [monomial(-1)])
     data = WeierstrassData(g, dh, (0j, INF))
-    with pytest.raises(Unroutable):
+    with pytest.raises(ParameterDomainError, match="exclusion disk"):
         sample_mesh(data, DomainSpec(0.5, 2.0, 16, 32, base_point=1.0,
                                      exclusion_radius=1.5))
 

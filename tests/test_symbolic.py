@@ -1,0 +1,88 @@
+"""Residues against sympy's exact rational arithmetic."""
+
+import pytest
+import sympy as sp
+
+from spheremin.algebra import (
+    INF,
+    FactoredMeromorphic,
+    one_form_order_at,
+    residue_at,
+    shifted_power,
+)
+from spheremin.families import double_vase_printed_residue
+
+z = sp.Symbol("z")
+
+# dyadic rationals, exact in floating point
+C = sp.Rational(3, 2) - sp.I / 2
+P = sp.Rational(1, 2) + sp.I / 4
+P2 = sp.Rational(3, 4) + sp.I / 2
+Q = sp.Rational(-3, 4) + sp.I / 2
+
+
+def exact_residue(expr, p, m):
+    """Res_p(expr dz) at a pole of order m: the (m-1)-th Taylor coefficient
+    of (z - p)**m expr about p, by power-series division of its numerator
+    by its denominator.  At INF, through w = 1/z: Res_0(-expr(1/w)/w**2)."""
+    if p is INF:
+        expr, p = -expr.subs(z, 1 / z) / z**2, 0
+    num, den = sp.fraction(sp.cancel(z**m * expr.subs(z, p + z)))
+    a = sp.Poly(num, z).all_coeffs()[::-1] + [0] * m
+    b = sp.Poly(den, z).all_coeffs()[::-1] + [0] * m
+    q = []
+    for j in range(m):
+        q.append(sp.expand((a[j] - sum(q[i] * b[j - i] for i in range(j))) / b[0]))
+    return complex(q[-1])
+
+
+def pole_cases(m):
+    """(point, factors (k, c, e) of (z**k - c)**e) with a one-form pole of
+    order m at the point.  The neighbours of order 10 and 6 sit at twice the
+    contour radius; they need more than 64 trapezoidal nodes for 1e-12."""
+    return [
+        (P, [(1, P, -m), (2, Q, 1), (3, 2, -1)]),
+        (P, [(1, P, -m), (1, Q, 1)]),  # exact residue 0
+        (P, [(1, P, -m), (1, P2, -10), (1, Q, 2)]),
+        (INF, [(1, 0, m + 1), (1, P, -1), (2, Q, -1)]),
+        (INF, [(1, 0, m - 2), (3, 2, 1), (1, P, -3)]),
+        (INF, [(1, Q, m - 2)]),  # exact residue 0
+        (INF, [(1, 0, m + 10), (1, P, -6), (1, P2, -6)]),
+    ]
+
+
+@pytest.mark.parametrize("m", [3, 4, 5, 6])
+def test_residue_at_high_order_poles_matches_sympy(m):
+    for p, factors in pole_cases(m):
+        f = FactoredMeromorphic(
+            complex(C), [shifted_power(k, complex(c), e) for k, c, e in factors]
+        )
+        point = p if p is INF else complex(p)
+        assert one_form_order_at(f, point) == -m
+        expr = C
+        for k, c, e in factors:
+            expr *= (z**k - c) ** e
+        exact = exact_residue(expr, p, m)
+        got = residue_at(f, point)
+        assert abs(got - exact) <= 1e-12 * (abs(exact) or 1.0), (p, factors)
+
+
+@pytest.mark.parametrize("k", [2, 3, 4])
+def test_double_vase_residue_matches_sympy(k):
+    """Res_b((1/G + G) dh) of the double-vase data, derived from symbolic a
+    and b, against the printed quadratic in a^k (and so its A, B and C)."""
+    a, b = sp.symbols("a b", positive=True)
+    G = z ** (k + 1) * (z**k - a**k) / (a**k * z**k - 1)
+    # (z^k - b^k)^2 dh, with z^k - b^k = (z - b) * q: a double pole at z = b
+    q = sum(z**i * b ** (k - 1 - i) for i in range(k))
+    dh_reg = (
+        b ** (2 * k) * z ** (k - 1) * (z**k - a**k) * (a**k * z**k - 1)
+        / (a**k * q**2 * (b**k * z**k - 1) ** 2)
+    )
+    residue = sp.diff((1 / G + G) * dh_reg, z).subs(z, b)
+    for av, bv in [(sp.Rational(3, 4), sp.Rational(1, 4)),
+                   (sp.Rational(5, 4), sp.Rational(1, 2)),
+                   (sp.Rational(7, 8), sp.Rational(3, 4))]:
+        exact = float(residue.subs({a: av, b: bv}))
+        printed = double_vase_printed_residue(k, float(bv), float(av))
+        assert printed == pytest.approx(exact, rel=1e-13, abs=0), (av, bv)
