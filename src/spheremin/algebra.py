@@ -4,8 +4,7 @@ A function is stored as a nonzero scalar times a product of integer
 powers of `z` and of shifted power factors `z**k - c`.  This covers the
 Gauss maps and height-differential coefficients of all surfaces built
 here while keeping zeros, poles, orders and residues exactly enumerable.
-Sums are never represented structurally; composite integrands are
-evaluated pointwise.
+A residue of a sum is the sum of the residues of its factored terms.
 
 Two finite points are the same point when they lie within a relative
 1e-9 of each other (`same_point`); every root, pole and puncture match
@@ -14,9 +13,9 @@ in the package goes through that one rule.  A function's table of
 every zero/pole query reads it.
 
 Residues at poles of order 1 and 2 come from exact factor cancellation.
-Every other Laurent coefficient, residues of higher order and of
-pointwise sums included, comes from one trapezoidal rule at a fixed
-LAURENT_NODES nodes on a `contour_radius` circle (`laurent_coefficients`).
+Every other Laurent coefficient, residues of higher order included, comes
+from one trapezoidal rule at a fixed LAURENT_NODES nodes on a
+`contour_radius` circle (`laurent_coefficients`).
 """
 
 from __future__ import annotations
@@ -28,12 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
-from .errors import (
-    PoleEvaluation,
-    SingularityInsideContour,
-    SingularPoint,
-    UnsupportedOrder,
-)
+from .errors import PoleEvaluation, SingularPoint, UnsupportedOrder
 
 MONOMIAL = 0
 SHIFTED = 1
@@ -334,19 +328,18 @@ LAURENT_NODES = 256
 _RING = np.exp(1j * (2.0 * math.pi * np.arange(LAURENT_NODES) / LAURENT_NODES))
 
 
-def laurent_coefficients(f, p, radius: float, orders) -> np.ndarray:
+def laurent_coefficients(f: FactoredMeromorphic, p, radius: float,
+                         orders) -> np.ndarray:
     """Coefficients of (z - p)**(-m), m in `orders`, of the Laurent series of
     f about p that holds on the circle |z - p| = radius, by the trapezoidal
-    rule: radius**m * mean(f(p + radius*ring) * ring**m).  f is a
-    FactoredMeromorphic or any callable accepting complex arrays.
+    rule: radius**m * mean(f(p + radius*ring) * ring**m).
 
     With no singularity of f between radius/2 and 2*radius from p (the
     `contour_radius` rule about a pole, and a radius of twice the largest
     root about 0 for the polynomial part) the aliasing error is below
     2**-LAURENT_NODES relative, so the node count is fixed.
     """
-    fn = f.eval_array if isinstance(f, FactoredMeromorphic) else f
-    vals = fn(complex(p) + radius * _RING)
+    vals = f.eval_array(complex(p) + radius * _RING)
     return np.array([radius ** m * np.mean(vals * _RING ** m) for m in orders],
                     dtype=np.complex128)
 
@@ -380,28 +373,12 @@ def antiderivative(f: FactoredMeromorphic):
     return rational, logs
 
 
-def residue_contour(f, p, radius=None):
-    """(1/2 pi i) * contour integral of f around p: the m = 1 coefficient of
-    `laurent_coefficients`, at its fixed LAURENT_NODES nodes.
-
-    f may be a FactoredMeromorphic, whose radius defaults to
-    `default_contour_radius` and whose other poles must stay outside the
-    circle, or any callable accepting complex arrays, with a radius given.
-    """
+def residue_contour(f: FactoredMeromorphic, p) -> complex:
+    """(1/2 pi i) * contour integral of f dz around a finite p: the m = 1
+    coefficient of `laurent_coefficients` on the `default_contour_radius`
+    circle, which holds no other root of f."""
     p = complex(p)
-    if radius is None:
-        if not isinstance(f, FactoredMeromorphic):
-            raise ValueError("radius is required for callable integrands")
-        radius = default_contour_radius(f, p)
-    if radius <= 0:
-        raise ValueError("contour radius must be positive")
-    if isinstance(f, FactoredMeromorphic):
-        for q in f.finite_poles():
-            if not same_point(p, q) and abs(q - p) <= radius:
-                raise SingularityInsideContour(
-                    f"pole at {q!r} lies within radius {radius} of {p!r}"
-                )
-    return complex(laurent_coefficients(f, p, radius, (1,))[0])
+    return complex(laurent_coefficients(f, p, default_contour_radius(f, p), (1,))[0])
 
 
 def residue_limit(f: FactoredMeromorphic, p, pole_order: int) -> complex:

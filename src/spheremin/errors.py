@@ -25,10 +25,6 @@ class SingularPoint(SphereminError):
     """Logarithmic derivative requested at a zero or pole."""
 
 
-class SingularityInsideContour(SphereminError):
-    """A pole other than the target lies inside the residue contour."""
-
-
 class UnsupportedOrder(SphereminError):
     """residue_limit only handles pole orders 1 and 2."""
 

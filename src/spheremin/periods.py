@@ -5,7 +5,10 @@ three residues at every puncture:
 
     Res_p((1/G - G) dh) real,  i * Res_p((1/G + G) dh) real,  Res_p(dh) real.
 
-This module computes those residues and gates data on them; it knows no
+By linearity Res_p((1/G -+ G) dh) = Res_p(u) -+ Res_p(v), with u = dh/G
+and v = G dh the data's factored forms, so each residue is one contour
+on one factored product, sized from that product's own roots.  This
+module computes those residues and gates data on them; it knows no
 family.  `hybrid_root` is the scalar root finder with which each family in
 `families.py` solves its one period equation.
 """
@@ -16,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import contour_radius, is_infinity, residue_at, residue_contour
+from .algebra import infinity_chart, is_infinity, residue_at, residue_contour
 from .errors import NoRoot, PeriodViolation
 from .weierstrass import WeierstrassData, point_json
 
@@ -24,39 +27,29 @@ from .weierstrass import WeierstrassData, point_json
 # -- residue machinery ------------------------------------------------
 
 
-def _combo_residue(data: WeierstrassData, p, sign: float) -> complex:
-    """Res_p((1/G + sign*G) dh) by the trapezoidal contour rule; the sum is
-    evaluated pointwise (no structural addition of factored forms)."""
-    G, dh = data.gauss_map, data.dh
-
+def _form_residues(data: WeierstrassData, p):
+    """(Res_p(dh/G), Res_p(G dh)) by the trapezoidal contour rule, each on
+    its own factored form (at INF, on its w = 1/z chart)."""
+    u, v, _ = data.factored_forms()
     if is_infinity(p):
-        # the contour_radius rule read in the w = 1/z chart
-        radius = contour_radius(
-            0.0, [1.0 / s for s in data.finite_singularities() if s != 0]
+        return tuple(
+            residue_contour(infinity_chart(f, one_form=True), 0.0) for f in (u, v)
         )
+    return residue_contour(u, p), residue_contour(v, p)
 
-        def integrand(w):
-            z = 1.0 / w
-            g = G.eval_array(z)
-            return -(1.0 / g + sign * g) * dh.eval_array(z) / w ** 2
 
-        return residue_contour(integrand, 0.0, radius=radius)
-
-    radius = contour_radius(complex(p), data.finite_singularities())
-
-    def integrand(z):
-        g = G.eval_array(z)
-        return (1.0 / g + sign * g) * dh.eval_array(z)
-
-    return residue_contour(integrand, p, radius=radius)
+def _combo_residue(data: WeierstrassData, p, sign: float) -> complex:
+    """Res_p((1/G + sign*G) dh) by the contour rule: the families' oracle,
+    independent of their printed closed forms."""
+    res_u, res_v = _form_residues(data, p)
+    return res_u + sign * res_v
 
 
 def combo_residue_exact(data: WeierstrassData, p, sign: float) -> complex:
-    """Same residue via linearity and exact factor-wise cancellation:
-    Res((1/G)dh) + sign * Res(G dh).  Analytic cross-check of the contour."""
-    inv_gdh = data.gauss_map.inverse() * data.dh
-    gdh = data.gauss_map * data.dh
-    return residue_at(inv_gdh, p) + sign * residue_at(gdh, p)
+    """Same residue by exact factor-wise cancellation (`residue_at`) on the
+    same forms: the analytic cross-check of the contour."""
+    u, v, _ = data.factored_forms()
+    return residue_at(u, p) + sign * residue_at(v, p)
 
 
 @dataclass(frozen=True)
@@ -125,10 +118,11 @@ class PeriodReport:
 
 def puncture_periods(data: WeierstrassData, p, tol: float = 1e-8) -> PeriodEntry:
     """The three residues and reality conditions at one puncture."""
+    res_u, res_v = _form_residues(data, p)
     return PeriodEntry(
         location=p,
-        res_minus=_combo_residue(data, p, -1.0),
-        res_plus=_combo_residue(data, p, +1.0),
+        res_minus=res_u - res_v,
+        res_plus=res_u + res_v,
         res_dh=residue_at(data.dh, p),
         tol=tol,
     )

@@ -3,10 +3,11 @@ the immersion in closed form.
 
 The immersion is X(z) = Re of the path integral of
 (0.5*(1/G - G)*dh, 0.5i*(1/G + G)*dh, dh).  The three forms combine
-u = dh/G, v = G dh and w = dh, each a factored product whose
-antiderivative is a polynomial, principal parts and c_1 log(z - p) terms
-(`Immersion`); once the periods close every c_1 is real, so X needs no
-path and no quadrature.
+u = dh/G, v = G dh and w = dh, factored products built once with the
+data (`WeierstrassData.factored_forms`).  The antiderivative of each is a
+polynomial, principal parts and c_1 log(z - p) terms (`Immersion`); once
+the periods close every c_1 is real, so X needs no path and no
+quadrature.
 """
 
 from __future__ import annotations
@@ -56,14 +57,25 @@ class WeierstrassData:
                 if not any(same_point(q, r) for q in singular):
                     singular.append(r)
         object.__setattr__(self, "_singular", tuple(singular))
+        g, dh = self.gauss_map, self.dh
+        object.__setattr__(self, "_forms", (dh * g.inverse(), g * dh, dh))
 
     def is_puncture(self, p) -> bool:
         return any(same_point(p, q) for q in self.punctures)
 
     def finite_singularities(self):
         """All finite zeros/poles of G and dh (candidate special points for
-        routing, audits and contour sizing), built once with the data."""
+        routing and audits), built once with the data."""
         return list(self._singular)
+
+    def factored_forms(self):
+        """(u, v, w) = (dh/G, G dh, dh) as factored products, built once
+        with the data; (phi1, phi2, phi3) = _COMBINATION @ (u, v, w)."""
+        return self._forms
+
+
+# (phi1, phi2, phi3) = _COMBINATION @ (u, v, w), u = dh/G, v = G dh, w = dh
+_COMBINATION = np.array([[0.5, -0.5, 0.0], [0.5j, 0.5j, 0.0], [0.0, 0.0, 1.0]])
 
 
 @dataclass(frozen=True)
@@ -73,23 +85,15 @@ class CoordinateForms:
     data: WeierstrassData
 
     def stacked(self, z: np.ndarray) -> np.ndarray:
-        """(3, n) array of (phi1, phi2, phi3) values; composes evaluations
-        of G and dh pointwise, never a structural sum."""
-        z = np.asarray(z, dtype=np.complex128)
-        g = self.data.gauss_map.eval_array(z)
-        dh = self.data.dh.eval_array(z)
-        inv = 1.0 / g
-        return np.stack(
-            [0.5 * (inv - g) * dh, 0.5j * (inv + g) * dh, dh]
+        """(3, n) array of (phi1, phi2, phi3) at the points z (1-d):
+        _COMBINATION applied to the values of the data's factored forms."""
+        return _COMBINATION @ np.stack(
+            [f.eval_array(z) for f in self.data.factored_forms()]
         )
 
 
 def coordinate_forms(data: WeierstrassData) -> CoordinateForms:
     return CoordinateForms(data)
-
-
-# (phi1, phi2, phi3) = _COMBINATION @ (u, v, w), u = dh/G, v = G dh, w = dh
-_COMBINATION = np.array([[0.5, -0.5, 0.0], [0.5j, 0.5j, 0.0], [0.0, 0.0, 1.0]])
 
 
 class Immersion:
@@ -103,10 +107,9 @@ class Immersion:
     """
 
     def __init__(self, data: WeierstrassData, base: complex):
-        g, dh = data.gauss_map, data.dh
         self._rational = []  # (column of _COMBINATION, pole, coefficients)
         points, coeffs = [], []
-        for col, f in enumerate((dh * g.inverse(), g * dh, dh)):
+        for col, f in enumerate(data.factored_forms()):
             rational, logs = antiderivative(f)
             self._rational += [(col, p, c) for p, c in rational]
             for p, c1 in logs:
@@ -163,12 +166,13 @@ def metric_scale(g, dh):
 
 
 def gauss_normal(data: WeierstrassData, z) -> np.ndarray:
-    """Unit normal at a sphere point; G = infinity maps to (0, 0, 1)."""
+    """Unit normal at a sphere point; G = infinity, or a G whose squared
+    modulus overflows, maps to (0, 0, 1)."""
     try:
         g = gauss_value(data, z)
     except PoleEvaluation:
         g = complex(math.inf)
-    if not math.isfinite(abs(g)):
+    if not math.isfinite(abs(g) * abs(g)):
         return np.array([0.0, 0.0, 1.0])
     return np.array(stereographic_normal(g))
 

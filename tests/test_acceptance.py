@@ -291,11 +291,8 @@ def test_criterion_10_global_residue_theorem(test_meshes):
     worst = 0.0
     for name, inst, _ in test_meshes:
         data = inst.data
-        inv_gdh = data.gauss_map.inverse() * data.dh
-        gdh = data.gauss_map * data.dh
         sums = {}
-        for label, form in (("1/G dh", inv_gdh), ("G dh", gdh),
-                            ("dh", data.dh)):
+        for label, form in zip(("1/G dh", "G dh", "dh"), data.factored_forms()):
             total = residue_at_infinity(form)
             for p in form.finite_poles():
                 total += residue_at(form, p)

@@ -23,12 +23,7 @@ from spheremin.algebra import (
     same_point,
     shifted_power,
 )
-from spheremin.errors import (
-    PoleEvaluation,
-    SingularityInsideContour,
-    SingularPoint,
-    UnsupportedOrder,
-)
+from spheremin.errors import PoleEvaluation, SingularPoint, UnsupportedOrder
 
 
 def _poly_oracle(f: FactoredMeromorphic, z):
@@ -199,21 +194,6 @@ def test_residue_contour_double_pole():
     # z / (z - 1)^2 has residue 1 at z = 1
     f = FactoredMeromorphic(1.0, [monomial(1), shifted_power(1, 1.0, -2)])
     assert residue_contour(f, 1.0) == pytest.approx(1.0, abs=1e-12)
-
-
-def test_residue_contour_callable_requires_radius():
-    with pytest.raises(ValueError):
-        residue_contour(lambda z: 1.0 / z, 0.0)
-    val = residue_contour(lambda z: 1.0 / z, 0.0, radius=0.5)
-    assert val == pytest.approx(1.0, abs=1e-13)
-
-
-def test_residue_contour_rejects_enclosed_pole():
-    f = FactoredMeromorphic(
-        1.0, [monomial(-1), shifted_power(1, 0.1, -1)]
-    )
-    with pytest.raises(SingularityInsideContour):
-        residue_contour(f, 0.0, radius=0.5)
 
 
 def test_residue_limit_orders():

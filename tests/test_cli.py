@@ -95,6 +95,22 @@ def test_verify_rho_override_fails(capsys):
     assert any("period" in f for f in payload["failures"])
 
 
+def test_verify_rho_whose_gauss_map_overflows_fails_the_period(capsys):
+    # G = rho (1 - a^2) = 7.5e299 at the catenoid ends z^2 = 1, whose
+    # squared modulus overflows: their limit normal is that of G = inf
+    code, out, _ = run(
+        ["verify", "--family", "vase", "--k", "2", "--a", "0.5",
+         "--rho", "1e300"],
+        capsys,
+    )
+    assert code == EXIT_VERIFICATION
+    payload = json.loads(out)
+    assert not payload["passed"]
+    assert any("period" in f for f in payload["failures"])
+    assert [e["limit_normal"] for e in payload["ends"]
+            if e["kind"] == "catenoid_non_vertical"] == [[0.0, 0.0, 1.0]] * 2
+
+
 def test_verify_catenoid(capsys):
     code, out, _ = run(["verify", "--family", "catenoid"], capsys)
     assert code == EXIT_OK

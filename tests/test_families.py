@@ -6,8 +6,13 @@ import math
 
 import pytest
 
-from spheremin.algebra import contour_radius, is_infinity, same_point
-from spheremin.errors import ParameterDomainError
+from spheremin.algebra import (
+    default_contour_radius,
+    infinity_chart,
+    is_infinity,
+    same_point,
+)
+from spheremin.errors import ParameterDomainError, SphereminError
 from spheremin.families import (
     FAMILIES,
     FamilyInstance,
@@ -140,44 +145,52 @@ def test_descriptor_round_trip_each_family(name):
     assert str(rebuilt.data.gauss_map) == str(inst.data.gauss_map)
     assert str(rebuilt.data.dh) == str(inst.data.dh)
     assert rebuilt.period.closed
-    # the zero/pole tables agree with the point queries, and every finite
-    # puncture's residue contour holds no other singularity
+    # the zero/pole tables agree with the point queries, and at every
+    # puncture the residue contour of each factored form (at INF, of its
+    # w = 1/z chart) holds no other root of that form
     data = inst.data
-    for f in (data.gauss_map, data.dh):
+    for f in (data.gauss_map, data.dh, *data.factored_forms()):
         for r, o in f.finite_roots():
             assert f.order_at(r) == o
-    singular = data.finite_singularities()
-    for p in data.punctures:
-        if is_infinity(p):
-            continue
-        radius = contour_radius(p, singular)
-        assert all(abs(s - p) > radius for s in singular if not same_point(p, s))
+    for f in data.factored_forms():
+        for p in data.punctures:
+            form, q = f, p
+            if is_infinity(p):
+                form, q = infinity_chart(f, one_form=True), 0j
+            radius = default_contour_radius(form, q)
+            assert all(abs(r - q) > radius for r, _ in form.finite_roots()
+                       if not same_point(r, q))
 
 
 @pytest.mark.parametrize("make, args",
                          [(make_vase, (6, 0.5)), (make_double_vase, (6, 0.25))])
 def test_constructor_builds_its_data_once(make, args, monkeypatch):
-    """The solver hands the data it built to the gate, and the degree audit
-    and the residue at infinity share one chart of dh."""
+    """The solver hands the one `WeierstrassData` it built to the gate, and
+    no chart is built twice: the degree audit and the residue of dh at
+    infinity share the chart of dh, and the period residues at infinity
+    read the charts of dh/G and G dh built with the data."""
     from spheremin import algebra
     from spheremin.weierstrass import WeierstrassData
 
-    counts = {"data": 0, "chart": 0}
+    built = {"data": 0, "charts": []}
     post_init = WeierstrassData.__post_init__
     build_chart = algebra._build_infinity_chart
 
     def counting_post_init(self):
-        counts["data"] += 1
+        built["data"] += 1
         post_init(self)
 
-    def counting_build_chart(*a, **kw):
-        counts["chart"] += 1
-        return build_chart(*a, **kw)
+    def counting_build_chart(f, one_form):
+        built["charts"].append((id(f), one_form))
+        return build_chart(f, one_form)
 
     monkeypatch.setattr(WeierstrassData, "__post_init__", counting_post_init)
     monkeypatch.setattr(algebra, "_build_infinity_chart", counting_build_chart)
-    make(*args)
-    assert counts == {"data": 1, "chart": 1}
+    inst = make(*args)
+    assert built["data"] == 1
+    assert sorted(built["charts"]) == sorted(
+        (id(f), True) for f in inst.data.factored_forms()
+    )
 
 
 def test_double_vase_gate_above_the_contour_noise_floor():
@@ -186,3 +199,24 @@ def test_double_vase_gate_above_the_contour_noise_floor():
     inst = make_double_vase(3, 0.99014)
     assert inst.period.closed
     assert inst.period.worst.defect < 1e-10
+
+
+EXTREME_KS = (2, 3, 4, 6, 8, 12, 16, 24, 32)
+EXTREME_PARAMS = (1e-3, 0.01, 0.05, 0.1, 0.25, 0.5, 0.75, 0.9, 0.99, 0.999)
+
+
+@pytest.mark.parametrize("make", [make_vase, make_double_vase])
+def test_parameter_extremes_construct_and_pass_the_gate(make):
+    # double_vase k in {2, 3, 4, 6} at b = 0.999 used to fail the gate: a
+    # pole of G cancelled by a zero of dh, 3e-6 from b, shrank the contour
+    failures = []
+    for k in EXTREME_KS:
+        for x in EXTREME_PARAMS:
+            try:
+                inst = make(k, x)
+            except SphereminError as exc:
+                failures.append((k, x, type(exc).__name__))
+                continue
+            if inst.provenance["mismatch"] or not inst.period.closed:
+                failures.append((k, x, "not closed"))
+    assert failures == []

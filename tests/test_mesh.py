@@ -158,6 +158,20 @@ def test_array_assembly_matches_the_loops(vase2, tmp_path):
     assert (tmp_path / "m.ply").read_bytes().endswith(records)
 
 
+def test_sampling_reads_the_forms_built_with_the_data(vase2, monkeypatch):
+    # the immersion antidifferentiates the data's dh/G, G dh and dh
+    built = []
+    init = FactoredMeromorphic.__init__
+
+    def counting_init(self, *a, **kw):
+        built.append(1)
+        init(self, *a, **kw)
+
+    monkeypatch.setattr(FactoredMeromorphic, "__init__", counting_init)
+    sample_mesh(vase2.data, DomainSpec(0.45, 2.2, 8, 16, base_point=0.75))
+    assert built == []
+
+
 def test_catenoid_source_map(catenoid):
     mesh = sample_mesh(catenoid.data, DomainSpec(0.5, 2.0, 32, 64))
     # x3 = log|z| exactly for dh = dz/z from base 1

@@ -10,7 +10,8 @@ from spheremin.algebra import (
     residue_at,
     shifted_power,
 )
-from spheremin.families import double_vase_printed_residue
+from spheremin.families import double_vase_printed_residue, solve_double_vase_a
+from spheremin.periods import puncture_periods
 
 z = sp.Symbol("z")
 
@@ -67,10 +68,9 @@ def test_residue_at_high_order_poles_matches_sympy(m):
         assert abs(got - exact) <= 1e-12 * (abs(exact) or 1.0), (p, factors)
 
 
-@pytest.mark.parametrize("k", [2, 3, 4])
-def test_double_vase_residue_matches_sympy(k):
-    """Res_b((1/G + G) dh) of the double-vase data, derived from symbolic a
-    and b, against the printed quadratic in a^k (and so its A, B and C)."""
+def symbolic_residue_at_b(k):
+    """Res_b((1/G + G) dh) of the double-vase data as an expression in
+    symbolic a and b."""
     a, b = sp.symbols("a b", positive=True)
     G = z ** (k + 1) * (z**k - a**k) / (a**k * z**k - 1)
     # (z^k - b^k)^2 dh, with z^k - b^k = (z - b) * q: a double pole at z = b
@@ -79,10 +79,31 @@ def test_double_vase_residue_matches_sympy(k):
         b ** (2 * k) * z ** (k - 1) * (z**k - a**k) * (a**k * z**k - 1)
         / (a**k * q**2 * (b**k * z**k - 1) ** 2)
     )
-    residue = sp.diff((1 / G + G) * dh_reg, z).subs(z, b)
+    return sp.diff((1 / G + G) * dh_reg, z).subs(z, b), a, b
+
+
+@pytest.mark.parametrize("k", [2, 3, 4])
+def test_double_vase_residue_matches_sympy(k):
+    """Res_b((1/G + G) dh) of the double-vase data, derived from symbolic a
+    and b, against the printed quadratic in a^k (and so its A, B and C)."""
+    residue, a, b = symbolic_residue_at_b(k)
     for av, bv in [(sp.Rational(3, 4), sp.Rational(1, 4)),
                    (sp.Rational(5, 4), sp.Rational(1, 2)),
                    (sp.Rational(7, 8), sp.Rational(3, 4))]:
         exact = float(residue.subs({a: av, b: bv}))
         printed = double_vase_printed_residue(k, float(bv), float(av))
         assert printed == pytest.approx(exact, rel=1e-13, abs=0), (av, bv)
+
+
+@pytest.mark.parametrize("k", [2, 3, 4, 6])
+def test_gate_residue_near_unit_b_matches_sympy(k):
+    """The gate's Res_b((1/G + G) dh) at the solved b = 0.999, where a pole
+    of G cancelled by a zero of dh sits 3e-6 from b, against the exact
+    residue at the same a and b (a contour sized from G and dh apart was
+    off by 2.5e-9 to 5.2e-8 here)."""
+    residue, a, b = symbolic_residue_at_b(k)
+    solved = solve_double_vase_a(k, 0.999)
+    exact = float(residue.subs({a: sp.Rational(solved.value),
+                                b: sp.Rational(0.999)}).evalf(30))
+    gate = puncture_periods(solved.data, 0.999).res_plus
+    assert abs(gate - exact) <= 1e-10
