@@ -7,9 +7,7 @@ from .algebra import (
     FactoredMeromorphic,
     monomial,
     residue_at,
-    residue_at_infinity,
     residue_contour,
-    residue_limit,
     shifted_power,
 )
 from .families import (
@@ -54,9 +52,7 @@ __all__ = [
     "monomial",
     "shifted_power",
     "residue_at",
-    "residue_at_infinity",
     "residue_contour",
-    "residue_limit",
     "WeierstrassData",
     "coordinate_forms",
     "regularity_check",

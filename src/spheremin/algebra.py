@@ -12,10 +12,11 @@ in the package goes through that one rule.  A function's table of
 (root, aggregated order) pairs is built once, when it is created, and
 every zero/pole query reads it.
 
-Residues at poles of order 1 and 2 come from exact factor cancellation.
-Every other Laurent coefficient, residues of higher order included, comes
-from one trapezoidal rule at a fixed LAURENT_NODES nodes on a
-`contour_radius` circle (`laurent_coefficients`).
+Every Laurent coefficient comes from one trapezoidal rule at a fixed
+LAURENT_NODES nodes on a `contour_radius` circle (`laurent_coefficients`).
+A function builds the principal part at each entry of its root table once,
+on first use, and keeps it (`principal_part`); every residue in the
+package is the c_1 of that table, read at infinity through the 1/z chart.
 """
 
 from __future__ import annotations
@@ -27,12 +28,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
-from .errors import PoleEvaluation, SingularPoint, UnsupportedOrder
+from .errors import PoleEvaluation, SingularPoint
 
 MONOMIAL = 0
 SHIFTED = 1
 
 _ROOT_MATCH_TOL = 1e-9
+# achievable relative accuracy of a factored evaluation: near high-order
+# poles its values carry cancellation noise of about this size relative to
+# the local magnitude, which no quadrature refinement can resolve
+NOISE_REL = 1e-12
 
 
 class _Infinity:
@@ -137,7 +142,8 @@ def shifted_power(k: int, c: complex, exponent: int = 1) -> Factor:
 class FactoredMeromorphic:
     """coefficient * prod(factor**exponent), immutable after construction."""
 
-    __slots__ = ("coefficient", "factors", "_packed", "_roots", "_charts")
+    __slots__ = ("coefficient", "factors", "_packed", "_roots", "_charts",
+                 "_laurent")
 
     def __init__(self, coefficient: complex, factors=()):
         coefficient = complex(coefficient)
@@ -179,6 +185,7 @@ class FactoredMeromorphic:
                     roots.append((r, f.exponent))
         object.__setattr__(self, "_roots", tuple(roots))
         object.__setattr__(self, "_charts", {})  # see infinity_chart
+        object.__setattr__(self, "_laurent", {})  # see principal_part
 
     def __setattr__(self, name, value):
         raise AttributeError("FactoredMeromorphic is immutable")
@@ -328,20 +335,46 @@ LAURENT_NODES = 256
 _RING = np.exp(1j * (2.0 * math.pi * np.arange(LAURENT_NODES) / LAURENT_NODES))
 
 
-def laurent_coefficients(f: FactoredMeromorphic, p, radius: float,
-                         orders) -> np.ndarray:
+def laurent_coefficients(f: FactoredMeromorphic, p, radius: float, orders):
     """Coefficients of (z - p)**(-m), m in `orders`, of the Laurent series of
     f about p that holds on the circle |z - p| = radius, by the trapezoidal
     rule: radius**m * mean(f(p + radius*ring) * ring**m).
 
     With no singularity of f between radius/2 and 2*radius from p (the
-    `contour_radius` rule about a pole, and a radius of twice the largest
+    `contour_radius` rule about a root, and a radius of twice the largest
     root about 0 for the polynomial part) the aliasing error is below
-    2**-LAURENT_NODES relative, so the node count is fixed.
+    2**-LAURENT_NODES relative, so the node count is fixed.  Returns the
+    coefficients and the rounding floor of each, NOISE_REL * radius**m *
+    max|f| over the nodes: a coefficient within its floor is not resolved.
     """
     vals = f.eval_array(complex(p) + radius * _RING)
-    return np.array([radius ** m * np.mean(vals * _RING ** m) for m in orders],
-                    dtype=np.complex128)
+    coeffs = np.array([radius ** m * np.mean(vals * _RING ** m) for m in orders],
+                      dtype=np.complex128)
+    scale = NOISE_REL * float(np.abs(vals).max())
+    return coeffs, scale * radius ** np.asarray(orders, dtype=float)
+
+
+_NO_ROOT = (np.empty(0, dtype=np.complex128), np.empty(0))
+
+
+def principal_part(f: FactoredMeromorphic, p):
+    """(c_1, ..., c_m) of f about the finite p with their rounding floors,
+    m = max(1, pole order): `laurent_coefficients` on the
+    `default_contour_radius` circle about the root-table entry matching p.
+
+    Built once per entry and kept on the immutable f.  A zero, or an entry
+    whose orders cancel, still gets its c_1; where f has no root at p the
+    result is empty.
+    """
+    for i, (r, order) in enumerate(f._roots):
+        if same_point(r, p):
+            break
+    else:
+        return _NO_ROOT
+    if i not in f._laurent:
+        m = np.arange(1, max(1, -order) + 1)
+        f._laurent[i] = laurent_coefficients(f, r, default_contour_radius(f, r), m)
+    return f._laurent[i]
 
 
 def antiderivative(f: FactoredMeromorphic):
@@ -350,90 +383,39 @@ def antiderivative(f: FactoredMeromorphic):
     Returns (rational, logs): `rational` lists (pole, coefficients) pairs
     for np.polyval, in z for the polynomial part (pole None) and in
     1/(z - p) for the principal part at p; `logs` lists the (p, c_1) of
-    the c_1 log(z - p) terms.  Pole orders and the degree are read from
-    f's zero/pole table.
+    the c_1 log(z - p) terms.  The degree is read from f's factors and the
+    principal parts from `principal_part`.
     """
     rational, logs = [], []
     if f.degree >= 0:
         n = np.arange(f.degree + 1)
         # twice the largest root, and at least 1 when every root is at 0
         radius = 2.0 * max([abs(r) for r, _ in f._roots] + [0.5])
-        a = laurent_coefficients(f, 0.0, radius, -n)  # a_n of z**n
+        a, _ = laurent_coefficients(f, 0.0, radius, -n)  # a_n of z**n
         rational.append((None, np.append((a / (n + 1))[::-1], 0.0)))
     for p, order in f.finite_roots():
         if order >= 0:
             continue
-        m = np.arange(1, -order + 1)
-        c = laurent_coefficients(f, p, default_contour_radius(f, p), m)
+        c, _ = principal_part(f, p)
         logs.append((complex(p), c[0]))
-        if len(m) > 1:
+        if len(c) > 1:
             # c_m (z - p)**-m integrates to c_m / (1 - m) * t**(m - 1), t = 1/(z - p)
-            b = c[1:] / (1 - m[1:])
+            m = np.arange(2, len(c) + 1)
+            b = c[1:] / (1 - m)
             rational.append((complex(p), np.append(b[::-1], 0.0)))
     return rational, logs
 
 
 def residue_contour(f: FactoredMeromorphic, p) -> complex:
-    """(1/2 pi i) * contour integral of f dz around a finite p: the m = 1
-    coefficient of `laurent_coefficients` on the `default_contour_radius`
-    circle, which holds no other root of f."""
-    p = complex(p)
-    return complex(laurent_coefficients(f, p, default_contour_radius(f, p), (1,))[0])
-
-
-def residue_limit(f: FactoredMeromorphic, p, pole_order: int) -> complex:
-    """Residue at a pole of order 1 or 2 via exact factor-wise cancellation.
-
-    The factors vanishing at p are divided out algebraically (the shifted
-    power splits into its enumerated linear roots), so no numeric limit or
-    differentiation is ever taken.
-    """
-    if pole_order not in (1, 2):
-        raise UnsupportedOrder(f"pole order {pole_order} not supported")
-    p = complex(p)
-    actual = f.order_at(p)
-    if actual != -pole_order:
-        raise ValueError(
-            f"order_at({p!r}) = {actual}, expected {-pole_order}"
-        )
-    # g(z) = (z - p)**pole_order * f(z), with vanishing factors cancelled.
-    value = f.coefficient
-    logd = 0j  # g'(p)/g(p), accumulated by the product rule
-    for fac in f.factors:
-        if not any(same_point(r, p) for r in fac.roots()):
-            base = fac.base_value(p)
-            value *= base ** fac.exponent
-            logd += fac.exponent * fac.base_derivative(p) / base
-            continue
-        if fac.kind == MONOMIAL:
-            continue  # z**e / (z - 0)**e cancels exactly
-        # (z**k - c)**e / (z - p)**e = prod over the other roots (z - r)**e
-        for r in fac.roots():
-            if same_point(r, p):
-                continue
-            value *= (p - r) ** fac.exponent
-            logd += fac.exponent / (p - r)
-    if pole_order == 1:
-        return value
-    return value * logd
-
-
-def residue_at_infinity(f: FactoredMeromorphic) -> complex:
-    """Residue of the one-form f dz at z = infinity, via the w = 1/z chart."""
-    return residue_at(infinity_chart(f, one_form=True), 0.0)
+    """Residue of f dz at a finite p: the c_1 of `principal_part`, 0 where
+    f has no root at p."""
+    c, _ = principal_part(f, p)
+    return complex(c[0]) if len(c) else 0j
 
 
 def residue_at(f: FactoredMeromorphic, p) -> complex:
-    """Residue of the one-form f dz at any sphere point.
-
-    Uses exact cancellation for order <= 2 poles and the contour rule for
-    higher orders; zero when f is regular at p.
-    """
+    """Residue of the one-form f dz at any sphere point: `residue_contour`,
+    on the w = 1/z chart at INF."""
     if is_infinity(p):
-        return residue_at_infinity(f)
-    m = -f.order_at(p)
-    if m <= 0:
-        return 0j
-    if m <= 2:
-        return residue_limit(f, p, m)
+        f, p = infinity_chart(f, one_form=True), 0.0
     return residue_contour(f, p)

@@ -1,11 +1,12 @@
 """Command-line interface: solve, verify, export, report.
 
 Exit codes: 0 success, 1 runtime/IO failure, 2 invalid parameters,
-3 verification failure.  Flags override values from --config (a JSON
-file mirroring the flag names), which override the defaults; a flag
-the family cannot honour is rejected.  Every per-family decision reads
-the family table in `families.py`.  Identical configuration yields
-byte-identical outputs.
+3 verification failure (a failed gate, or a printed closed form that
+disagrees with its independent check).  Flags override values from
+--config (a JSON file mirroring the flag names), which override the
+defaults; a flag the family cannot honour is rejected.  Every
+per-family decision reads the family table in `families.py`.  Identical
+configuration yields byte-identical outputs.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ import numpy as np
 
 from . import __version__
 from .errors import (
+    ClosedFormMismatch,
     NoRoot,
     ParameterDomainError,
     PeriodViolation,
@@ -306,7 +308,7 @@ def main(argv=None) -> int:
     except (ParameterDomainError, NoRoot) as exc:
         print(f"invalid parameters: {exc}", file=sys.stderr)
         return EXIT_PARAMS
-    except PeriodViolation as exc:
+    except (PeriodViolation, ClosedFormMismatch) as exc:
         print(f"verification failure: {exc}", file=sys.stderr)
         return EXIT_VERIFICATION
     except OSError as exc:

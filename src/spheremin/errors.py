@@ -25,12 +25,9 @@ class SingularPoint(SphereminError):
     """Logarithmic derivative requested at a zero or pole."""
 
 
-class UnsupportedOrder(SphereminError):
-    """residue_limit only handles pole orders 1 and 2."""
-
-
 class ClosedFormMismatch(SphereminError):
-    """A printed closed-form value disagrees with the contour oracle."""
+    """A printed closed form disagrees with its independent check (the
+    contour oracle or a bracketed root); the CLI exits 3."""
 
 
 class NoRoot(SphereminError):

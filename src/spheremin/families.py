@@ -10,7 +10,8 @@ Family 2 (glued double vase, rho = 1), solved for a by `solve_double_vase_a`:
 plus the classical catenoid (G = z, dh = dz/z) as a known-answer fixture.
 
 Each solver checks the printed radical against a bracketed root
-(`periods.hybrid_root`) and returns the data it built at the solution,
+(`periods.hybrid_root`), raises `ClosedFormMismatch` when they disagree,
+and returns the data it built at the solution,
 which the constructor then gates; the gate in `periods.py` knows no family.
 
 Each family is one `FamilySpec` entry of `FAMILIES`; every per-family
@@ -48,7 +49,6 @@ class SolveResult:
     closed_form: float
     numeric_root: float
     residual: float
-    mismatch: bool = False
     data: WeierstrassData | None = field(default=None, compare=False, repr=False)
 
 
@@ -127,7 +127,7 @@ def solve_vase_rho(k: int, a: float) -> SolveResult:
         )
     data = vase_weierstrass_data(k, a, closed)
     residual = abs(_combo_residue(data, 1.0, +1.0))
-    return SolveResult(closed, closed, root, residual, False, data)
+    return SolveResult(closed, closed, root, residual, data)
 
 
 # -- family 2: glued double vase --------------------------------------
@@ -271,9 +271,8 @@ def double_vase_closed_form_a(k: int, b: float) -> float:
 
 
 def solve_double_vase_a(k: int, b: float) -> SolveResult:
-    """Neck parameter a closing the double-vase period, from the printed
-    radical plus an independent bracketed root; on disagreement the
-    numeric root is returned with the mismatch flag set."""
+    """Neck parameter a closing the double-vase period: the printed
+    radical, verified by an independent bracketed root."""
     DoubleVaseParams(k, b)  # validates the domain
     closed = double_vase_closed_form_a(k, b)
 
@@ -290,12 +289,15 @@ def solve_double_vase_a(k: int, b: float) -> SolveResult:
         mid = (C / A) ** (0.5 / k)
         lo, hi = (mid, hi) if closed > mid else (lo, mid)
     root, _ = hybrid_root(eq, lo, hi)
-    mismatch = bool(abs(closed - root) > 1e-8 * max(closed, root))
-    value = root if mismatch else closed
+    if abs(closed - root) > 1e-8 * max(closed, root):
+        raise ClosedFormMismatch(
+            f"double-vase a closed form {closed} vs numeric root {root} "
+            f"at k={k}, b={b}"
+        )
     # final oracle check at the solution: the contour residue must vanish
-    data = double_vase_weierstrass_data(k, b, value)
+    data = double_vase_weierstrass_data(k, b, closed)
     residual = abs(_combo_residue(data, b, +1.0))
-    return SolveResult(value, closed, root, residual, mismatch, data)
+    return SolveResult(closed, closed, root, residual, data)
 
 
 # -- the catenoid fixture and the family table ------------------------
@@ -310,7 +312,7 @@ def catenoid_weierstrass_data() -> WeierstrassData:
 
 def provenance(solved: SolveResult) -> dict:
     """The solver record kept with an instance and printed by `solve`."""
-    fields = ("closed_form", "numeric_root", "residual", "mismatch")
+    fields = ("closed_form", "numeric_root", "residual")
     return {f: getattr(solved, f) for f in fields}
 
 

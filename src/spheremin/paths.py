@@ -21,17 +21,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import is_infinity, same_point
+from .algebra import NOISE_REL, is_infinity, same_point
 from .errors import QuadratureFailure, Unroutable
 from .weierstrass import CoordinateForms, WeierstrassData, coordinate_forms
 
 DETOUR_INFLATION = 1.1
 SEGMENT_TOL = 1e-12
 SUBDIVISION_BUDGET = 10_000
-# achievable relative accuracy of a factored evaluation: near high-order
-# poles its values carry cancellation noise of about this size relative to
-# the local magnitude, which no quadrature refinement can resolve
-NOISE_REL = 1e-12
 
 
 @dataclass(frozen=True)

@@ -6,11 +6,12 @@ three residues at every puncture:
     Res_p((1/G - G) dh) real,  i * Res_p((1/G + G) dh) real,  Res_p(dh) real.
 
 By linearity Res_p((1/G -+ G) dh) = Res_p(u) -+ Res_p(v), with u = dh/G
-and v = G dh the data's factored forms, so each residue is one contour
-on one factored product, sized from that product's own roots.  This
-module computes those residues and gates data on them; it knows no
-family.  `hybrid_root` is the scalar root finder with which each family in
-`families.py` solves its one period equation.
+and v = G dh the data's factored forms, so each residue is the c_1 of one
+factored product's Laurent table (`algebra.residue_at`), built once per
+root and sized from that product's own roots.  This module gates data on
+those residues; it knows no family.  `hybrid_root` is the scalar root
+finder with which each family in `families.py` solves its one period
+equation.
 """
 
 from __future__ import annotations
@@ -19,35 +20,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import infinity_chart, is_infinity, residue_at, residue_contour
+from .algebra import residue_at
 from .errors import NoRoot, PeriodViolation
 from .weierstrass import WeierstrassData, point_json
 
 
-# -- residue machinery ------------------------------------------------
-
-
-def _form_residues(data: WeierstrassData, p):
-    """(Res_p(dh/G), Res_p(G dh)) by the trapezoidal contour rule, each on
-    its own factored form (at INF, on its w = 1/z chart)."""
-    u, v, _ = data.factored_forms()
-    if is_infinity(p):
-        return tuple(
-            residue_contour(infinity_chart(f, one_form=True), 0.0) for f in (u, v)
-        )
-    return residue_contour(u, p), residue_contour(v, p)
-
-
 def _combo_residue(data: WeierstrassData, p, sign: float) -> complex:
-    """Res_p((1/G + sign*G) dh) by the contour rule: the families' oracle,
-    independent of their printed closed forms."""
-    res_u, res_v = _form_residues(data, p)
-    return res_u + sign * res_v
-
-
-def combo_residue_exact(data: WeierstrassData, p, sign: float) -> complex:
-    """Same residue by exact factor-wise cancellation (`residue_at`) on the
-    same forms: the analytic cross-check of the contour."""
+    """Res_p((1/G + sign*G) dh) from the factored forms: the families'
+    oracle, independent of their printed closed forms."""
     u, v, _ = data.factored_forms()
     return residue_at(u, p) + sign * residue_at(v, p)
 
@@ -118,12 +98,12 @@ class PeriodReport:
 
 def puncture_periods(data: WeierstrassData, p, tol: float = 1e-8) -> PeriodEntry:
     """The three residues and reality conditions at one puncture."""
-    res_u, res_v = _form_residues(data, p)
+    res_u, res_v, res_dh = (residue_at(f, p) for f in data.factored_forms())
     return PeriodEntry(
         location=p,
         res_minus=res_u - res_v,
         res_plus=res_u + res_v,
-        res_dh=residue_at(data.dh, p),
+        res_dh=res_dh,
         tol=tol,
     )
 

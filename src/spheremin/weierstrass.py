@@ -7,7 +7,9 @@ u = dh/G, v = G dh and w = dh, factored products built once with the
 data (`WeierstrassData.factored_forms`).  The antiderivative of each is a
 polynomial, principal parts and c_1 log(z - p) terms (`Immersion`); once
 the periods close every c_1 is real, so X needs no path and no
-quadrature.
+quadrature.  Each principal part is read from its form's once-built
+Laurent table (`algebra.principal_part`), the same table whose c_1 the
+period gate checks and whose dh entries give the ends' log growth signs.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from .algebra import (
     infinity_chart,
     is_infinity,
     one_form_order_at,
-    residue_at,
+    principal_part,
     same_point,
 )
 from .errors import PoleEvaluation, UnrecognizedEndType
@@ -255,9 +257,18 @@ class EndDescriptor:
     log_growth_sign: int
 
 
-def height_residue(data: WeierstrassData, p) -> complex:
-    """Residue of the one-form dh at a sphere point."""
-    return residue_at(data.dh, p)
+def _log_growth_sign(data: WeierstrassData, p) -> int:
+    """Sign of the vertical growth x3 ~ Re(Res_p(dh) * log(z - p)) at an
+    end: -1 (the end points down) when the residue's real part is
+    positive, and 0 when that real part is within the rounding floor of
+    its contour (`algebra.laurent_coefficients`), so not resolved."""
+    f, q = data.dh, p
+    if is_infinity(p):
+        f, q = infinity_chart(f, one_form=True), 0.0
+    c, floor = principal_part(f, q)  # dh has a pole at every such end
+    if abs(c[0].real) <= floor[0]:
+        return 0
+    return -1 if c[0].real > 0 else 1
 
 
 def classify_end(data: WeierstrassData, p) -> EndDescriptor:
@@ -271,16 +282,12 @@ def classify_end(data: WeierstrassData, p) -> EndDescriptor:
         normal = (0.0, 0.0, -1.0) if og > 0 else (0.0, 0.0, 1.0)
         return EndDescriptor(p, PLANAR_HORIZONTAL, normal, 0)
     if abs(og) == 1 and odh == -1:
-        # vertical growth x3 ~ Re(Res_p(dh) * log(z - p)) -> the end points
-        # down when the residue's real part is positive
-        res = height_residue(data, p)
-        sign = -1 if res.real > 0 else (1 if res.real < 0 else 0)
+        sign = _log_growth_sign(data, p)
         if og > 0:
             return EndDescriptor(p, CATENOID_VERTICAL_DOWN, (0.0, 0.0, -1.0), sign)
         return EndDescriptor(p, CATENOID_VERTICAL_UP, (0.0, 0.0, 1.0), sign)
     if og == 0 and odh == -2:
-        res = height_residue(data, p)
-        sign = -1 if res.real > 0 else (1 if res.real < 0 else 0)
+        sign = _log_growth_sign(data, p)
         normal = tuple(gauss_normal(data, p))
         return EndDescriptor(p, CATENOID_NON_VERTICAL, normal, sign)
     raise UnrecognizedEndType(p, og, odh)

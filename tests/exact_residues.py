@@ -1,0 +1,67 @@
+"""Residues by exact factor-wise cancellation: the analytic reference that
+tests compare the package's contour residues against.
+
+At a pole of order 1 or 2 the factors vanishing at p are divided out
+algebraically (a shifted power splits into its enumerated linear roots),
+so no numeric limit or differentiation is ever taken.
+"""
+
+from spheremin.algebra import (
+    MONOMIAL,
+    infinity_chart,
+    is_infinity,
+    residue_contour,
+    same_point,
+)
+
+
+def residue_limit(f, p, pole_order: int) -> complex:
+    """Residue of f dz at a pole of order 1 or 2 by exact cancellation;
+    ValueError for any other order, or when p is not such a pole."""
+    if pole_order not in (1, 2):
+        raise ValueError(f"pole order {pole_order} not supported")
+    p = complex(p)
+    actual = f.order_at(p)
+    if actual != -pole_order:
+        raise ValueError(f"order_at({p!r}) = {actual}, expected {-pole_order}")
+    # g(z) = (z - p)**pole_order * f(z), with vanishing factors cancelled.
+    value = f.coefficient
+    logd = 0j  # g'(p)/g(p), accumulated by the product rule
+    for fac in f.factors:
+        if not any(same_point(r, p) for r in fac.roots()):
+            base = fac.base_value(p)
+            value *= base ** fac.exponent
+            logd += fac.exponent * fac.base_derivative(p) / base
+            continue
+        if fac.kind == MONOMIAL:
+            continue  # z**e / (z - 0)**e cancels exactly
+        # (z**k - c)**e / (z - p)**e = prod over the other roots (z - r)**e
+        for r in fac.roots():
+            if same_point(r, p):
+                continue
+            value *= (p - r) ** fac.exponent
+            logd += fac.exponent / (p - r)
+    if pole_order == 1:
+        return value
+    return value * logd
+
+
+def exact_residue_at(f, p) -> complex:
+    """Residue of f dz at any sphere point: exact cancellation at poles of
+    order 1 and 2 (at INF on the w = 1/z chart), 0 where f has no pole,
+    and the package's contour at higher orders."""
+    if is_infinity(p):
+        f, p = infinity_chart(f, one_form=True), 0.0
+    m = -f.order_at(p)
+    if m <= 0:
+        return 0j
+    if m <= 2:
+        return residue_limit(f, p, m)
+    return residue_contour(f, p)
+
+
+def combo_residue_exact(data, p, sign: float) -> complex:
+    """Res_p((1/G + sign*G) dh) by `exact_residue_at` on the data's
+    factored forms dh/G and G dh."""
+    u, v, _ = data.factored_forms()
+    return exact_residue_at(u, p) + sign * exact_residue_at(v, p)

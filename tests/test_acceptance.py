@@ -19,7 +19,7 @@ from spheremin import (
     solve_double_vase_a,
     solve_vase_rho,
 )
-from spheremin.algebra import INF, is_infinity, residue_at, residue_at_infinity
+from spheremin.algebra import INF, is_infinity, residue_at
 from spheremin.families import (
     DoubleVaseParams,
     double_vase_residue_at_b,
@@ -293,7 +293,7 @@ def test_criterion_10_global_residue_theorem(test_meshes):
         data = inst.data
         sums = {}
         for label, form in zip(("1/G dh", "G dh", "dh"), data.factored_forms()):
-            total = residue_at_infinity(form)
+            total = residue_at(form, INF)
             for p in form.finite_poles():
                 total += residue_at(form, p)
             sums[label] = total

@@ -17,13 +17,13 @@ from spheremin.algebra import (
     monomial,
     one_form_order_at,
     residue_at,
-    residue_at_infinity,
     residue_contour,
-    residue_limit,
     same_point,
     shifted_power,
 )
-from spheremin.errors import PoleEvaluation, SingularPoint, UnsupportedOrder
+from spheremin.errors import PoleEvaluation, SingularPoint
+
+from exact_residues import exact_residue_at, residue_limit
 
 
 def _poly_oracle(f: FactoredMeromorphic, z):
@@ -202,7 +202,7 @@ def test_residue_limit_orders():
     assert residue_limit(f1, 1.0, 1) == pytest.approx(1.0)
     f2 = FactoredMeromorphic(1.0, [monomial(1), shifted_power(1, 1.0, -2)])
     assert residue_limit(f2, 1.0, 2) == pytest.approx(1.0)
-    with pytest.raises(UnsupportedOrder):
+    with pytest.raises(ValueError):
         residue_limit(f2, 1.0, 3)
     with pytest.raises(ValueError):
         residue_limit(f1, 0.5, 1)  # not a pole there
@@ -221,23 +221,24 @@ def test_residue_limit_matches_contour():
 def test_residue_at_infinity_values():
     # dz/z: residue -1 at infinity (sum with +1 at 0 vanishes)
     f = FactoredMeromorphic(1.0, [monomial(-1)])
-    assert residue_at_infinity(f) == pytest.approx(-1.0)
-    # constant one-form: no residue anywhere
-    assert residue_at_infinity(FactoredMeromorphic(3.0)) == 0.0
+    assert residue_at(f, INF) == pytest.approx(-1.0)
+    # constant one-form: no residue anywhere (the contour's c_1 on the
+    # chart's double pole, zero up to rounding)
+    assert residue_at(FactoredMeromorphic(3.0), INF) == pytest.approx(0.0, abs=1e-15)
     # z dz: still no residue at infinity (order -3, even Laurent tail)
-    assert residue_at_infinity(
-        FactoredMeromorphic(1.0, [monomial(1)])
+    assert residue_at(
+        FactoredMeromorphic(1.0, [monomial(1)]), INF
     ) == pytest.approx(0.0, abs=1e-13)
 
 
 def test_residue_at_dispatch():
-    # 1 / (z (z - 1)^3): simple pole at 0 (exact), order-3 pole at 1 (contour)
+    # 1 / (z (z - 1)^3): simple pole at 0, order-3 pole at 1
     f = FactoredMeromorphic(1.0, [monomial(-1), shifted_power(1, 1.0, -3)])
     assert residue_at(f, 0.0) == pytest.approx(-1.0, rel=1e-12)
     assert residue_at(f, 1.0) == pytest.approx(1.0, rel=1e-10)
     # regular point gives exactly zero
     assert residue_at(f, 5.0) == 0.0
-    assert residue_at(f, INF) == pytest.approx(residue_at_infinity(f), rel=1e-10)
+    assert residue_at(f, INF) == pytest.approx(exact_residue_at(f, INF), rel=1e-10)
 
 
 def test_default_contour_radius():
@@ -257,7 +258,7 @@ def test_global_residue_theorem_fixed_cases():
         FactoredMeromorphic(0.5j, [monomial(3), shifted_power(2, -1.0, -3)]),
     ]
     for f in cases:
-        total = residue_at_infinity(f)
+        total = residue_at(f, INF)
         for p in f.finite_poles():
             total += residue_at(f, p)
         assert abs(total) < 1e-10

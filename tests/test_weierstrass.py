@@ -5,7 +5,7 @@ import pytest
 
 from spheremin.algebra import INF, FactoredMeromorphic, monomial, shifted_power
 from spheremin.errors import UnrecognizedEndType
-from spheremin.families import vase_weierstrass_data
+from spheremin.families import make_vase, vase_weierstrass_data
 from spheremin.weierstrass import (
     CATENOID_NON_VERTICAL,
     CATENOID_VERTICAL_DOWN,
@@ -138,6 +138,16 @@ def test_classify_vase_ends(vase2):
     assert at0.log_growth_sign == -1
     ring = [e for e in ends if e.kind == CATENOID_NON_VERTICAL]
     assert all(e.log_growth_sign == 1 for e in ring)
+
+
+@pytest.mark.parametrize("k, a, sign", [(16, 0.1, 0), (24, 0.5, 1)])
+def test_vase_ring_ends_share_one_sign(k, a, sign):
+    # the k ends on the unit circle are equal under the k-fold rotation.
+    # Res(dh) = -a^k / k there: at (16, 0.1) that is -6.3e-18, below the
+    # rounding floor of its contour, and the signs used to be noise
+    ends = classify_all_ends(make_vase(k, a).data)
+    ring = [e.log_growth_sign for e in ends if e.kind == CATENOID_NON_VERTICAL]
+    assert ring == [sign] * k
 
 
 def test_classify_double_vase_ends(dvase2):
