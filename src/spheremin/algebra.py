@@ -8,9 +8,15 @@ A residue of a sum is the sum of the residues of its factored terms.
 
 Two finite points are the same point when they lie within a relative
 1e-9 of each other (`same_point`); every root, pole and puncture match
-in the package goes through that one rule.  A function's table of
-(root, aggregated order) pairs is built once, when it is created, and
-every zero/pole query reads it.
+in the package goes through that one rule, which broadcasts over arrays.
+Moduli are taken with `np.hypot` (`modulus`), which gives the bits of the
+built-in `abs` of a complex; `np.abs` differs from it in the last bit on
+about a third of random values, and would move radii and meshes.  Lists
+of points are merged greedily, each point into the first earlier kept
+point that matches it (`merge_points`), from one broadcast match matrix.
+A function's table of (root, aggregated order) pairs is built that way
+once, when it is created, and held as two arrays; every zero/pole query
+reads them with one array operation.
 
 Every Laurent coefficient comes from one trapezoidal rule at a fixed
 LAURENT_NODES nodes on a `contour_radius` circle (`laurent_coefficients`).
@@ -62,11 +68,48 @@ def is_infinity(p) -> bool:
     return isinstance(p, _Infinity)
 
 
-def same_point(p, q, tol=_ROOT_MATCH_TOL) -> bool:
-    """Sphere-point equality: INF matches only INF, finite points within tol."""
+def modulus(z):
+    """|z| elementwise, bit for bit the built-in abs of a complex."""
+    z = np.asarray(z, dtype=np.complex128)
+    return np.hypot(z.real, z.imag)
+
+
+def same_point(p, q, tol=_ROOT_MATCH_TOL):
+    """Sphere-point equality: INF matches only INF, finite points when
+    |p - q| <= tol * max(1, |p|), the tolerance scaled by p.  Finite p and
+    q broadcast; the result is a boolean array or scalar."""
     if is_infinity(p) or is_infinity(q):
         return is_infinity(p) and is_infinity(q)
-    return abs(complex(p) - complex(q)) <= tol * max(1.0, abs(complex(p)))
+    p = np.asarray(p, dtype=np.complex128)
+    return modulus(p - q) <= tol * np.maximum(1.0, modulus(p))
+
+
+def merge_points(points):
+    """Greedy first-come merge of finite points: each point joins the first
+    earlier kept point that matches it under same_point(kept, point), and
+    is kept itself when none does.  Returns (kept, entry): the mask of the
+    kept points, and for each point the index of its own among them.  A
+    chain a~b, b~c with a !~ c keeps a and c: c is compared with kept
+    points only."""
+    points = np.asarray(points, dtype=np.complex128)
+    owner = np.arange(len(points))
+    kept = np.ones(len(points), dtype=bool)
+    hits = np.triu(same_point(points[:, None], points[None, :]), 1)
+    # the loop visits only the points that match an earlier one
+    for j in np.flatnonzero(hits.any(axis=0)):
+        first = np.flatnonzero(hits[:j, j] & kept[:j])
+        if len(first):
+            owner[j], kept[j] = first[0], False
+    return kept, (np.cumsum(kept) - 1)[owner]
+
+
+def nearest_other(p, points) -> np.ndarray:
+    """Distance from each p to the nearest of `points` that is not the same
+    point as it, inf when every point is; p broadcasts over a leading axis."""
+    p = np.asarray(p, dtype=np.complex128)[..., None]
+    points = np.asarray(points, dtype=np.complex128)
+    dist = np.where(same_point(p, points), np.inf, modulus(p - points))
+    return dist.min(axis=-1, initial=np.inf)
 
 
 def _fmt_number(x: complex) -> str:
@@ -142,8 +185,8 @@ def shifted_power(k: int, c: complex, exponent: int = 1) -> Factor:
 class FactoredMeromorphic:
     """coefficient * prod(factor**exponent), immutable after construction."""
 
-    __slots__ = ("coefficient", "factors", "_packed", "_roots", "_charts",
-                 "_laurent")
+    __slots__ = ("coefficient", "factors", "_packed", "_points", "_orders",
+                 "_charts", "_laurent")
 
     def __init__(self, coefficient: complex, factors=()):
         coefficient = complex(coefficient)
@@ -172,18 +215,16 @@ class FactoredMeromorphic:
             np.array([f.exponent for f in kept], dtype=np.int64),
         )
         object.__setattr__(self, "_packed", packed)
-        # (root, aggregated order) over every factor root; entries whose
-        # orders cancel stay, so contour sizing still sees them
-        roots: list = []
-        for f in kept:
-            for r in f.roots():
-                for i, (r0, o) in enumerate(roots):
-                    if same_point(r0, r):
-                        roots[i] = (r0, o + f.exponent)
-                        break
-                else:
-                    roots.append((r, f.exponent))
-        object.__setattr__(self, "_roots", tuple(roots))
+        # (root, aggregated order) arrays over every factor root; entries
+        # whose orders cancel stay, so contour sizing still sees them
+        roots = np.array([r for f in kept for r in f.roots()], dtype=np.complex128)
+        exps = np.array([f.exponent for f in kept for _ in range(f.degree)],
+                        dtype=np.int64)
+        kept, entry = merge_points(roots)
+        orders = np.zeros(np.count_nonzero(kept), dtype=np.int64)
+        np.add.at(orders, entry, exps)
+        object.__setattr__(self, "_points", roots[kept])
+        object.__setattr__(self, "_orders", orders)
         object.__setattr__(self, "_charts", {})  # see infinity_chart
         object.__setattr__(self, "_laurent", {})  # see principal_part
 
@@ -241,7 +282,9 @@ class FactoredMeromorphic:
     def finite_roots(self):
         """(root, order) pairs over all finite zeros and poles, orders
         aggregated when distinct factors share a root."""
-        return [(r, o) for r, o in self._roots if o != 0]
+        nonzero = self._orders != 0
+        return list(zip(self._points[nonzero].tolist(),
+                        self._orders[nonzero].tolist()))
 
     def finite_poles(self):
         return [r for r, o in self.finite_roots() if o < 0]
@@ -250,7 +293,7 @@ class FactoredMeromorphic:
         """Zero order (>0), pole order (<0) or 0 at a sphere point."""
         if is_infinity(p):
             return -self.degree
-        return sum(o for r, o in self._roots if same_point(r, p))
+        return int(self._orders[same_point(self._points, p)].sum())
 
     def __mul__(self, other):
         if isinstance(other, FactoredMeromorphic):
@@ -321,13 +364,13 @@ def contour_radius(p, points) -> float:
     """Half the distance from p to the nearest other point, or 1.0 when
     there is none: no other singularity comes within twice the radius, so
     the trapezoidal error decays at least like 2**-nodes."""
-    dists = [abs(q - p) for q in points if not same_point(p, q)]
-    return 0.5 * min(dists) if dists else 1.0
+    dist = float(nearest_other(p, points))
+    return 0.5 * dist if dist < math.inf else 1.0
 
 
 def default_contour_radius(f: FactoredMeromorphic, p: complex) -> float:
     """`contour_radius` over every root of every factor of f."""
-    return contour_radius(complex(p), [r for r, _ in f._roots])
+    return contour_radius(complex(p), f._points)
 
 
 LAURENT_NODES = 256
@@ -366,13 +409,13 @@ def principal_part(f: FactoredMeromorphic, p):
     whose orders cancel, still gets its c_1; where f has no root at p the
     result is empty.
     """
-    for i, (r, order) in enumerate(f._roots):
-        if same_point(r, p):
-            break
-    else:
+    match = np.flatnonzero(same_point(f._points, p))
+    if not len(match):
         return _NO_ROOT
+    i = int(match[0])
     if i not in f._laurent:
-        m = np.arange(1, max(1, -order) + 1)
+        r = complex(f._points[i])
+        m = np.arange(1, max(1, -int(f._orders[i])) + 1)
         f._laurent[i] = laurent_coefficients(f, r, default_contour_radius(f, r), m)
     return f._laurent[i]
 
@@ -384,25 +427,25 @@ def antiderivative(f: FactoredMeromorphic):
     for np.polyval, in z for the polynomial part (pole None) and in
     1/(z - p) for the principal part at p; `logs` lists the (p, c_1) of
     the c_1 log(z - p) terms.  The degree is read from f's factors and the
-    principal parts from `principal_part`.
+    principal parts from `principal_part`, at every root-table entry of
+    order <= 0: an entry where a pole and a zero within the `same_point`
+    tolerance merged to order 0 still carries the pole's c_1.
     """
     rational, logs = [], []
     if f.degree >= 0:
         n = np.arange(f.degree + 1)
         # twice the largest root, and at least 1 when every root is at 0
-        radius = 2.0 * max([abs(r) for r, _ in f._roots] + [0.5])
+        radius = 2.0 * float(modulus(f._points).max(initial=0.5))
         a, _ = laurent_coefficients(f, 0.0, radius, -n)  # a_n of z**n
         rational.append((None, np.append((a / (n + 1))[::-1], 0.0)))
-    for p, order in f.finite_roots():
-        if order >= 0:
-            continue
+    for p in f._points[f._orders <= 0].tolist():
         c, _ = principal_part(f, p)
-        logs.append((complex(p), c[0]))
+        logs.append((p, c[0]))
         if len(c) > 1:
             # c_m (z - p)**-m integrates to c_m / (1 - m) * t**(m - 1), t = 1/(z - p)
             m = np.arange(2, len(c) + 1)
             b = c[1:] / (1 - m)
-            rational.append((complex(p), np.append(b[::-1], 0.0)))
+            rational.append((p, np.append(b[::-1], 0.0)))
     return rational, logs
 
 

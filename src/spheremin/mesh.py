@@ -155,6 +155,8 @@ def sample_mesh(data: WeierstrassData, spec: DomainSpec,
         "base_point": {"re": base.real, "im": base.imag},
         "exclusion_radius": spec.exclusion_radius,
     }
+    # the largest |Im(_COMBINATION @ (Res u, Res v, Res w))| over the finite
+    # punctures: 1/(2 pi) times the largest translation of X around one
     meta["max_dropped_log_imag"] = immersion.dropped_imag
     return SurfaceMesh(verts, normals, src, conformal, faces_arr, meta)
 

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import NOISE_REL, is_infinity, same_point
+from .algebra import NOISE_REL, is_infinity, nearest_other, same_point
 from .errors import QuadratureFailure, Unroutable
 from .weierstrass import CoordinateForms, WeierstrassData, coordinate_forms
 
@@ -267,10 +267,7 @@ def check_path_independence(
 def default_exclusions(data: WeierstrassData, scale: float = 0.05):
     """Exclusion disks: around each puncture, `scale` times the distance to
     its nearest other singularity or puncture."""
-    finite_punctures = [complex(p) for p in data.punctures if not is_infinity(p)]
-    others = data.finite_singularities() + finite_punctures
-    out = []
-    for p in finite_punctures:
-        dists = [abs(p - q) for q in others if not same_point(p, q)]
-        out.append((p, scale * min(dists) if dists else scale))
-    return out
+    finite = [complex(p) for p in data.punctures if not is_infinity(p)]
+    dist = nearest_other(finite, data.finite_singularities() + finite)
+    return [(p, scale * d if d < math.inf else scale)
+            for p, d in zip(finite, dist.tolist())]

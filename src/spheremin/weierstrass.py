@@ -25,6 +25,7 @@ from .algebra import (
     antiderivative,
     infinity_chart,
     is_infinity,
+    merge_points,
     one_form_order_at,
     principal_part,
     same_point,
@@ -48,27 +49,29 @@ class WeierstrassData:
 
     def __post_init__(self):
         pts = tuple(self.punctures)
-        for i, p in enumerate(pts):
-            for q in pts[i + 1:]:
-                if same_point(p, q):
-                    raise ValueError(f"punctures are not pairwise distinct: {p!r}")
+        finite = np.array([p for p in pts if not is_infinity(p)],
+                          dtype=np.complex128)
+        repeats = [INF] * (len(pts) - len(finite) - 1)
+        repeats += finite[~merge_points(finite)[0]].tolist()
+        if repeats:
+            raise ValueError(f"punctures are not pairwise distinct: {repeats[0]!r}")
         object.__setattr__(self, "punctures", pts)
-        singular: list = []
-        for f in (self.gauss_map, self.dh):
-            for r, _ in f.finite_roots():
-                if not any(same_point(q, r) for q in singular):
-                    singular.append(r)
-        object.__setattr__(self, "_singular", tuple(singular))
+        object.__setattr__(self, "_finite_punctures", finite)
+        roots = np.concatenate([f._points[f._orders != 0]
+                                for f in (self.gauss_map, self.dh)])
+        object.__setattr__(self, "_singular", roots[merge_points(roots)[0]])
         g, dh = self.gauss_map, self.dh
         object.__setattr__(self, "_forms", (dh * g.inverse(), g * dh, dh))
 
     def is_puncture(self, p) -> bool:
-        return any(same_point(p, q) for q in self.punctures)
+        if is_infinity(p):
+            return len(self._finite_punctures) < len(self.punctures)
+        return bool(same_point(p, self._finite_punctures).any())
 
     def finite_singularities(self):
         """All finite zeros/poles of G and dh (candidate special points for
         routing and audits), built once with the data."""
-        return list(self._singular)
+        return self._singular.tolist()
 
     def factored_forms(self):
         """(u, v, w) = (dh/G, G dh, dh) as factored products, built once
@@ -110,19 +113,17 @@ class Immersion:
 
     def __init__(self, data: WeierstrassData, base: complex):
         self._rational = []  # (column of _COMBINATION, pole, coefficients)
-        points, coeffs = [], []
+        logs = []  # (column, p, c_1) over the three forms
         for col, f in enumerate(data.factored_forms()):
-            rational, logs = antiderivative(f)
+            rational, form_logs = antiderivative(f)
             self._rational += [(col, p, c) for p, c in rational]
-            for p, c1 in logs:
-                i = next((i for i, q in enumerate(points) if same_point(q, p)), None)
-                if i is None:
-                    i = len(points)
-                    points.append(p)
-                    coeffs.append(np.zeros(3, dtype=np.complex128))
-                coeffs[i] += _COMBINATION[:, col] * c1
-        self._log_points = np.array(points, dtype=np.complex128)
-        self._log_coeffs = np.array(coeffs, dtype=np.complex128).reshape(-1, 3)
+            logs += [(col, p, c1) for p, c1 in form_logs]
+        points = np.array([p for _, p, _ in logs], dtype=np.complex128)
+        kept, entry = merge_points(points)
+        self._log_points = points[kept]
+        self._log_coeffs = np.zeros((len(self._log_points), 3), dtype=np.complex128)
+        for (col, _, c1), i in zip(logs, entry):
+            self._log_coeffs[i] += _COMBINATION[:, col] * c1
         imag = np.abs(self._log_coeffs.imag)
         self.dropped_imag = float(imag.max()) if imag.size else 0.0
         self._offset = self._re_primitive(np.array([complex(base)]))[0]

@@ -18,6 +18,9 @@ CASES = [
     ("vase", 8, 0.00621),
     ("double_vase", 6, 0.25),
     ("double_vase", 3, 0.0321),  # its spoke quadrature ran out of subdivisions
+    # a double pole of dh/G at +-b merges with a double zero 3.75e-10 away
+    # into an order-0 entry, whose log term the immersion must keep
+    ("double_vase", 2, 0.001),
 ]
 
 

@@ -11,9 +11,11 @@ from hypothesis import strategies as st
 from spheremin.algebra import (
     INF,
     FactoredMeromorphic,
+    contour_radius,
     default_contour_radius,
     infinity_chart,
     is_infinity,
+    merge_points,
     monomial,
     one_form_order_at,
     residue_at,
@@ -180,6 +182,82 @@ def test_same_point_and_infinity():
     assert same_point(1.0, 1.0 + 1e-12)
     assert is_infinity(INF)
     assert not is_infinity(0.0)
+
+
+# -- the point table: references written with the built-in abs ---------
+
+
+def _same(p, q):
+    """The matching rule, one scalar pair at a time."""
+    return abs(complex(p) - complex(q)) <= 1e-9 * max(1.0, abs(complex(p)))
+
+
+def _greedy_merge(points):
+    """Each point joins the first earlier kept point that matches it."""
+    kept, entry = [], []
+    for r in points:
+        for i, r0 in enumerate(kept):
+            if _same(r0, r):
+                entry.append(i)
+                break
+        else:
+            entry.append(len(kept))
+            kept.append(r)
+    return kept, entry
+
+
+def _clustered(rng, n):
+    """n points in a few clusters whose spreads straddle the 1e-9 rule,
+    with moduli below and above 1."""
+    centres = rng.choice([0.0, 0.3, 1.0, 7.0, 40.0], size=3) * np.exp(
+        2j * np.pi * rng.random(3))
+    pts = rng.choice(centres, size=n)
+    scale = np.maximum(1.0, np.abs(pts)) * 1e-9
+    return pts + scale * rng.uniform(0.0, 2.0, n) * np.exp(2j * np.pi * rng.random(n))
+
+
+_moduli = st.sampled_from([0.0, 1e-3, 0.5, 0.999999, 1.0, 1.5, 37.0, 1e4])
+_ratios = st.floats(0.999, 1.001)  # |p - q| / tolerance, at the boundary
+_angles = st.floats(0.0, 2.0 * math.pi)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.tuples(_moduli, _angles, _ratios, _angles), min_size=1,
+                max_size=8))
+def test_broadcast_same_point_is_the_scalar_rule(draws):
+    p = np.array([m * cmath.exp(1j * a) for m, a, _, _ in draws])
+    q = np.array([z + r * 1e-9 * max(1.0, abs(z)) * cmath.exp(1j * b)
+                  for z, (_, _, r, b) in zip(p, draws)])
+    pts = np.concatenate([p, q])
+    got = same_point(pts[:, None], pts[None, :])
+    assert got.tolist() == [[_same(a, b) for b in pts] for a in pts]
+
+
+def test_merge_points_is_the_greedy_loop():
+    rng = np.random.default_rng(12)
+    for _ in range(200):
+        pts = _clustered(rng, int(rng.integers(0, 12)))
+        kept, entry = merge_points(pts)
+        want_kept, want_entry = _greedy_merge(pts.tolist())
+        assert pts[kept].tolist() == want_kept
+        assert entry.tolist() == want_entry
+    # a ~ b and b ~ c, but a !~ c: c is compared with the kept a only
+    a, b, c = 1.0, 1.0 + 0.8e-9, 1.0 + 1.6e-9
+    assert _same(a, b) and _same(b, c) and not _same(a, c)
+    kept, entry = merge_points([a, b, c])
+    assert kept.tolist() == [True, False, True]
+    assert entry.tolist() == [0, 0, 1]
+
+
+def test_contour_radius_is_bitwise_the_scalar_rule():
+    # np.abs differs from abs in the last bit on about a third of random
+    # complex values, so a radius taken with it fails here
+    rng = np.random.default_rng(7)
+    for _ in range(300):
+        pts = (rng.normal(size=6) + 1j * rng.normal(size=6)) * 10.0 ** rng.integers(-3, 3)
+        p = complex(pts[0])
+        want = 0.5 * min(abs(q - p) for q in pts.tolist() if not _same(p, q))
+        assert contour_radius(p, pts) == want
 
 
 # -- residues ----------------------------------------------------------

@@ -192,6 +192,25 @@ def test_constructor_builds_its_data_once(make, args, monkeypatch):
     )
 
 
+def test_constructor_reads_the_point_tables_as_arrays(monkeypatch):
+    """Every root, pole and puncture query is one broadcast `same_point`:
+    make_double_vase(24, 0.5) made 58,198 scalar calls when the tables were
+    scanned pair by pair."""
+    from spheremin import algebra, paths, weierstrass
+
+    calls = [0]
+    rule = algebra.same_point
+
+    def counting_same_point(p, q, *args):
+        calls[0] += 1
+        return rule(p, q, *args)
+
+    for module in (algebra, weierstrass, paths):
+        monkeypatch.setattr(module, "same_point", counting_same_point)
+    make_double_vase(24, 0.5)
+    assert 0 < calls[0] <= 1000
+
+
 @pytest.mark.parametrize("make, args",
                          [(make_vase, (3, 0.4)), (make_double_vase, (6, 0.25))])
 def test_each_principal_part_is_built_once(make, args, monkeypatch):

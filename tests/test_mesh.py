@@ -6,9 +6,9 @@ import struct
 import numpy as np
 import pytest
 
-from spheremin.algebra import INF, FactoredMeromorphic, monomial
+from spheremin.algebra import INF, FactoredMeromorphic, is_infinity, monomial, residue_at
 from spheremin.errors import ParameterDomainError
-from spheremin.families import FAMILIES, construct
+from spheremin.families import FAMILIES, construct, make_double_vase, make_vase
 from spheremin.mesh import (
     DomainSpec,
     estimate_mean_curvature,
@@ -20,7 +20,13 @@ from spheremin.mesh import (
     write_obj,
     write_ply,
 )
-from spheremin.weierstrass import WeierstrassData, conformal_factor, gauss_normal
+from spheremin.weierstrass import (
+    _COMBINATION,
+    Immersion,
+    WeierstrassData,
+    conformal_factor,
+    gauss_normal,
+)
 
 
 def test_domain_spec_validation():
@@ -87,6 +93,24 @@ def test_sidecar_bounds_the_dropped_log_imaginary_parts(vase2, tmp_path):
     write_metadata(mesh, str(tmp_path / "m.json"))
     meta = json.loads((tmp_path / "m.json").read_text())
     assert 0.0 <= meta["max_dropped_log_imag"] < 1e-12
+
+
+@pytest.mark.parametrize("make, args", [
+    (make_vase, (3, 0.4)), (make_vase, (16, 0.1)), (make_double_vase, (6, 0.25)),
+    (make_double_vase, (2, 0.9)),
+    # a pole of dh/G merges with a zero 3.75e-10 away into an order-0 entry
+    (make_double_vase, (2, 0.001)),
+])
+def test_dropped_log_imag_is_the_largest_coordinate_period(make, args):
+    """`max_dropped_log_imag` is max |Im(_COMBINATION @ (Res u, Res v, Res w))|
+    over the finite punctures: 1/(2 pi) times the largest translation of X
+    around one of them, to the last bit."""
+    data = make(*args).data
+    want = max(
+        np.abs((_COMBINATION @ [residue_at(f, p) for f in data.factored_forms()]).imag).max()
+        for p in data.punctures if not is_infinity(p)
+    )
+    assert Immersion(data, 1.3).dropped_imag == want
 
 
 # -- the loops that the array assembly replaced, kept as its reference --

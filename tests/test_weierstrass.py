@@ -35,6 +35,8 @@ def test_duplicate_punctures_rejected():
     dh = FactoredMeromorphic(1.0, [monomial(-1)])
     with pytest.raises(ValueError):
         WeierstrassData(G, dh, (0j, 1e-12 + 0j))
+    with pytest.raises(ValueError):
+        WeierstrassData(G, dh, (0j, INF, INF))
 
 
 def test_coordinate_forms_null_quadric(vase2):
