@@ -20,9 +20,14 @@ reads them with one array operation.
 
 Every Laurent coefficient comes from one trapezoidal rule at a fixed
 LAURENT_NODES nodes on a `contour_radius` circle (`laurent_coefficients`).
-A function builds the principal part at each entry of its root table once,
-on first use, and keeps it (`principal_part`); every residue in the
-package is the c_1 of that table, read at infinity through the 1/z chart.
+Every circle is the same ring of roots of unity, shifted and scaled, so
+the rule runs on many centres at once: one row each, from one evaluation
+of the function over all rows' nodes, and each row has the bits the rule
+gives on its centre alone.  A function builds the principal parts of the
+entries of its root table that a caller asks for, all missing ones in
+one batched call, and keeps each (`principal_part`); every residue in
+the package is the c_1 of that table, read at infinity through the 1/z
+chart (`residues_at`).
 """
 
 from __future__ import annotations
@@ -293,7 +298,14 @@ class FactoredMeromorphic:
         """Zero order (>0), pole order (<0) or 0 at a sphere point."""
         if is_infinity(p):
             return -self.degree
-        return int(self._orders[same_point(self._points, p)].sum())
+        return int(self.orders_at([p])[0])
+
+    def orders_at(self, points) -> np.ndarray:
+        """`order_at` of each finite point, from one broadcast over the
+        root table: the summed orders of the entries matching the point
+        under same_point(entry, point)."""
+        hits = same_point(self._points, np.asarray(points, dtype=np.complex128)[:, None])
+        return np.where(hits, self._orders, 0).sum(axis=1)
 
     def __mul__(self, other):
         if isinstance(other, FactoredMeromorphic):
@@ -360,17 +372,18 @@ def one_form_order_at(f: FactoredMeromorphic, p) -> int:
 # -- residues ---------------------------------------------------------
 
 
-def contour_radius(p, points) -> float:
-    """Half the distance from p to the nearest other point, or 1.0 when
-    there is none: no other singularity comes within twice the radius, so
-    the trapezoidal error decays at least like 2**-nodes."""
-    dist = float(nearest_other(p, points))
-    return 0.5 * dist if dist < math.inf else 1.0
+def contour_radius(p, points):
+    """Half the distance from each p to the nearest other point, or 1.0
+    when there is none: no other singularity comes within twice the
+    radius, so the trapezoidal error decays at least like 2**-nodes.  p
+    broadcasts over a leading axis, as in `nearest_other`."""
+    dist = nearest_other(p, points)
+    return np.where(dist < math.inf, 0.5 * dist, 1.0)
 
 
 def default_contour_radius(f: FactoredMeromorphic, p: complex) -> float:
     """`contour_radius` over every root of every factor of f."""
-    return contour_radius(complex(p), f._points)
+    return float(contour_radius(complex(p), f._points))
 
 
 LAURENT_NODES = 256
@@ -378,46 +391,64 @@ LAURENT_NODES = 256
 _RING = np.exp(1j * (2.0 * math.pi * np.arange(LAURENT_NODES) / LAURENT_NODES))
 
 
-def laurent_coefficients(f: FactoredMeromorphic, p, radius: float, orders):
+def laurent_coefficients(f: FactoredMeromorphic, centres, radii, orders):
     """Coefficients of (z - p)**(-m), m in `orders`, of the Laurent series of
-    f about p that holds on the circle |z - p| = radius, by the trapezoidal
-    rule: radius**m * mean(f(p + radius*ring) * ring**m).
+    f about each centre p that holds on the circle |z - p| = radius, by the
+    trapezoidal rule: radius**m * mean(f(p + radius*ring) * ring**m).
 
+    One row per centre, from one evaluation of f over every row's nodes;
+    each row is bit for bit what the rule gives on that centre alone, as
+    every operation on it is elementwise or a reduction along the row.
     With no singularity of f between radius/2 and 2*radius from p (the
     `contour_radius` rule about a root, and a radius of twice the largest
     root about 0 for the polynomial part) the aliasing error is below
     2**-LAURENT_NODES relative, so the node count is fixed.  Returns the
-    coefficients and the rounding floor of each, NOISE_REL * radius**m *
-    max|f| over the nodes: a coefficient within its floor is not resolved.
+    (rows, orders) coefficients and the rounding floor of each,
+    NOISE_REL * radius**m * max|f| over the row's nodes: a coefficient
+    within its floor is not resolved.
     """
-    vals = f.eval_array(complex(p) + radius * _RING)
-    coeffs = np.array([radius ** m * np.mean(vals * _RING ** m) for m in orders],
-                      dtype=np.complex128)
-    scale = NOISE_REL * float(np.abs(vals).max())
-    return coeffs, scale * radius ** np.asarray(orders, dtype=float)
+    centres = np.asarray(centres, dtype=np.complex128)[:, None]
+    radii = np.asarray(radii, dtype=float)
+    vals = f.eval_array(centres + radii[:, None] * _RING)
+    coeffs = np.empty((len(radii), len(orders)), dtype=np.complex128)
+    for j, m in enumerate(orders):
+        coeffs[:, j] = radii ** m * np.mean(vals * _RING ** m, axis=1)
+    scale = NOISE_REL * np.abs(vals).max(axis=1)
+    return coeffs, scale[:, None] * radii[:, None] ** np.asarray(orders, dtype=float)
 
 
 _NO_ROOT = (np.empty(0, dtype=np.complex128), np.empty(0))
 
 
-def principal_part(f: FactoredMeromorphic, p):
-    """(c_1, ..., c_m) of f about the finite p with their rounding floors,
-    m = max(1, pole order): `laurent_coefficients` on the
-    `default_contour_radius` circle about the root-table entry matching p.
+def _first_entry(f: FactoredMeromorphic, points) -> np.ndarray:
+    """Index of the first root-table entry of f matching each finite point
+    under same_point(entry, point), -1 where none does."""
+    hits = same_point(f._points, np.asarray(points, dtype=np.complex128)[:, None])
+    if not hits.size:
+        return np.full(len(hits), -1)
+    return np.where(hits.any(axis=1), hits.argmax(axis=1), -1)
 
-    Built once per entry and kept on the immutable f.  A zero, or an entry
-    whose orders cancel, still gets its c_1; where f has no root at p the
-    result is empty.
+
+def principal_part(f: FactoredMeromorphic, points):
+    """For each finite point p, (c_1, ..., c_m) of f about p with their
+    rounding floors, m = max(1, pole order): `laurent_coefficients` on the
+    `contour_radius` circle about the root-table entry matching p.
+
+    Every entry not yet built among the points is built in one batched
+    call, and kept on the immutable f.  A zero, or an entry whose orders
+    cancel, still gets its c_1; where f has no root at p the result is
+    empty.  Returns one (coefficients, floors) pair per point.
     """
-    match = np.flatnonzero(same_point(f._points, p))
-    if not len(match):
-        return _NO_ROOT
-    i = int(match[0])
-    if i not in f._laurent:
-        r = complex(f._points[i])
-        m = np.arange(1, max(1, -int(f._orders[i])) + 1)
-        f._laurent[i] = laurent_coefficients(f, r, default_contour_radius(f, r), m)
-    return f._laurent[i]
+    entries = _first_entry(f, points).tolist()
+    missing = sorted({i for i in entries if i >= 0} - f._laurent.keys())
+    if missing:
+        roots = f._points[missing]
+        m = np.maximum(1, -f._orders[missing]).tolist()
+        coeffs, floors = laurent_coefficients(
+            f, roots, contour_radius(roots, f._points), np.arange(1, max(m) + 1))
+        for i, n, c, floor in zip(missing, m, coeffs, floors):
+            f._laurent[i] = (c[:n], floor[:n])
+    return [f._laurent[i] if i >= 0 else _NO_ROOT for i in entries]
 
 
 def antiderivative(f: FactoredMeromorphic):
@@ -436,10 +467,10 @@ def antiderivative(f: FactoredMeromorphic):
         n = np.arange(f.degree + 1)
         # twice the largest root, and at least 1 when every root is at 0
         radius = 2.0 * float(modulus(f._points).max(initial=0.5))
-        a, _ = laurent_coefficients(f, 0.0, radius, -n)  # a_n of z**n
-        rational.append((None, np.append((a / (n + 1))[::-1], 0.0)))
-    for p in f._points[f._orders <= 0].tolist():
-        c, _ = principal_part(f, p)
+        a, _ = laurent_coefficients(f, [0.0], [radius], -n)  # a_n of z**n
+        rational.append((None, np.append((a[0] / (n + 1))[::-1], 0.0)))
+    poles = f._points[f._orders <= 0]
+    for p, (c, _) in zip(poles.tolist(), principal_part(f, poles)):
         logs.append((p, c[0]))
         if len(c) > 1:
             # c_m (z - p)**-m integrates to c_m / (1 - m) * t**(m - 1), t = 1/(z - p)
@@ -449,16 +480,29 @@ def antiderivative(f: FactoredMeromorphic):
     return rational, logs
 
 
+def residues_at(f: FactoredMeromorphic, points) -> list:
+    """Residue of the one-form f dz at each sphere point: the c_1 of
+    `principal_part`, 0 where f has no root, from one batched call over
+    the finite points and one on the w = 1/z chart for INF."""
+    finite = [p for p in points if not is_infinity(p)]
+    tables = iter(principal_part(f, finite))
+    out = []
+    for p in points:
+        if is_infinity(p):
+            c, _ = principal_part(infinity_chart(f, one_form=True), [0.0])[0]
+        else:
+            c, _ = next(tables)
+        out.append(complex(c[0]) if len(c) else 0j)
+    return out
+
+
 def residue_contour(f: FactoredMeromorphic, p) -> complex:
     """Residue of f dz at a finite p: the c_1 of `principal_part`, 0 where
     f has no root at p."""
-    c, _ = principal_part(f, p)
-    return complex(c[0]) if len(c) else 0j
+    return residues_at(f, [p])[0]
 
 
 def residue_at(f: FactoredMeromorphic, p) -> complex:
-    """Residue of the one-form f dz at any sphere point: `residue_contour`,
-    on the w = 1/z chart at INF."""
-    if is_infinity(p):
-        f, p = infinity_chart(f, one_form=True), 0.0
-    return residue_contour(f, p)
+    """Residue of the one-form f dz at any sphere point, `residues_at` of
+    the one point."""
+    return residues_at(f, [p])[0]

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import math
 import sys
@@ -47,7 +48,10 @@ EXIT_PARAMS = 2
 EXIT_VERIFICATION = 3
 
 
+@functools.cache
 def _parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: parsing leaves it
+    unchanged, so every `main` call and the --config re-parse share it."""
     top = argparse.ArgumentParser(
         prog="spheremin",
         description="Construct, verify and mesh minimal surfaces on "

@@ -7,8 +7,11 @@ three residues at every puncture:
 
 By linearity Res_p((1/G -+ G) dh) = Res_p(u) -+ Res_p(v), with u = dh/G
 and v = G dh the data's factored forms, so each residue is the c_1 of one
-factored product's Laurent table (`algebra.residue_at`), built once per
-root and sized from that product's own roots.  This module gates data on
+factored product's Laurent table, built once per root and sized from that
+product's own roots.  Each form is asked once for every puncture
+(`algebra.residues_at`): one batched Laurent evaluation over the finite
+punctures and one on the 1/z chart at infinity, at most six for the gate,
+with the same bits as one contour per residue.  This module gates data on
 those residues; it knows no family.  `hybrid_root` is the scalar root
 finder with which each family in `families.py` solves its one period
 equation.
@@ -20,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import residue_at
+from .algebra import residue_at, residues_at
 from .errors import NoRoot, PeriodViolation
 from .weierstrass import WeierstrassData, point_json
 
@@ -96,22 +99,23 @@ class PeriodReport:
         }
 
 
+def _period_entries(data: WeierstrassData, points, tol: float) -> list:
+    """One PeriodEntry per puncture in `points`, from one `residues_at`
+    call on each factored form."""
+    res_u, res_v, res_dh = (residues_at(f, points) for f in data.factored_forms())
+    return [
+        PeriodEntry(location=p, res_minus=u - v, res_plus=u + v, res_dh=w, tol=tol)
+        for p, u, v, w in zip(points, res_u, res_v, res_dh)
+    ]
+
+
 def puncture_periods(data: WeierstrassData, p, tol: float = 1e-8) -> PeriodEntry:
     """The three residues and reality conditions at one puncture."""
-    res_u, res_v, res_dh = (residue_at(f, p) for f in data.factored_forms())
-    return PeriodEntry(
-        location=p,
-        res_minus=res_u - res_v,
-        res_plus=res_u + res_v,
-        res_dh=res_dh,
-        tol=tol,
-    )
+    return _period_entries(data, [p], tol)[0]
 
 
 def period_report(data: WeierstrassData, tol: float = 1e-8) -> PeriodReport:
-    return PeriodReport(
-        tuple(puncture_periods(data, p, tol) for p in data.punctures), tol
-    )
+    return PeriodReport(tuple(_period_entries(data, data.punctures, tol)), tol)
 
 
 def assert_period_closed(data: WeierstrassData, tol: float = 1e-8) -> PeriodReport:

@@ -200,20 +200,24 @@ class RegularityViolation:
 
 def regularity_check(data: WeierstrassData):
     """Away from punctures, G has a zero/pole iff dh has a zero of equal
-    multiplicity.  Returns the list of violations (empty when regular)."""
-    candidates: list = [
-        p for p in data.finite_singularities() if not data.is_puncture(p)
-    ]
+    multiplicity.  Returns the list of violations (empty when regular).
+    The finite candidates and their orders are read with one broadcast
+    over each table."""
+    singular = data._singular
+    off_punctures = ~same_point(singular[:, None], data._finite_punctures).any(axis=1)
+    candidates = singular[off_punctures]
+    points = candidates.tolist()
+    og = data.gauss_map.orders_at(candidates).tolist()
+    odh = data.dh.orders_at(candidates).tolist()
     if not data.is_puncture(INF):
-        candidates.append(INF)
-    violations = []
-    for p in candidates:
-        og = data.gauss_map.order_at(p)
-        odh = one_form_order_at(data.dh, p)
-        ok = (og == 0 and odh == 0) or (odh > 0 and abs(og) == odh)
-        if not ok:
-            violations.append(RegularityViolation(p, og, odh))
-    return violations
+        points.append(INF)
+        og.append(data.gauss_map.order_at(INF))
+        odh.append(one_form_order_at(data.dh, INF))
+    return [
+        RegularityViolation(p, g, d)
+        for p, g, d in zip(points, og, odh)
+        if not ((g == 0 and d == 0) or (d > 0 and abs(g) == d))
+    ]
 
 
 @dataclass(frozen=True)
@@ -266,7 +270,7 @@ def _log_growth_sign(data: WeierstrassData, p) -> int:
     f, q = data.dh, p
     if is_infinity(p):
         f, q = infinity_chart(f, one_form=True), 0.0
-    c, floor = principal_part(f, q)  # dh has a pole at every such end
+    c, floor = principal_part(f, [q])[0]  # dh has a pole at every such end
     if abs(c[0].real) <= floor[0]:
         return 0
     return -1 if c[0].real > 0 else 1
@@ -295,6 +299,8 @@ def classify_end(data: WeierstrassData, p) -> EndDescriptor:
 
 
 def classify_all_ends(data: WeierstrassData):
+    # the log growth signs read dh's table at the finite ends: build it in one call
+    principal_part(data.dh, data._finite_punctures)
     return [classify_end(data, p) for p in data.punctures]
 
 

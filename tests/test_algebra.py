@@ -9,21 +9,27 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spheremin.algebra import (
+    _RING,
     INF,
+    NOISE_REL,
     FactoredMeromorphic,
     contour_radius,
     default_contour_radius,
     infinity_chart,
     is_infinity,
+    laurent_coefficients,
     merge_points,
     monomial,
     one_form_order_at,
+    principal_part,
     residue_at,
     residue_contour,
+    residues_at,
     same_point,
     shifted_power,
 )
 from spheremin.errors import PoleEvaluation, SingularPoint
+from spheremin.families import FAMILIES, catenoid_weierstrass_data
 
 from exact_residues import exact_residue_at, residue_limit
 
@@ -404,3 +410,95 @@ def test_infinity_chart_round_trip(factors):
         except PoleEvaluation:
             continue
         assert cmath.isclose(g.eval(z), want, rel_tol=1e-9, abs_tol=1e-12)
+
+
+# -- batched Laurent tables ----------------------------------------------
+
+
+def _loop_eval(f, z):
+    """f at the points z, one power of z per factor: the kernel before
+    factors of equal degree shared their z**k."""
+    out = np.full_like(z, f.coefficient)
+    for kind, k, c, e in zip(*f._packed):
+        base = z if kind == 0 else z ** int(k) - c
+        out *= base ** int(e)
+    return out
+
+
+def _one_contour(f, p, radius, orders):
+    """The trapezoidal rule on one centre, one order at a time."""
+    vals = _loop_eval(f, complex(p) + radius * _RING)
+    coeffs = np.array([radius ** m * np.mean(vals * _RING ** m) for m in orders],
+                      dtype=np.complex128)
+    scale = NOISE_REL * float(np.abs(vals).max())
+    return coeffs, scale * radius ** np.asarray(orders, dtype=float)
+
+
+def _assert_tables_are_one_contour_each(f):
+    """Every principal part of f, built in one batched call, and its
+    polynomial row have the bits of the rule run on each centre alone."""
+    f = FactoredMeromorphic(f.coefficient, f.factors)  # nothing built yet
+    points = f._points.tolist()
+    nodes = 1.5 + 2.0 * _RING
+    assert f.eval_array(nodes).tolist() == _loop_eval(f, nodes).tolist()
+    for p, order, (c, floor) in zip(points, f._orders.tolist(),
+                                    principal_part(f, f._points)):
+        dist = min((abs(q - p) for q in points if not _same(p, q)), default=math.inf)
+        radius = 0.5 * dist if dist < math.inf else 1.0
+        want_c, want_floor = _one_contour(f, p, radius,
+                                          np.arange(1, max(1, -order) + 1))
+        assert c.tolist() == want_c.tolist()
+        assert floor.tolist() == want_floor.tolist()
+    if f.degree >= 0:
+        n = -np.arange(f.degree + 1)
+        radius = 2.0 * max([0.5, *map(abs, points)])
+        (c,), (floor,) = laurent_coefficients(f, [0.0], [radius], n)
+        want_c, want_floor = _one_contour(f, 0.0, radius, n)
+        assert c.tolist() == want_c.tolist()
+        assert floor.tolist() == want_floor.tolist()
+
+
+def _with_charts(forms):
+    return [g for f in forms for g in (f, infinity_chart(f, one_form=True))]
+
+
+_shift = st.complex_numbers(min_magnitude=0.2, max_magnitude=5.0,
+                            allow_nan=False, allow_infinity=False)
+# degrees from a short list, so that several factors share one z**k
+_pole_factors = st.lists(
+    st.one_of(
+        st.integers(-4, 4).filter(bool).map(monomial),
+        st.tuples(st.sampled_from([1, 2, 3, 6]), _shift,
+                  st.integers(-4, 4).filter(bool)).map(lambda t: shifted_power(*t)),
+    ),
+    min_size=1,
+    max_size=5,
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_pole_factors, _shift)
+def test_batched_laurent_tables_are_the_single_contour_rule(factors, coeff):
+    for f in _with_charts([FactoredMeromorphic(coeff, factors)]):
+        _assert_tables_are_one_contour_each(f)
+
+
+@pytest.mark.parametrize("family, k, x", [
+    (family, k, x) for k in (2, 6, 24)
+    for family, x in (("vase", 0.5), ("double_vase", 0.25))
+])
+def test_batched_laurent_tables_of_the_family_data(family, k, x):
+    data, _, _ = FAMILIES[family].build_data(k, x)
+    for f in _with_charts([data.gauss_map, data.dh, *data.factored_forms()]):
+        _assert_tables_are_one_contour_each(f)
+
+
+def test_batched_laurent_tables_with_an_empty_root_table():
+    data = catenoid_weierstrass_data()
+    constant = FactoredMeromorphic(3.0)
+    forms = _with_charts([data.gauss_map, data.dh, *data.factored_forms(), constant])
+    assert any(not len(f._points) for f in forms)
+    for f in forms:
+        _assert_tables_are_one_contour_each(f)
+    assert [len(c) for c, _ in principal_part(constant, [0.5, 2.0])] == [0, 0]
+    assert residues_at(constant, [0.5, 2.0]) == [0j, 0j]

@@ -3,6 +3,10 @@
 import dataclasses
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -515,3 +519,38 @@ def test_underflowing_power_is_parameter_error(argv, capsys):
     assert code == EXIT_PARAMS
     assert out == ""
     assert "underflows" in err
+
+
+def test_main_calls_in_one_process_match_fresh_processes(tmp_path, monkeypatch, capsys):
+    """The parser is built once per process; successive `main` calls with
+    other subcommands and flags, the --config re-parse and the exit-2
+    paths (a flag the family does not take, a missing required flag)
+    give what each gives in a process of its own."""
+    (tmp_path / "cfg.json").write_text(json.dumps({"family": "vase", "k": 3, "a": 0.4}))
+    argvs = [
+        ["export", "--family", "vase", "--k", "2", "--a", "0.5"],  # no --out
+        ["solve", "--family", "vase", "--k", "2", "--a", "0.5"],
+        ["verify", "--family", "double_vase", "--k", "2", "--b", "0.5", "--a", "0.3"],
+        ["verify", "--family", "double_vase", "--k", "3", "--b", "0.4", "--tol", "1e-8"],
+        ["solve", "--config", "cfg.json", "--a", "0.6"],
+        ["solve", "--config", "cfg.json"],
+    ]
+    monkeypatch.chdir(tmp_path)
+    in_process = []
+    for argv in argvs:
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse's own usage errors
+            code = exc.code
+        captured = capsys.readouterr()
+        in_process.append((code, captured.out, captured.err))
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    fresh = []
+    for argv in argvs:
+        proc = subprocess.run([sys.executable, "-m", "spheremin.cli", *argv],
+                              capture_output=True, text=True, env=env, cwd=tmp_path)
+        fresh.append((proc.returncode, proc.stdout, proc.stderr))
+    assert [c for c, _, _ in in_process] == [EXIT_PARAMS, EXIT_OK, EXIT_PARAMS,
+                                             EXIT_OK, EXIT_OK, EXIT_OK]
+    assert in_process == fresh

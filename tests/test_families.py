@@ -216,18 +216,18 @@ def test_constructor_reads_the_point_tables_as_arrays(monkeypatch):
 def test_each_principal_part_is_built_once(make, args, monkeypatch):
     """The gate's residues and the immersion's log terms and principal
     parts read one Laurent table per form: across a constructor and a
-    `sample_mesh`, `laurent_coefficients` runs at most once per (form,
-    root), plus once per form for its polynomial part."""
+    `sample_mesh`, `laurent_coefficients` builds at most one row per
+    (form, root), plus one per form for its polynomial part."""
     from spheremin import algebra
     from spheremin.mesh import DomainSpec, sample_mesh
 
     calls = []
     laurent = algebra.laurent_coefficients
 
-    def counting(f, p, radius, orders):
+    def counting(f, centres, radii, orders):
         part = "principal" if orders[0] >= 1 else "polynomial"
-        calls.append((part, id(f), complex(p)))
-        return laurent(f, p, radius, orders)
+        calls.extend((part, id(f), complex(p)) for p in centres)
+        return laurent(f, centres, radii, orders)
 
     monkeypatch.setattr(algebra, "laurent_coefficients", counting)
     inst = make(*args)

@@ -13,6 +13,7 @@ from spheremin.errors import (
     SphereminError,
 )
 from spheremin.families import (
+    FAMILIES,
     DoubleVaseParams,
     VaseParams,
     double_vase_closed_form_a,
@@ -249,3 +250,27 @@ def test_closed_form_mismatch_guard(monkeypatch):
     )
     with pytest.raises(ClosedFormMismatch):
         vase_residue_at_one(VaseParams(2, 0.5, 1.0), check_oracle=True)
+
+
+@pytest.mark.parametrize("family, k, x",
+                         [("double_vase", 24, 0.5), ("vase", 24, 0.5), ("vase", 2, 0.5)])
+def test_period_gate_evaluates_each_form_once_per_chart(family, k, x, monkeypatch):
+    """The gate asks each factored form for every finite puncture in one
+    batched Laurent evaluation, and once more on its 1/z chart: at most 6
+    kernel calls, where one contour per residue made 150 for
+    double_vase(24, 0.5)."""
+    from spheremin import kernels
+
+    spec = FAMILIES[family]
+    solved = spec.solve(k, x).value
+    data, _, _ = spec.build_data(k, x, solved)  # fresh: no table built yet
+    calls = [0]
+    kernel = kernels.eval_product
+
+    def counting(*args):
+        calls[0] += 1
+        return kernel(*args)
+
+    monkeypatch.setattr(kernels, "eval_product", counting)
+    assert_period_closed(data, spec.period_tol)
+    assert 0 < calls[0] <= 6
