@@ -28,7 +28,7 @@ import sys
 from dataclasses import asdict, dataclass, field
 from typing import Callable
 
-from .algebra import INF, FactoredMeromorphic, monomial, shifted_power
+from .algebra import INF, FactoredMeromorphic, monomial, residues_at, shifted_power
 from .errors import ClosedFormMismatch, NoRoot, ParameterDomainError, SphereminError
 from .periods import PeriodReport, _combo_residue, assert_period_closed, hybrid_root
 from .weierstrass import WeierstrassData, degree_audit, point_json, regularity_check
@@ -86,6 +86,14 @@ def vase_weierstrass_data(k: int, a: float, rho: float) -> WeierstrassData:
     return WeierstrassData(G, dh, punctures)
 
 
+def _vase_equation(k: int, ak: float, rho):
+    """Res_1((1/G + G) dh) of the vase in closed form, for a^k = ak;
+    rho broadcasts."""
+    return rho * (ak - 1.0) * (k * ak + k - ak + 1.0) / k ** 2 + (k + 1.0) / (
+        rho * k ** 2
+    )
+
+
 def vase_residue_at_one(params: VaseParams, check_oracle: bool = True) -> float:
     """The single period equation of the vase: Res_1((1/G + G) dh).
 
@@ -95,10 +103,7 @@ def vase_residue_at_one(params: VaseParams, check_oracle: bool = True) -> float:
     k, a, rho = params.k, params.a, params.rho
     if rho <= 0:
         raise ParameterDomainError("rho must be positive")
-    ak = a ** k
-    closed = rho * (ak - 1.0) * (k * ak + k - ak + 1.0) / k ** 2 + (k + 1.0) / (
-        rho * k ** 2
-    )
+    closed = _vase_equation(k, a ** k, rho)
     if check_oracle:
         data = vase_weierstrass_data(k, a, rho)
         oracle = _combo_residue(data, 1.0, +1.0)
@@ -110,15 +115,22 @@ def vase_residue_at_one(params: VaseParams, check_oracle: bool = True) -> float:
     return closed
 
 
+def _solved_residual(data: WeierstrassData, index: int) -> float:
+    """|Res((1/G + G) dh)| at data.punctures[index], from one `residues_at`
+    call per form over every puncture: the gate then reads those rows."""
+    u, v, _ = (residues_at(f, data.punctures) for f in data.factored_forms())
+    return abs(u[index] + v[index])
+
+
 def solve_vase_rho(k: int, a: float) -> SolveResult:
     """Scale rho closing the vase period: the printed radical, verified by
     an independent bracketed root of the residue equation."""
-    params = VaseParams(k, a)  # validates the domain
+    VaseParams(k, a)  # validates the domain
     ak = a ** k
     closed = math.sqrt((k + 1.0) / ((1.0 - ak) * (k * ak + k - ak + 1.0)))
 
     def eq(rho):
-        return vase_residue_at_one(VaseParams(k, a, rho), check_oracle=False)
+        return _vase_equation(k, ak, rho)
 
     root, _ = hybrid_root(eq, 1e-3 * closed, 1e3 * closed)
     if abs(closed - root) > 1e-10 * closed:
@@ -126,8 +138,8 @@ def solve_vase_rho(k: int, a: float) -> SolveResult:
             f"vase rho closed form {closed} vs numeric root {root} at k={k}, a={a}"
         )
     data = vase_weierstrass_data(k, a, closed)
-    residual = abs(_combo_residue(data, 1.0, +1.0))
-    return SolveResult(closed, closed, root, residual, data)
+    # the puncture z = 1, first of the unit roots after 0 and INF
+    return SolveResult(closed, closed, root, _solved_residual(data, 2), data)
 
 
 # -- family 2: glued double vase --------------------------------------
@@ -206,6 +218,17 @@ def _double_vase_quadratic(k: int, b: float):
     return A, B, C
 
 
+def _double_vase_equation(k: int, b: float, quadratic, a):
+    """The printed Res_b((1/G + G) dh) of the double vase with the quoted
+    sign, from the coefficients `quadratic` of `_double_vase_quadratic`;
+    a broadcasts."""
+    ak = a ** k
+    bk = b ** k
+    A, B, C = quadratic
+    denom = ak * b * (bk - 1.0) ** 3 * (bk + 1.0) ** 3 * k ** 2
+    return (A * ak ** 2 + B * ak + C) / denom
+
+
 def double_vase_printed_residue(k: int, b: float, a: float,
                                 verbatim: bool = False) -> float:
     """Closed-form Res_b((1/G + G) dh): a quadratic in a^k over the common
@@ -216,11 +239,7 @@ def double_vase_printed_residue(k: int, b: float, a: float,
     root set is identical either way.  The corrected sign is returned
     unless `verbatim` is set.
     """
-    ak = a ** k
-    bk = b ** k
-    A, B, C = _double_vase_quadratic(k, b)
-    denom = ak * b * (bk - 1.0) ** 3 * (bk + 1.0) ** 3 * k ** 2
-    value = (A * ak ** 2 + B * ak + C) / denom
+    value = _double_vase_equation(k, b, _double_vase_quadratic(k, b), a)
     return value if verbatim else -value
 
 
@@ -275,13 +294,13 @@ def solve_double_vase_a(k: int, b: float) -> SolveResult:
     radical, verified by an independent bracketed root."""
     DoubleVaseParams(k, b)  # validates the domain
     closed = double_vase_closed_form_a(k, b)
+    quadratic = _double_vase_quadratic(k, b)
 
     def eq(a):
-        return double_vase_residue_at_b(DoubleVaseParams(k, b, a),
-                                        check_oracle=False)
+        return -_double_vase_equation(k, b, quadratic, a)
 
     lo, hi = 1e-3, 1e3
-    A, _, C = _double_vase_quadratic(k, b)
+    A, _, C = quadratic
     if C / A > 0:
         # both roots x1, x2 of the quadratic are positive (x1 x2 = C/A):
         # bracket only the side of their geometric midpoint in a that
@@ -295,9 +314,9 @@ def solve_double_vase_a(k: int, b: float) -> SolveResult:
             f"at k={k}, b={b}"
         )
     # final oracle check at the solution: the contour residue must vanish
+    # at z = b, the first root of z^k = b^k after 0 and INF
     data = double_vase_weierstrass_data(k, b, closed)
-    residual = abs(_combo_residue(data, b, +1.0))
-    return SolveResult(closed, closed, root, residual, data)
+    return SolveResult(closed, closed, root, _solved_residual(data, 2), data)
 
 
 # -- the catenoid fixture and the family table ------------------------

@@ -185,56 +185,62 @@ def estimate_mean_curvature(mesh: SurfaceMesh):
     (|H| array with NaN off the interior, interior mask)."""
     V, F = mesh.vertices, mesh.faces
     nv = len(V)
+    interior = interior_vertices(mesh)  # first, while no face block is held
     p = [V[F[:, c]] for c in range(3)]
 
-    cots = []
-    angles = []
+    cots, angles, crs = [], [], []
     for c in range(3):
         e1 = p[(c + 1) % 3] - p[c]
         e2 = p[(c + 2) % 3] - p[c]
         dot = np.einsum("ij,ij->i", e1, e2)
-        crs = np.linalg.norm(np.cross(e1, e2), axis=1)
-        angles.append(np.arctan2(crs, dot))
+        crs.append(np.linalg.norm(np.cross(e1, e2), axis=1))
+        angles.append(np.arctan2(crs[c], dot))
         with np.errstate(divide="ignore", invalid="ignore"):
-            cots.append(dot / crs)
+            cots.append(dot / crs[c])
     angles = np.stack(angles)
     if np.any(angles > math.radians(179.0)):
         raise DegenerateTriangle("a face angle exceeds 179 degrees")
 
-    area = 0.5 * np.linalg.norm(np.cross(p[1] - p[0], p[2] - p[0]), axis=1)
+    area = 0.5 * crs[0]
 
     # Meyer mixed area: circumcentric pieces on non-obtuse faces, else
     # half the face area at the obtuse corner and a quarter elsewhere.
-    A = np.zeros(nv)
+    # Each vertex sums its contributions in corner order (np.bincount
+    # accumulates in input order).
     obtuse_any = np.any(angles > 0.5 * math.pi, axis=0)
     edge2 = [
         np.einsum("ij,ij->i", p[(c + 2) % 3] - p[(c + 1) % 3],
                   p[(c + 2) % 3] - p[(c + 1) % 3])
         for c in range(3)
     ]  # squared edge opposite corner c
+    contrib = np.empty((3, len(F)))
     for c in range(3):
-        idx = F[:, c]
         voronoi = 0.125 * (
             edge2[(c + 1) % 3] * cots[(c + 1) % 3]
             + edge2[(c + 2) % 3] * cots[(c + 2) % 3]
         )
         obtuse_here = angles[c] > 0.5 * math.pi
-        contrib = np.where(
+        contrib[c] = np.where(
             obtuse_any,
             np.where(obtuse_here, 0.5 * area, 0.25 * area),
             voronoi,
         )
-        np.add.at(A, idx, contrib)
+    A = np.bincount(F.T.ravel(), contrib.ravel(), minlength=nv)
 
-    S = np.zeros((nv, 3))
-    for c in range(3):
-        i1, i2 = F[:, (c + 1) % 3], F[:, (c + 2) % 3]
-        w = cots[c][:, None]
-        diff = V[i1] - V[i2]
-        np.add.at(S, i1, w * diff)
-        np.add.at(S, i2, -w * diff)
+    # cotangent Laplacian: the edge (i1, i2) opposite corner c adds
+    # w (V[i1] - V[i2]) at i1 and its negative at i2, in corner order;
+    # one coordinate at a time, to keep the blocks small
+    index = F[:, [1, 2, 2, 0, 0, 1]].T.ravel()
+    wd = np.empty((6, len(F)))
+    S = np.empty((nv, 3))
+    for j in range(3):
+        for c in range(3):
+            np.multiply(cots[c], p[(c + 1) % 3][:, j] - p[(c + 2) % 3][:, j],
+                        out=wd[2 * c])
+            np.negative(wd[2 * c], out=wd[2 * c + 1])
+        S[:, j] = np.bincount(index, wd.ravel(), minlength=nv)
+    del contrib, index, wd  # the blocks would set the peak of the norms below
 
-    interior = interior_vertices(mesh)
     H = np.full(nv, np.nan)
     with np.errstate(divide="ignore", invalid="ignore"):
         K = S / (2.0 * A[:, None])

@@ -12,9 +12,10 @@ product's own roots.  Each form is asked once for every puncture
 (`algebra.residues_at`): one batched Laurent evaluation over the finite
 punctures and one on the 1/z chart at infinity, at most six for the gate,
 with the same bits as one contour per residue.  This module gates data on
-those residues; it knows no family.  `hybrid_root` is the scalar root
-finder with which each family in `families.py` solves its one period
-equation.
+those residues; it knows no family.  `hybrid_root` is the root finder
+with which each family in `families.py` solves its one period equation:
+it brackets on one array evaluation of the equation over a grid, then
+refines the first bracket with scalar calls.
 """
 
 from __future__ import annotations
@@ -141,17 +142,22 @@ ROOT_XTOL = 1e-12
 def hybrid_root(fn, lo: float, hi: float):
     """Bracket on a geometric grid of ROOT_GRID points, bisect to
     ROOT_COARSE, Newton-polish with a central-difference derivative to
-    ROOT_XTOL.  Returns (root, sign_changes)."""
+    ROOT_XTOL.  Returns (root, sign_changes).
+
+    `fn` must broadcast over a float64 array: the grid is one call,
+    `fn(xs)`, and bisection and Newton call it on scalars.  Grid interval
+    i brackets when fn is 0 at its left end, or when fn changes sign
+    across it and is NaN at neither end; the first bracket is refined,
+    and sign_changes counts them all."""
     xs = np.geomspace(lo, hi, ROOT_GRID)
-    vals = [fn(x) for x in xs]
-    brackets = [
-        (xs[i], xs[i + 1], vals[i], vals[i + 1])
-        for i in range(ROOT_GRID - 1)
-        if vals[i] == 0.0 or (vals[i] < 0) != (vals[i + 1] < 0)
-    ]
-    if not brackets:
+    vals = np.asarray(fn(xs), dtype=float)
+    neg, nan = vals < 0, np.isnan(vals)
+    flips = (neg[:-1] != neg[1:]) & ~nan[:-1] & ~nan[1:]
+    brackets = np.flatnonzero((vals[:-1] == 0.0) | flips)
+    if not len(brackets):
         raise NoRoot(f"no sign change of the residue equation in [{lo}, {hi}]")
-    a, b, fa, fb = brackets[0]
+    i = brackets[0]
+    a, b, fa = xs[i], xs[i + 1], vals[i]
     if fa == 0.0:
         return float(a), len(brackets)
     while b - a > ROOT_COARSE * max(1.0, abs(a)):
@@ -161,7 +167,7 @@ def hybrid_root(fn, lo: float, hi: float):
             a = b = m
             break
         if (fa < 0) != (fm < 0):
-            b, fb = m, fm
+            b = m
         else:
             a, fa = m, fm
     x = 0.5 * (a + b)

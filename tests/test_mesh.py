@@ -182,6 +182,76 @@ def test_array_assembly_matches_the_loops(vase2, tmp_path):
     assert (tmp_path / "m.ply").read_bytes().endswith(records)
 
 
+def add_at_curvature(mesh):
+    """The np.add.at accumulation that `estimate_mean_curvature` replaced
+    with np.bincount, kept as its reference."""
+    import math
+
+    V, F = mesh.vertices, mesh.faces
+    nv = len(V)
+    p = [V[F[:, c]] for c in range(3)]
+    cots, angles = [], []
+    for c in range(3):
+        e1 = p[(c + 1) % 3] - p[c]
+        e2 = p[(c + 2) % 3] - p[c]
+        dot = np.einsum("ij,ij->i", e1, e2)
+        crs = np.linalg.norm(np.cross(e1, e2), axis=1)
+        angles.append(np.arctan2(crs, dot))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            cots.append(dot / crs)
+    angles = np.stack(angles)
+    area = 0.5 * np.linalg.norm(np.cross(p[1] - p[0], p[2] - p[0]), axis=1)
+    A = np.zeros(nv)
+    obtuse_any = np.any(angles > 0.5 * math.pi, axis=0)
+    edge2 = [
+        np.einsum("ij,ij->i", p[(c + 2) % 3] - p[(c + 1) % 3],
+                  p[(c + 2) % 3] - p[(c + 1) % 3])
+        for c in range(3)
+    ]
+    for c in range(3):
+        voronoi = 0.125 * (
+            edge2[(c + 1) % 3] * cots[(c + 1) % 3]
+            + edge2[(c + 2) % 3] * cots[(c + 2) % 3]
+        )
+        obtuse_here = angles[c] > 0.5 * math.pi
+        contrib = np.where(
+            obtuse_any,
+            np.where(obtuse_here, 0.5 * area, 0.25 * area),
+            voronoi,
+        )
+        np.add.at(A, F[:, c], contrib)
+    S = np.zeros((nv, 3))
+    for c in range(3):
+        i1, i2 = F[:, (c + 1) % 3], F[:, (c + 2) % 3]
+        w = cots[c][:, None]
+        diff = V[i1] - V[i2]
+        np.add.at(S, i1, w * diff)
+        np.add.at(S, i2, -w * diff)
+    interior = interior_vertices(mesh)
+    H = np.full(nv, np.nan)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        K = S / (2.0 * A[:, None])
+    H[interior] = 0.5 * np.linalg.norm(K[interior], axis=1)
+    return H, interior
+
+
+@pytest.mark.parametrize("name, args", [
+    ("catenoid", ()), ("vase", (2, 0.5)), ("double_vase", (6, 0.25)),
+])
+def test_curvature_accumulation_matches_add_at(name, args):
+    # the three meshes of a fine export, at its 64 x 128 resolution
+    spec = FAMILIES[name]
+    inst = construct(spec, *args)
+    domain = DomainSpec(spec.r_min, spec.r_max, 64, 128,
+                        base_point=spec.base_point(inst.params))
+    mesh = sample_mesh(inst.data, domain)
+    H, interior = estimate_mean_curvature(mesh)
+    H_ref, interior_ref = add_at_curvature(mesh)
+    assert np.array_equal(interior, interior_ref)
+    assert np.isnan(H).sum() == (~interior).sum() > 0
+    assert np.array_equal(H, H_ref, equal_nan=True)
+
+
 def test_sampling_reads_the_forms_built_with_the_data(vase2, monkeypatch):
     # the immersion antidifferentiates the data's dh/G, G dh and dh
     built = []

@@ -3,6 +3,7 @@
 import cmath
 import math
 
+import numpy as np
 import pytest
 
 from spheremin.errors import (
@@ -21,12 +22,15 @@ from spheremin.families import (
     double_vase_residue_at_b,
     double_vase_weierstrass_data,
     make_double_vase,
+    make_vase,
     solve_double_vase_a,
     solve_vase_rho,
     vase_residue_at_one,
     vase_weierstrass_data,
 )
+from spheremin import families
 from spheremin.periods import (
+    ROOT_GRID,
     _combo_residue,
     assert_period_closed,
     hybrid_root,
@@ -204,6 +208,162 @@ def test_hybrid_root_no_bracket():
         hybrid_root(lambda x: 1.0 + x * x, 0.1, 10.0)
 
 
+# -- the per-point grid loop that hybrid_root replaced, kept as its reference --
+
+
+def loop_hybrid_root(fn, lo, hi):
+    xs = np.geomspace(lo, hi, ROOT_GRID)
+    vals = [fn(x) for x in xs]
+    brackets = [
+        (xs[i], xs[i + 1], vals[i], vals[i + 1])
+        for i in range(ROOT_GRID - 1)
+        if vals[i] == 0.0 or (vals[i] < 0) != (vals[i + 1] < 0)
+    ]
+    if not brackets:
+        raise NoRoot(f"no sign change of the residue equation in [{lo}, {hi}]")
+    a, b, fa, fb = brackets[0]
+    if fa == 0.0:
+        return float(a), len(brackets)
+    while b - a > 1e-6 * max(1.0, abs(a)):
+        m = 0.5 * (a + b)
+        fm = fn(m)
+        if fm == 0.0:
+            a = b = m
+            break
+        if (fa < 0) != (fm < 0):
+            b, fb = m, fm
+        else:
+            a, fa = m, fm
+    x = 0.5 * (a + b)
+    for _ in range(60):
+        h = 1e-7 * max(1.0, abs(x))
+        d = (fn(x + h) - fn(x - h)) / (2.0 * h)
+        if d == 0.0:
+            break
+        step = fn(x) / d
+        x_new = x - step
+        if not (lo <= x_new <= hi):
+            break
+        x = x_new
+        if abs(step) <= 1e-12 * max(1.0, abs(x)):
+            break
+    return float(x), len(brackets)
+
+
+def root_or_noroot(finder, fn, lo, hi):
+    try:
+        return finder(fn, lo, hi)
+    except NoRoot:
+        return "NoRoot"
+
+
+class Recorded(Exception):
+    pass
+
+
+def solver_equation(solver, k, x, monkeypatch):
+    """The (eq, lo, hi) that `solver(k, x)` hands to hybrid_root; the
+    solve stops there."""
+    def record(fn, lo, hi):
+        raise Recorded(fn, lo, hi)
+
+    monkeypatch.setattr(families, "hybrid_root", record)
+    with pytest.raises(Recorded) as info:
+        solver(k, x)
+    monkeypatch.undo()
+    return info.value.args
+
+
+def recording_calls(fn, calls):
+    """fn, recording in `calls` whether each call was on an array."""
+    def counted(x):
+        calls.append(isinstance(x, np.ndarray))
+        return fn(x)
+
+    return counted
+
+
+def _bin_points(edges):
+    # each bin of the gate sweep at its lower edge, middle and upper end
+    return [x for lo, hi in zip(edges, edges[1:])
+            for x in (lo, 0.5 * (lo + hi), hi - 1e-5)]
+
+
+GATE_VASE_A = _bin_points([0.001, 0.167, 0.333, 0.5, 0.667, 0.833, 0.999])
+GATE_DV_B = _bin_points([0.001, 0.15, 0.3, 0.45, 0.6, 0.75, 0.9, 0.99, 0.995])
+# the b at which the double-vase quadratic in a^k has two positive roots
+TWO_ROOT_B = [float(b) for b in np.linspace(0.001, 0.999, 60)]
+TWO_ROOT_KS = (2, 3, 4, 5, 6, 8, 12, 16, 24, 32)
+
+
+def test_hybrid_root_matches_the_loop_on_the_solver_equations(monkeypatch):
+    cases = [(solve_vase_rho, k, a) for k in range(2, 25) for a in GATE_VASE_A]
+    cases += [(solve_double_vase_a, k, b) for k in range(2, 25) for b in GATE_DV_B]
+    two_root = [(k, b) for k in TWO_ROOT_KS for b in TWO_ROOT_B
+                if np.prod(families._double_vase_quadratic(k, b)[::2]) > 0]
+    assert len(two_root) == 60
+    cases += [(solve_double_vase_a, k, b) for k, b in two_root]
+    most_scalar_calls = 0
+    no_root = 0
+    for solver, k, x in cases:
+        fn, lo, hi = solver_equation(solver, k, x, monkeypatch)
+        calls = []
+        got = hybrid_root(recording_calls(fn, calls), lo, hi)
+        assert got == loop_hybrid_root(fn, lo, hi), (solver.__name__, k, x)
+        assert calls.count(True) == 1 and calls[0]
+        most_scalar_calls = max(most_scalar_calls, calls.count(False))
+        if solver is solve_double_vase_a:
+            # the whole bracket: two roots, or none seen near b = 1
+            full = root_or_noroot(hybrid_root, fn, 1e-3, 1e3)
+            assert full == root_or_noroot(loop_hybrid_root, fn, 1e-3, 1e3)
+            no_root += full == "NoRoot"
+    assert most_scalar_calls <= 40
+    # every k at the three points of the b-bin [0.99, 0.995)
+    assert no_root >= 3 * 23
+
+
+def test_hybrid_root_matches_the_loop_on_synthetic_functions():
+    lo, hi = 0.5, 10.0
+    xs = np.geomspace(lo, hi, ROOT_GRID)
+    x0 = xs[37]
+    with np.errstate(invalid="ignore"):
+        cases = {
+            # an exact zero at a grid point: after a negative value it ends
+            # a bracket, and as a double root it is returned as it stands
+            "zero": lambda x: x - x0,
+            "double zero": lambda x: (x - x0) ** 2,
+            # NaN below 3, positive just above it, root at 4
+            "nan": lambda x: 1.0 - np.sqrt(x - 3.0),
+            "no sign change": lambda x: 1.0 + x * x,
+            # roots at 1, 2 and 3: three brackets, the first one refined
+            "several": lambda x: (x - 1.0) * (x - 2.0) * (x - 3.0),
+        }
+        got = {name: root_or_noroot(hybrid_root, fn, lo, hi)
+               for name, fn in cases.items()}
+        want = {name: root_or_noroot(loop_hybrid_root, fn, lo, hi)
+                for name, fn in cases.items()}
+    assert got == want
+    assert got["double zero"] == (float(x0), 1)
+    assert got["nan"][0] == pytest.approx(4.0, rel=1e-12)
+    assert got["no sign change"] == "NoRoot"
+    assert got["several"][1] == 3
+    assert got["several"][0] == pytest.approx(1.0, rel=1e-12)
+
+
+def test_hybrid_root_never_brackets_across_nan():
+    # NaN below 2.5, negative on (2.5, 4), root at 4: the per-point loop
+    # took the step from NaN to a negative value for a sign change, and
+    # returned (2.4999998, 2), the edge of the NaN region
+    def fn(x):
+        return np.sqrt(x - 2.5) - np.sqrt(1.5)
+
+    with np.errstate(invalid="ignore"):
+        root, n = hybrid_root(fn, 0.5, 10.0)
+        assert loop_hybrid_root(fn, 0.5, 10.0) != (root, n)
+    assert root == pytest.approx(4.0, rel=1e-12)
+    assert n == 1
+
+
 def test_period_report_closed_for_solved_vase(vase2):
     report = period_report(vase2.data, tol=1e-9)
     assert report.closed
@@ -273,4 +433,11 @@ def test_period_gate_evaluates_each_form_once_per_chart(family, k, x, monkeypatc
 
     monkeypatch.setattr(kernels, "eval_product", counting)
     assert_period_closed(data, spec.period_tol)
+    assert 0 < calls[0] <= 6
+
+    # the whole constructor, solver included: the solver's residual builds
+    # the rows of (dh/G, G dh) that the gate then reads
+    calls[0] = 0
+    inst = make_vase(k, x) if family == "vase" else make_double_vase(k, x)
+    assert inst.period.closed
     assert 0 < calls[0] <= 6
