@@ -1,9 +1,10 @@
 """Factored meromorphic functions on the Riemann sphere.
 
 A function is stored as a nonzero scalar times a product of integer
-powers of `z` and of shifted power factors `z**k - c`.  This covers the
-Gauss maps and height-differential coefficients of all surfaces built
-here while keeping zeros, poles, orders and residues exactly enumerable.
+powers of factors `z**k - c`, the monomial `z` being the one with k = 1,
+c = 0.  This covers the Gauss maps and height-differential coefficients
+of all surfaces built here while keeping zeros, poles, orders and
+residues exactly enumerable.
 A residue of a sum is the sum of the residues of its factored terms.
 
 Two finite points are the same point when they lie within a relative
@@ -39,10 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
-from .errors import PoleEvaluation, SingularPoint
-
-MONOMIAL = 0
-SHIFTED = 1
+from .errors import PoleEvaluation
 
 _ROOT_MATCH_TOL = 1e-9
 # achievable relative accuracy of a factored evaluation: near high-order
@@ -79,14 +77,14 @@ def modulus(z):
     return np.hypot(z.real, z.imag)
 
 
-def same_point(p, q, tol=_ROOT_MATCH_TOL):
+def same_point(p, q):
     """Sphere-point equality: INF matches only INF, finite points when
-    |p - q| <= tol * max(1, |p|), the tolerance scaled by p.  Finite p and
+    |p - q| <= 1e-9 * max(1, |p|), the tolerance scaled by p.  Finite p and
     q broadcast; the result is a boolean array or scalar."""
     if is_infinity(p) or is_infinity(q):
         return is_infinity(p) and is_infinity(q)
     p = np.asarray(p, dtype=np.complex128)
-    return modulus(p - q) <= tol * np.maximum(1.0, modulus(p))
+    return modulus(p - q) <= _ROOT_MATCH_TOL * np.maximum(1.0, modulus(p))
 
 
 def merge_points(points):
@@ -126,9 +124,9 @@ def _fmt_number(x: complex) -> str:
 
 @dataclass(frozen=True)
 class Factor:
-    """One multiplicative building block: z**exponent or (z**k - c)**exponent."""
+    """One multiplicative building block, (z**k - c)**exponent; the
+    monomial z**exponent has k = 1, c = 0."""
 
-    kind: int
     k: int
     c: complex
     exponent: int
@@ -138,29 +136,20 @@ class Factor:
             raise ValueError("factor exponent must be nonzero")
         if self.k < 1:
             raise ValueError("factor degree k must be >= 1")
-        if self.kind == MONOMIAL and (self.k != 1 or self.c != 0):
-            raise ValueError("monomial factor must have k=1, c=0")
+        if self.c == 0 and self.k != 1:
+            raise ValueError("a factor with c = 0 is a monomial: k must be 1")
         if not (math.isfinite(self.c.real) and math.isfinite(self.c.imag)):
             raise ValueError("factor shift must be finite")
 
-    @property
-    def degree(self) -> int:
-        return 1 if self.kind == MONOMIAL else self.k
-
     def base_value(self, z: complex) -> complex:
-        if self.kind == MONOMIAL:
+        if self.c == 0:
             return z
         return z ** self.k - self.c
-
-    def base_derivative(self, z: complex) -> complex:
-        if self.kind == MONOMIAL:
-            return 1.0
-        return self.k * z ** (self.k - 1)
 
     def roots(self):
         """All roots of the base, exactly enumerated (no fractional powers
         ever enter evaluation; these are used for singularity bookkeeping)."""
-        if self.kind == MONOMIAL:
+        if self.c == 0:
             return [0j]
         r = abs(self.c) ** (1.0 / self.k)
         phi = cmath.phase(self.c)
@@ -170,21 +159,21 @@ class Factor:
         ]
 
     def __str__(self):
-        if self.kind == MONOMIAL:
+        if self.c == 0:
             return f"z^{self.exponent}"
         zk = "z" if self.k == 1 else f"z^{self.k}"
         return f"({zk} - {_fmt_number(self.c)})^{self.exponent}"
 
 
 def monomial(exponent: int = 1) -> Factor:
-    return Factor(MONOMIAL, 1, 0j, exponent)
+    return Factor(1, 0j, exponent)
 
 
 def shifted_power(k: int, c: complex, exponent: int = 1) -> Factor:
     """The factor (z**k - c)**exponent; c == 0 collapses to a monomial."""
     if c == 0:
         return monomial(k * exponent)
-    return Factor(SHIFTED, k, complex(c), exponent)
+    return Factor(k, complex(c), exponent)
 
 
 class FactoredMeromorphic:
@@ -201,20 +190,14 @@ class FactoredMeromorphic:
             raise ValueError("coefficient must be finite")
         merged: dict = {}
         for f in factors:
-            if f.kind == SHIFTED and f.c == 0:
-                f = monomial(f.k * f.exponent)
-            key = (f.kind, f.k, f.c)
+            key = (f.k, f.c)
             merged[key] = merged.get(key, 0) + f.exponent
-        kept = [
-            Factor(kind, k, c, e)
-            for (kind, k, c), e in merged.items()
-            if e != 0
-        ]
-        kept.sort(key=lambda f: (f.kind, f.k, f.c.real, f.c.imag))
+        kept = [Factor(k, c, e) for (k, c), e in merged.items() if e != 0]
+        # monomials first: the kernel multiplies in this order
+        kept.sort(key=lambda f: (f.c != 0, f.k, f.c.real, f.c.imag))
         object.__setattr__(self, "coefficient", coefficient)
         object.__setattr__(self, "factors", tuple(kept))
         packed = (
-            np.array([f.kind for f in kept], dtype=np.int64),
             np.array([f.k for f in kept], dtype=np.int64),
             np.array([f.c for f in kept], dtype=np.complex128),
             np.array([f.exponent for f in kept], dtype=np.int64),
@@ -223,7 +206,7 @@ class FactoredMeromorphic:
         # (root, aggregated order) arrays over every factor root; entries
         # whose orders cancel stay, so contour sizing still sees them
         roots = np.array([r for f in kept for r in f.roots()], dtype=np.complex128)
-        exps = np.array([f.exponent for f in kept for _ in range(f.degree)],
+        exps = np.array([f.exponent for f in kept for _ in range(f.k)],
                         dtype=np.int64)
         kept, entry = merge_points(roots)
         orders = np.zeros(np.count_nonzero(kept), dtype=np.int64)
@@ -262,27 +245,15 @@ class FactoredMeromorphic:
         the singular set)."""
         zf = np.ascontiguousarray(z, dtype=np.complex128).ravel()
         out = np.empty_like(zf)
-        kinds, ks, cs, exps = self._packed
-        kernels.eval_product(self.coefficient, kinds, ks, cs, exps, zf, out)
+        kernels.eval_product(self.coefficient, *self._packed, zf, out)
         return out.reshape(np.shape(z))
-
-    def log_derivative(self, z: complex) -> complex:
-        """f'(z)/f(z) as a sum over factors; z must be neither zero nor pole."""
-        z = complex(z)
-        acc = 0j
-        for f in self.factors:
-            base = f.base_value(z)
-            if base == 0:
-                raise SingularPoint(f"log-derivative at zero/pole z={z!r} of {f}")
-            acc += f.exponent * f.base_derivative(z) / base
-        return acc
 
     # -- structure queries ---------------------------------------------
 
     @property
     def degree(self) -> int:
         """Total degree: order of growth at infinity."""
-        return sum(f.exponent * f.degree for f in self.factors)
+        return sum(f.exponent * f.k for f in self.factors)
 
     def finite_roots(self):
         """(root, order) pairs over all finite zeros and poles, orders
@@ -290,9 +261,6 @@ class FactoredMeromorphic:
         nonzero = self._orders != 0
         return list(zip(self._points[nonzero].tolist(),
                         self._orders[nonzero].tolist()))
-
-    def finite_poles(self):
-        return [r for r, o in self.finite_roots() if o < 0]
 
     def order_at(self, p) -> int:
         """Zero order (>0), pole order (<0) or 0 at a sphere point."""
@@ -319,7 +287,7 @@ class FactoredMeromorphic:
     def inverse(self):
         return FactoredMeromorphic(
             1.0 / self.coefficient,
-            tuple(Factor(f.kind, f.k, f.c, -f.exponent) for f in self.factors),
+            tuple(Factor(f.k, f.c, -f.exponent) for f in self.factors),
         )
 
     def __str__(self):
@@ -348,11 +316,9 @@ def _build_infinity_chart(f: FactoredMeromorphic, one_form: bool) -> FactoredMer
     mono_exp = 0
     new_factors = []
     for fac in f.factors:
-        if fac.kind == MONOMIAL:
-            mono_exp -= fac.exponent
-        else:
+        mono_exp -= fac.k * fac.exponent
+        if fac.c != 0:
             coeff *= (-fac.c) ** fac.exponent
-            mono_exp -= fac.k * fac.exponent
             new_factors.append(shifted_power(fac.k, 1.0 / fac.c, fac.exponent))
     if one_form:
         coeff = -coeff
@@ -379,11 +345,6 @@ def contour_radius(p, points):
     broadcasts over a leading axis, as in `nearest_other`."""
     dist = nearest_other(p, points)
     return np.where(dist < math.inf, 0.5 * dist, 1.0)
-
-
-def default_contour_radius(f: FactoredMeromorphic, p: complex) -> float:
-    """`contour_radius` over every root of every factor of f."""
-    return float(contour_radius(complex(p), f._points))
 
 
 LAURENT_NODES = 256

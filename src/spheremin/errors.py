@@ -21,13 +21,9 @@ class PoleEvaluation(SphereminError):
         super().__init__(msg)
 
 
-class SingularPoint(SphereminError):
-    """Logarithmic derivative requested at a zero or pole."""
-
-
 class ClosedFormMismatch(SphereminError):
-    """A printed closed form disagrees with its independent check (the
-    contour oracle or a bracketed root); the CLI exits 3."""
+    """A printed closed-form solution disagrees with the bracketed root of
+    its period equation; the CLI exits 3."""
 
 
 class NoRoot(SphereminError):

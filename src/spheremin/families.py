@@ -9,10 +9,12 @@ Family 2 (glued double vase, rho = 1), solved for a by `solve_double_vase_a`:
     period equation Res_b((1/G + G) dh) = 0, a quadratic in a^k
 plus the classical catenoid (G = z, dh = dz/z) as a known-answer fixture.
 
-Each solver checks the printed radical against a bracketed root
-(`periods.hybrid_root`), raises `ClosedFormMismatch` when they disagree,
-and returns the data it built at the solution,
-which the constructor then gates; the gate in `periods.py` knows no family.
+Each family's period equation is one function of its solved parameter
+(`_vase_equation`, `_double_vase_equation`), broadcasting over arrays.
+Each solver checks the printed radical against a bracketed root of that
+equation (`periods.hybrid_root`), raises `ClosedFormMismatch` when they
+disagree, and returns the data it built at the solution, which the
+constructor then gates; the gate in `periods.py` knows no family.
 
 Each family is one `FamilySpec` entry of `FAMILIES`; every per-family
 decision (solver, tolerance, export window, base point, descriptor) reads
@@ -30,7 +32,7 @@ from typing import Callable
 
 from .algebra import INF, FactoredMeromorphic, monomial, residues_at, shifted_power
 from .errors import ClosedFormMismatch, NoRoot, ParameterDomainError, SphereminError
-from .periods import PeriodReport, _combo_residue, assert_period_closed, hybrid_root
+from .periods import PeriodReport, assert_period_closed, hybrid_root
 from .weierstrass import WeierstrassData, degree_audit, point_json, regularity_check
 
 
@@ -52,6 +54,20 @@ class SolveResult:
     data: WeierstrassData | None = field(default=None, compare=False, repr=False)
 
 
+def _check_domain(k: int, name: str, x: float, solved_name: str, solved):
+    """The domain of both families: k > 1, the input parameter `x` in
+    (0, 1) with x^k a normal float, and the solved parameter positive and
+    finite unless it is None (not solved yet)."""
+    if k <= 1:
+        raise ParameterDomainError(f"k must be an integer > 1, got {k}")
+    if not 0.0 < x < 1.0:
+        raise ParameterDomainError(f"{name} must lie in (0, 1), got {x}")
+    if x ** k < sys.float_info.min:
+        raise ParameterDomainError(f"{name}^k underflows at k={k}, {name}={x}")
+    if solved is not None and not 0.0 < solved < math.inf:
+        raise ParameterDomainError(f"{solved_name} must be positive, got {solved}")
+
+
 # -- family 1: vase of catenoids --------------------------------------
 
 
@@ -61,17 +77,10 @@ class VaseParams:
 
     k: int
     a: float
-    rho: float = 0.0
+    rho: float | None = None
 
     def __post_init__(self):
-        if self.k <= 1:
-            raise ParameterDomainError(f"k must be an integer > 1, got {self.k}")
-        if not 0.0 < self.a < 1.0:
-            raise ParameterDomainError(f"a must lie in (0, 1), got {self.a}")
-        if self.a ** self.k < sys.float_info.min:
-            raise ParameterDomainError(f"a^k underflows at k={self.k}, a={self.a}")
-        if self.rho and (self.rho <= 0 or not math.isfinite(self.rho)):
-            raise ParameterDomainError(f"rho must be positive, got {self.rho}")
+        _check_domain(self.k, "a", self.a, "rho", self.rho)
 
 
 def vase_weierstrass_data(k: int, a: float, rho: float) -> WeierstrassData:
@@ -92,27 +101,6 @@ def _vase_equation(k: int, ak: float, rho):
     return rho * (ak - 1.0) * (k * ak + k - ak + 1.0) / k ** 2 + (k + 1.0) / (
         rho * k ** 2
     )
-
-
-def vase_residue_at_one(params: VaseParams, check_oracle: bool = True) -> float:
-    """The single period equation of the vase: Res_1((1/G + G) dh).
-
-    Closed form: rho*(a^k - 1)*(k a^k + k - a^k + 1)/k^2 + (k + 1)/(rho k^2).
-    When check_oracle is set, the contour value must agree within 1e-9.
-    """
-    k, a, rho = params.k, params.a, params.rho
-    if rho <= 0:
-        raise ParameterDomainError("rho must be positive")
-    closed = _vase_equation(k, a ** k, rho)
-    if check_oracle:
-        data = vase_weierstrass_data(k, a, rho)
-        oracle = _combo_residue(data, 1.0, +1.0)
-        if abs(closed - oracle) > 1e-9 * max(1.0, abs(closed), abs(oracle)):
-            raise ClosedFormMismatch(
-                f"vase residue closed form {closed!r} vs contour {oracle!r} "
-                f"at k={k}, a={a}, rho={rho}"
-            )
-    return closed
 
 
 def _solved_residual(data: WeierstrassData, index: int) -> float:
@@ -151,17 +139,10 @@ class DoubleVaseParams:
 
     k: int
     b: float
-    a: float = 0.0
+    a: float | None = None
 
     def __post_init__(self):
-        if self.k <= 1:
-            raise ParameterDomainError(f"k must be an integer > 1, got {self.k}")
-        if not 0.0 < self.b < 1.0:
-            raise ParameterDomainError(f"b must lie in (0, 1), got {self.b}")
-        if self.b ** self.k < sys.float_info.min:
-            raise ParameterDomainError(f"b^k underflows at k={self.k}, b={self.b}")
-        if self.a and (self.a <= 0 or not math.isfinite(self.a)):
-            raise ParameterDomainError(f"a must be positive, got {self.a}")
+        _check_domain(self.k, "b", self.b, "a", self.a)
 
 
 def double_vase_weierstrass_data(k: int, b: float, a: float) -> WeierstrassData:
@@ -219,50 +200,18 @@ def _double_vase_quadratic(k: int, b: float):
 
 
 def _double_vase_equation(k: int, b: float, quadratic, a):
-    """The printed Res_b((1/G + G) dh) of the double vase with the quoted
-    sign, from the coefficients `quadratic` of `_double_vase_quadratic`;
-    a broadcasts."""
+    """The printed Res_b((1/G + G) dh) of the double vase, a quadratic in
+    a^k over a^k * b * (b^k - 1)^3 * (b^k + 1)^3 * k^2, from the
+    coefficients `quadratic` of `_double_vase_quadratic`; a broadcasts.
+
+    It keeps the quoted sign, which is the negative of the defining
+    contour integral (verified symbolically); the root set is the same
+    either way, and the solver negates it."""
     ak = a ** k
     bk = b ** k
     A, B, C = quadratic
     denom = ak * b * (bk - 1.0) ** 3 * (bk + 1.0) ** 3 * k ** 2
     return (A * ak ** 2 + B * ak + C) / denom
-
-
-def double_vase_printed_residue(k: int, b: float, a: float,
-                                verbatim: bool = False) -> float:
-    """Closed-form Res_b((1/G + G) dh): a quadratic in a^k over the common
-    denominator a^k * b * (b^k - 1)^3 * (b^k + 1)^3 * k^2.
-
-    The widely quoted form of this expression carries an overall sign flip
-    relative to the defining contour integral (verified symbolically); the
-    root set is identical either way.  The corrected sign is returned
-    unless `verbatim` is set.
-    """
-    value = _double_vase_equation(k, b, _double_vase_quadratic(k, b), a)
-    return value if verbatim else -value
-
-
-def double_vase_residue_at_b(params: DoubleVaseParams,
-                             check_oracle: bool = True) -> float:
-    """The double-vase period equation at z = b with rho = 1.
-
-    Evaluates the printed quadratic-in-a^k expression; with check_oracle
-    set, the contour value of Res_b((1/G + G) dh) must agree within 1e-8
-    relative (the oracle guards against transcription drift)."""
-    k, b, a = params.k, params.b, params.a
-    if a <= 0:
-        raise ParameterDomainError("a must be positive")
-    closed = double_vase_printed_residue(k, b, a)
-    if check_oracle:
-        data = double_vase_weierstrass_data(k, b, a)
-        oracle = _combo_residue(data, b, +1.0)
-        if abs(closed - oracle) > 1e-8 * max(abs(closed), abs(oracle), 1e-12):
-            raise ClosedFormMismatch(
-                f"double-vase residue printed {closed!r} vs contour {oracle!r} "
-                f"at k={k}, b={b}, a={a}"
-            )
-    return closed
 
 
 def double_vase_closed_form_a(k: int, b: float) -> float:
@@ -441,12 +390,11 @@ def gate(data: WeierstrassData, tol: float) -> PeriodReport:
     return assert_period_closed(data, tol)
 
 
-def construct(spec: FamilySpec, k=None, value=None,
-              tol: float | None = None) -> FamilyInstance:
-    """The one constructor path: solve, build the data, gate it at `tol`
-    (default: the family's period tolerance)."""
+def construct(spec: FamilySpec, k=None, value=None) -> FamilyInstance:
+    """The one constructor path: solve, build the data, gate it at the
+    family's period tolerance."""
     data, params, record = spec.build_data(k, value)
-    report = gate(data, spec.period_tol if tol is None else tol)
+    report = gate(data, spec.period_tol)
     return FamilyInstance(spec.name, data, params, record, report)
 
 

@@ -2,17 +2,17 @@
 node arrays (the inner loop of contour residues and path quadrature)."""
 
 
-def eval_product(coeff, kinds, ks, cs, exps, z, out):
-    """Evaluate coeff * prod(factor**exp) at every point of `z`.
+def eval_product(coeff, ks, cs, exps, z, out):
+    """Evaluate coeff * prod((z**k - c)**exp) at every point of `z`.
 
-    kinds: 0 = monomial (z), 1 = shifted power (z**k - c).
-    `out` must be a complex128 array of the same shape as `z`.  z**k is
-    computed once per distinct k and shared by the factors that have it.
+    A factor with c == 0 is the monomial z (k = 1).  `out` must be a
+    complex128 array of the same shape as `z`.  z**k is computed once per
+    distinct k and shared by the factors that have it.
     """
     out[...] = coeff
     powers = {}
-    for kind, k, c, e in zip(kinds, ks, cs, exps):
-        if kind == 0:
+    for k, c, e in zip(ks, cs, exps):
+        if c == 0:
             base = z
         else:
             k = int(k)

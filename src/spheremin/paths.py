@@ -28,6 +28,9 @@ from .weierstrass import CoordinateForms, WeierstrassData, coordinate_forms
 DETOUR_INFLATION = 1.1
 SEGMENT_TOL = 1e-12
 SUBDIVISION_BUDGET = 10_000
+# an exclusion disk's radius, as a fraction of the distance from its
+# puncture to the nearest other singularity or puncture
+EXCLUSION_SCALE = 0.05
 
 
 @dataclass(frozen=True)
@@ -264,10 +267,10 @@ def check_path_independence(
     return float(np.linalg.norm(xa - xb))
 
 
-def default_exclusions(data: WeierstrassData, scale: float = 0.05):
-    """Exclusion disks: around each puncture, `scale` times the distance to
-    its nearest other singularity or puncture."""
+def default_exclusions(data: WeierstrassData):
+    """Exclusion disks: around each puncture, EXCLUSION_SCALE times the
+    distance to its nearest other singularity or puncture."""
     finite = [complex(p) for p in data.punctures if not is_infinity(p)]
     dist = nearest_other(finite, data.finite_singularities() + finite)
-    return [(p, scale * d if d < math.inf else scale)
+    return [(p, EXCLUSION_SCALE * d if d < math.inf else EXCLUSION_SCALE)
             for p, d in zip(finite, dist.tolist())]

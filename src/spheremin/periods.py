@@ -24,16 +24,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import residue_at, residues_at
+from .algebra import residues_at
 from .errors import NoRoot, PeriodViolation
 from .weierstrass import WeierstrassData, point_json
-
-
-def _combo_residue(data: WeierstrassData, p, sign: float) -> complex:
-    """Res_p((1/G + sign*G) dh) from the factored forms: the families'
-    oracle, independent of their printed closed forms."""
-    u, v, _ = data.factored_forms()
-    return residue_at(u, p) + sign * residue_at(v, p)
 
 
 @dataclass(frozen=True)
@@ -110,16 +103,16 @@ def _period_entries(data: WeierstrassData, points, tol: float) -> list:
     ]
 
 
-def puncture_periods(data: WeierstrassData, p, tol: float = 1e-8) -> PeriodEntry:
+def puncture_periods(data: WeierstrassData, p, tol: float) -> PeriodEntry:
     """The three residues and reality conditions at one puncture."""
     return _period_entries(data, [p], tol)[0]
 
 
-def period_report(data: WeierstrassData, tol: float = 1e-8) -> PeriodReport:
+def period_report(data: WeierstrassData, tol: float) -> PeriodReport:
     return PeriodReport(tuple(_period_entries(data, data.punctures, tol)), tol)
 
 
-def assert_period_closed(data: WeierstrassData, tol: float = 1e-8) -> PeriodReport:
+def assert_period_closed(data: WeierstrassData, tol: float) -> PeriodReport:
     """Gate every constructor must pass before sampling: raises
     PeriodViolation (carrying the report) if any condition fails."""
     report = period_report(data, tol)

@@ -1,5 +1,7 @@
 """Residues by exact factor-wise cancellation: the analytic reference that
-tests compare the package's contour residues against.
+tests compare the package's contour residues against, and the contour
+residue of the combinations (1/G +- G) dh that the families' closed forms
+are checked against.
 
 At a pole of order 1 or 2 the factors vanishing at p are divided out
 algebraically (a shifted power splits into its enumerated linear roots),
@@ -7,12 +9,17 @@ so no numeric limit or differentiation is ever taken.
 """
 
 from spheremin.algebra import (
-    MONOMIAL,
     infinity_chart,
     is_infinity,
+    residue_at,
     residue_contour,
     same_point,
 )
+
+
+def _base_derivative(fac, z: complex) -> complex:
+    """d/dz of a factor's base z**k - c (of z for the monomial)."""
+    return 1.0 if fac.c == 0 else fac.k * z ** (fac.k - 1)
 
 
 def residue_limit(f, p, pole_order: int) -> complex:
@@ -31,9 +38,9 @@ def residue_limit(f, p, pole_order: int) -> complex:
         if not any(same_point(r, p) for r in fac.roots()):
             base = fac.base_value(p)
             value *= base ** fac.exponent
-            logd += fac.exponent * fac.base_derivative(p) / base
+            logd += fac.exponent * _base_derivative(fac, p) / base
             continue
-        if fac.kind == MONOMIAL:
+        if fac.c == 0:
             continue  # z**e / (z - 0)**e cancels exactly
         # (z**k - c)**e / (z - p)**e = prod over the other roots (z - r)**e
         for r in fac.roots():
@@ -65,3 +72,11 @@ def combo_residue_exact(data, p, sign: float) -> complex:
     factored forms dh/G and G dh."""
     u, v, _ = data.factored_forms()
     return exact_residue_at(u, p) + sign * exact_residue_at(v, p)
+
+
+def combo_residue_contour(data, p, sign: float) -> complex:
+    """Res_p((1/G + sign*G) dh) from the package's contour residues of the
+    data's factored forms dh/G and G dh: the oracle the families' printed
+    closed forms are checked against."""
+    u, v, _ = data.factored_forms()
+    return residue_at(u, p) + sign * residue_at(v, p)

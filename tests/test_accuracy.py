@@ -8,7 +8,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from spheremin.algebra import MONOMIAL, is_infinity
+from spheremin.algebra import is_infinity
 from spheremin.families import FAMILIES, construct
 from spheremin.mesh import DomainSpec, sample_mesh
 
@@ -28,7 +28,7 @@ def mp_value(f, z):
     """A FactoredMeromorphic evaluated in mpmath arithmetic."""
     acc = mpmath.mpc(f.coefficient)
     for fac in f.factors:
-        base = z if fac.kind == MONOMIAL else z ** fac.k - mpmath.mpc(fac.c)
+        base = z if fac.c == 0 else z ** fac.k - mpmath.mpc(fac.c)
         acc *= base ** fac.exponent
     return acc
 

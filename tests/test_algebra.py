@@ -13,8 +13,9 @@ from spheremin.algebra import (
     INF,
     NOISE_REL,
     FactoredMeromorphic,
+    _fmt_number,
+    Factor,
     contour_radius,
-    default_contour_radius,
     infinity_chart,
     is_infinity,
     laurent_coefficients,
@@ -28,7 +29,7 @@ from spheremin.algebra import (
     same_point,
     shifted_power,
 )
-from spheremin.errors import PoleEvaluation, SingularPoint
+from spheremin.errors import PoleEvaluation
 from spheremin.families import FAMILIES, catenoid_weierstrass_data
 
 from exact_residues import exact_residue_at, residue_limit
@@ -41,8 +42,8 @@ def _poly_oracle(f: FactoredMeromorphic, z):
     poly = np.polynomial.Polynomial([f.coefficient])
     for fac in f.factors:
         base = np.polynomial.Polynomial(
-            [-fac.c] + [0.0] * (fac.degree - 1) + [1.0]
-            if fac.kind == 1
+            [-fac.c] + [0.0] * (fac.k - 1) + [1.0]
+            if fac.c != 0
             else [0.0, 1.0]
         )
         for _ in range(fac.exponent):
@@ -96,8 +97,10 @@ def test_factor_merging_and_cancellation():
 
 def test_shifted_power_zero_shift_collapses():
     f = shifted_power(3, 0.0, 2)
-    assert f.kind == 0
+    assert (f.k, f.c) == (1, 0)
     assert f.exponent == 6
+    with pytest.raises(ValueError):
+        Factor(3, 0j, 2)
 
 
 def test_immutability():
@@ -120,22 +123,6 @@ def test_mul_and_inverse():
     assert h.eval(2.0) == pytest.approx(3.0 * f.eval(2.0))
 
 
-def test_log_derivative_against_finite_difference():
-    f = FactoredMeromorphic(
-        2.0, [monomial(2), shifted_power(3, 1.0 + 0.5j, -1)]
-    )
-    z = 1.7 - 0.3j
-    h = 1e-6
-    fd = (cmath.log(f.eval(z + h)) - cmath.log(f.eval(z - h))) / (2.0 * h)
-    assert f.log_derivative(z) == pytest.approx(fd, rel=1e-8)
-
-
-def test_log_derivative_at_singular_point_raises():
-    f = FactoredMeromorphic(1.0, [monomial(1)])
-    with pytest.raises(SingularPoint):
-        f.log_derivative(0.0)
-
-
 # -- structure queries -------------------------------------------------
 
 
@@ -149,7 +136,8 @@ def test_orders_and_roots():
     assert f.order_at(1.0) == -2
     assert f.order_at(5.0) == 0
     assert f.order_at(INF) == -f.degree == 3
-    assert sorted(f.finite_poles(), key=lambda z: z.real) == pytest.approx(
+    poles = [r for r, o in f.finite_roots() if o < 0]
+    assert sorted(poles, key=lambda z: z.real) == pytest.approx(
         [-1.0, 0.0, 1.0]
     )
 
@@ -327,9 +315,9 @@ def test_residue_at_dispatch():
 
 def test_default_contour_radius():
     f = FactoredMeromorphic(1.0, [monomial(1), shifted_power(1, 1.0)])
-    assert default_contour_radius(f, 0.0) == pytest.approx(0.5)
+    assert contour_radius(0.0, f._points) == pytest.approx(0.5)
     # entire function: falls back to a fixed radius
-    assert default_contour_radius(FactoredMeromorphic(2.0), 0.0) == 1.0
+    assert contour_radius(0.0, FactoredMeromorphic(2.0)._points) == 1.0
 
 
 def test_global_residue_theorem_fixed_cases():
@@ -343,8 +331,9 @@ def test_global_residue_theorem_fixed_cases():
     ]
     for f in cases:
         total = residue_at(f, INF)
-        for p in f.finite_poles():
-            total += residue_at(f, p)
+        for p, order in f.finite_roots():
+            if order < 0:
+                total += residue_at(f, p)
         assert abs(total) < 1e-10
 
 
@@ -412,6 +401,76 @@ def test_infinity_chart_round_trip(factors):
         assert cmath.isclose(g.eval(z), want, rel_tol=1e-9, abs_tol=1e-12)
 
 
+# -- one factor form against the two kinds it replaced ----------------
+
+
+def _two_kind_reference(coefficient, factors):
+    """Canonical factors, `str` and evaluation of the earlier design, in
+    which a factor was a monomial z**e (kind 0, k = 1, c = 0) or a shifted
+    power (z**k - c)**e (kind 1), sorted by kind first."""
+    merged = {}
+    for f in factors:
+        key = (0, 1, 0j) if f.c == 0 else (1, f.k, f.c)
+        merged[key] = merged.get(key, 0) + f.exponent
+    kept = sorted(((*key, e) for key, e in merged.items() if e != 0),
+                  key=lambda t: (t[0], t[1], t[2].real, t[2].imag))
+    text = [_fmt_number(coefficient)] + [
+        f"z^{e}" if kind == 0 else
+        f"({'z' if k == 1 else f'z^{k}'} - {_fmt_number(c)})^{e}"
+        for kind, k, c, e in kept
+    ]
+    kinds, ks, cs, exps = (np.array(col, dtype=dt) for col, dt in zip(
+        zip(*kept) if kept else ((),) * 4,
+        (np.int64, np.int64, np.complex128, np.int64)))
+
+    def evaluate(z):
+        out = np.empty_like(z)
+        out[...] = coefficient
+        powers = {}
+        for kind, k, c, e in zip(kinds, ks, cs, exps):
+            if kind == 0:
+                base = z
+            else:
+                k = int(k)
+                if k not in powers:
+                    powers[k] = z ** k
+                base = powers[k] - c
+            out *= base ** int(e)
+        return out
+
+    return kept, " * ".join(text), evaluate
+
+
+_any_factor = st.one_of(
+    st.integers(-3, 3).filter(bool).map(monomial),
+    # a zero shift collapses to a monomial
+    st.builds(shifted_power, st.integers(1, 4),
+              st.sampled_from([0.0, 0.25, 1.0, -1.0, 2.0, 1.0 + 1.0j, -0.5j]),
+              st.integers(-3, 3).filter(bool)),
+)
+
+
+@st.composite
+def _factor_lists(draw):
+    """Factor lists in any order, some of whose factors cancel again."""
+    factors = draw(st.lists(_any_factor, max_size=5))
+    if factors:
+        again = draw(st.lists(st.sampled_from(factors), max_size=3))
+        factors += [Factor(f.k, f.c, -f.exponent) for f in again]
+    return draw(st.permutations(factors))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_factor_lists(), st.sampled_from([1.0, -2.5, 0.5 + 1.5j]))
+def test_one_factor_form_matches_two_kind_reference(factors, coefficient):
+    f = FactoredMeromorphic(coefficient, factors)
+    kept, text, evaluate = _two_kind_reference(complex(coefficient), factors)
+    assert [(int(g.c != 0), g.k, g.c, g.exponent) for g in f.factors] == kept
+    assert str(f) == text
+    z = np.concatenate([3.0 + 0.5 * _RING, 0.3 * _RING[::7] + 0.1j])
+    assert f.eval_array(z).tolist() == evaluate(z).tolist()
+
+
 # -- batched Laurent tables ----------------------------------------------
 
 
@@ -419,8 +478,8 @@ def _loop_eval(f, z):
     """f at the points z, one power of z per factor: the kernel before
     factors of equal degree shared their z**k."""
     out = np.full_like(z, f.coefficient)
-    for kind, k, c, e in zip(*f._packed):
-        base = z if kind == 0 else z ** int(k) - c
+    for k, c, e in zip(*f._packed):
+        base = z if c == 0 else z ** int(k) - c
         out *= base ** int(e)
     return out
 

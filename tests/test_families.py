@@ -7,7 +7,7 @@ import math
 import pytest
 
 from spheremin.algebra import (
-    default_contour_radius,
+    contour_radius,
     infinity_chart,
     is_infinity,
     same_point,
@@ -156,7 +156,7 @@ def test_descriptor_round_trip_each_family(name):
             form, q = f, p
             if is_infinity(p):
                 form, q = infinity_chart(f, one_form=True), 0j
-            radius = default_contour_radius(form, q)
+            radius = contour_radius(q, form._points)
             assert all(abs(r - q) > radius for r, _ in form.finite_roots()
                        if not same_point(r, q))
 

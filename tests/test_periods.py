@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 from spheremin.errors import (
-    ClosedFormMismatch,
     NoRoot,
     ParameterDomainError,
     PeriodViolation,
@@ -17,28 +16,27 @@ from spheremin.families import (
     FAMILIES,
     DoubleVaseParams,
     VaseParams,
+    _double_vase_equation,
+    _double_vase_quadratic,
+    _vase_equation,
     double_vase_closed_form_a,
-    double_vase_printed_residue,
-    double_vase_residue_at_b,
     double_vase_weierstrass_data,
     make_double_vase,
     make_vase,
     solve_double_vase_a,
     solve_vase_rho,
-    vase_residue_at_one,
     vase_weierstrass_data,
 )
 from spheremin import families
 from spheremin.periods import (
     ROOT_GRID,
-    _combo_residue,
     assert_period_closed,
     hybrid_root,
     period_report,
     puncture_periods,
 )
 
-from exact_residues import combo_residue_exact
+from exact_residues import combo_residue_contour, combo_residue_exact
 
 # frozen independent oracles (exact rationals obtained symbolically)
 VASE_RES_K2_A05_RHO1 = 0.140625            # 9/64
@@ -60,23 +58,39 @@ def test_param_domains():
         DoubleVaseParams(1, 0.5)
 
 
+@pytest.mark.parametrize("family", ["vase", "double_vase"])
+@pytest.mark.parametrize("solved", [0.0, -0.0, -1.0, math.inf, math.nan])
+def test_solved_value_must_be_positive_and_finite(family, solved):
+    """A solved value of 0 is rejected like any other that is not positive
+    (the unsolved default is None), in the params and before the data is
+    built."""
+    spec = FAMILIES[family]
+    with pytest.raises(ParameterDomainError):
+        spec.params_type(2, 0.5, solved)
+    with pytest.raises(ParameterDomainError):
+        spec.build_data(2, 0.5, solved)
+    assert getattr(spec.params_type(2, 0.5), spec.solved_param) is None
+
+
 def test_vase_residue_closed_form_value():
     # k=2, a=0.5, rho=1: rho(ak-1)(k ak + k - ak + 1)/k^2 + (k+1)/(rho k^2)
-    val = vase_residue_at_one(VaseParams(2, 0.5, 1.0))
+    val = _vase_equation(2, 0.5 ** 2, 1.0)
     assert val == pytest.approx(VASE_RES_K2_A05_RHO1, rel=1e-12)
 
 
 def test_vase_residue_oracle_agreement():
-    # check_oracle compares against the trapezoidal contour internally
+    # the closed form against the trapezoidal contour, within 1e-9
     for k, a, rho in [(2, 0.5, 1.0), (3, 0.3, 0.7), (5, 0.8, 2.0)]:
-        vase_residue_at_one(VaseParams(k, a, rho), check_oracle=True)
+        closed = _vase_equation(k, a ** k, rho)
+        oracle = combo_residue_contour(vase_weierstrass_data(k, a, rho), 1.0, +1.0)
+        assert abs(closed - oracle) <= 1e-9 * max(1.0, abs(closed), abs(oracle))
 
 
 def test_combo_residue_exact_matches_contour():
     data = vase_weierstrass_data(2, 0.5, 1.0)
     for p in (1.0, -1.0, 0j):
         for sign in (+1.0, -1.0):
-            con = _combo_residue(data, p, sign)
+            con = combo_residue_contour(data, p, sign)
             ex = combo_residue_exact(data, p, sign)
             assert con == pytest.approx(ex, rel=1e-9, abs=1e-11)
 
@@ -86,7 +100,7 @@ def test_combo_residue_exact_matches_contour_on_solved_data():
         data = solved.data
         for p in data.punctures:
             for sign in (+1.0, -1.0):
-                con = _combo_residue(data, p, sign)
+                con = combo_residue_contour(data, p, sign)
                 ex = combo_residue_exact(data, p, sign)
                 assert con == pytest.approx(ex, rel=1e-9, abs=1e-11), (p, sign)
 
@@ -104,7 +118,7 @@ def test_combo_residue_exact_matches_contour_near_cancelled_pole():
     for p in data.punctures:
         tol = 1e-10 if p is not INF and p.real < 0 else 1e-11
         for sign in (+1.0, -1.0):
-            con = _combo_residue(data, p, sign)
+            con = combo_residue_contour(data, p, sign)
             ex = combo_residue_exact(data, p, sign)
             assert con == pytest.approx(ex, rel=1e-9, abs=tol), (p, sign)
 
@@ -144,22 +158,18 @@ def test_vase_dh_residue_at_zero():
 
 def test_double_vase_printed_residue_sign_convention():
     """The quoted closed form carries a global sign flip relative to the
-    defining contour integral; the corrected sign is the default.  The
+    defining contour integral; the solver negates it.  The
     value 3/32 at (k=2, b=1/2, a=2) was frozen from a symbolic residue
     computation."""
-    got = double_vase_printed_residue(2, 0.5, 2.0)
-    assert got == pytest.approx(DVASE_RES_K2_B05_A2, rel=1e-12)
-    verbatim = double_vase_printed_residue(2, 0.5, 2.0, verbatim=True)
-    assert verbatim == pytest.approx(-DVASE_RES_K2_B05_A2, rel=1e-12)
+    printed = _double_vase_equation(2, 0.5, _double_vase_quadratic(2, 0.5), 2.0)
+    assert printed == pytest.approx(-DVASE_RES_K2_B05_A2, rel=1e-12)
 
 
 def test_double_vase_residue_oracle_agreement():
     for k, b, a in [(2, 0.5, 2.0), (3, 0.25, 1.5), (4, 0.75, 3.0)]:
-        closed = double_vase_residue_at_b(
-            DoubleVaseParams(k, b, a), check_oracle=True
-        )
+        closed = -_double_vase_equation(k, b, _double_vase_quadratic(k, b), a)
         data = double_vase_weierstrass_data(k, b, a)
-        contour = _combo_residue(data, b, +1.0)
+        contour = combo_residue_contour(data, b, +1.0)
         assert closed == pytest.approx(contour, rel=1e-8)
 
 
@@ -398,18 +408,6 @@ def test_puncture_periods_single_entry(dvase2):
     entry = puncture_periods(dvase2.data, complex(b), tol=1e-8)
     assert entry.closed
     assert entry.defect < 1e-8
-
-
-def test_closed_form_mismatch_guard(monkeypatch):
-    # a drifting contour oracle must trip the closed-form cross-check
-    import spheremin.families as families
-
-    original = families._combo_residue
-    monkeypatch.setattr(
-        families, "_combo_residue", lambda *a, **k: original(*a, **k) + 1e-6
-    )
-    with pytest.raises(ClosedFormMismatch):
-        vase_residue_at_one(VaseParams(2, 0.5, 1.0), check_oracle=True)
 
 
 @pytest.mark.parametrize("family, k, x",

@@ -5,7 +5,7 @@ import pytest
 
 from spheremin.algebra import INF, FactoredMeromorphic, monomial, shifted_power
 from spheremin.errors import UnrecognizedEndType
-from spheremin.families import make_vase, vase_weierstrass_data
+from spheremin.families import make_double_vase, make_vase, vase_weierstrass_data
 from spheremin.weierstrass import (
     CATENOID_NON_VERTICAL,
     CATENOID_VERTICAL_DOWN,
@@ -166,6 +166,20 @@ def test_classify_double_vase_ends(dvase2):
     assert radii[k:] == pytest.approx([1.0 / b] * k)
     assert CATENOID_VERTICAL_UP not in kinds
     assert CATENOID_VERTICAL_DOWN not in kinds
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+    "same_point's tolerance is absolute below modulus 1: a pole of G about "
+    "4e-10 from each puncture on |z| = b merges with it, so those ends read "
+    "as catenoid_vertical_up"))
+@pytest.mark.parametrize("k, b", [(24, 0.00271), (2, 0.001)])
+def test_small_double_vase_ends_are_all_non_vertical(k, b):
+    """Each of the 2k ends on |z| = b and |z| = 1/b is catenoid_non_vertical,
+    as at every other b: G is regular there and dh has a double pole."""
+    ends = classify_all_ends(make_double_vase(k, b).data)
+    kinds = [e.kind for e in ends]
+    assert kinds.count(CATENOID_NON_VERTICAL) == 2 * k
+    assert CATENOID_VERTICAL_UP not in kinds
 
 
 def test_classify_catenoid_ends(catenoid):
