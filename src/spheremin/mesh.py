@@ -57,17 +57,6 @@ class DomainSpec:
                 f"exclusion_radius must be positive and finite, got {radius}"
             )
 
-    def refined(self) -> "DomainSpec":
-        """The same window at twice the resolution in each direction."""
-        return DomainSpec(
-            self.r_min,
-            self.r_max,
-            self.n_r * 2,
-            self.n_theta * 2,
-            self.base_point,
-            self.exclusion_radius,
-        )
-
 
 @dataclass(frozen=True)
 class SurfaceMesh:

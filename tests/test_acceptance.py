@@ -6,6 +6,7 @@ for passing criteria as well)."""
 import math
 import time
 from collections import Counter
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -223,7 +224,7 @@ def test_criterion_07_minimality_convergence(test_meshes):
     details = []
     for name, inst, spec in test_meshes:
         meds = []
-        for sp in (spec, spec.refined()):
+        for sp in (spec, replace(spec, n_r=2 * spec.n_r, n_theta=2 * spec.n_theta)):
             mesh = sample_mesh(inst.data, sp)
             H, interior = estimate_mean_curvature(mesh)
             meds.append(float(np.nanmedian(H[interior])))
