@@ -7,17 +7,18 @@ of all surfaces built here while keeping zeros, poles, orders and
 residues exactly enumerable.
 A residue of a sum is the sum of the residues of its factored terms.
 
-Two finite points are the same point when they lie within a relative
-1e-9 of each other (`same_point`); every root, pole and puncture match
-in the package goes through that one rule, which broadcasts over arrays.
-Moduli are taken with `np.hypot` (`modulus`), which gives the bits of the
-built-in `abs` of a complex; `np.abs` differs from it in the last bit on
-about a third of random values, and would move radii and meshes.  Lists
-of points are merged greedily, each point into the first earlier kept
-point that matches it (`merge_points`), from one broadcast match matrix.
-A function's table of (root, aggregated order) pairs is built that way
-once, when it is created, and held as two arrays; every zero/pole query
-reads them with one array operation.
+A function's (root, order) table is built from its factors once, when
+it is created, and held as two arrays that every zero/pole query reads
+with one array operation.  The k roots of one factor are distinct and
+factors of equal k share none, so the table is each factor's roots end
+to end with its exponent; only roots of factors of different k are
+compared, once per pair, a match adding its exponent to the earlier
+entry.  Two finite points are the same when |p - q| <= 1e-9 |p|
+(`same_point`, so 0 matches only 0), the rule for those roots and for
+numbers from outside met with a table: punctures, query points, path
+chaining.  Moduli are taken with `np.hypot` (`modulus`), the bits of the
+built-in `abs`; `np.abs` differs from it in the last bit on about a third
+of random values, and would move radii and meshes.
 
 Every Laurent coefficient comes from one trapezoidal rule at a fixed
 LAURENT_NODES nodes on a `contour_radius` circle (`laurent_coefficients`).
@@ -34,6 +35,7 @@ chart (`residues_at`).
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -79,31 +81,12 @@ def modulus(z):
 
 def same_point(p, q):
     """Sphere-point equality: INF matches only INF, finite points when
-    |p - q| <= 1e-9 * max(1, |p|), the tolerance scaled by p.  Finite p and
-    q broadcast; the result is a boolean array or scalar."""
+    |p - q| <= 1e-9 * |p|, so 0 matches only 0.  Finite p and q broadcast;
+    the result is a boolean array or scalar."""
     if is_infinity(p) or is_infinity(q):
         return is_infinity(p) and is_infinity(q)
     p = np.asarray(p, dtype=np.complex128)
-    return modulus(p - q) <= _ROOT_MATCH_TOL * np.maximum(1.0, modulus(p))
-
-
-def merge_points(points):
-    """Greedy first-come merge of finite points: each point joins the first
-    earlier kept point that matches it under same_point(kept, point), and
-    is kept itself when none does.  Returns (kept, entry): the mask of the
-    kept points, and for each point the index of its own among them.  A
-    chain a~b, b~c with a !~ c keeps a and c: c is compared with kept
-    points only."""
-    points = np.asarray(points, dtype=np.complex128)
-    owner = np.arange(len(points))
-    kept = np.ones(len(points), dtype=bool)
-    hits = np.triu(same_point(points[:, None], points[None, :]), 1)
-    # the loop visits only the points that match an earlier one
-    for j in np.flatnonzero(hits.any(axis=0)):
-        first = np.flatnonzero(hits[:j, j] & kept[:j])
-        if len(first):
-            owner[j], kept[j] = first[0], False
-    return kept, (np.cumsum(kept) - 1)[owner]
+    return modulus(p - q) <= _ROOT_MATCH_TOL * modulus(p)
 
 
 def nearest_other(p, points) -> np.ndarray:
@@ -152,7 +135,8 @@ class Factor:
         if self.c == 0:
             return [0j]
         r = abs(self.c) ** (1.0 / self.k)
-        phi = cmath.phase(self.c)
+        # cmath.phase raises OverflowError on a subnormal part
+        phi = math.atan2(self.c.imag, self.c.real)
         return [
             r * cmath.exp(1j * (phi + 2.0 * math.pi * j) / self.k)
             for j in range(self.k)
@@ -203,16 +187,23 @@ class FactoredMeromorphic:
             np.array([f.exponent for f in kept], dtype=np.int64),
         )
         object.__setattr__(self, "_packed", packed)
-        # (root, aggregated order) arrays over every factor root; entries
-        # whose orders cancel stay, so contour sizing still sees them
+        # (root, order) arrays: each factor's roots end to end; a root of a
+        # factor of another k matching an earlier one joins its entry, and
+        # entries whose orders cancel stay
         roots = np.array([r for f in kept for r in f.roots()], dtype=np.complex128)
-        exps = np.array([f.exponent for f in kept for _ in range(f.k)],
-                        dtype=np.int64)
-        kept, entry = merge_points(roots)
-        orders = np.zeros(np.count_nonzero(kept), dtype=np.int64)
-        np.add.at(orders, entry, exps)
-        object.__setattr__(self, "_points", roots[kept])
-        object.__setattr__(self, "_orders", orders)
+        start = np.cumsum([0] + [f.k for f in kept])
+        owner = np.arange(len(roots))
+        for i, j in itertools.combinations(range(len(kept)), 2):
+            if kept[i].k != kept[j].k:
+                a, b = np.nonzero(same_point(roots[start[i]:start[i + 1], None],
+                                             roots[start[j]:start[j + 1]]))
+                a, b = a + start[i], b + start[j]
+                free = owner[b] == b
+                owner[b[free]] = owner[a[free]]
+        entries = owner == np.arange(len(roots))
+        orders = np.bincount(owner, np.repeat(packed[2], packed[0]), len(roots))
+        object.__setattr__(self, "_points", roots[entries])
+        object.__setattr__(self, "_orders", orders[entries].astype(np.int64))
         object.__setattr__(self, "_charts", {})  # see infinity_chart
         object.__setattr__(self, "_laurent", {})  # see principal_part
 
@@ -338,12 +329,21 @@ def one_form_order_at(f: FactoredMeromorphic, p) -> int:
 # -- residues ---------------------------------------------------------
 
 
-def contour_radius(p, points):
-    """Half the distance from each p to the nearest other point, or 1.0
-    when there is none: no other singularity comes within twice the
-    radius, so the trapezoidal error decays at least like 2**-nodes.  p
-    broadcasts over a leading axis, as in `nearest_other`."""
-    dist = nearest_other(p, points)
+# rounding reach: on a circle about p of radius below REACH * |p|, z**k - c
+# cancels and the values carry noise above NOISE_REL
+REACH = np.finfo(float).eps / NOISE_REL
+
+
+def contour_radius(p, points, orders):
+    """Half the distance from each p (broadcast over a leading axis) to the
+    nearest other root of the table (points, orders), 1.0 when there is
+    none.  A pole always bounds the circle, so the trapezoidal error decays
+    at least like 2**-nodes; a root that is no pole, where f is analytic,
+    does not bound it within the rounding reach REACH * |p|."""
+    p = np.asarray(p, dtype=np.complex128)[..., None]
+    dist = modulus(p - points)
+    skip = same_point(p, points) | ((orders >= 0) & (dist < REACH * modulus(p)))
+    dist = np.where(skip, np.inf, dist).min(axis=-1, initial=np.inf)
     return np.where(dist < math.inf, 0.5 * dist, 1.0)
 
 
@@ -406,7 +406,8 @@ def principal_part(f: FactoredMeromorphic, points):
         roots = f._points[missing]
         m = np.maximum(1, -f._orders[missing]).tolist()
         coeffs, floors = laurent_coefficients(
-            f, roots, contour_radius(roots, f._points), np.arange(1, max(m) + 1))
+            f, roots, contour_radius(roots, f._points, f._orders),
+            np.arange(1, max(m) + 1))
         for i, n, c, floor in zip(missing, m, coeffs, floors):
             f._laurent[i] = (c[:n], floor[:n])
     return [f._laurent[i] if i >= 0 else _NO_ROOT for i in entries]
@@ -419,9 +420,8 @@ def antiderivative(f: FactoredMeromorphic):
     for np.polyval, in z for the polynomial part (pole None) and in
     1/(z - p) for the principal part at p; `logs` lists the (p, c_1) of
     the c_1 log(z - p) terms.  The degree is read from f's factors and the
-    principal parts from `principal_part`, at every root-table entry of
-    order <= 0: an entry where a pole and a zero within the `same_point`
-    tolerance merged to order 0 still carries the pole's c_1.
+    principal parts from `principal_part`, at every pole in f's root
+    table.
     """
     rational, logs = [], []
     if f.degree >= 0:
@@ -430,7 +430,7 @@ def antiderivative(f: FactoredMeromorphic):
         radius = 2.0 * float(modulus(f._points).max(initial=0.5))
         a, _ = laurent_coefficients(f, [0.0], [radius], -n)  # a_n of z**n
         rational.append((None, np.append((a[0] / (n + 1))[::-1], 0.0)))
-    poles = f._points[f._orders <= 0]
+    poles = f._points[f._orders < 0]
     for p, (c, _) in zip(poles.tolist(), principal_part(f, poles)):
         logs.append((p, c[0]))
         if len(c) > 1:

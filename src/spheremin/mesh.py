@@ -16,9 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import is_infinity
+from .algebra import is_infinity, nearest_other
 from .errors import DegenerateTriangle, ParameterDomainError
-from .paths import default_exclusions
 from .weierstrass import (
     Immersion,
     WeierstrassData,
@@ -29,6 +28,9 @@ from .weierstrass import (
 
 # a face is dropped as zero-area when |cross| <= ZERO_AREA * extent**2
 ZERO_AREA = 1e-12
+# an exclusion disk's radius, as a fraction of the distance from its
+# puncture to the nearest other singularity or puncture
+EXCLUSION_SCALE = 0.05
 
 
 @dataclass(frozen=True)
@@ -74,6 +76,15 @@ class SurfaceMesh:
     @property
     def n_faces(self) -> int:
         return len(self.faces)
+
+
+def default_exclusions(data: WeierstrassData):
+    """Exclusion disks: around each puncture, EXCLUSION_SCALE times the
+    distance to its nearest other singularity or puncture."""
+    finite = [complex(p) for p in data.punctures if not is_infinity(p)]
+    dist = nearest_other(finite, data.finite_singularities() + finite)
+    return [(p, EXCLUSION_SCALE * d if d < math.inf else EXCLUSION_SCALE)
+            for p, d in zip(finite, dist.tolist())]
 
 
 def exclusion_disks(data: WeierstrassData, spec: DomainSpec):

@@ -7,8 +7,8 @@ quadrature (integrands are analytic along admissible paths, so the
 panels converge fast; a subdivision budget guards near-pole routes).
 
 No mesh vertex is integrated here: `mesh.sample_mesh` evaluates the
-closed form `weierstrass.Immersion` and takes only the exclusion disks
-from this module.  Path integrals are an independent check of the closed
+closed form `weierstrass.Immersion`, and nothing in the package calls
+this module.  Path integrals are an independent check of the closed
 form, for winding paths (`check_path_independence`) and for
 finite-difference tangents (`mesh.fd_tangents`).
 """
@@ -21,16 +21,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import NOISE_REL, is_infinity, nearest_other, same_point
+from .algebra import NOISE_REL, same_point
 from .errors import QuadratureFailure, Unroutable
 from .weierstrass import CoordinateForms, WeierstrassData, coordinate_forms
 
 DETOUR_INFLATION = 1.1
 SEGMENT_TOL = 1e-12
 SUBDIVISION_BUDGET = 10_000
-# an exclusion disk's radius, as a fraction of the distance from its
-# puncture to the nearest other singularity or puncture
-EXCLUSION_SCALE = 0.05
 
 
 @dataclass(frozen=True)
@@ -265,12 +262,3 @@ def check_path_independence(
     xa = integrate_point(data, path_a)
     xb = integrate_point(data, path_b)
     return float(np.linalg.norm(xa - xb))
-
-
-def default_exclusions(data: WeierstrassData):
-    """Exclusion disks: around each puncture, EXCLUSION_SCALE times the
-    distance to its nearest other singularity or puncture."""
-    finite = [complex(p) for p in data.punctures if not is_infinity(p)]
-    dist = nearest_other(finite, data.finite_singularities() + finite)
-    return [(p, EXCLUSION_SCALE * d if d < math.inf else EXCLUSION_SCALE)
-            for p, d in zip(finite, dist.tolist())]

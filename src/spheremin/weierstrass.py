@@ -25,7 +25,6 @@ from .algebra import (
     antiderivative,
     infinity_chart,
     is_infinity,
-    merge_points,
     one_form_order_at,
     principal_part,
     same_point,
@@ -52,15 +51,17 @@ class WeierstrassData:
         finite = np.array([p for p in pts if not is_infinity(p)],
                           dtype=np.complex128)
         repeats = [INF] * (len(pts) - len(finite) - 1)
-        repeats += finite[~merge_points(finite)[0]].tolist()
+        matches = np.triu(same_point(finite[:, None], finite[None, :]), 1)
+        repeats += finite[matches.any(axis=0)].tolist()
         if repeats:
             raise ValueError(f"punctures are not pairwise distinct: {repeats[0]!r}")
         object.__setattr__(self, "punctures", pts)
         object.__setattr__(self, "_finite_punctures", finite)
-        roots = np.concatenate([f._points[f._orders != 0]
-                                for f in (self.gauss_map, self.dh)])
-        object.__setattr__(self, "_singular", roots[merge_points(roots)[0]])
         g, dh = self.gauss_map, self.dh
+        # equal factors (k, c) of G and dh give bit-equal roots
+        roots = g._points[g._orders != 0].tolist() + dh._points[dh._orders != 0].tolist()
+        object.__setattr__(self, "_singular",
+                           np.array(list(dict.fromkeys(roots)), dtype=np.complex128))
         object.__setattr__(self, "_forms", (dh * g.inverse(), g * dh, dh))
 
     def is_puncture(self, p) -> bool:
@@ -118,12 +119,12 @@ class Immersion:
             rational, form_logs = antiderivative(f)
             self._rational += [(col, p, c) for p, c in rational]
             logs += [(col, p, c1) for p, c1 in form_logs]
-        points = np.array([p for _, p, _ in logs], dtype=np.complex128)
-        kept, entry = merge_points(points)
-        self._log_points = points[kept]
-        self._log_coeffs = np.zeros((len(self._log_points), 3), dtype=np.complex128)
-        for (col, _, c1), i in zip(logs, entry):
-            self._log_coeffs[i] += _COMBINATION[:, col] * c1
+        # the forms' poles at one point are bit-equal: group them by value
+        entry = {p: i for i, p in enumerate(dict.fromkeys(p for _, p, _ in logs))}
+        self._log_points = np.array(list(entry), dtype=np.complex128)
+        self._log_coeffs = np.zeros((len(entry), 3), dtype=np.complex128)
+        for col, p, c1 in logs:
+            self._log_coeffs[entry[p]] += _COMBINATION[:, col] * c1
         imag = np.abs(self._log_coeffs.imag)
         self.dropped_imag = float(imag.max()) if imag.size else 0.0
         self._offset = self._re_primitive(np.array([complex(base)]))[0]

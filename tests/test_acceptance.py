@@ -28,8 +28,8 @@ from spheremin.families import (
     make_vase,
     vase_weierstrass_data,
 )
-from spheremin.mesh import fd_tangents, interior_vertices
-from spheremin.paths import check_path_independence, default_exclusions, plan_path
+from spheremin.mesh import default_exclusions, fd_tangents, interior_vertices
+from spheremin.paths import check_path_independence, plan_path
 from spheremin.periods import period_report
 from spheremin.weierstrass import (
     CATENOID_NON_VERTICAL,

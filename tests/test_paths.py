@@ -6,13 +6,13 @@ import numpy as np
 import pytest
 
 from spheremin.errors import Unroutable
+from spheremin.mesh import default_exclusions
 from spheremin.paths import (
     ArcSegment,
     DETOUR_INFLATION,
     IntegrationPath,
     LineSegment,
     check_path_independence,
-    default_exclusions,
     empty_path,
     integrate_forms,
     integrate_point,
