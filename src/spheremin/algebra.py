@@ -275,12 +275,6 @@ class FactoredMeromorphic:
 
     __rmul__ = __mul__
 
-    def inverse(self):
-        return FactoredMeromorphic(
-            1.0 / self.coefficient,
-            tuple(Factor(f.k, f.c, -f.exponent) for f in self.factors),
-        )
-
     def __str__(self):
         parts = [_fmt_number(self.coefficient)]
         parts.extend(str(f) for f in self.factors)

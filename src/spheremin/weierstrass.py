@@ -21,6 +21,7 @@ import numpy as np
 
 from .algebra import (
     INF,
+    Factor,
     FactoredMeromorphic,
     antiderivative,
     infinity_chart,
@@ -62,7 +63,10 @@ class WeierstrassData:
         roots = g._points[g._orders != 0].tolist() + dh._points[dh._orders != 0].tolist()
         object.__setattr__(self, "_singular",
                            np.array(list(dict.fromkeys(roots)), dtype=np.complex128))
-        object.__setattr__(self, "_forms", (dh * g.inverse(), g * dh, dh))
+        # u = dh/G from the factors of dh and of G, G's exponents negated
+        u = FactoredMeromorphic(dh.coefficient * (1.0 / g.coefficient), dh.factors
+                                + tuple(Factor(f.k, f.c, -f.exponent) for f in g.factors))
+        object.__setattr__(self, "_forms", (u, g * dh, dh))
 
     def is_puncture(self, p) -> bool:
         if is_infinity(p):
