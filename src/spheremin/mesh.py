@@ -3,9 +3,12 @@
 The domain is a polar annulus in the log chart z = exp(s + i*theta)
 minus the puncture exclusion disks.  X is evaluated at every grid node
 at once from its closed form (`weierstrass.Immersion`): no path is
-planned and no quadrature runs.  Vertex ids, faces, edge counts and the
-writers are array operations.  Output meshes are deterministic for a
-fixed spec.
+planned and no quadrature runs.  Vertex ids, faces and edge counts
+are array operations.  The OBJ writer emits `%.9g` `v` and `vn` lines,
+then `f a//a b//b c//c` lines with 1-based ids, reusing one formatted
+token per vertex for every face around it; PLY is binary little-endian.
+Output meshes are deterministic for a fixed spec, and identical meshes
+give identical bytes.
 """
 
 from __future__ import annotations
@@ -277,14 +280,21 @@ def fd_tangents(data: WeierstrassData, z: complex, h: float = 1e-3):
 
 
 def write_obj(mesh: SurfaceMesh, path: str):
-    """Wavefront OBJ with per-vertex normals, 9 significant digits, LF."""
-    idx = np.repeat(np.reshape(mesh.faces, (-1, 3)).astype(np.int64) + 1, 2, axis=1)
+    """Wavefront OBJ, LF-terminated: one `v x y z` line per vertex, then
+    one `vn x y z` line per normal, all at `%.9g`, then one
+    `f a//a b//b c//c` line per face with 1-based ids.  Each vertex's
+    `i//i` token is formatted once and the face lines reuse it, so a
+    vertex shared by six faces costs one format, not twelve.  Identical
+    meshes give identical bytes."""
+    tokens = np.array([f"{i}//{i}" for i in range(1, mesh.n_vertices + 1)],
+                      dtype=object)
     text = (
         "v %.9g %.9g %.9g\n" * mesh.n_vertices
         % tuple(np.ravel(mesh.vertices).tolist())
         + "vn %.9g %.9g %.9g\n" * len(mesh.normals)
         % tuple(np.ravel(mesh.normals).tolist())
-        + "f %d//%d %d//%d %d//%d\n" * mesh.n_faces % tuple(idx.ravel().tolist())
+        + "f %s %s %s\n" * mesh.n_faces
+        % tuple(tokens[np.ravel(mesh.faces)].tolist())
     )
     with open(path, "w", newline="\n") as fh:
         fh.write(text or "\n")

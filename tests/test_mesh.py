@@ -180,6 +180,55 @@ def test_array_assembly_matches_the_loops(vase2, tmp_path):
     assert (tmp_path / "m.ply").read_bytes().endswith(records)
 
 
+@pytest.mark.parametrize(
+    "name, args", [("catenoid", ()), ("vase", (2, 0.5)), ("double_vase", (6, 0.25))]
+)
+def test_obj_matches_the_loop_at_export_resolution(name, args, tmp_path):
+    # the export window at 64x128, where face lines carry 4-digit ids
+    spec = FAMILIES[name]
+    inst = construct(spec, *args)
+    domain = DomainSpec(spec.r_min, spec.r_max, 64, 128,
+                        base_point=spec.base_point(inst.params))
+    mesh = sample_mesh(inst.data, domain)
+    assert mesh.n_vertices > 8000
+    write_obj(mesh, str(tmp_path / "m.obj"))
+    assert (tmp_path / "m.obj").read_bytes() == loop_obj_text(mesh).encode()
+
+
+def test_obj_text_of_a_hand_built_mesh(tmp_path):
+    # faces out of vertex order, and vertex 2 (id 3) in no face
+    from spheremin.mesh import SurfaceMesh
+
+    mesh = SurfaceMesh(
+        vertices=np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0],
+                           [0.1, -2.5e-10, 1.0 / 3.0],
+                           [0.0, 1.0, 123456.789012], [1.0, 1.0, -0.0]]),
+        normals=np.array([[0.0, 0.0, 1.0], [0.0, 0.0, 1.0], [1.0, 0.0, 0.0],
+                          [0.0, 0.0, -1.0], [0.0, 0.0, 1.0]]),
+        source_z=np.zeros(5, dtype=complex),
+        conformal=np.ones(5),
+        faces=np.array([[4, 0, 1], [3, 4, 1]]),
+        metadata={},
+    )
+    want = (
+        "v 0 0 0\n"
+        "v 1 0 0\n"
+        "v 0.1 -2.5e-10 0.333333333\n"
+        "v 0 1 123456.789\n"
+        "v 1 1 -0\n"
+        "vn 0 0 1\n"
+        "vn 0 0 1\n"
+        "vn 1 0 0\n"
+        "vn 0 0 -1\n"
+        "vn 0 0 1\n"
+        "f 5//5 1//1 2//2\n"
+        "f 4//4 5//5 2//2\n"
+    )
+    write_obj(mesh, str(tmp_path / "m.obj"))
+    assert (tmp_path / "m.obj").read_bytes() == want.encode()
+    assert loop_obj_text(mesh) == want
+
+
 def add_at_curvature(mesh):
     """The np.add.at accumulation that `estimate_mean_curvature` replaced
     with np.bincount, kept as its reference."""
