@@ -4,9 +4,12 @@ The domain is a polar annulus in the log chart z = exp(s + i*theta)
 minus the puncture exclusion disks.  X is evaluated at every grid node
 at once from its closed form (`weierstrass.Immersion`): no path is
 planned and no quadrature runs.  Vertex ids, faces and edge counts
-are array operations.  The OBJ writer emits `%.9g` `v` and `vn` lines,
-then `f a//a b//b c//c` lines with 1-based ids, reusing one formatted
-token per vertex for every face around it; PLY is binary little-endian.
+are array operations.  One face-geometry pass (a single gather of the
+corners, three edges and one cross product per face) serves both the
+zero-area face drop and the cotangent curvature estimate.  The OBJ
+writer formats bytes: `%.9g` `v` and `vn` lines, then
+`f a//a b//b c//c` lines with 1-based ids, reusing one formatted token
+per vertex for every face around it; PLY is binary little-endian.
 Output meshes are deterministic for a fixed spec, and identical meshes
 give identical bytes.
 """
@@ -29,8 +32,11 @@ from .weierstrass import (
     stereographic_normal,
 )
 
-# a face is dropped as zero-area when |cross| <= ZERO_AREA * extent**2
+# a face is dropped as zero-area when twice its area <= ZERO_AREA * extent**2
 ZERO_AREA = 1e-12
+# a face angle above 179 degrees, one whose |cross| < TAN_1_DEG |dot| with
+# dot < 0, is refused by the curvature estimate
+TAN_1_DEG = math.tan(math.radians(1.0))
 # an exclusion disk's radius, as a fraction of the distance from its
 # puncture to the nearest other singularity or puncture
 EXCLUSION_SCALE = 0.05
@@ -100,6 +106,24 @@ def exclusion_disks(data: WeierstrassData, spec: DomainSpec):
     ]
 
 
+def _face_geometry(vertices, faces):
+    """Edge vectors and twice the area of every face, from one gather of
+    the corners over the vertex columns.
+
+    Returns (E, twice_area).  E has shape (3, 3, m): E[c] holds the x, y
+    and z rows of the edge opposite corner c, from corner c+1 to corner
+    c+2, so that E[0] + E[1] + E[2] = 0 up to rounding and the edges
+    leaving corner c are E[c+2] and -E[c+1].  twice_area is |E[1] x E[2]|,
+    the cross product written out by component."""
+    p = np.take(np.transpose(vertices), np.transpose(faces), axis=1)
+    E = np.stack([p[:, 2] - p[:, 1], p[:, 0] - p[:, 2], p[:, 1] - p[:, 0]])
+    (x1, y1, z1), (x2, y2, z2) = E[1], E[2]
+    cx = y1 * z2 - z1 * y2
+    cy = z1 * x2 - x1 * z2
+    cz = x1 * y2 - y1 * x2
+    return E, np.sqrt(cx * cx + cy * cy + cz * cz)
+
+
 def sample_mesh(data: WeierstrassData, spec: DomainSpec,
                 metadata: dict | None = None) -> SurfaceMesh:
     """Evaluate the immersion over the polar grid and triangulate it; a
@@ -146,9 +170,8 @@ def sample_mesh(data: WeierstrassData, spec: DomainSpec,
 
     # drop zero-area faces, relative to the size of the surface
     extent = float(np.max(np.ptp(verts, axis=0)))
-    p0 = verts[faces_arr[:, 0]]
-    cross = np.cross(verts[faces_arr[:, 1]] - p0, verts[faces_arr[:, 2]] - p0)
-    faces_arr = faces_arr[np.linalg.norm(cross, axis=1) > ZERO_AREA * extent ** 2]
+    _, twice_area = _face_geometry(verts, faces_arr)
+    faces_arr = faces_arr[twice_area > ZERO_AREA * extent ** 2]
 
     meta = dict(metadata or {})
     meta["domain"] = {
@@ -185,65 +208,50 @@ def interior_vertices(mesh: SurfaceMesh) -> np.ndarray:
 
 def estimate_mean_curvature(mesh: SurfaceMesh):
     """Per-vertex |H| via the cotangent-Laplacian mean-curvature vector,
-    normalized by the mixed Voronoi area (Meyer's rule).  Returns
-    (|H| array with NaN off the interior, interior mask)."""
+    normalized by the mixed Voronoi area (Meyer, Desbrun, Schroeder and
+    Barr, 2003).  One face-geometry pass gives each face's edges and its
+    cross product; every corner's cotangent, obtuse test and the 179
+    degree refusal (DegenerateTriangle) come from those, without angles.
+    Returns (|H| array with NaN off the interior, interior mask)."""
     V, F = mesh.vertices, mesh.faces
     nv = len(V)
     interior = interior_vertices(mesh)  # first, while no face block is held
-    p = [V[F[:, c]] for c in range(3)]
+    E, twice_area = _face_geometry(V, F)
 
-    cots, angles, crs = [], [], []
-    for c in range(3):
-        e1 = p[(c + 1) % 3] - p[c]
-        e2 = p[(c + 2) % 3] - p[c]
-        dot = np.einsum("ij,ij->i", e1, e2)
-        crs.append(np.linalg.norm(np.cross(e1, e2), axis=1))
-        angles.append(np.arctan2(crs[c], dot))
-        with np.errstate(divide="ignore", invalid="ignore"):
-            cots.append(dot / crs[c])
-    angles = np.stack(angles)
-    if np.any(angles > math.radians(179.0)):
+    # corner c sees the edges E[c+2] and -E[c+1]: the sign of their dot
+    # product tells an obtuse corner, and dot / |cross| is its cotangent
+    dot = -np.stack([np.sum(E[(c + 1) % 3] * E[(c + 2) % 3], axis=0)
+                     for c in range(3)])
+    obtuse = dot < 0
+    if np.any(obtuse & (twice_area < TAN_1_DEG * -dot)):
         raise DegenerateTriangle("a face angle exceeds 179 degrees")
-
-    area = 0.5 * crs[0]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        cots = dot / twice_area
+    area = 0.5 * twice_area
 
     # Meyer mixed area: circumcentric pieces on non-obtuse faces, else
     # half the face area at the obtuse corner and a quarter elsewhere.
     # Each vertex sums its contributions in corner order (np.bincount
     # accumulates in input order).
-    obtuse_any = np.any(angles > 0.5 * math.pi, axis=0)
-    edge2 = [
-        np.einsum("ij,ij->i", p[(c + 2) % 3] - p[(c + 1) % 3],
-                  p[(c + 2) % 3] - p[(c + 1) % 3])
-        for c in range(3)
-    ]  # squared edge opposite corner c
-    contrib = np.empty((3, len(F)))
-    for c in range(3):
-        voronoi = 0.125 * (
-            edge2[(c + 1) % 3] * cots[(c + 1) % 3]
-            + edge2[(c + 2) % 3] * cots[(c + 2) % 3]
-        )
-        obtuse_here = angles[c] > 0.5 * math.pi
-        contrib[c] = np.where(
-            obtuse_any,
-            np.where(obtuse_here, 0.5 * area, 0.25 * area),
-            voronoi,
-        )
+    edge2_cot = np.sum(E * E, axis=1) * cots  # |E[c]|^2 cot c
+    contrib = np.where(
+        obtuse.any(axis=0),
+        np.where(obtuse, 0.5 * area, 0.25 * area),
+        0.125 * (edge2_cot[[1, 2, 0]] + edge2_cot[[2, 0, 1]]),
+    )
     A = np.bincount(F.T.ravel(), contrib.ravel(), minlength=nv)
 
-    # cotangent Laplacian: the edge (i1, i2) opposite corner c adds
-    # w (V[i1] - V[i2]) at i1 and its negative at i2, in corner order;
-    # one coordinate at a time, to keep the blocks small
+    # cotangent Laplacian: the edge E[c], from i1 = F[:, c+1] to
+    # i2 = F[:, c+2], adds -cot(c) E[c] at i1 and cot(c) E[c] at i2, in
+    # corner order; one coordinate at a time, to keep the blocks small
     index = F[:, [1, 2, 2, 0, 0, 1]].T.ravel()
     wd = np.empty((6, len(F)))
     S = np.empty((nv, 3))
     for j in range(3):
-        for c in range(3):
-            np.multiply(cots[c], p[(c + 1) % 3][:, j] - p[(c + 2) % 3][:, j],
-                        out=wd[2 * c])
-            np.negative(wd[2 * c], out=wd[2 * c + 1])
+        np.multiply(cots, E[:, j], out=wd[1::2])
+        np.negative(wd[1::2], out=wd[::2])
         S[:, j] = np.bincount(index, wd.ravel(), minlength=nv)
-    del contrib, index, wd  # the blocks would set the peak of the norms below
+    del E, contrib, index, wd  # the blocks would set the peak of the norms below
 
     H = np.full(nv, np.nan)
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -282,22 +290,23 @@ def fd_tangents(data: WeierstrassData, z: complex, h: float = 1e-3):
 def write_obj(mesh: SurfaceMesh, path: str):
     """Wavefront OBJ, LF-terminated: one `v x y z` line per vertex, then
     one `vn x y z` line per normal, all at `%.9g`, then one
-    `f a//a b//b c//c` line per face with 1-based ids.  Each vertex's
-    `i//i` token is formatted once and the face lines reuse it, so a
-    vertex shared by six faces costs one format, not twelve.  Identical
-    meshes give identical bytes."""
-    tokens = np.array([f"{i}//{i}" for i in range(1, mesh.n_vertices + 1)],
+    `f a//a b//b c//c` line per face with 1-based ids.  The lines are
+    formatted as bytes and written in binary mode, so no text encoding
+    runs.  Each vertex's `i//i` token is formatted once and the face
+    lines reuse it, so a vertex shared by six faces costs one format, not
+    twelve.  Identical meshes give identical bytes."""
+    tokens = np.array([b"%d//%d" % (i, i) for i in range(1, mesh.n_vertices + 1)],
                       dtype=object)
-    text = (
-        "v %.9g %.9g %.9g\n" * mesh.n_vertices
+    data = (
+        b"v %.9g %.9g %.9g\n" * mesh.n_vertices
         % tuple(np.ravel(mesh.vertices).tolist())
-        + "vn %.9g %.9g %.9g\n" * len(mesh.normals)
+        + b"vn %.9g %.9g %.9g\n" * len(mesh.normals)
         % tuple(np.ravel(mesh.normals).tolist())
-        + "f %s %s %s\n" * mesh.n_faces
+        + b"f %s %s %s\n" * mesh.n_faces
         % tuple(tokens[np.ravel(mesh.faces)].tolist())
     )
-    with open(path, "w", newline="\n") as fh:
-        fh.write(text or "\n")
+    with open(path, "wb") as fh:
+        fh.write(data or b"\n")
 
 
 def write_ply(mesh: SurfaceMesh, path: str):

@@ -8,10 +8,11 @@ import numpy as np
 import pytest
 
 from spheremin.algebra import INF, FactoredMeromorphic, is_infinity, monomial, residue_at
-from spheremin.errors import ParameterDomainError
+from spheremin.errors import DegenerateTriangle, ParameterDomainError
 from spheremin.families import FAMILIES, construct, make_double_vase, make_vase
 from spheremin.mesh import (
     DomainSpec,
+    _face_geometry,
     estimate_mean_curvature,
     exclusion_disks,
     fd_tangents,
@@ -229,15 +230,14 @@ def test_obj_text_of_a_hand_built_mesh(tmp_path):
     assert loop_obj_text(mesh) == want
 
 
-def add_at_curvature(mesh):
-    """The np.add.at accumulation that `estimate_mean_curvature` replaced
-    with np.bincount, kept as its reference."""
-    import math
-
+def per_corner_terms(mesh):
+    """The per-corner formula that the face-geometry pass replaced: one
+    cross product and one arctan2 at each corner.  Returns the corner
+    cotangents, obtuse flags, face areas and squared opposite edges;
+    kept as the accuracy reference of `estimate_mean_curvature`."""
     V, F = mesh.vertices, mesh.faces
-    nv = len(V)
     p = [V[F[:, c]] for c in range(3)]
-    cots, angles = [], []
+    cots, angles, edge2 = [], [], []
     for c in range(3):
         e1 = p[(c + 1) % 3] - p[c]
         e2 = p[(c + 2) % 3] - p[c]
@@ -246,24 +246,40 @@ def add_at_curvature(mesh):
         angles.append(np.arctan2(crs, dot))
         with np.errstate(divide="ignore", invalid="ignore"):
             cots.append(dot / crs)
-    angles = np.stack(angles)
+        opposite = p[(c + 2) % 3] - p[(c + 1) % 3]
+        edge2.append(np.einsum("ij,ij->i", opposite, opposite))
     area = 0.5 * np.linalg.norm(np.cross(p[1] - p[0], p[2] - p[0]), axis=1)
+    return np.array(cots), np.stack(angles) > 0.5 * np.pi, area, np.array(edge2)
+
+
+def per_face_terms(mesh):
+    """The same terms from the face-geometry pass, with the arithmetic of
+    `estimate_mean_curvature`."""
+    E, twice_area = _face_geometry(mesh.vertices, mesh.faces)
+    dot = -np.stack([np.sum(E[(c + 1) % 3] * E[(c + 2) % 3], axis=0)
+                     for c in range(3)])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        cots = dot / twice_area
+    return cots, dot < 0, 0.5 * twice_area, np.sum(E * E, axis=1)
+
+
+def add_at_curvature(mesh, terms):
+    """Mixed-area cotangent |H| from per-corner `terms`, accumulated with
+    np.add.at: the reference for `estimate_mean_curvature`'s np.bincount
+    order."""
+    V, F = mesh.vertices, mesh.faces
+    nv = len(V)
+    cots, obtuse, area, edge2 = terms(mesh)
     A = np.zeros(nv)
-    obtuse_any = np.any(angles > 0.5 * math.pi, axis=0)
-    edge2 = [
-        np.einsum("ij,ij->i", p[(c + 2) % 3] - p[(c + 1) % 3],
-                  p[(c + 2) % 3] - p[(c + 1) % 3])
-        for c in range(3)
-    ]
+    obtuse_any = np.any(obtuse, axis=0)
     for c in range(3):
         voronoi = 0.125 * (
             edge2[(c + 1) % 3] * cots[(c + 1) % 3]
             + edge2[(c + 2) % 3] * cots[(c + 2) % 3]
         )
-        obtuse_here = angles[c] > 0.5 * math.pi
         contrib = np.where(
             obtuse_any,
-            np.where(obtuse_here, 0.5 * area, 0.25 * area),
+            np.where(obtuse[c], 0.5 * area, 0.25 * area),
             voronoi,
         )
         np.add.at(A, F[:, c], contrib)
@@ -282,21 +298,36 @@ def add_at_curvature(mesh):
     return H, interior
 
 
-@pytest.mark.parametrize("name, args", [
-    ("catenoid", ()), ("vase", (2, 0.5)), ("double_vase", (6, 0.25)),
-])
-def test_curvature_accumulation_matches_add_at(name, args):
-    # the three meshes of a fine export, at its 64 x 128 resolution
+def fine_export_mesh(name, args):
+    # the meshes of a fine export, at its 64 x 128 resolution
     spec = FAMILIES[name]
     inst = construct(spec, *args)
     domain = DomainSpec(spec.r_min, spec.r_max, 64, 128,
                         base_point=spec.base_point(inst.params))
-    mesh = sample_mesh(inst.data, domain)
+    return sample_mesh(inst.data, domain)
+
+
+FINE_EXPORTS = [("catenoid", ()), ("vase", (2, 0.5)), ("double_vase", (6, 0.25))]
+
+
+@pytest.mark.parametrize("name, args", FINE_EXPORTS)
+def test_curvature_accumulation_matches_add_at(name, args):
+    mesh = fine_export_mesh(name, args)
     H, interior = estimate_mean_curvature(mesh)
-    H_ref, interior_ref = add_at_curvature(mesh)
+    H_ref, interior_ref = add_at_curvature(mesh, per_face_terms)
     assert np.array_equal(interior, interior_ref)
     assert np.isnan(H).sum() == (~interior).sum() > 0
     assert np.array_equal(H, H_ref, equal_nan=True)
+
+
+@pytest.mark.parametrize("name, args", FINE_EXPORTS)
+def test_curvature_matches_the_per_corner_formula(name, args):
+    # one cross product per face in place of one per corner moves H by
+    # rounding only
+    mesh = fine_export_mesh(name, args)
+    H, interior = estimate_mean_curvature(mesh)
+    H_ref, _ = add_at_curvature(mesh, per_corner_terms)
+    assert np.all(np.abs(H[interior] - H_ref[interior]) <= 1e-9 * H_ref[interior])
 
 
 def test_sampling_reads_the_forms_built_with_the_data(vase2, monkeypatch):
@@ -334,6 +365,66 @@ def test_faces_index_valid_vertices(dvase2):
     assert mesh.faces.max() < mesh.n_vertices
     # angular wrap: every interior grid ring closes
     assert mesh.n_faces > 0
+
+
+def triangle_mesh(points):
+    from spheremin.mesh import SurfaceMesh
+
+    return SurfaceMesh(
+        vertices=np.array(points, dtype=float),
+        normals=np.tile([0.0, 0.0, 1.0], (3, 1)),
+        source_z=np.zeros(3, dtype=complex),
+        conformal=np.ones(3),
+        faces=np.array([[0, 1, 2]]),
+        metadata={},
+    )
+
+
+@pytest.mark.parametrize("degrees, refused", [(178.9, False), (179.1, True)])
+def test_curvature_refuses_angles_above_179_degrees(degrees, refused):
+    t = np.radians(degrees)
+    mesh = triangle_mesh([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0],
+                          [np.cos(t), np.sin(t), 0.0]])
+    if refused:
+        with pytest.raises(DegenerateTriangle, match="179 degrees"):
+            estimate_mean_curvature(mesh)
+    else:
+        H, interior = estimate_mean_curvature(mesh)
+        assert not interior.any() and np.isnan(H).all()
+
+
+def test_curvature_refuses_a_collinear_face():
+    # the middle vertex lies between the ends: a 180 degree corner
+    mesh = triangle_mesh([[0.0, 0.0, 0.0], [2.0, 0.0, 0.0], [1.0, 0.0, 0.0]])
+    with pytest.raises(DegenerateTriangle):
+        estimate_mean_curvature(mesh)
+
+
+def test_curvature_accepts_coincident_vertices():
+    # no corner has an angle: the dot products are 0 or positive
+    mesh = triangle_mesh([[0.0, 0.0, 0.0], [0.0, 0.0, 0.0], [1.0, 0.0, 0.0]])
+    H, interior = estimate_mean_curvature(mesh)
+    assert not interior.any()
+
+
+def test_face_geometry_edges_and_area():
+    rng = np.random.default_rng(7)
+    V = rng.normal(size=(300, 3)) * rng.uniform(1e-3, 1e3, size=(300, 1))
+    F = rng.permutation(300).reshape(-1, 3)
+    E, twice_area = _face_geometry(np.asfortranarray(V), F)
+    assert E.shape == (3, 3, 100)
+    p = [V[F[:, c]] for c in range(3)]
+    for c in range(3):
+        assert np.array_equal(E[c].T, p[(c + 2) % 3] - p[(c + 1) % 3])
+    want = np.linalg.norm(np.cross(p[1] - p[0], p[2] - p[0]), axis=1)
+    assert np.allclose(twice_area, want, rtol=4 * np.finfo(float).eps, atol=0)
+    scale = np.max(np.abs(E), axis=(0, 1))
+    assert np.all(np.abs(E.sum(axis=0)) <= 4 * np.finfo(float).eps * scale)
+
+    # a collinear face has no area at all
+    _, zero = _face_geometry(np.array([[0.0, 0.0, 0.0], [1.0, 2.0, 3.0],
+                                       [2.0, 4.0, 6.0]]), np.array([[0, 1, 2]]))
+    assert zero.tolist() == [0.0]
 
 
 def test_flat_plane_has_zero_curvature():
