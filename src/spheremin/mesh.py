@@ -220,8 +220,7 @@ def estimate_mean_curvature(mesh: SurfaceMesh):
 
     # corner c sees the edges E[c+2] and -E[c+1]: the sign of their dot
     # product tells an obtuse corner, and dot / |cross| is its cotangent
-    dot = -np.stack([np.sum(E[(c + 1) % 3] * E[(c + 2) % 3], axis=0)
-                     for c in range(3)])
+    dot = -np.sum(E[[1, 2, 0]] * E[[2, 0, 1]], axis=1)
     obtuse = dot < 0
     if np.any(obtuse & (twice_area < TAN_1_DEG * -dot)):
         raise DegenerateTriangle("a face angle exceeds 179 degrees")

@@ -181,16 +181,22 @@ def test_array_assembly_matches_the_loops(vase2, tmp_path):
     assert (tmp_path / "m.ply").read_bytes().endswith(records)
 
 
-@pytest.mark.parametrize(
-    "name, args", [("catenoid", ()), ("vase", (2, 0.5)), ("double_vase", (6, 0.25))]
-)
-def test_obj_matches_the_loop_at_export_resolution(name, args, tmp_path):
-    # the export window at 64x128, where face lines carry 4-digit ids
+def fine_export_mesh(name, args):
+    # the meshes of a fine export, at its 64 x 128 resolution
     spec = FAMILIES[name]
     inst = construct(spec, *args)
     domain = DomainSpec(spec.r_min, spec.r_max, 64, 128,
                         base_point=spec.base_point(inst.params))
-    mesh = sample_mesh(inst.data, domain)
+    return sample_mesh(inst.data, domain)
+
+
+FINE_EXPORTS = [("catenoid", ()), ("vase", (2, 0.5)), ("double_vase", (6, 0.25))]
+
+
+@pytest.mark.parametrize("name, args", FINE_EXPORTS)
+def test_obj_matches_the_loop_at_export_resolution(name, args, tmp_path):
+    # the export window at 64x128, where face lines carry 4-digit ids
+    mesh = fine_export_mesh(name, args)
     assert mesh.n_vertices > 8000
     write_obj(mesh, str(tmp_path / "m.obj"))
     assert (tmp_path / "m.obj").read_bytes() == loop_obj_text(mesh).encode()
@@ -256,8 +262,7 @@ def per_face_terms(mesh):
     """The same terms from the face-geometry pass, with the arithmetic of
     `estimate_mean_curvature`."""
     E, twice_area = _face_geometry(mesh.vertices, mesh.faces)
-    dot = -np.stack([np.sum(E[(c + 1) % 3] * E[(c + 2) % 3], axis=0)
-                     for c in range(3)])
+    dot = -np.sum(E[[1, 2, 0]] * E[[2, 0, 1]], axis=1)
     with np.errstate(divide="ignore", invalid="ignore"):
         cots = dot / twice_area
     return cots, dot < 0, 0.5 * twice_area, np.sum(E * E, axis=1)
@@ -296,18 +301,6 @@ def add_at_curvature(mesh, terms):
         K = S / (2.0 * A[:, None])
     H[interior] = 0.5 * np.linalg.norm(K[interior], axis=1)
     return H, interior
-
-
-def fine_export_mesh(name, args):
-    # the meshes of a fine export, at its 64 x 128 resolution
-    spec = FAMILIES[name]
-    inst = construct(spec, *args)
-    domain = DomainSpec(spec.r_min, spec.r_max, 64, 128,
-                        base_point=spec.base_point(inst.params))
-    return sample_mesh(inst.data, domain)
-
-
-FINE_EXPORTS = [("catenoid", ()), ("vase", (2, 0.5)), ("double_vase", (6, 0.25))]
 
 
 @pytest.mark.parametrize("name, args", FINE_EXPORTS)
