@@ -27,9 +27,12 @@ the rule runs on many centres at once: one row each, from one evaluation
 of the function over all rows' nodes, and each row has the bits the rule
 gives on its centre alone.  A function builds the principal parts of the
 entries of its root table that a caller asks for, all missing ones in
-one batched call, and keeps each (`principal_part`); every residue in
-the package is the c_1 of that table, read at infinity through the 1/z
-chart (`residues_at`).
+one batched call, and keeps each (`principal_part`); every finite
+residue in the package is the c_1 of that table (`residues_at`).
+Infinity is read from the degree d and from one expansion about 0 on the
+circle of twice the largest root, built once and kept
+(`outer_expansion`): its z**0..z**d coefficients are the polynomial part
+and minus its z**-1 coefficient is the residue of f dz at infinity.
 """
 
 from __future__ import annotations
@@ -164,7 +167,7 @@ class FactoredMeromorphic:
     """coefficient * prod(factor**exponent), immutable after construction."""
 
     __slots__ = ("coefficient", "factors", "_packed", "_points", "_orders",
-                 "_charts", "_laurent")
+                 "_laurent", "_outer")
 
     def __init__(self, coefficient: complex, factors=()):
         coefficient = complex(coefficient)
@@ -204,8 +207,8 @@ class FactoredMeromorphic:
         orders = np.bincount(owner, np.repeat(packed[2], packed[0]), len(roots))
         object.__setattr__(self, "_points", roots[entries])
         object.__setattr__(self, "_orders", orders[entries].astype(np.int64))
-        object.__setattr__(self, "_charts", {})  # see infinity_chart
         object.__setattr__(self, "_laurent", {})  # see principal_part
+        object.__setattr__(self, "_outer", None)  # see outer_expansion
 
     def __setattr__(self, name, value):
         raise AttributeError("FactoredMeromorphic is immutable")
@@ -283,40 +286,11 @@ class FactoredMeromorphic:
     __repr__ = __str__
 
 
-def infinity_chart(f: FactoredMeromorphic, one_form: bool = False) -> FactoredMeromorphic:
-    """Pull f back through w = 1/z.
-
-    As a function the result is w -> f(1/w); as a one-form coefficient
-    (dz = -dw/w**2) it is w -> -f(1/w)/w**2.  Both stay in factored form:
-    (z**k - c)**e becomes (-c)**e * (w**k - 1/c)**e * w**(-k e).  Each
-    chart is built once and kept on the immutable f, for every caller.
-    """
-    if one_form not in f._charts:
-        f._charts[one_form] = _build_infinity_chart(f, one_form)
-    return f._charts[one_form]
-
-
-def _build_infinity_chart(f: FactoredMeromorphic, one_form: bool) -> FactoredMeromorphic:
-    coeff = f.coefficient
-    mono_exp = 0
-    new_factors = []
-    for fac in f.factors:
-        mono_exp -= fac.k * fac.exponent
-        if fac.c != 0:
-            coeff *= (-fac.c) ** fac.exponent
-            new_factors.append(shifted_power(fac.k, 1.0 / fac.c, fac.exponent))
-    if one_form:
-        coeff = -coeff
-        mono_exp -= 2
-    if mono_exp != 0:
-        new_factors.append(monomial(mono_exp))
-    return FactoredMeromorphic(coeff, new_factors)
-
-
 def one_form_order_at(f: FactoredMeromorphic, p) -> int:
-    """Order of the one-form f dz at a sphere point (chart-corrected at INF)."""
+    """Order of the one-form f dz at a sphere point: at INF, where
+    dz = -dw/w**2 for w = 1/z, it is -degree - 2."""
     if is_infinity(p):
-        return infinity_chart(f, one_form=True).order_at(0)
+        return -f.degree - 2
     return f.order_at(p)
 
 
@@ -356,7 +330,7 @@ def laurent_coefficients(f: FactoredMeromorphic, centres, radii, orders):
     every operation on it is elementwise or a reduction along the row.
     With no singularity of f between radius/2 and 2*radius from p (the
     `contour_radius` rule about a root, and a radius of twice the largest
-    root about 0 for the polynomial part) the aliasing error is below
+    root about 0 for `outer_expansion`) the aliasing error is below
     2**-LAURENT_NODES relative, so the node count is fixed.  Returns the
     (rows, orders) coefficients and the rounding floor of each,
     NOISE_REL * radius**m * max|f| over the row's nodes: a coefficient
@@ -407,23 +381,42 @@ def principal_part(f: FactoredMeromorphic, points):
     return [f._laurent[i] if i >= 0 else _NO_ROOT for i in entries]
 
 
+def outer_expansion(f: FactoredMeromorphic):
+    """f's Laurent series about 0 outside all its roots, built once and
+    kept on the immutable f: `laurent_coefficients` on the circle of twice
+    the largest root (at least 1), with no singularity between half and
+    twice its radius.  Returns (a, residue, floor): a_n of z**n for n =
+    0..degree (empty below degree 0), Res_INF(f dz) = -a_-1 and the
+    rounding floor of a_-1.  At degree -2 f dz has neither zero nor pole at
+    INF: as at a finite point where f has no root, nothing is evaluated and
+    the residue and its floor are exactly 0.
+    """
+    if f._outer is None:
+        outer = (_NO_ROOT[0], 0j, 0.0)
+        if f.degree != -2:
+            orders = np.append(-np.arange(max(0, f.degree + 1)), 1)
+            radius = 2.0 * float(modulus(f._points).max(initial=0.5))
+            (a,), (floor,) = laurent_coefficients(f, [0.0], [radius], orders)
+            outer = (a[:-1], -complex(a[-1]), float(floor[-1]))
+        object.__setattr__(f, "_outer", outer)
+    return f._outer
+
+
 def antiderivative(f: FactoredMeromorphic):
     """An antiderivative of f dz with its log terms kept apart.
 
     Returns (rational, logs): `rational` lists (pole, coefficients) pairs
     for np.polyval, in z for the polynomial part (pole None) and in
     1/(z - p) for the principal part at p; `logs` lists the (p, c_1) of
-    the c_1 log(z - p) terms.  The degree is read from f's factors and the
-    principal parts from `principal_part`, at every pole in f's root
-    table.
+    the c_1 log(z - p) terms.  The polynomial part is read from
+    `outer_expansion` and the principal parts from `principal_part`, at
+    every pole in f's root table.
     """
     rational, logs = [], []
     if f.degree >= 0:
+        a = outer_expansion(f)[0]
         n = np.arange(f.degree + 1)
-        # twice the largest root, and at least 1 when every root is at 0
-        radius = 2.0 * float(modulus(f._points).max(initial=0.5))
-        a, _ = laurent_coefficients(f, [0.0], [radius], -n)  # a_n of z**n
-        rational.append((None, np.append((a[0] / (n + 1))[::-1], 0.0)))
+        rational.append((None, np.append((a / (n + 1))[::-1], 0.0)))
     poles = f._points[f._orders < 0]
     for p, (c, _) in zip(poles.tolist(), principal_part(f, poles)):
         logs.append((p, c[0]))
@@ -438,16 +431,16 @@ def antiderivative(f: FactoredMeromorphic):
 def residues_at(f: FactoredMeromorphic, points) -> list:
     """Residue of the one-form f dz at each sphere point: the c_1 of
     `principal_part`, 0 where f has no root, from one batched call over
-    the finite points and one on the w = 1/z chart for INF."""
+    the finite points, and at INF the residue of `outer_expansion`."""
     finite = [p for p in points if not is_infinity(p)]
     tables = iter(principal_part(f, finite))
     out = []
     for p in points:
         if is_infinity(p):
-            c, _ = principal_part(infinity_chart(f, one_form=True), [0.0])[0]
+            out.append(outer_expansion(f)[1])
         else:
             c, _ = next(tables)
-        out.append(complex(c[0]) if len(c) else 0j)
+            out.append(complex(c[0]) if len(c) else 0j)
     return out
 
 

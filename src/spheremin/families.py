@@ -24,7 +24,6 @@ regularity, degree audit) and never returns a partially verified instance.
 
 from __future__ import annotations
 
-import cmath
 import math
 import sys
 from dataclasses import asdict, dataclass, field
@@ -34,13 +33,6 @@ from .algebra import INF, FactoredMeromorphic, monomial, residues_at, shifted_po
 from .errors import ClosedFormMismatch, NoRoot, ParameterDomainError, SphereminError
 from .periods import PeriodReport, assert_period_closed, hybrid_root
 from .weierstrass import WeierstrassData, degree_audit, point_json, regularity_check
-
-
-def _roots_by_argument(k: int, c: float):
-    """The k roots of z^k = c (c > 0 real), sorted by increasing argument."""
-    r = c ** (1.0 / k)
-    pts = [r * cmath.exp(2j * math.pi * j / k) for j in range(k)]
-    return sorted(pts, key=lambda z: (cmath.phase(z) % (2.0 * math.pi)))
 
 
 @dataclass(frozen=True)
@@ -91,7 +83,7 @@ def vase_weierstrass_data(k: int, a: float, rho: float) -> WeierstrassData:
     dh = FactoredMeromorphic(
         -1.0, [monomial(-1), shifted_power(k, ak), shifted_power(k, 1.0, -2)]
     )
-    punctures = (0j, INF, *_roots_by_argument(k, 1.0))
+    punctures = (0j, INF, *shifted_power(k, 1.0).roots())
     return WeierstrassData(G, dh, punctures)
 
 
@@ -168,8 +160,8 @@ def double_vase_weierstrass_data(k: int, b: float, a: float) -> WeierstrassData:
     punctures = (
         0j,
         INF,
-        *_roots_by_argument(k, bk),
-        *_roots_by_argument(k, 1.0 / bk),
+        *shifted_power(k, bk).roots(),
+        *shifted_power(k, 1.0 / bk).roots(),
     )
     return WeierstrassData(G, dh, punctures)
 

@@ -10,7 +10,8 @@ and v = G dh the data's factored forms, so each residue is the c_1 of one
 factored product's Laurent table, built once per root and sized from that
 product's own roots.  Each form is asked once for every puncture
 (`algebra.residues_at`): one batched Laurent evaluation over the finite
-punctures and one on the 1/z chart at infinity, at most six for the gate,
+punctures and one on the form's outer circle for infinity
+(`algebra.outer_expansion`), at most six for the gate,
 with the same bits as one contour per residue.  This module gates data on
 those residues; it knows no family.  `hybrid_root` is the root finder
 with which each family in `families.py` solves its one period equation:
@@ -20,6 +21,7 @@ refines the first bracket with scalar calls.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -56,9 +58,10 @@ class PeriodEntry:
 
     @property
     def defect(self) -> float:
-        return max(
-            abs(self.res_minus.imag), abs(self.res_plus.real), abs(self.res_dh.imag)
-        )
+        # np.max keeps a NaN, which Python's max drops after the first value
+        return float(np.max(
+            [abs(self.res_minus.imag), abs(self.res_plus.real), abs(self.res_dh.imag)]
+        ))
 
 
 @dataclass(frozen=True)
@@ -72,7 +75,8 @@ class PeriodReport:
 
     @property
     def worst(self) -> PeriodEntry:
-        return max(self.entries, key=lambda e: e.defect)
+        # a NaN defect ranks first; only an unclosed entry has one above tol
+        return max(self.entries, key=lambda e: (math.isnan(e.defect), e.defect))
 
     def to_json(self) -> dict:
         def c(v):

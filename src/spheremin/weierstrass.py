@@ -24,9 +24,9 @@ from .algebra import (
     Factor,
     FactoredMeromorphic,
     antiderivative,
-    infinity_chart,
     is_infinity,
     one_form_order_at,
+    outer_expansion,
     principal_part,
     same_point,
 )
@@ -151,11 +151,15 @@ class Immersion:
 
 
 def gauss_value(data: WeierstrassData, p) -> complex:
-    """Value of G at a sphere point; INF is evaluated through the 1/z chart.
-    Raises PoleEvaluation at poles of G."""
-    if is_infinity(p):
-        return infinity_chart(data.gauss_map).eval(0.0)
-    return data.gauss_map.eval(p)
+    """Value of G at a sphere point; at INF, where G grows like its
+    coefficient times z**degree, a pole above degree 0, the coefficient at
+    degree 0 and 0 below.  Raises PoleEvaluation at poles of G."""
+    g = data.gauss_map
+    if not is_infinity(p):
+        return g.eval(p)
+    if g.degree > 0:
+        raise PoleEvaluation(p, "G")
+    return g.coefficient if g.degree == 0 else 0j
 
 
 def stereographic_normal(g):
@@ -272,13 +276,14 @@ def _log_growth_sign(data: WeierstrassData, p) -> int:
     end: -1 (the end points down) when the residue's real part is
     positive, and 0 when that real part is within the rounding floor of
     its contour (`algebra.laurent_coefficients`), so not resolved."""
-    f, q = data.dh, p
     if is_infinity(p):
-        f, q = infinity_chart(f, one_form=True), 0.0
-    c, floor = principal_part(f, [q])[0]  # dh has a pole at every such end
-    if abs(c[0].real) <= floor[0]:
+        _, res, floor = outer_expansion(data.dh)
+    else:
+        c, floors = principal_part(data.dh, [p])[0]  # dh has a pole at every such end
+        res, floor = c[0], floors[0]
+    if abs(res.real) <= floor:
         return 0
-    return -1 if c[0].real > 0 else 1
+    return -1 if res.real > 0 else 1
 
 
 def classify_end(data: WeierstrassData, p) -> EndDescriptor:

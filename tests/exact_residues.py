@@ -5,16 +5,44 @@ are checked against.
 
 At a pole of order 1 or 2 the factors vanishing at p are divided out
 algebraically (a shifted power splits into its enumerated linear roots),
-so no numeric limit or differentiation is ever taken.
+so no numeric limit or differentiation is ever taken.  Infinity is read
+on the w = 1/z chart (`infinity_chart`), a factored product of its own,
+so the reference at INF shares no code with the package's outer
+expansion.
 """
 
 from spheremin.algebra import (
-    infinity_chart,
+    FactoredMeromorphic,
     is_infinity,
+    monomial,
     residue_at,
     residue_contour,
     same_point,
+    shifted_power,
 )
+
+
+def infinity_chart(f, one_form: bool = False):
+    """Pull f back through w = 1/z.
+
+    As a function the result is w -> f(1/w); as a one-form coefficient
+    (dz = -dw/w**2) it is w -> -f(1/w)/w**2.  Both stay in factored form:
+    (z**k - c)**e becomes (-c)**e * (w**k - 1/c)**e * w**(-k e).
+    """
+    coeff = f.coefficient
+    mono_exp = 0
+    new_factors = []
+    for fac in f.factors:
+        mono_exp -= fac.k * fac.exponent
+        if fac.c != 0:
+            coeff *= (-fac.c) ** fac.exponent
+            new_factors.append(shifted_power(fac.k, 1.0 / fac.c, fac.exponent))
+    if one_form:
+        coeff = -coeff
+        mono_exp -= 2
+    if mono_exp != 0:
+        new_factors.append(monomial(mono_exp))
+    return FactoredMeromorphic(coeff, new_factors)
 
 
 def _base_derivative(fac, z: complex) -> complex:

@@ -16,11 +16,10 @@ from spheremin.algebra import (
     _fmt_number,
     Factor,
     contour_radius,
-    infinity_chart,
     is_infinity,
-    laurent_coefficients,
     monomial,
     one_form_order_at,
+    outer_expansion,
     principal_part,
     residue_at,
     residue_contour,
@@ -31,7 +30,7 @@ from spheremin.algebra import (
 from spheremin.errors import PoleEvaluation
 from spheremin.families import FAMILIES, catenoid_weierstrass_data
 
-from exact_residues import exact_residue_at, residue_limit
+from exact_residues import exact_residue_at, infinity_chart, residue_limit
 from kernel_reference import squaring_eval, squaring_power, times_power
 
 
@@ -388,6 +387,14 @@ def test_infinity_chart_round_trip(factors):
         assert cmath.isclose(g.eval(z), want, rel_tol=1e-9, abs_tol=1e-12)
 
 
+@settings(max_examples=40, deadline=None)
+@given(_factors)
+def test_one_form_order_at_infinity_is_the_chart_order(factors):
+    # -degree - 2, the order at w = 0 of the oracle's w = 1/z pullback
+    f = FactoredMeromorphic(0.5 + 2.0j, factors)
+    assert one_form_order_at(f, INF) == infinity_chart(f, one_form=True).order_at(0.0)
+
+
 # -- one factor form against the two kinds it replaced ----------------
 
 
@@ -504,8 +511,9 @@ def _one_contour(f, p, radius, orders):
 
 
 def _assert_tables_are_one_contour_each(f):
-    """Every principal part of f, built in one batched call, and its
-    polynomial row have the bits of the rule run on each centre alone."""
+    """Every principal part of f, built in one batched call, and its outer
+    expansion (polynomial part, residue at infinity and its floor) have the
+    bits of the rule run on each centre alone, one order at a time."""
     f = FactoredMeromorphic(f.coefficient, f.factors)  # nothing built yet
     points, orders = f._points.tolist(), f._orders.tolist()
     nodes = 1.5 + 2.0 * _RING
@@ -516,13 +524,16 @@ def _assert_tables_are_one_contour_each(f):
                                           np.arange(1, max(1, -order) + 1))
         assert c.tolist() == want_c.tolist()
         assert floor.tolist() == want_floor.tolist()
-    if f.degree >= 0:
-        n = -np.arange(f.degree + 1)
-        radius = 2.0 * max([0.5, *map(abs, points)])
-        (c,), (floor,) = laurent_coefficients(f, [0.0], [radius], n)
-        want_c, want_floor = _one_contour(f, 0.0, radius, n)
-        assert c.tolist() == want_c.tolist()
-        assert floor.tolist() == want_floor.tolist()
+    a, residue, floor = outer_expansion(f)
+    if f.degree == -2:  # f dz has neither zero nor pole at infinity
+        assert (a.tolist(), residue, floor) == ([], 0j, 0.0)
+        return
+    orders = np.append(-np.arange(max(0, f.degree + 1)), 1)  # z**0..z**degree, z**-1
+    radius = 2.0 * max([0.5, *map(abs, points)])
+    want_c, want_floor = _one_contour(f, 0.0, radius, orders)
+    assert a.tolist() == want_c[:-1].tolist()
+    assert residue == -want_c[-1]
+    assert floor == want_floor[-1]
 
 
 def _with_charts(forms):
@@ -550,6 +561,16 @@ _pole_factors = st.lists(
 def test_batched_laurent_tables_are_the_single_contour_rule(factors, coeff):
     for f in _with_charts([FactoredMeromorphic(coeff, factors)]):
         _assert_tables_are_one_contour_each(f)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_pole_factors, _shift)
+def test_residue_at_infinity_matches_the_exact_reference(factors, coeff):
+    # the outer expansion's -a_-1 against the oracle on the w = 1/z chart
+    # (exact at a chart pole of order 1 or 2), within the rounding floor
+    f = FactoredMeromorphic(coeff, factors)
+    _, _, floor = outer_expansion(f)
+    assert abs(residue_at(f, INF) - exact_residue_at(f, INF)) <= floor
 
 
 @pytest.mark.parametrize("family, k, x", [

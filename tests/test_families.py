@@ -8,8 +8,8 @@ import pytest
 
 from spheremin.algebra import (
     REACH,
+    FactoredMeromorphic,
     contour_radius,
-    infinity_chart,
     is_infinity,
     same_point,
 )
@@ -24,6 +24,8 @@ from spheremin.families import (
     make_vase,
     vase_weierstrass_data,
 )
+
+from exact_residues import infinity_chart
 
 
 def test_vase_instance_is_fully_verified(vase2):
@@ -145,56 +147,69 @@ def test_descriptor_round_trip_each_family(name):
     assert str(rebuilt.data.gauss_map) == str(inst.data.gauss_map)
     assert str(rebuilt.data.dh) == str(inst.data.dh)
     assert rebuilt.period.closed
-    # the zero/pole tables agree with the point queries, and at every
-    # puncture the residue contour of each factored form (at INF, of its
-    # w = 1/z chart), the radius `principal_part` uses, keeps every other
-    # pole beyond twice its radius and holds no other root outside the
-    # rounding reach
+    # the zero/pole tables agree with the point queries; at every finite
+    # puncture the residue contour of each factored form, the radius
+    # `principal_part` uses, keeps every other pole beyond twice its radius
+    # and holds no other root outside the rounding reach; at INF the outer
+    # circle of `outer_expansion`, twice the largest root, is the image of
+    # the w = 1/z chart's contour about w = 0 and holds every root within
+    # half its radius
     data = inst.data
     for f in (data.gauss_map, data.dh, *data.factored_forms()):
         for r, o in f.finite_roots():
             assert f.order_at(r) == o
     for f in data.factored_forms():
         for p in data.punctures:
-            form, q = f, p
             if is_infinity(p):
-                form, q = infinity_chart(f, one_form=True), 0j
-            radius = contour_radius(q, form._points, form._orders)
-            for r, o in form.finite_roots():
-                if not same_point(r, q):
-                    assert abs(r - q) >= 2 * radius or (
-                        o > 0 and abs(r - q) < REACH * abs(q))
+                radius = 2.0 * max([0.5, *map(abs, f._points.tolist())])
+                chart = infinity_chart(f, one_form=True)
+                chart_radius = contour_radius(0j, chart._points, chart._orders)
+                assert radius == pytest.approx(1.0 / chart_radius, rel=1e-12)
+                assert all(abs(r) <= radius / 2 for r in f._points.tolist())
+                continue
+            radius = contour_radius(p, f._points, f._orders)
+            for r, o in f.finite_roots():
+                if not same_point(r, p):
+                    assert abs(r - p) >= 2 * radius or (
+                        o > 0 and abs(r - p) < REACH * abs(p))
 
 
 @pytest.mark.parametrize("make, args",
                          [(make_vase, (6, 0.5)), (make_double_vase, (6, 0.25))])
 def test_constructor_builds_its_data_once(make, args, monkeypatch):
     """The solver hands the one `WeierstrassData` it built to the gate, and
-    no chart is built twice: the degree audit and the residue of dh at
-    infinity share the chart of dh, and the period residues at infinity
-    read the charts of dh/G and G dh built with the data."""
-    from spheremin import algebra
+    infinity builds no product of its own: a constructor builds the four
+    factored products G, dh, dh/G and G dh, and each form's outer
+    expansion once."""
+    from spheremin import algebra, weierstrass
     from spheremin.weierstrass import WeierstrassData
 
-    built = {"data": 0, "charts": []}
+    built = {"data": 0, "products": 0, "outer": []}
     post_init = WeierstrassData.__post_init__
-    build_chart = algebra._build_infinity_chart
+    product_init = FactoredMeromorphic.__init__
+    outer = algebra.outer_expansion
 
     def counting_post_init(self):
         built["data"] += 1
         post_init(self)
 
-    def counting_build_chart(f, one_form):
-        built["charts"].append((id(f), one_form))
-        return build_chart(f, one_form)
+    def counting_product_init(self, *a, **kw):
+        built["products"] += 1
+        product_init(self, *a, **kw)
+
+    def counting_outer(f):
+        if f._outer is None:
+            built["outer"].append(id(f))
+        return outer(f)
 
     monkeypatch.setattr(WeierstrassData, "__post_init__", counting_post_init)
-    monkeypatch.setattr(algebra, "_build_infinity_chart", counting_build_chart)
+    monkeypatch.setattr(FactoredMeromorphic, "__init__", counting_product_init)
+    for module in (algebra, weierstrass):
+        monkeypatch.setattr(module, "outer_expansion", counting_outer)
     inst = make(*args)
     assert built["data"] == 1
-    assert sorted(built["charts"]) == sorted(
-        (id(f), True) for f in inst.data.factored_forms()
-    )
+    assert built["products"] == 4
+    assert sorted(built["outer"]) == sorted(id(f) for f in inst.data.factored_forms())
 
 
 def test_constructor_reads_the_point_tables_as_arrays(monkeypatch):
@@ -219,10 +234,12 @@ def test_constructor_reads_the_point_tables_as_arrays(monkeypatch):
 @pytest.mark.parametrize("make, args",
                          [(make_vase, (3, 0.4)), (make_double_vase, (6, 0.25))])
 def test_each_principal_part_is_built_once(make, args, monkeypatch):
-    """The gate's residues and the immersion's log terms and principal
-    parts read one Laurent table per form: across a constructor and a
-    `sample_mesh`, `laurent_coefficients` builds at most one row per
-    (form, root), plus one per form for its polynomial part."""
+    """The gate's residues and the immersion's log terms, principal parts
+    and polynomial parts read one Laurent table per form: across a
+    constructor and a `sample_mesh`, `laurent_coefficients` builds at most
+    one row per (form, root), plus one per form for its outer expansion
+    (centre 0, twice the largest root), which serves both the residue at
+    infinity and the polynomial part."""
     from spheremin import algebra
     from spheremin.mesh import DomainSpec, sample_mesh
 
@@ -230,8 +247,9 @@ def test_each_principal_part_is_built_once(make, args, monkeypatch):
     laurent = algebra.laurent_coefficients
 
     def counting(f, centres, radii, orders):
-        part = "principal" if orders[0] >= 1 else "polynomial"
-        calls.extend((part, id(f), complex(p)) for p in centres)
+        # a row is its form and circle: an outer expansion and a principal
+        # part about a root at 0 differ in radius
+        calls.extend((id(f), complex(p), float(r)) for p, r in zip(centres, radii))
         return laurent(f, centres, radii, orders)
 
     monkeypatch.setattr(algebra, "laurent_coefficients", counting)

@@ -69,7 +69,7 @@ QUANTILE_SLACK = 0.02
 def _gate_evaluations(family, k, x, monkeypatch):
     """(form, nodes, kernel values) of every kernel call the period gate
     makes on fresh data: u, v and w at the finite punctures' Laurent rows,
-    and their 1/z charts at infinity's."""
+    and on their outer circles for infinity's residues."""
     spec = FAMILIES[family]
     data, _, _ = spec.build_data(k, x, spec.solve(k, x).value)
     calls = []

@@ -1,7 +1,9 @@
 """Period conditions, residue equations and the family solvers."""
 
 import cmath
+import dataclasses
 import math
+import types
 
 import numpy as np
 import pytest
@@ -30,6 +32,8 @@ from spheremin.families import (
 from spheremin import families
 from spheremin.periods import (
     ROOT_GRID,
+    PeriodEntry,
+    PeriodReport,
     assert_period_closed,
     hybrid_root,
     period_report,
@@ -403,6 +407,28 @@ def test_assert_period_closed_raises_with_report():
     assert not exc_info.value.report.closed
 
 
+@pytest.mark.parametrize("field", ["res_minus", "res_plus", "res_dh"])
+def test_nan_residue_reaches_the_defect_and_the_worst_entry(field, monkeypatch):
+    # Python's max drops a NaN after its first value, which would give a
+    # NaN in res_plus a defect of 0.0, let `worst` name the closed entry and
+    # the gate's message report a defect below tol
+    from spheremin import periods
+
+    tol = 1e-9
+    closed = PeriodEntry(0j, 1.0 + 5e-10j, 5e-10 + 1j, 2.0 + 5e-10j, tol)
+    broken = dataclasses.replace(PeriodEntry(1.0 + 0j, 1.0, 1j, 1.0, tol),
+                                 **{field: complex(math.nan, math.nan)})
+    assert closed.closed and closed.defect == 5e-10
+    assert not broken.closed and math.isnan(broken.defect)
+    for entries in ((closed, broken), (broken, closed)):
+        report = PeriodReport(entries, tol)
+        assert not report.closed
+        assert report.worst is broken
+    monkeypatch.setattr(periods, "_period_entries", lambda data, points, tol: [closed, broken])
+    with pytest.raises(PeriodViolation, match=r"at \(1\+0j\) \(defect nan > 1\.0e-09\)"):
+        assert_period_closed(types.SimpleNamespace(punctures=()), tol)
+
+
 def test_puncture_periods_single_entry(dvase2):
     b = dvase2.params.b
     entry = puncture_periods(dvase2.data, complex(b), tol=1e-8)
@@ -414,7 +440,8 @@ def test_puncture_periods_single_entry(dvase2):
                          [("double_vase", 24, 0.5), ("vase", 24, 0.5), ("vase", 2, 0.5)])
 def test_period_gate_evaluates_each_form_once_per_chart(family, k, x, monkeypatch):
     """The gate asks each factored form for every finite puncture in one
-    batched Laurent evaluation, and once more on its 1/z chart: at most 6
+    batched Laurent evaluation, and once more on its outer circle for
+    infinity (`outer_expansion`): at most 6
     kernel calls, where one contour per residue made 150 for
     double_vase(24, 0.5)."""
     from spheremin import kernels

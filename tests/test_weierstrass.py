@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from spheremin.algebra import INF, FactoredMeromorphic, monomial, shifted_power
-from spheremin.errors import UnrecognizedEndType
+from spheremin.errors import PoleEvaluation, UnrecognizedEndType
 from spheremin.families import make_double_vase, make_vase, vase_weierstrass_data
 from spheremin.weierstrass import (
     CATENOID_NON_VERTICAL,
@@ -20,8 +20,11 @@ from spheremin.weierstrass import (
     gauss_normal,
     gauss_value,
     regularity_check,
+    stereographic_normal,
     verification_report,
 )
+
+from exact_residues import infinity_chart
 
 
 def _catenoid_data():
@@ -77,6 +80,33 @@ def test_gauss_value_and_normal():
     assert np.linalg.norm(n) == pytest.approx(1.0)
 
 
+@pytest.mark.parametrize("degree, factors", [
+    (3, [monomial(2), shifted_power(2, 3.0), shifted_power(1, 0.5, -1)]),
+    (0, [shifted_power(2, 3.0), shifted_power(2, -1j, -1)]),
+    (-2, [shifted_power(1, 1.0), shifted_power(3, 2.0, -1)]),
+])
+def test_gauss_value_and_normal_at_infinity_from_the_degree(degree, factors):
+    # against the oracle's w = 1/z pullback of G at w = 0: a pole above
+    # degree 0, the coefficient at 0, exactly 0 below
+    G = FactoredMeromorphic(0.5 - 2.0j, factors)
+    assert G.degree == degree
+    data = WeierstrassData(G, FactoredMeromorphic(1.0), (INF,))
+    if degree > 0:
+        with pytest.raises(PoleEvaluation):
+            infinity_chart(G).eval(0.0)
+        with pytest.raises(PoleEvaluation):
+            gauss_value(data, INF)
+        assert gauss_normal(data, INF).tolist() == [0.0, 0.0, 1.0]
+        return
+    want = infinity_chart(G).eval(0.0)
+    assert gauss_value(data, INF) == pytest.approx(want, rel=1e-12, abs=0.0)
+    assert np.allclose(gauss_normal(data, INF), stereographic_normal(want),
+                       rtol=0.0, atol=1e-12)
+    if degree < 0:
+        assert gauss_value(data, INF) == want == 0j
+        assert gauss_normal(data, INF).tolist() == [0.0, 0.0, -1.0]
+
+
 def test_conformal_factor_catenoid():
     data = _catenoid_data()
     # 0.5 (|z| + 1/|z|) / |z|: equals 1 on the unit circle
@@ -96,9 +126,7 @@ def test_regularity_detects_corruption():
     bad_dh = FactoredMeromorphic(
         -1.0, [monomial(-1), shifted_power(k, 1.0, -2)]
     )
-    from spheremin.families import _roots_by_argument
-
-    data = WeierstrassData(G, bad_dh, (0j, INF, *_roots_by_argument(k, 1.0)))
+    data = WeierstrassData(G, bad_dh, (0j, INF, *shifted_power(k, 1.0).roots()))
     violations = regularity_check(data)
     locs = sorted(complex(v.location).real for v in violations)
     assert locs == pytest.approx([-a, a])
