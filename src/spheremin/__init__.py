@@ -35,7 +35,7 @@ from .paths import (
     integrate_point,
     plan_path,
 )
-from .periods import assert_period_closed, puncture_periods
+from .periods import assert_period_closed
 from .weierstrass import (
     WeierstrassData,
     classify_end,
@@ -62,7 +62,6 @@ __all__ = [
     "conformal_factor",
     "VaseParams",
     "DoubleVaseParams",
-    "puncture_periods",
     "assert_period_closed",
     "solve_vase_rho",
     "solve_double_vase_a",

@@ -20,19 +20,21 @@ chaining.  Moduli are taken with `np.hypot` (`modulus`), the bits of the
 built-in `abs`; `np.abs` differs from it in the last bit on about a third
 of random values, and would move radii and meshes.
 
-Every Laurent coefficient comes from one trapezoidal rule at a fixed
-LAURENT_NODES nodes on a `contour_radius` circle (`laurent_coefficients`).
-Every circle is the same ring of roots of unity, shifted and scaled, so
-the rule runs on many centres at once: one row each, from one evaluation
-of the function over all rows' nodes, and each row has the bits the rule
-gives on its centre alone.  A function builds the principal parts of the
+Every Laurent coefficient comes from one trapezoidal rule on a
+`contour_radius` circle (`laurent_coefficients`), at 128 nodes unless the
+orders in the function's root table ask for 256 (`laurent_nodes`).  Every
+circle is a ring of roots of unity, shifted and scaled, so the rule runs
+on many centres at once: one row each, from one evaluation of the
+function over all rows' nodes, and each row has the bits the rule gives
+on its centre alone.  A function builds the principal parts of the
 entries of its root table that a caller asks for, all missing ones in
 one batched call, and keeps each (`principal_part`); every finite
 residue in the package is the c_1 of that table (`residues_at`).
-Infinity is read from the degree d and from one expansion about 0 on the
-circle of twice the largest root, built once and kept
+Infinity is read from the degree d and, for d >= -1, from one expansion
+about 0 on the circle of twice the largest root, built once and kept
 (`outer_expansion`): its z**0..z**d coefficients are the polynomial part
 and minus its z**-1 coefficient is the residue of f dz at infinity.
+Below that degree f dz has no pole at infinity and the residue is 0.
 """
 
 from __future__ import annotations
@@ -315,15 +317,35 @@ def contour_radius(p, points, orders):
     return np.where(dist < math.inf, 0.5 * dist, 1.0)
 
 
-LAURENT_NODES = 256
-# the trapezoidal rule's nodes on the unit circle: the roots of unity
-_RING = np.exp(1j * (2.0 * math.pi * np.arange(LAURENT_NODES) / LAURENT_NODES))
+# the trapezoidal rule's nodes on the unit circle, the roots of unity, for
+# each node count that `laurent_nodes` picks
+_RINGS = {n: np.exp(1j * (2.0 * math.pi * np.arange(n) / n)) for n in (128, 256)}
+
+
+def laurent_nodes(f: FactoredMeromorphic, orders) -> int:
+    """Node count of `laurent_coefficients` for f's coefficients of
+    (z - p)**(-m), m in `orders`: 128, or 256 where the aliasing bound
+    2**-(N - Z) * N**(P - 1) exceeds 2**-56 at N = 128.
+
+    P is the highest pole order in f's root table.  On a circle whose
+    nearest pole, of order P, lies twice its radius away, the rule adds to
+    the coefficient of (z - p)**n the ones N orders further out, about
+    2**-(N - n) N**(P - 1) of the scale of f's singular part (Trefethen &
+    Weideman, SIAM Review 56, 2014).  The floor is relative to max|f| on
+    the circle, which a zero of order Z at the centre makes up to 2**Z
+    smaller than that scale.  So Z is the highest of f's zero orders and
+    of the n = -m asked for: up to the degree for the polynomial part."""
+    pole = max(0, -int(f._orders.min(initial=0)))
+    zero = max(0, int(f._orders.max(initial=0)), -int(min(orders)))
+    # log2 of the bound at N = 128
+    return 128 if zero - 128 + 7 * (pole - 1) <= -56 else 256
 
 
 def laurent_coefficients(f: FactoredMeromorphic, centres, radii, orders):
     """Coefficients of (z - p)**(-m), m in `orders`, of the Laurent series of
     f about each centre p that holds on the circle |z - p| = radius, by the
-    trapezoidal rule: radius**m * mean(f(p + radius*ring) * ring**m).
+    trapezoidal rule on N = `laurent_nodes(f, orders)` roots of unity:
+    radius**m * mean(f(p + radius*ring) * ring**m).
 
     One row per centre, from one evaluation of f over every row's nodes;
     each row is bit for bit what the rule gives on that centre alone, as
@@ -331,17 +353,17 @@ def laurent_coefficients(f: FactoredMeromorphic, centres, radii, orders):
     With no singularity of f between radius/2 and 2*radius from p (the
     `contour_radius` rule about a root, and a radius of twice the largest
     root about 0 for `outer_expansion`) the aliasing error is below
-    2**-LAURENT_NODES relative, so the node count is fixed.  Returns the
-    (rows, orders) coefficients and the rounding floor of each,
-    NOISE_REL * radius**m * max|f| over the row's nodes: a coefficient
-    within its floor is not resolved.
+    2**-56 relative.  Returns the (rows, orders) coefficients and the
+    rounding floor of each, NOISE_REL * radius**m * max|f| over the row's
+    nodes: a coefficient within its floor is not resolved.
     """
+    ring = _RINGS[laurent_nodes(f, orders)]
     centres = np.asarray(centres, dtype=np.complex128)[:, None]
     radii = np.asarray(radii, dtype=float)
-    vals = f.eval_array(centres + radii[:, None] * _RING)
+    vals = f.eval_array(centres + radii[:, None] * ring)
     coeffs = np.empty((len(radii), len(orders)), dtype=np.complex128)
     for j, m in enumerate(orders):
-        coeffs[:, j] = radii ** m * np.mean(vals * _RING ** m, axis=1)
+        coeffs[:, j] = radii ** m * np.mean(vals * ring ** m, axis=1)
     scale = NOISE_REL * np.abs(vals).max(axis=1)
     return coeffs, scale[:, None] * radii[:, None] ** np.asarray(orders, dtype=float)
 
@@ -387,13 +409,14 @@ def outer_expansion(f: FactoredMeromorphic):
     the largest root (at least 1), with no singularity between half and
     twice its radius.  Returns (a, residue, floor): a_n of z**n for n =
     0..degree (empty below degree 0), Res_INF(f dz) = -a_-1 and the
-    rounding floor of a_-1.  At degree -2 f dz has neither zero nor pole at
-    INF: as at a finite point where f has no root, nothing is evaluated and
-    the residue and its floor are exactly 0.
+    rounding floor of a_-1.  Below degree -1 f dz has no pole at INF (at
+    degree -2 neither zero nor pole, below it a zero): as at a finite point
+    where f has no root, nothing is evaluated and the residue and its
+    floor are exactly 0.
     """
     if f._outer is None:
         outer = (_NO_ROOT[0], 0j, 0.0)
-        if f.degree != -2:
+        if f.degree >= -1:
             orders = np.append(-np.arange(max(0, f.degree + 1)), 1)
             radius = 2.0 * float(modulus(f._points).max(initial=0.5))
             (a,), (floor,) = laurent_coefficients(f, [0.0], [radius], orders)

@@ -10,9 +10,10 @@ and v = G dh the data's factored forms, so each residue is the c_1 of one
 factored product's Laurent table, built once per root and sized from that
 product's own roots.  Each form is asked once for every puncture
 (`algebra.residues_at`): one batched Laurent evaluation over the finite
-punctures and one on the form's outer circle for infinity
-(`algebra.outer_expansion`), at most six for the gate,
-with the same bits as one contour per residue.  This module gates data on
+punctures and, where the residue at infinity is not 0 by the form's
+degree, one on its outer circle (`algebra.outer_expansion`), with the
+same bits as one contour per residue.  A vase or double-vase gate makes
+four: its u = dh/G and dh have degree below -2.  This module gates data on
 those residues; it knows no family.  `hybrid_root` is the root finder
 with which each family in `families.py` solves its one period equation:
 it brackets on one array evaluation of the equation over a grid, then
@@ -105,11 +106,6 @@ def _period_entries(data: WeierstrassData, points, tol: float) -> list:
         PeriodEntry(location=p, res_minus=u - v, res_plus=u + v, res_dh=w, tol=tol)
         for p, u, v, w in zip(points, res_u, res_v, res_dh)
     ]
-
-
-def puncture_periods(data: WeierstrassData, p, tol: float) -> PeriodEntry:
-    """The three residues and reality conditions at one puncture."""
-    return _period_entries(data, [p], tol)[0]
 
 
 def period_report(data: WeierstrassData, tol: float) -> PeriodReport:

@@ -3,13 +3,13 @@
 import cmath
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from spheremin.algebra import (
-    _RING,
     INF,
     NOISE_REL,
     FactoredMeromorphic,
@@ -462,7 +462,8 @@ def test_one_factor_form_matches_two_kind_reference(factors, coefficient):
     kept, text, evaluate = _two_kind_reference(complex(coefficient), factors)
     assert [(int(g.c != 0), g.k, g.c, g.exponent) for g in f.factors] == kept
     assert str(f) == text
-    z = np.concatenate([3.0 + 0.5 * _RING, 0.3 * _RING[::7] + 0.1j])
+    ring = _ring(256)
+    z = np.concatenate([3.0 + 0.5 * ring, 0.3 * ring[::7] + 0.1j])
     assert f.eval_array(z).tolist() == evaluate(z).tolist()
 
 
@@ -501,10 +502,27 @@ def test_root_table_is_the_factors_roots_end_to_end(factors):
 # -- batched Laurent tables ----------------------------------------------
 
 
-def _one_contour(f, p, radius, orders):
-    """The trapezoidal rule on one centre, one order at a time."""
-    vals = squaring_eval(f, complex(p) + radius * _RING)
-    coeffs = np.array([radius ** m * np.mean(vals * _RING ** m) for m in orders],
+def _ring(n):
+    """The n-th roots of unity."""
+    return np.exp(1j * (2.0 * math.pi * np.arange(n) / n))
+
+
+def _node_count(f, orders):
+    """The node rule as its bound reads: 128 nodes unless
+    2**-(128 - Z) * 128**(P - 1) > 2**-56, P the highest pole order in f's
+    table and Z the highest of its zero orders and of -m, m in `orders`."""
+    table = f._orders.tolist()
+    pole = max([0] + [-o for o in table])
+    zero = max([0] + table + [-m for m in orders])
+    return 128 if 2.0 ** -(128 - zero) * 128.0 ** (pole - 1) <= 2.0 ** -56 else 256
+
+
+def _one_contour(f, p, radius, orders, nodes=None):
+    """The trapezoidal rule on one centre, one order at a time, at the
+    form's own node count unless `nodes` is given."""
+    ring = _ring(nodes or _node_count(f, orders))
+    vals = squaring_eval(f, complex(p) + radius * ring)
+    coeffs = np.array([radius ** m * np.mean(vals * ring ** m) for m in orders],
                       dtype=np.complex128)
     scale = NOISE_REL * float(np.abs(vals).max())
     return coeffs, scale * radius ** np.asarray(orders, dtype=float)
@@ -513,10 +531,11 @@ def _one_contour(f, p, radius, orders):
 def _assert_tables_are_one_contour_each(f):
     """Every principal part of f, built in one batched call, and its outer
     expansion (polynomial part, residue at infinity and its floor) have the
-    bits of the rule run on each centre alone, one order at a time."""
+    bits of the rule run on each centre alone, one order at a time, on the
+    form's own ring; below degree -1 the outer expansion is the exact 0."""
     f = FactoredMeromorphic(f.coefficient, f.factors)  # nothing built yet
     points, orders = f._points.tolist(), f._orders.tolist()
-    nodes = 1.5 + 2.0 * _RING
+    nodes = 1.5 + 2.0 * _ring(256)
     assert f.eval_array(nodes).tolist() == squaring_eval(f, nodes).tolist()
     for p, order, (c, floor) in zip(points, orders, principal_part(f, f._points)):
         radius = _radius(p, points, orders)
@@ -525,7 +544,7 @@ def _assert_tables_are_one_contour_each(f):
         assert c.tolist() == want_c.tolist()
         assert floor.tolist() == want_floor.tolist()
     a, residue, floor = outer_expansion(f)
-    if f.degree == -2:  # f dz has neither zero nor pole at infinity
+    if f.degree <= -2:  # f dz has no pole at infinity
         assert (a.tolist(), residue, floor) == ([], 0j, 0.0)
         return
     orders = np.append(-np.arange(max(0, f.degree + 1)), 1)  # z**0..z**degree, z**-1
@@ -592,3 +611,71 @@ def test_batched_laurent_tables_with_an_empty_root_table():
         _assert_tables_are_one_contour_each(f)
     assert [len(c) for c, _ in principal_part(constant, [0.5, 2.0])] == [0, 0]
     assert residues_at(constant, [0.5, 2.0]) == [0j, 0j]
+
+
+# -- the node count against mpmath ---------------------------------------
+
+
+def _kernel_points(f, points, monkeypatch):
+    """principal_part of f at fresh points, and the number of nodes each
+    kernel call it made evaluated."""
+    from spheremin import kernels
+
+    sizes = []
+    kernel = kernels.eval_product
+
+    def recording(coeff, ks, cs, exps, z, out):
+        sizes.append(len(z))
+        return kernel(coeff, ks, cs, exps, z, out)
+
+    monkeypatch.setattr(kernels, "eval_product", recording)
+    tables = principal_part(f, points)
+    monkeypatch.undo()
+    return tables, sizes
+
+
+def _mp_residue(coefficient, p, m, q, n):
+    """Res_p of coefficient (z - p)**-m (z - q)**-n dz at 40 digits: the
+    (m-1)-th derivative of coefficient (z - q)**-n at p over (m-1)!."""
+    def g(z):
+        return mpmath.mpc(coefficient) * (z - mpmath.mpc(q)) ** -n
+
+    with mpmath.workdps(40):
+        return complex(mpmath.diff(g, mpmath.mpc(p), m - 1) / mpmath.factorial(m - 1))
+
+
+# a double pole whose only neighbour, of order n, lies 1.25 away: twice the
+# contour radius of both
+_P, _Q, _C = 0.5 + 0.25j, -0.25 - 0.75j, 1.5 - 0.5j
+
+
+@pytest.mark.parametrize("n, nodes", [(11, 128), (12, 256)])
+def test_highest_pole_order_sizes_the_rule(n, nodes, monkeypatch):
+    """Order 11 is the highest pole order that 128 nodes allow on a
+    zero-free form (2**-128 * 128**10 = 2**-58); one order more takes 256.
+    Both residues match mpmath within their floors, where 64 nodes miss
+    the floor at P."""
+    f = FactoredMeromorphic(_C, [shifted_power(1, _P, -2), shifted_power(1, _Q, -n)])
+    ((c_p, floor_p), (c_q, floor_q)), sizes = _kernel_points(f, [_P, _Q], monkeypatch)
+    assert sizes == [2 * nodes]
+    assert (len(c_p), len(c_q)) == (2, n)
+    exact = _mp_residue(_C, _P, 2, _Q, n)
+    assert abs(c_p[0] - exact) <= floor_p[0]
+    assert abs(c_q[0] - _mp_residue(_C, _Q, n, _P, 2)) <= floor_q[0]
+    coarse, _ = _one_contour(f, _P, 0.5 * abs(_P - _Q), [1, 2], nodes=64)
+    assert abs(coarse[0] - exact) > floor_p[0]
+
+
+@pytest.mark.parametrize("b", [0.001, 0.25, 0.5, 0.9, 0.99, 0.999])
+def test_zero_order_sizes_the_rule_at_a_high_order_zero(b):
+    """dh of double_vase(32, b) is z**31 g(z**32), whose residue at 0 is
+    exactly 0.  It stays within its floor; a rule sized from the pole
+    order alone, 64 nodes, aliases c_63 into it above the floor."""
+    data, _, _ = FAMILIES["double_vase"].build_data(32, b)
+    dh = data.dh
+    assert dh.order_at(0.0) == 31
+    ((c, floor),) = principal_part(dh, [0.0])
+    assert abs(c[0]) <= floor[0]
+    radius = contour_radius(0j, dh._points, dh._orders)
+    coarse, _ = _one_contour(dh, 0.0, radius, [1], nodes=64)
+    assert abs(coarse[0]) > floor[0]

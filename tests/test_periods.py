@@ -8,6 +8,7 @@ import types
 import numpy as np
 import pytest
 
+from spheremin.algebra import same_point
 from spheremin.errors import (
     NoRoot,
     ParameterDomainError,
@@ -37,7 +38,6 @@ from spheremin.periods import (
     assert_period_closed,
     hybrid_root,
     period_report,
-    puncture_periods,
 )
 
 from exact_residues import combo_residue_contour, combo_residue_exact
@@ -429,9 +429,10 @@ def test_nan_residue_reaches_the_defect_and_the_worst_entry(field, monkeypatch):
         assert_period_closed(types.SimpleNamespace(punctures=()), tol)
 
 
-def test_puncture_periods_single_entry(dvase2):
+def test_period_report_entry_at_b(dvase2):
     b = dvase2.params.b
-    entry = puncture_periods(dvase2.data, complex(b), tol=1e-8)
+    (entry,) = [e for e in period_report(dvase2.data, tol=1e-8).entries
+                if same_point(e.location, b)]
     assert entry.closed
     assert entry.defect < 1e-8
 
@@ -441,9 +442,9 @@ def test_puncture_periods_single_entry(dvase2):
 def test_period_gate_evaluates_each_form_once_per_chart(family, k, x, monkeypatch):
     """The gate asks each factored form for every finite puncture in one
     batched Laurent evaluation, and once more on its outer circle for
-    infinity (`outer_expansion`): at most 6
-    kernel calls, where one contour per residue made 150 for
-    double_vase(24, 0.5)."""
+    infinity (`outer_expansion`) where the form's degree is -1 or more:
+    4 kernel calls, as u = dh/G and dh have degree below -2, where one
+    contour per residue made 150 for double_vase(24, 0.5)."""
     from spheremin import kernels
 
     spec = FAMILIES[family]
@@ -458,11 +459,11 @@ def test_period_gate_evaluates_each_form_once_per_chart(family, k, x, monkeypatc
 
     monkeypatch.setattr(kernels, "eval_product", counting)
     assert_period_closed(data, spec.period_tol)
-    assert 0 < calls[0] <= 6
+    assert calls[0] == 4
 
     # the whole constructor, solver included: the solver's residual builds
     # the rows of (dh/G, G dh) that the gate then reads
     calls[0] = 0
     inst = make_vase(k, x) if family == "vase" else make_double_vase(k, x)
     assert inst.period.closed
-    assert 0 < calls[0] <= 6
+    assert calls[0] == 4
