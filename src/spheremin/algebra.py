@@ -11,12 +11,12 @@ A function's (root, order) table is built from its factors once, when
 it is created, and held as two arrays that every zero/pole query reads
 with one array operation.  The k roots of one factor are distinct and
 factors of equal k share none, so the table is each factor's roots end
-to end with its exponent; only roots of factors of different k are
-compared, once per pair, a match adding its exponent to the earlier
-entry.  Two finite points are the same when |p - q| <= 1e-9 |p|
-(`same_point`, so 0 matches only 0), the rule for those roots and for
-numbers from outside met with a table: punctures, query points, path
-chaining.  Moduli are taken with `np.hypot` (`modulus`), the bits of the
+to end with its exponent; only roots of factors of different k, neither
+a monomial, are compared, once per pair, a match adding its exponent to
+the earlier entry.  Two finite points are the same when |p - q| <= 1e-9
+|p| (`same_point`, so 0 matches only 0: the monomial's root needs no
+comparison), the rule for those roots and for numbers from outside met
+with a table: punctures, query points, path chaining.  Moduli are taken with `np.hypot` (`modulus`), the bits of the
 built-in `abs`; `np.abs` differs from it in the last bit on about a third
 of random values, and would move radii and meshes.
 
@@ -194,12 +194,13 @@ class FactoredMeromorphic:
         object.__setattr__(self, "_packed", packed)
         # (root, order) arrays: each factor's roots end to end; a root of a
         # factor of another k matching an earlier one joins its entry, and
-        # entries whose orders cancel stay
+        # entries whose orders cancel stay.  The monomial comes first, and
+        # its root 0 matches only 0, which no factor with c != 0 has
         roots = np.array([r for f in kept for r in f.roots()], dtype=np.complex128)
         start = np.cumsum([0] + [f.k for f in kept])
         owner = np.arange(len(roots))
         for i, j in itertools.combinations(range(len(kept)), 2):
-            if kept[i].k != kept[j].k:
+            if kept[i].c != 0 and kept[i].k != kept[j].k:
                 a, b = np.nonzero(same_point(roots[start[i]:start[i + 1], None],
                                              roots[start[j]:start[j + 1]]))
                 a, b = a + start[i], b + start[j]
@@ -311,8 +312,9 @@ def contour_radius(p, points, orders):
     at least like 2**-nodes; a root that is no pole, where f is analytic,
     does not bound it within the rounding reach REACH * |p|."""
     p = np.asarray(p, dtype=np.complex128)[..., None]
-    dist = modulus(p - points)
-    skip = same_point(p, points) | ((orders >= 0) & (dist < REACH * modulus(p)))
+    dist, size = modulus(p - points), modulus(p)
+    # `same_point`, from the one modulus of p - points
+    skip = (dist <= _ROOT_MATCH_TOL * size) | ((orders >= 0) & (dist < REACH * size))
     dist = np.where(skip, np.inf, dist).min(axis=-1, initial=np.inf)
     return np.where(dist < math.inf, 0.5 * dist, 1.0)
 

@@ -29,7 +29,7 @@ import sys
 from dataclasses import asdict, dataclass, field
 from typing import Callable
 
-from .algebra import INF, FactoredMeromorphic, monomial, residues_at, shifted_power
+from .algebra import INF, FactoredMeromorphic, monomial, shifted_power
 from .errors import ClosedFormMismatch, NoRoot, ParameterDomainError, SphereminError
 from .periods import PeriodReport, assert_period_closed, hybrid_root
 from .weierstrass import WeierstrassData, degree_audit, point_json, regularity_check
@@ -76,7 +76,7 @@ class VaseParams:
 
 
 def vase_weierstrass_data(k: int, a: float, rho: float) -> WeierstrassData:
-    """Raw (unverified) vase data; used by the solver with trial rho."""
+    """Raw (unverified) vase data at the scale rho."""
     ak = a ** k
     G = FactoredMeromorphic(rho, [monomial(1), shifted_power(k, ak)])
     # a^k - z^k = -(z^k - a^k)
@@ -96,10 +96,10 @@ def _vase_equation(k: int, ak: float, rho):
 
 
 def _solved_residual(data: WeierstrassData, index: int) -> float:
-    """|Res((1/G + G) dh)| at data.punctures[index], from one `residues_at`
-    call per form over every puncture: the gate then reads those rows."""
-    u, v, _ = (residues_at(f, data.punctures) for f in data.factored_forms())
-    return abs(u[index] + v[index])
+    """|Res((1/G + G) dh)| at data.punctures[index], from the data's
+    puncture residues, which the gate then reads."""
+    u, v, _ = data.puncture_residues()[index]
+    return abs(u + v)
 
 
 def solve_vase_rho(k: int, a: float) -> SolveResult:

@@ -224,37 +224,37 @@ def estimate_mean_curvature(mesh: SurfaceMesh):
     obtuse = dot < 0
     if np.any(obtuse & (twice_area < TAN_1_DEG * -dot)):
         raise DegenerateTriangle("a face angle exceeds 179 degrees")
+    # a face without area has 0/0 cotangents, NaN in every product below
     with np.errstate(divide="ignore", invalid="ignore"):
         cots = dot / twice_area
-    area = 0.5 * twice_area
+        area = 0.5 * twice_area
 
-    # Meyer mixed area: circumcentric pieces on non-obtuse faces, else
-    # half the face area at the obtuse corner and a quarter elsewhere.
-    # Each vertex sums its contributions in corner order (np.bincount
-    # accumulates in input order).
-    edge2_cot = np.sum(E * E, axis=1) * cots  # |E[c]|^2 cot c
-    contrib = np.where(
-        obtuse.any(axis=0),
-        np.where(obtuse, 0.5 * area, 0.25 * area),
-        0.125 * (edge2_cot[[1, 2, 0]] + edge2_cot[[2, 0, 1]]),
-    )
-    A = np.bincount(F.T.ravel(), contrib.ravel(), minlength=nv)
+        # Meyer mixed area: circumcentric pieces on non-obtuse faces, else
+        # half the face area at the obtuse corner and a quarter elsewhere.
+        # Each vertex sums its contributions in corner order (np.bincount
+        # accumulates in input order).
+        edge2_cot = np.sum(E * E, axis=1) * cots  # |E[c]|^2 cot c
+        contrib = np.where(
+            obtuse.any(axis=0),
+            np.where(obtuse, 0.5 * area, 0.25 * area),
+            0.125 * (edge2_cot[[1, 2, 0]] + edge2_cot[[2, 0, 1]]),
+        )
+        A = np.bincount(F.T.ravel(), contrib.ravel(), minlength=nv)
 
-    # cotangent Laplacian: the edge E[c], from i1 = F[:, c+1] to
-    # i2 = F[:, c+2], adds -cot(c) E[c] at i1 and cot(c) E[c] at i2, in
-    # corner order; one coordinate at a time, to keep the blocks small
-    index = F[:, [1, 2, 2, 0, 0, 1]].T.ravel()
-    wd = np.empty((6, len(F)))
-    S = np.empty((nv, 3))
-    for j in range(3):
-        np.multiply(cots, E[:, j], out=wd[1::2])
-        np.negative(wd[1::2], out=wd[::2])
-        S[:, j] = np.bincount(index, wd.ravel(), minlength=nv)
-    del E, contrib, index, wd  # the blocks would set the peak of the norms below
+        # cotangent Laplacian: the edge E[c], from i1 = F[:, c+1] to
+        # i2 = F[:, c+2], adds -cot(c) E[c] at i1 and cot(c) E[c] at i2, in
+        # corner order; one coordinate at a time, to keep the blocks small
+        index = F[:, [1, 2, 2, 0, 0, 1]].T.ravel()
+        wd = np.empty((6, len(F)))
+        S = np.empty((nv, 3))
+        for j in range(3):
+            np.multiply(cots, E[:, j], out=wd[1::2])
+            np.negative(wd[1::2], out=wd[::2])
+            S[:, j] = np.bincount(index, wd.ravel(), minlength=nv)
+        del E, contrib, index, wd  # the blocks would set the peak of the norms below
+        K = S / (2.0 * A[:, None])
 
     H = np.full(nv, np.nan)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        K = S / (2.0 * A[:, None])
     H[interior] = 0.5 * np.linalg.norm(K[interior], axis=1)
     return H, interior
 

@@ -8,16 +8,17 @@ three residues at every puncture:
 By linearity Res_p((1/G -+ G) dh) = Res_p(u) -+ Res_p(v), with u = dh/G
 and v = G dh the data's factored forms, so each residue is the c_1 of one
 factored product's Laurent table, built once per root and sized from that
-product's own roots.  Each form is asked once for every puncture
-(`algebra.residues_at`): one batched Laurent evaluation over the finite
-punctures and, where the residue at infinity is not 0 by the form's
-degree, one on its outer circle (`algebra.outer_expansion`), with the
-same bits as one contour per residue.  A vase or double-vase gate makes
-four: its u = dh/G and dh have degree below -2.  This module gates data on
-those residues; it knows no family.  `hybrid_root` is the root finder
-with which each family in `families.py` solves its one period equation:
-it brackets on one array evaluation of the equation over a grid, then
-refines the first bracket with scalar calls.
+product's own roots.  The data own these residues at their punctures
+(`WeierstrassData.puncture_residues`): each form is asked once for all of
+them (`algebra.residues_at`), one batched Laurent evaluation over the
+finite punctures and, where the residue at infinity is not 0 by the
+form's degree, one on its outer circle (`algebra.outer_expansion`); a
+vase or double vase makes four, as its u = dh/G and dh have degree below
+-2.  This module gates data on those residues, which the solvers read
+too; it knows no family.  `hybrid_root` is the root finder with which
+each family in `families.py` solves its one period equation: it brackets
+on one array evaluation of the equation over a grid, then refines the
+first bracket with scalar calls.
 """
 
 from __future__ import annotations
@@ -27,7 +28,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import residues_at
 from .errors import NoRoot, PeriodViolation
 from .weierstrass import WeierstrassData, point_json
 
@@ -98,18 +98,16 @@ class PeriodReport:
         }
 
 
-def _period_entries(data: WeierstrassData, points, tol: float) -> list:
-    """One PeriodEntry per puncture in `points`, from one `residues_at`
-    call on each factored form."""
-    res_u, res_v, res_dh = (residues_at(f, points) for f in data.factored_forms())
+def _period_entries(data: WeierstrassData, tol: float) -> list:
+    """One PeriodEntry per puncture, from the data's puncture residues."""
     return [
         PeriodEntry(location=p, res_minus=u - v, res_plus=u + v, res_dh=w, tol=tol)
-        for p, u, v, w in zip(points, res_u, res_v, res_dh)
+        for p, (u, v, w) in zip(data.punctures, data.puncture_residues())
     ]
 
 
 def period_report(data: WeierstrassData, tol: float) -> PeriodReport:
-    return PeriodReport(tuple(_period_entries(data, data.punctures, tol)), tol)
+    return PeriodReport(tuple(_period_entries(data, tol)), tol)
 
 
 def assert_period_closed(data: WeierstrassData, tol: float) -> PeriodReport:

@@ -28,6 +28,7 @@ from .algebra import (
     one_form_order_at,
     outer_expansion,
     principal_part,
+    residues_at,
     same_point,
 )
 from .errors import PoleEvaluation, UnrecognizedEndType
@@ -67,6 +68,7 @@ class WeierstrassData:
         u = FactoredMeromorphic(dh.coefficient * (1.0 / g.coefficient), dh.factors
                                 + tuple(Factor(f.k, f.c, -f.exponent) for f in g.factors))
         object.__setattr__(self, "_forms", (u, g * dh, dh))
+        object.__setattr__(self, "_residues", None)  # see puncture_residues
 
     def is_puncture(self, p) -> bool:
         if is_infinity(p):
@@ -82,6 +84,14 @@ class WeierstrassData:
         """(u, v, w) = (dh/G, G dh, dh) as factored products, built once
         with the data; (phi1, phi2, phi3) = _COMBINATION @ (u, v, w)."""
         return self._forms
+
+    def puncture_residues(self):
+        """(Res u, Res v, Res dh) at each puncture, from one `residues_at`
+        call per factored form on the first request, and kept."""
+        if self._residues is None:
+            res = (residues_at(f, self.punctures) for f in self._forms)
+            object.__setattr__(self, "_residues", list(zip(*res)))
+        return self._residues
 
 
 # (phi1, phi2, phi3) = _COMBINATION @ (u, v, w), u = dh/G, v = G dh, w = dh

@@ -470,7 +470,7 @@ def test_one_factor_form_matches_two_kind_reference(factors, coefficient):
 def _factor_table(factors):
     """(root, order) lists, one root at a time: each factor's roots in
     turn, a root matching an entry from a factor of another k adding its
-    exponent to that entry."""
+    exponent to that entry.  Every such pair is compared, monomials too."""
     points, orders, ks = [], [], []
     for fac in factors:
         for r in fac.roots():
@@ -497,6 +497,29 @@ def test_root_table_is_the_factors_roots_end_to_end(factors):
     want = [sum(fac.exponent for fac in f.factors
                 if any(_same(r, p) for r in fac.roots())) for p in queries]
     assert f.orders_at(queries).tolist() == want
+
+
+def test_root_table_skips_only_pairs_that_cannot_match():
+    # the table compares no monomial's root 0 with other roots: 0 matches
+    # only 0, and no factor with c != 0 has that root, not even at |c| = 1e-300
+    pool = [monomial(1), monomial(-2), monomial(3),
+            shifted_power(1, 1.0), shifted_power(1, -1.0, 2),
+            shifted_power(2, 1.0), shifted_power(2, 4.0, -2),
+            shifted_power(4, 1.0, -1), shifted_power(4, 1j),
+            shifted_power(1, 1e-300), shifted_power(3, -1e-300, -1)]
+    rng = np.random.default_rng(22)
+    merges = 0
+    for _ in range(400):
+        factors = [pool[i] for i in rng.choice(len(pool), size=rng.integers(1, 7))]
+        f = FactoredMeromorphic(1.0, factors)
+        points, orders = _factor_table(f.factors)
+        assert f._points.tolist() == points
+        assert f._orders.tolist() == orders
+        assert [o for p, o in zip(points, orders) if p == 0] == [
+            g.exponent for g in f.factors if g.c == 0]
+        merges += len(points) < sum(g.k for g in f.factors)
+    # z^2 - 1 shares roots with z^4 - 1 and with z -+ 1: the merge runs
+    assert merges > 100
 
 
 # -- batched Laurent tables ----------------------------------------------

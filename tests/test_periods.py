@@ -424,7 +424,7 @@ def test_nan_residue_reaches_the_defect_and_the_worst_entry(field, monkeypatch):
         report = PeriodReport(entries, tol)
         assert not report.closed
         assert report.worst is broken
-    monkeypatch.setattr(periods, "_period_entries", lambda data, points, tol: [closed, broken])
+    monkeypatch.setattr(periods, "_period_entries", lambda data, tol: [closed, broken])
     with pytest.raises(PeriodViolation, match=r"at \(1\+0j\) \(defect nan > 1\.0e-09\)"):
         assert_period_closed(types.SimpleNamespace(punctures=()), tol)
 
@@ -467,3 +467,28 @@ def test_period_gate_evaluates_each_form_once_per_chart(family, k, x, monkeypatc
     inst = make_vase(k, x) if family == "vase" else make_double_vase(k, x)
     assert inst.period.closed
     assert calls[0] == 4
+
+
+@pytest.mark.parametrize("family, k, x", [
+    ("vase", 2, 0.5), ("vase", 7, 0.05), ("vase", 24, 0.97),
+    ("double_vase", 2, 0.001), ("double_vase", 6, 0.25), ("double_vase", 24, 0.99),
+])
+def test_constructor_reads_the_puncture_residues_once(family, k, x, monkeypatch):
+    """The solver's residual and the gate read the data's one copy of the
+    puncture residues: one `residues_at` call per form, 3 in all."""
+    from spheremin import weierstrass
+
+    asked = []
+    residues_at = weierstrass.residues_at
+
+    def counting(f, points):
+        asked.append(f)
+        return residues_at(f, points)
+
+    monkeypatch.setattr(weierstrass, "residues_at", counting)
+    inst = make_vase(k, x) if family == "vase" else make_double_vase(k, x)
+    assert inst.period.closed
+    forms = inst.data.factored_forms()
+    assert len(asked) == 3 and all(f is g for f, g in zip(asked, forms))
+    # the residual at the third puncture (z = 1 or z = b) is the gate's, bit for bit
+    assert inst.provenance["residual"] == abs(inst.period.entries[2].res_plus)
