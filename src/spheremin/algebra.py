@@ -28,7 +28,8 @@ on many centres at once: one row each, from one evaluation of the
 function over all rows' nodes, and each row has the bits the rule gives
 on its centre alone.  A function builds the principal parts of the
 entries of its root table that a caller asks for, all missing ones in
-one batched call, and keeps each (`principal_part`); every finite
+one batched call, and keeps each (`principal_part` matches points to
+entries, `antiderivative` reads its poles' entries directly); every finite
 residue in the package is the c_1 of that table (`residues_at`).
 Infinity is read from the degree d and, for d >= -1, from one expansion
 about 0 on the circle of twice the largest root, built once and kept
@@ -373,26 +374,22 @@ def laurent_coefficients(f: FactoredMeromorphic, centres, radii, orders):
 _NO_ROOT = (np.empty(0, dtype=np.complex128), np.empty(0))
 
 
-def _first_entry(f: FactoredMeromorphic, points) -> np.ndarray:
-    """Index of the first root-table entry of f matching each finite point
-    under same_point(entry, point), -1 where none does."""
-    hits = same_point(f._points, np.asarray(points, dtype=np.complex128)[:, None])
-    if not hits.size:
-        return np.full(len(hits), -1)
-    return np.where(hits.any(axis=1), hits.argmax(axis=1), -1)
-
-
 def principal_part(f: FactoredMeromorphic, points):
-    """For each finite point p, (c_1, ..., c_m) of f about p with their
-    rounding floors, m = max(1, pole order): `laurent_coefficients` on the
-    `contour_radius` circle about the root-table entry matching p.
+    """`_principal_parts` at the first root-table entry of f matching each
+    finite point p under same_point(entry, p); empty where none does."""
+    hits = same_point(f._points, np.asarray(points, dtype=np.complex128)[:, None])
+    first = hits.argmax(axis=1) if hits.size else 0
+    return _principal_parts(f, np.where(hits.any(axis=1), first, -1))
 
-    Every entry not yet built among the points is built in one batched
-    call, and kept on the immutable f.  A zero, or an entry whose orders
-    cancel, still gets its c_1; where f has no root at p the result is
-    empty.  Returns one (coefficients, floors) pair per point.
+
+def _principal_parts(f: FactoredMeromorphic, entries):
+    """(c_1, ..., c_m) of f about each root-table entry index, with their
+    rounding floors, m = max(1, pole order): `laurent_coefficients` on the
+    entry's `contour_radius` circle.  Every entry not yet built is built in
+    one batched call, and kept on the immutable f.  A zero, or an entry
+    whose orders cancel, still gets its c_1; index -1 gives the empty result.
     """
-    entries = _first_entry(f, points).tolist()
+    entries = entries.tolist()
     missing = sorted({i for i in entries if i >= 0} - f._laurent.keys())
     if missing:
         roots = f._points[missing]
@@ -434,16 +431,17 @@ def antiderivative(f: FactoredMeromorphic):
     for np.polyval, in z for the polynomial part (pole None) and in
     1/(z - p) for the principal part at p; `logs` lists the (p, c_1) of
     the c_1 log(z - p) terms.  The polynomial part is read from
-    `outer_expansion` and the principal parts from `principal_part`, at
-    every pole in f's root table.
+    `outer_expansion` and the principal parts by root-table entry, at
+    every entry of negative order, from the builder `principal_part`
+    uses: the poles are never matched back to the table as points.
     """
     rational, logs = [], []
     if f.degree >= 0:
         a = outer_expansion(f)[0]
         n = np.arange(f.degree + 1)
         rational.append((None, np.append((a / (n + 1))[::-1], 0.0)))
-    poles = f._points[f._orders < 0]
-    for p, (c, _) in zip(poles.tolist(), principal_part(f, poles)):
+    poles = np.flatnonzero(f._orders < 0)
+    for p, (c, _) in zip(f._points[poles].tolist(), _principal_parts(f, poles)):
         logs.append((p, c[0]))
         if len(c) > 1:
             # c_m (z - p)**-m integrates to c_m / (1 - m) * t**(m - 1), t = 1/(z - p)

@@ -4,12 +4,13 @@ The domain is a polar annulus in the log chart z = exp(s + i*theta)
 minus the puncture exclusion disks.  X is evaluated at every grid node
 at once from its closed form (`weierstrass.Immersion`): no path is
 planned and no quadrature runs.  Vertex ids, faces and edge counts
-are array operations.  One face-geometry pass (a single gather of the
-corners, three edges and one cross product per face) serves both the
-zero-area face drop and the cotangent curvature estimate.  The OBJ
-writer formats bytes: `%.9g` `v` and `vn` lines, then
-`f a//a b//b c//c` lines with 1-based ids, reusing one formatted token
-per vertex for every face around it; PLY is binary little-endian.
+are array operations.  A face-geometry pass (a single gather of the
+corners, three edges and one cross product per face) runs over all faces
+for the zero-area face drop, and again over the faces kept for the
+cotangent curvature estimate.  The OBJ writer formats bytes: `%.9g` `v`
+and `vn` lines, then `f a//a b//b c//c` lines with 1-based ids, reusing
+one formatted token per vertex for every face around it; PLY is binary
+little-endian.
 Output meshes are deterministic for a fixed spec, and identical meshes
 give identical bytes.
 """
@@ -209,9 +210,11 @@ def interior_vertices(mesh: SurfaceMesh) -> np.ndarray:
 def estimate_mean_curvature(mesh: SurfaceMesh):
     """Per-vertex |H| via the cotangent-Laplacian mean-curvature vector,
     normalized by the mixed Voronoi area (Meyer, Desbrun, Schroeder and
-    Barr, 2003).  One face-geometry pass gives each face's edges and its
-    cross product; every corner's cotangent, obtuse test and the 179
-    degree refusal (DegenerateTriangle) come from those, without angles.
+    Barr, 2003).  Its own face-geometry pass over the mesh's faces (the
+    ones `sample_mesh` kept after its pass over all faces) gives each
+    face's edges and its cross product; every corner's cotangent, obtuse
+    test and the 179 degree refusal (DegenerateTriangle) come from those,
+    without angles.
     Returns (|H| array with NaN off the interior, interior mask)."""
     V, F = mesh.vertices, mesh.faces
     nv = len(V)
@@ -293,19 +296,20 @@ def write_obj(mesh: SurfaceMesh, path: str):
     formatted as bytes and written in binary mode, so no text encoding
     runs.  Each vertex's `i//i` token is formatted once and the face
     lines reuse it, so a vertex shared by six faces costs one format, not
-    twelve.  Identical meshes give identical bytes."""
+    twelve.  The three blocks are written one after the other, never
+    joined; a mesh with no vertex and no face is one empty line.
+    Identical meshes give identical bytes."""
     tokens = np.array([b"%d//%d" % (i, i) for i in range(1, mesh.n_vertices + 1)],
                       dtype=object)
-    data = (
-        b"v %.9g %.9g %.9g\n" * mesh.n_vertices
-        % tuple(np.ravel(mesh.vertices).tolist())
-        + b"vn %.9g %.9g %.9g\n" * len(mesh.normals)
-        % tuple(np.ravel(mesh.normals).tolist())
-        + b"f %s %s %s\n" * mesh.n_faces
-        % tuple(tokens[np.ravel(mesh.faces)].tolist())
-    )
     with open(path, "wb") as fh:
-        fh.write(data or b"\n")
+        if not (mesh.n_vertices or mesh.n_faces):
+            fh.write(b"\n")
+        fh.write(b"v %.9g %.9g %.9g\n" * mesh.n_vertices
+                 % tuple(np.ravel(mesh.vertices).tolist()))
+        fh.write(b"vn %.9g %.9g %.9g\n" * len(mesh.normals)
+                 % tuple(np.ravel(mesh.normals).tolist()))
+        fh.write(b"f %s %s %s\n" * mesh.n_faces
+                 % tuple(tokens[np.ravel(mesh.faces)].tolist()))
 
 
 def write_ply(mesh: SurfaceMesh, path: str):

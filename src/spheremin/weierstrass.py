@@ -8,8 +8,10 @@ data (`WeierstrassData.factored_forms`).  The antiderivative of each is a
 polynomial, principal parts and c_1 log(z - p) terms (`Immersion`); once
 the periods close every c_1 is real, so X needs no path and no
 quadrature.  Each principal part is read from its form's once-built
-Laurent table (`algebra.principal_part`), the same table whose c_1 the
-period gate checks and whose dh entries give the ends' log growth signs.
+Laurent table by root-table entry (`algebra.antiderivative`), the same
+table whose c_1 the period gate checks and whose dh entries give the
+ends' log growth signs.  X takes one pass over the nodes, the base point
+the last of them, forming each pole's terms once for the three forms.
 """
 
 from __future__ import annotations
@@ -118,7 +120,8 @@ def coordinate_forms(data: WeierstrassData) -> CoordinateForms:
 
 class Immersion:
     """X(z) = Re F(z) - Re F(base), F the exact antiderivative of
-    (phi1, phi2, phi3), evaluated on arrays.
+    (phi1, phi2, phi3), evaluated on arrays in one pass over the nodes,
+    the base point riding along as the last node.
 
     Each log term enters as Re(c_1) log|z - p|, c_1 the coefficient of one
     coordinate; `dropped_imag`, the largest |Im c_1| left out, bounds how
@@ -127,37 +130,53 @@ class Immersion:
     """
 
     def __init__(self, data: WeierstrassData, base: complex):
-        self._rational = []  # (column of _COMBINATION, pole, coefficients)
-        logs = []  # (column, p, c_1) over the three forms
+        self._base = complex(base)
+        rational, logs = [], []  # (column of _COMBINATION, pole, coefficients or c_1)
         for col, f in enumerate(data.factored_forms()):
-            rational, form_logs = antiderivative(f)
-            self._rational += [(col, p, c) for p, c in rational]
+            form_rational, form_logs = antiderivative(f)
+            rational += [(col, p, c) for p, c in form_rational]
             logs += [(col, p, c1) for p, c1 in form_logs]
         # the forms' poles at one point are bit-equal: group them by value
         entry = {p: i for i, p in enumerate(dict.fromkeys(p for _, p, _ in logs))}
         self._log_points = np.array(list(entry), dtype=np.complex128)
-        self._log_coeffs = np.zeros((len(entry), 3), dtype=np.complex128)
-        for col, p, c1 in logs:
-            self._log_coeffs[entry[p]] += _COMBINATION[:, col] * c1
-        imag = np.abs(self._log_coeffs.imag)
+        # a rational term names its pole's row, -1 for the polynomial in z
+        self._rational = [(col, entry.get(p, -1), c) for col, p, c in rational]
+        self._inverted = {i for _, i, _ in self._rational if i >= 0}
+        # one scatter of the c_1 into a (3, P) table, combined column by column
+        table = np.zeros((3, len(entry)), dtype=np.complex128)
+        table[[col for col, _, _ in logs], [entry[p] for _, p, _ in logs]] = [
+            c1 for _, _, c1 in logs]
+        coeffs = np.zeros_like(table)
+        for col in range(3):
+            coeffs += _COMBINATION[:, col, None] * table[col]
+        imag = np.abs(coeffs.imag)
         self.dropped_imag = float(imag.max()) if imag.size else 0.0
-        self._offset = self._re_primitive(np.array([complex(base)]))[0]
+        self._log_coeffs = coeffs.real
 
     def _re_primitive(self, z: np.ndarray) -> np.ndarray:
-        """(n, 3) array of Re F at the points z."""
+        """(3, n) array of Re F at the points z.  Each pole's z - p is
+        formed once: its log|z - p| serves the three coordinates and its
+        1/(z - p) every form's principal part there."""
+        logs, inverse = [], {}
+        for i, p in enumerate(self._log_points):
+            d = z - p
+            logs.append(np.log(np.abs(d)))
+            if i in self._inverted:
+                inverse[i] = 1.0 / d
         # rational parts of the antiderivatives of u, v and w
         R = np.zeros((3, len(z)), dtype=np.complex128)
-        for col, p, c in self._rational:
-            R[col] += np.polyval(c, z if p is None else 1.0 / (z - p))
+        for col, i, c in self._rational:
+            R[col] += np.polyval(c, z if i < 0 else inverse[i])
         X = (_COMBINATION @ R).real
-        for p, c1 in zip(self._log_points, self._log_coeffs.real):
-            X += np.outer(c1, np.log(np.abs(z - p)))
-        return X.T
+        for c1, log in zip(self._log_coeffs.T, logs):
+            X += np.outer(c1, log)
+        return X
 
     def __call__(self, z) -> np.ndarray:
         """(n, 3) array of X at the points z."""
         z = np.ravel(np.asarray(z, dtype=np.complex128))
-        return self._re_primitive(z) - self._offset
+        X = self._re_primitive(np.append(z, self._base)).T
+        return X[:-1] - X[-1]
 
 
 def gauss_value(data: WeierstrassData, p) -> complex:

@@ -15,6 +15,7 @@ from spheremin.algebra import (
     FactoredMeromorphic,
     _fmt_number,
     Factor,
+    antiderivative,
     contour_radius,
     is_infinity,
     monomial,
@@ -520,6 +521,59 @@ def test_root_table_skips_only_pairs_that_cannot_match():
         merges += len(points) < sum(g.k for g in f.factors)
     # z^2 - 1 shares roots with z^4 - 1 and with z -+ 1: the merge runs
     assert merges > 100
+
+
+def _point_matched_antiderivative(f):
+    """`antiderivative` with its poles matched back to the root table as
+    points, through `principal_part`, as it first read them."""
+    rational, logs = [], []
+    if f.degree >= 0:
+        a = outer_expansion(f)[0]
+        n = np.arange(f.degree + 1)
+        rational.append((None, np.append((a / (n + 1))[::-1], 0.0)))
+    poles = f._points[f._orders < 0]
+    for p, (c, _) in zip(poles.tolist(), principal_part(f, poles)):
+        logs.append((p, c[0]))
+        if len(c) > 1:
+            m = np.arange(2, len(c) + 1)
+            rational.append((p, np.append((c[1:] / (1 - m))[::-1], 0.0)))
+    return rational, logs
+
+
+def _bits_equal(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return (a.shape == b.shape and np.array_equal(a, b)
+            and np.array_equal(np.signbit(a.real), np.signbit(b.real))
+            and np.array_equal(np.signbit(a.imag), np.signbit(b.imag)))
+
+
+def test_antiderivative_by_entry_is_the_point_matched_one():
+    # z^2 - 1 merges with z^4 - 1 and with z -+ 1, and on some draws the
+    # orders at 1 or -1 cancel; the monomial's exponent takes both signs
+    pool = [monomial(-1), monomial(-2), monomial(2),
+            shifted_power(2, 1.0), shifted_power(2, 1.0, -1),
+            shifted_power(4, 1.0, -2), shifted_power(1, 1.0, -1),
+            shifted_power(1, -1.0, -2), shifted_power(1, -1.0),
+            shifted_power(2, 4.0, -2),
+            shifted_power(3, 1j, -1), shifted_power(4, 1j)]
+    rng = np.random.default_rng(23)
+    merged = cancelled = high = 0
+    for _ in range(300):
+        factors = [pool[i] for i in rng.choice(len(pool), size=rng.integers(1, 6))]
+        coeff = complex(*rng.normal(size=2))
+        # each path on its own copy, so that neither reads the other's tables
+        f = FactoredMeromorphic(coeff, factors)
+        rational, logs = antiderivative(f)
+        want_rational, want_logs = _point_matched_antiderivative(
+            FactoredMeromorphic(coeff, factors))
+        assert [p for p, _ in rational] == [p for p, _ in want_rational]
+        assert all(_bits_equal(c, w) for (_, c), (_, w) in zip(rational, want_rational))
+        assert [p for p, _ in logs] == [p for p, _ in want_logs]
+        assert all(_bits_equal(c, w) for (_, c), (_, w) in zip(logs, want_logs))
+        merged += len(f._points) < sum(g.k for g in f.factors)
+        cancelled += bool((f._orders == 0).any())
+        high += bool((f._orders <= -2).any())
+    assert min(merged, cancelled, high) > 20
 
 
 # -- batched Laurent tables ----------------------------------------------

@@ -8,7 +8,14 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from spheremin.algebra import INF, FactoredMeromorphic, is_infinity, monomial, residue_at
+from spheremin.algebra import (
+    INF,
+    FactoredMeromorphic,
+    antiderivative,
+    is_infinity,
+    monomial,
+    residue_at,
+)
 from spheremin.errors import DegenerateTriangle, ParameterDomainError
 from spheremin.families import FAMILIES, construct, make_double_vase, make_vase
 from spheremin.mesh import (
@@ -201,6 +208,57 @@ def test_obj_matches_the_loop_at_export_resolution(name, args, tmp_path):
     assert mesh.n_vertices > 8000
     write_obj(mesh, str(tmp_path / "m.obj"))
     assert (tmp_path / "m.obj").read_bytes() == loop_obj_text(mesh).encode()
+
+
+def loop_immersion(data, base, z):
+    """X at the points z as the immersion was first evaluated: one pass of
+    every term over the nodes, each forming its own 1/(z - p) or
+    |z - p|, then the same walk over the base point alone."""
+    rational, logs = [], []
+    for col, f in enumerate(data.factored_forms()):
+        form_rational, form_logs = antiderivative(f)
+        rational += [(col, p, c) for p, c in form_rational]
+        logs += [(col, p, c1) for p, c1 in form_logs]
+    entry = {p: i for i, p in enumerate(dict.fromkeys(p for _, p, _ in logs))}
+    points = np.array(list(entry), dtype=np.complex128)
+    coeffs = np.zeros((len(entry), 3), dtype=np.complex128)
+    for col, p, c1 in logs:
+        coeffs[entry[p]] += _COMBINATION[:, col] * c1
+
+    def re_primitive(z):
+        R = np.zeros((3, len(z)), dtype=np.complex128)
+        for col, p, c in rational:
+            R[col] += np.polyval(c, z if p is None else 1.0 / (z - p))
+        X = (_COMBINATION @ R).real
+        for p, c1 in zip(points, coeffs.real):
+            X += np.outer(c1, np.log(np.abs(z - p)))
+        return X.T
+
+    return re_primitive(np.asarray(z)) - re_primitive(np.array([complex(base)]))[0]
+
+
+@pytest.mark.parametrize("name, args, res", [
+    *((name, args, (64, 128)) for name, args in FINE_EXPORTS),
+    # 38 and 74 rational terms over 13 and 25 poles at k = 12, 146 over 49
+    # at k = 24
+    ("vase", (12, 0.4), (16, 32)), ("double_vase", (12, 0.75), (16, 32)),
+    ("double_vase", (24, 0.5), (16, 32)),
+])
+def test_immersion_is_the_two_pass_loop_bit_for_bit(name, args, res):
+    """One node pass, the base as its last node and each pole's terms
+    formed once, gives the vertices of the per-term loop to the last bit
+    and sign, and exactly 0 at the base point."""
+    spec = FAMILIES[name]
+    inst = construct(spec, *args)
+    base = spec.base_point(inst.params)
+    mesh = sample_mesh(inst.data, DomainSpec(spec.r_min, spec.r_max, *res,
+                                             base_point=base))
+    want = loop_immersion(inst.data, base, mesh.source_z)
+    assert np.array_equal(mesh.vertices, want)
+    assert np.array_equal(np.signbit(mesh.vertices), np.signbit(want))
+    at_base = Immersion(inst.data, base)(np.array([base]))
+    assert np.array_equal(at_base, np.zeros((1, 3)))
+    assert not np.signbit(at_base).any()
 
 
 def test_obj_text_of_a_hand_built_mesh(tmp_path):
