@@ -22,12 +22,14 @@ class PoleEvaluation(SphereminError):
 
 
 class ClosedFormMismatch(SphereminError):
-    """A printed closed-form solution disagrees with the bracketed root of
-    its period equation; the CLI exits 3."""
+    """A printed closed-form solution disagrees with the root taken from
+    its period equation's coefficients; the CLI exits 3."""
 
 
 class NoRoot(SphereminError):
-    """Bracketing found no sign change in the search interval."""
+    """A period equation has no admissible root: a negative discriminant,
+    no positive root, or a root outside the search range (for
+    `hybrid_root`, no sign change in it); the CLI exits 2."""
 
 
 class PeriodViolation(SphereminError):

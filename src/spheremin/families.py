@@ -11,10 +11,14 @@ plus the classical catenoid (G = z, dh = dz/z) as a known-answer fixture.
 
 Each family's period equation is one function of its solved parameter
 (`_vase_equation`, `_double_vase_equation`), broadcasting over arrays.
-Each solver checks the printed radical against a bracketed root of that
-equation (`periods.hybrid_root`), raises `ClosedFormMismatch` when they
-disagree, and returns the data it built at the solution, which the
-constructor then gates; the gate in `periods.py` knows no family.
+Both are closed forms, and each solver takes its root straight from the
+equation's coefficients: the vase's rho P + Q/rho = 0 has the root
+sqrt(-Q/P) (`_vase_coefficients`), and the double vase's quadratic in
+a^k gives its +sqrt root by the cancellation-free quadratic formula
+(`_double_vase_root`).  Each solver checks the printed radical against
+that root, raises `ClosedFormMismatch` when they disagree, and returns
+the data it built at the solution, which the constructor then gates; the
+gate in `periods.py` knows no family.
 
 Each family is one `FamilySpec` entry of `FAMILIES`; every per-family
 decision (solver, tolerance, export window, base point, descriptor) reads
@@ -31,7 +35,7 @@ from typing import Callable
 
 from .algebra import INF, FactoredMeromorphic, monomial, shifted_power
 from .errors import ClosedFormMismatch, NoRoot, ParameterDomainError, SphereminError
-from .periods import PeriodReport, assert_period_closed, hybrid_root
+from .periods import PeriodReport, assert_period_closed
 from .weierstrass import WeierstrassData, degree_audit, point_json, regularity_check
 
 
@@ -87,12 +91,17 @@ def vase_weierstrass_data(k: int, a: float, rho: float) -> WeierstrassData:
     return WeierstrassData(G, dh, punctures)
 
 
+def _vase_coefficients(k: int, ak: float):
+    """The vase period equation as rho * P + Q / rho, for a^k = ak:
+    returns (P, Q)."""
+    return (ak - 1.0) * (k * ak + k - ak + 1.0) / k ** 2, (k + 1.0) / k ** 2
+
+
 def _vase_equation(k: int, ak: float, rho):
     """Res_1((1/G + G) dh) of the vase in closed form, for a^k = ak;
     rho broadcasts."""
-    return rho * (ak - 1.0) * (k * ak + k - ak + 1.0) / k ** 2 + (k + 1.0) / (
-        rho * k ** 2
-    )
+    P, Q = _vase_coefficients(k, ak)
+    return rho * P + Q / rho
 
 
 def _solved_residual(data: WeierstrassData, index: int) -> float:
@@ -103,16 +112,13 @@ def _solved_residual(data: WeierstrassData, index: int) -> float:
 
 
 def solve_vase_rho(k: int, a: float) -> SolveResult:
-    """Scale rho closing the vase period: the printed radical, verified by
-    an independent bracketed root of the residue equation."""
+    """Scale rho closing the vase period: the printed radical, checked
+    against the root sqrt(-Q/P) of the residue equation rho P + Q/rho."""
     VaseParams(k, a)  # validates the domain
     ak = a ** k
     closed = math.sqrt((k + 1.0) / ((1.0 - ak) * (k * ak + k - ak + 1.0)))
-
-    def eq(rho):
-        return _vase_equation(k, ak, rho)
-
-    root, _ = hybrid_root(eq, 1e-3 * closed, 1e3 * closed)
+    P, Q = _vase_coefficients(k, ak)  # P < 0 < Q for a in (0, 1)
+    root = math.sqrt(-Q / P)
     if abs(closed - root) > 1e-10 * closed:
         raise ClosedFormMismatch(
             f"vase rho closed form {closed} vs numeric root {root} at k={k}, a={a}"
@@ -230,25 +236,35 @@ def double_vase_closed_form_a(k: int, b: float) -> float:
     return ratio ** (1.0 / k)
 
 
+def _double_vase_root(k: int, b: float) -> float:
+    """The radical's root a of the double-vase quadratic A x^2 + B x + C
+    in x = a^k, by the cancellation-free quadratic formula (Press et al.,
+    Numerical Recipes, 5.6): with q = -(B + sign(B) sqrt(B^2 - 4AC))/2 the
+    roots are q/A and C/q, and the printed radical is the +sqrt root
+    (-B + sqrt(B^2 - 4AC))/(2A), A > 0, which is C/q when B >= 0 and q/A
+    otherwise.  The branch is chosen by the sign of B alone, never by
+    closeness to the radical.  Raises NoRoot for a negative discriminant,
+    a nonpositive x or an a outside [1e-3, 1e3]."""
+    A, B, C = _double_vase_quadratic(k, b)
+    disc = B * B - 4.0 * A * C
+    if not disc >= 0.0:
+        raise NoRoot(f"double-vase quadratic has no real root at k={k}, b={b}")
+    q = -0.5 * (B + math.copysign(math.sqrt(disc), B))
+    x = C / q if B >= 0.0 else q / A
+    if not x > 0.0:
+        raise NoRoot(f"double-vase quadratic has no positive root at k={k}, b={b}")
+    a = x ** (1.0 / k)
+    if not 1e-3 <= a <= 1e3:
+        raise NoRoot(f"double-vase root a = {a} outside [1e-3, 1e3] at k={k}, b={b}")
+    return a
+
+
 def solve_double_vase_a(k: int, b: float) -> SolveResult:
     """Neck parameter a closing the double-vase period: the printed
-    radical, verified by an independent bracketed root."""
+    radical, checked against the quadratic's root (`_double_vase_root`)."""
     DoubleVaseParams(k, b)  # validates the domain
     closed = double_vase_closed_form_a(k, b)
-    quadratic = _double_vase_quadratic(k, b)
-
-    def eq(a):
-        return -_double_vase_equation(k, b, quadratic, a)
-
-    lo, hi = 1e-3, 1e3
-    A, _, C = quadratic
-    if C / A > 0:
-        # both roots x1, x2 of the quadratic are positive (x1 x2 = C/A):
-        # bracket only the side of their geometric midpoint in a that
-        # holds the radical, so that the other root is never picked
-        mid = (C / A) ** (0.5 / k)
-        lo, hi = (mid, hi) if closed > mid else (lo, mid)
-    root, _ = hybrid_root(eq, lo, hi)
+    root = _double_vase_root(k, b)
     if abs(closed - root) > 1e-8 * max(closed, root):
         raise ClosedFormMismatch(
             f"double-vase a closed form {closed} vs numeric root {root} "

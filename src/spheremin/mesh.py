@@ -345,6 +345,6 @@ def write_ply(mesh: SurfaceMesh, path: str):
 
 
 def write_metadata(mesh: SurfaceMesh, path: str):
-    with open(path, "w", newline="\n") as fh:
-        json.dump(mesh.metadata, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    text = json.dumps(mesh.metadata, indent=2, sort_keys=True) + "\n"
+    with open(path, "wb") as fh:
+        fh.write(text.encode())

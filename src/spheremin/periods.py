@@ -15,10 +15,10 @@ finite punctures and, where the residue at infinity is not 0 by the
 form's degree, one on its outer circle (`algebra.outer_expansion`); a
 vase or double vase makes four, as its u = dh/G and dh have degree below
 -2.  This module gates data on those residues, which the solvers read
-too; it knows no family.  `hybrid_root` is the root finder with which
-each family in `families.py` solves its one period equation: it brackets
-on one array evaluation of the equation over a grid, then refines the
-first bracket with scalar calls.
+too; it knows no family.  `hybrid_root` is a bracketing root finder: it
+brackets on one array evaluation of a function over a grid, then refines
+the first bracket with scalar calls.  No solver calls it: both families
+take their roots in closed form (`families.py`).
 """
 
 from __future__ import annotations
@@ -59,10 +59,16 @@ class PeriodEntry:
 
     @property
     def defect(self) -> float:
-        # np.max keeps a NaN, which Python's max drops after the first value
-        return float(np.max(
-            [abs(self.res_minus.imag), abs(self.res_plus.real), abs(self.res_dh.imag)]
-        ))
+        parts = (abs(self.res_minus.imag), abs(self.res_plus.real), abs(self.res_dh.imag))
+        # Python's max drops a NaN after the first value; a NaN part makes
+        # the sum of these nonnegative parts NaN
+        return math.nan if math.isnan(sum(parts)) else max(parts)
+
+
+def _defect_rank(entry: PeriodEntry):
+    # a NaN defect ranks first; only an unclosed entry has one above tol
+    defect = entry.defect
+    return math.isnan(defect), defect
 
 
 @dataclass(frozen=True)
@@ -76,8 +82,7 @@ class PeriodReport:
 
     @property
     def worst(self) -> PeriodEntry:
-        # a NaN defect ranks first; only an unclosed entry has one above tol
-        return max(self.entries, key=lambda e: (math.isnan(e.defect), e.defect))
+        return max(self.entries, key=_defect_rank)
 
     def to_json(self) -> dict:
         def c(v):

@@ -47,7 +47,7 @@ def test_solve_vase(capsys):
 
 
 def test_solve_closed_form_mismatch_exits_3(monkeypatch, capsys):
-    # a printed radical that disagrees with the bracketed root is a
+    # a printed radical that disagrees with the quadratic's root is a
     # verification failure, not a flag on an exit-0 result
     import spheremin.families as families
 
@@ -60,6 +60,37 @@ def test_solve_closed_form_mismatch_exits_3(monkeypatch, capsys):
     assert code == EXIT_VERIFICATION
     assert out == ""
     assert "closed form" in err
+
+
+def test_solve_vase_closed_form_mismatch_exits_3(monkeypatch, capsys):
+    # the root sqrt(-Q/P) moved 1% off the printed radical
+    import spheremin.families as families
+
+    coefficients = families._vase_coefficients
+
+    def shifted(k, ak):
+        P, Q = coefficients(k, ak)
+        return P / 1.0201, Q
+
+    monkeypatch.setattr(families, "_vase_coefficients", shifted)
+    code, out, err = run(
+        ["solve", "--family", "vase", "--k", "2", "--a", "0.5"], capsys
+    )
+    assert code == EXIT_VERIFICATION
+    assert out == ""
+    assert "closed form" in err
+
+
+@pytest.mark.parametrize("k, b", [(2, 1e-4), (6, 5e-4), (32, 5e-4)])
+def test_solve_double_vase_root_out_of_range_exits_2(k, b, capsys):
+    # a ~ 1/b runs past 1e3: no root in the solver's range, before any
+    # data is built
+    code, out, err = run(
+        ["solve", "--family", "double_vase", "--k", str(k), "--b", str(b)], capsys
+    )
+    assert code == EXIT_PARAMS
+    assert out == ""
+    assert "outside [1e-3, 1e3]" in err
 
 
 def test_solve_double_vase_reference_value(capsys):

@@ -597,3 +597,35 @@ def test_metadata_sidecar(catenoid, tmp_path):
     assert meta["tag"] == "test"
     assert meta["domain"]["n_r"] == 16
     assert meta["domain"]["base_point"] == {"re": 1.0, "im": 0.0}
+
+
+def test_sidecar_bytes_of_a_hand_built_mesh(tmp_path):
+    # 2-space indent, keys sorted at every level, LF line ends, ASCII
+    # escapes and one trailing newline
+    from spheremin.mesh import SurfaceMesh
+
+    mesh = SurfaceMesh(
+        vertices=np.zeros((1, 3)), normals=np.array([[0.0, 0.0, 1.0]]),
+        source_z=np.zeros(1, dtype=complex), conformal=np.ones(1),
+        faces=np.zeros((0, 3), dtype=int),
+        metadata={"zeta": [1, 0.1], "family": {"k": 2, "b": 0.25, "name": "déjà"},
+                  "empty": {}, "none": None, "flag": True},
+    )
+    want = (
+        '{\n'
+        '  "empty": {},\n'
+        '  "family": {\n'
+        '    "b": 0.25,\n'
+        '    "k": 2,\n'
+        '    "name": "d\\u00e9j\\u00e0"\n'
+        '  },\n'
+        '  "flag": true,\n'
+        '  "none": null,\n'
+        '  "zeta": [\n'
+        '    1,\n'
+        '    0.1\n'
+        '  ]\n'
+        '}\n'
+    )
+    write_metadata(mesh, str(tmp_path / "m.json"))
+    assert (tmp_path / "m.json").read_bytes() == want.encode()

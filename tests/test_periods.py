@@ -30,7 +30,6 @@ from spheremin.families import (
     solve_vase_rho,
     vase_weierstrass_data,
 )
-from spheremin import families
 from spheremin.periods import (
     ROOT_GRID,
     PeriodEntry,
@@ -193,11 +192,52 @@ def test_double_vase_closed_form_matches_numeric_root():
 
 @pytest.mark.parametrize("k, b, a", [(2, 0.9, 1.08839), (2, 0.99, 1.00981)])
 def test_double_vase_solves_to_the_radicals_root(k, b, a):
-    # both roots of the quadratic in a^k are positive here: the bracket
-    # used to pick the other one (b = 0.9) or to miss both (b = 0.99)
+    # both roots of the quadratic in a^k are positive here: a bracketing
+    # solver once picked the other one (b = 0.9) or missed both (b = 0.99)
     res = solve_double_vase_a(k, b)
     assert res.value == pytest.approx(a, abs=5e-6)
     assert res.numeric_root == pytest.approx(res.closed_form, rel=1e-8)
+
+
+# the k of the 800-point grid (each family at 40 values of a or b) and of
+# the 600-point two-root sweep (the double vase at 60 values of b)
+GRID_KS = (2, 3, 4, 5, 6, 8, 12, 16, 24, 32)
+GRID_X = [float(x) for x in np.linspace(0.001, 0.999, 40)]
+TWO_ROOT_B = [float(b) for b in np.linspace(0.001, 0.999, 60)]
+# the (k, b) of that sweep at which the double-vase quadratic in a^k has
+# two positive roots (x1 x2 = C/A > 0)
+TWO_ROOT = [(k, b) for k in GRID_KS for b in TWO_ROOT_B
+            if np.prod(_double_vase_quadratic(k, b)[::2]) > 0]
+
+
+@pytest.mark.parametrize("family", ["vase", "double_vase"])
+def test_root_matches_the_radical_on_the_grid(family):
+    """The root taken from the equation's coefficients and the printed
+    radical agree to rounding, far inside the mismatch tolerances (1e-10
+    and 1e-8)."""
+    spec = FAMILIES[family]
+    worst = 0.0
+    for k in GRID_KS:
+        for x in GRID_X:
+            res = spec.solve(k, x)
+            assert res.value == res.closed_form
+            worst = max(worst, abs(res.numeric_root - res.closed_form) / res.closed_form)
+    assert worst <= 1e-13
+
+
+def test_two_root_points_solve_to_the_radicals_branch():
+    """Where both roots of A x^2 + B x + C in x = a^k are positive, the
+    solver's root is the radical's, bit for bit in the solved value, and
+    the other root C/(A x) lies outside the mismatch tolerance."""
+    assert len(TWO_ROOT) == 60
+    for k, b in TWO_ROOT:
+        res = solve_double_vase_a(k, b)
+        closed = double_vase_closed_form_a(k, b)
+        assert res.value.hex() == closed.hex(), (k, b)
+        assert abs(res.numeric_root - closed) <= 1e-13 * closed, (k, b)
+        A, _, C = _double_vase_quadratic(k, b)
+        other = (C / (A * res.numeric_root ** k)) ** (1.0 / k)
+        assert abs(other - closed) > 1e-8 * max(other, closed), (k, b)
 
 
 def test_double_vase_near_unit_b_sweep():
@@ -271,23 +311,6 @@ def root_or_noroot(finder, fn, lo, hi):
         return "NoRoot"
 
 
-class Recorded(Exception):
-    pass
-
-
-def solver_equation(solver, k, x, monkeypatch):
-    """The (eq, lo, hi) that `solver(k, x)` hands to hybrid_root; the
-    solve stops there."""
-    def record(fn, lo, hi):
-        raise Recorded(fn, lo, hi)
-
-    monkeypatch.setattr(families, "hybrid_root", record)
-    with pytest.raises(Recorded) as info:
-        solver(k, x)
-    monkeypatch.undo()
-    return info.value.args
-
-
 def recording_calls(fn, calls):
     """fn, recording in `calls` whether each call was on an array."""
     def counted(x):
@@ -305,28 +328,44 @@ def _bin_points(edges):
 
 GATE_VASE_A = _bin_points([0.001, 0.167, 0.333, 0.5, 0.667, 0.833, 0.999])
 GATE_DV_B = _bin_points([0.001, 0.15, 0.3, 0.45, 0.6, 0.75, 0.9, 0.99, 0.995])
-# the b at which the double-vase quadratic in a^k has two positive roots
-TWO_ROOT_B = [float(b) for b in np.linspace(0.001, 0.999, 60)]
-TWO_ROOT_KS = (2, 3, 4, 5, 6, 8, 12, 16, 24, 32)
 
 
-def test_hybrid_root_matches_the_loop_on_the_solver_equations(monkeypatch):
-    cases = [(solve_vase_rho, k, a) for k in range(2, 25) for a in GATE_VASE_A]
-    cases += [(solve_double_vase_a, k, b) for k in range(2, 25) for b in GATE_DV_B]
-    two_root = [(k, b) for k in TWO_ROOT_KS for b in TWO_ROOT_B
-                if np.prod(families._double_vase_quadratic(k, b)[::2]) > 0]
-    assert len(two_root) == 60
-    cases += [(solve_double_vase_a, k, b) for k, b in two_root]
+def vase_bracket(k, a):
+    """The vase period equation in rho and the bracket the solver once
+    searched: three decades either side of the printed radical."""
+    closed = solve_vase_rho(k, a).closed_form
+    return (lambda rho: _vase_equation(k, a ** k, rho)), 1e-3 * closed, 1e3 * closed
+
+
+def double_vase_bracket(k, b):
+    """The double-vase period equation in a and the bracket the solver once
+    searched: [1e-3, 1e3], cut at the geometric midpoint of the two roots
+    on the side of the radical when both roots are positive."""
+    closed = double_vase_closed_form_a(k, b)
+    quadratic = _double_vase_quadratic(k, b)
+    lo, hi = 1e-3, 1e3
+    A, _, C = quadratic
+    if C / A > 0:
+        mid = (C / A) ** (0.5 / k)
+        lo, hi = (mid, hi) if closed > mid else (lo, mid)
+    return (lambda a: -_double_vase_equation(k, b, quadratic, a)), lo, hi
+
+
+def test_hybrid_root_matches_the_loop_on_the_solver_equations():
+    cases = [(vase_bracket, k, a) for k in range(2, 25) for a in GATE_VASE_A]
+    cases += [(double_vase_bracket, k, b) for k in range(2, 25) for b in GATE_DV_B]
+    assert len(TWO_ROOT) == 60
+    cases += [(double_vase_bracket, k, b) for k, b in TWO_ROOT]
     most_scalar_calls = 0
     no_root = 0
-    for solver, k, x in cases:
-        fn, lo, hi = solver_equation(solver, k, x, monkeypatch)
+    for bracket, k, x in cases:
+        fn, lo, hi = bracket(k, x)
         calls = []
         got = hybrid_root(recording_calls(fn, calls), lo, hi)
-        assert got == loop_hybrid_root(fn, lo, hi), (solver.__name__, k, x)
+        assert got == loop_hybrid_root(fn, lo, hi), (bracket.__name__, k, x)
         assert calls.count(True) == 1 and calls[0]
         most_scalar_calls = max(most_scalar_calls, calls.count(False))
-        if solver is solve_double_vase_a:
+        if bracket is double_vase_bracket:
             # the whole bracket: two roots, or none seen near b = 1
             full = root_or_noroot(hybrid_root, fn, 1e-3, 1e3)
             assert full == root_or_noroot(loop_hybrid_root, fn, 1e-3, 1e3)
