@@ -31,7 +31,6 @@ from .mesh import (
 )
 from .paths import (
     IntegrationPath,
-    check_path_independence,
     integrate_point,
     plan_path,
 )
@@ -39,7 +38,6 @@ from .periods import assert_period_closed
 from .weierstrass import (
     WeierstrassData,
     classify_end,
-    conformal_factor,
     coordinate_forms,
     degree_audit,
     gauss_normal,
@@ -59,7 +57,6 @@ __all__ = [
     "degree_audit",
     "gauss_normal",
     "classify_end",
-    "conformal_factor",
     "VaseParams",
     "DoubleVaseParams",
     "assert_period_closed",
@@ -73,7 +70,6 @@ __all__ = [
     "IntegrationPath",
     "plan_path",
     "integrate_point",
-    "check_path_independence",
     "DomainSpec",
     "SurfaceMesh",
     "sample_mesh",

@@ -20,22 +20,13 @@ with a table: punctures, query points, path chaining.  Moduli are taken with `np
 built-in `abs`; `np.abs` differs from it in the last bit on about a third
 of random values, and would move radii and meshes.
 
-Every Laurent coefficient comes from one trapezoidal rule on a
-`contour_radius` circle (`laurent_coefficients`), at 128 nodes unless the
-orders in the function's root table ask for 256 (`laurent_nodes`).  Every
-circle is a ring of roots of unity, shifted and scaled, so the rule runs
-on many centres at once: one row each, from one evaluation of the
-function over all rows' nodes, and each row has the bits the rule gives
-on its centre alone.  A function builds the principal parts of the
-entries of its root table that a caller asks for, all missing ones in
-one batched call, and keeps each (`principal_part` matches points to
-entries, `antiderivative` reads its poles' entries directly); every finite
-residue in the package is the c_1 of that table (`residues_at`).
-Infinity is read from the degree d and, for d >= -1, from one expansion
-about 0 on the circle of twice the largest root, built once and kept
-(`outer_expansion`): its z**0..z**d coefficients are the polynomial part
-and minus its z**-1 coefficient is the residue of f dz at infinity.
-Below that degree f dz has no pole at infinity and the residue is 0.
+Every Laurent coefficient is a finite Taylor computation on the factors,
+evaluating f nowhere: a function's table of c_1, c_2, ... at every root
+(`_laurent_table`), and its expansion in w = 1/z, the polynomial part and
+the residue at infinity (`_outer_series`), are each built once and kept;
+every residue in the package is read from them (`residues_at`).  The
+rounding floors are computed only when asked for (`principal_part`,
+`outer_expansion`).
 """
 
 from __future__ import annotations
@@ -170,7 +161,7 @@ class FactoredMeromorphic:
     """coefficient * prod(factor**exponent), immutable after construction."""
 
     __slots__ = ("coefficient", "factors", "_packed", "_points", "_orders",
-                 "_laurent", "_outer")
+                 "_owner", "_laurent", "_floors", "_outer")
 
     def __init__(self, coefficient: complex, factors=()):
         coefficient = complex(coefficient)
@@ -211,8 +202,10 @@ class FactoredMeromorphic:
         orders = np.bincount(owner, np.repeat(packed[2], packed[0]), len(roots))
         object.__setattr__(self, "_points", roots[entries])
         object.__setattr__(self, "_orders", orders[entries].astype(np.int64))
-        object.__setattr__(self, "_laurent", {})  # see principal_part
-        object.__setattr__(self, "_outer", None)  # see outer_expansion
+        object.__setattr__(self, "_owner", owner)  # see _entry_bases
+        object.__setattr__(self, "_laurent", None)  # see _laurent_table
+        object.__setattr__(self, "_floors", {})  # see _floor_scales
+        object.__setattr__(self, "_outer", None)  # see _outer_series
 
     def __setattr__(self, name, value):
         raise AttributeError("FactoredMeromorphic is immutable")
@@ -298,20 +291,21 @@ def one_form_order_at(f: FactoredMeromorphic, p) -> int:
     return f.order_at(p)
 
 
-# -- residues ---------------------------------------------------------
+# -- Laurent tables ---------------------------------------------------
 
 
-# rounding reach: on a circle about p of radius below REACH * |p|, z**k - c
-# cancels and the values carry noise above NOISE_REL
-REACH = np.finfo(float).eps / NOISE_REL
+REACH = np.finfo(float).eps / NOISE_REL  # z**k - c cancels within REACH |p|
+# terms past a principal part in a floor's magnitude: past n = P, P the
+# highest order of a pole beside the circle, they fall off like 2**-n
+FLOOR_TERMS = 24
+ROUNDING_REL = 2.0 ** -44  # a few eps per term and factor of a product
 
 
 def contour_radius(p, points, orders):
     """Half the distance from each p (broadcast over a leading axis) to the
     nearest other root of the table (points, orders), 1.0 when there is
-    none.  A pole always bounds the circle, so the trapezoidal error decays
-    at least like 2**-nodes; a root that is no pole, where f is analytic,
-    does not bound it within the rounding reach REACH * |p|."""
+    none: the circle whose magnitude scales the rounding floors.  A pole
+    always bounds it; a root that is no pole does not within REACH * |p|."""
     p = np.asarray(p, dtype=np.complex128)[..., None]
     dist, size = modulus(p - points), modulus(p)
     # `same_point`, from the one modulus of p - points
@@ -320,108 +314,179 @@ def contour_radius(p, points, orders):
     return np.where(dist < math.inf, 0.5 * dist, 1.0)
 
 
-# the trapezoidal rule's nodes on the unit circle, the roots of unity, for
-# each node count that `laurent_nodes` picks
-_RINGS = {n: np.exp(1j * (2.0 * math.pi * np.arange(n) / n)) for n in (128, 256)}
+def _times(x, y):
+    """The product of two series along the last axis, truncated to its length."""
+    out = x[..., :1] * y
+    for j in range(1, x.shape[-1]):
+        out[..., j:] += x[..., j:j + 1] * y[..., :-j]
+    return out
 
 
-def laurent_nodes(f: FactoredMeromorphic, orders) -> int:
-    """Node count of `laurent_coefficients` for f's coefficients of
-    (z - p)**(-m), m in `orders`: 128, or 256 where the aliasing bound
-    2**-(N - Z) * N**(P - 1) exceeds 2**-56 at N = 128.
+def _series_product(b, exponents):
+    """prod_i b_i**e_i, b_i the series along the last axis of b[i], b_i(0)
+    != 0, to its length, and the product of the powers' coefficients in
+    modulus, which bounds its rounding (None to t**1: g_1 = g_0 sum e_i
+    b_i1/b_i0).  A negative power follows J. C. P. Miller's recurrence
+    (Knuth, TAOCP vol. 2, 4.7); a positive one may vanish inside the
+    floor's circle, so it is multiplied out by repeated squaring."""
+    rows, n = b.shape[1:]
+    if n <= 2:
+        g = np.empty((rows, n), dtype=np.complex128)
+        g[:, 0] = np.prod(b[..., 0] ** exponents[:, None], axis=0)
+        if n == 2:
+            g[:, 1] = g[:, 0] * np.dot(exponents.astype(float), b[..., 1] / b[..., 0])
+        return g, None
+    g = np.eye(1, n, dtype=np.complex128).repeat(rows, axis=0)
+    bound = g.real.copy()
+    for base, e in zip(b, exponents.tolist()):
+        if e < 0:  # m b_0 w_m = sum_(j=1..m) ((e + 1) j - m) b_j w_(m-j)
+            power = np.empty_like(base)
+            power[:, 0] = base[:, 0] ** e
+            for m in range(1, n):
+                j = np.arange(1, m + 1)
+                terms = ((e + 1) * j - m) * base[:, j] * power[:, m - j]
+                power[:, m] = terms.sum(axis=1) / (m * base[:, 0])
+        else:
+            power = None
+            while e:  # the squares of base by the bits of e
+                if e & 1:
+                    power = base if power is None else _times(power, base)
+                e >>= 1
+                base = _times(base, base) if e else base
+        g, bound = _times(g, power), _times(bound, np.abs(power))
+    return g, bound
 
-    P is the highest pole order in f's root table.  On a circle whose
-    nearest pole, of order P, lies twice its radius away, the rule adds to
-    the coefficient of (z - p)**n the ones N orders further out, about
-    2**-(N - n) N**(P - 1) of the scale of f's singular part (Trefethen &
-    Weideman, SIAM Review 56, 2014).  The floor is relative to max|f| on
-    the circle, which a zero of order Z at the centre makes up to 2**Z
-    smaller than that scale.  So Z is the highest of f's zero orders and
-    of the n = -m asked for: up to the degree for the polynomial part."""
-    pole = max(0, -int(f._orders.min(initial=0)))
-    zero = max(0, int(f._orders.max(initial=0)), -int(min(orders)))
-    # log2 of the bound at N = 128
-    return 128 if zero - 128 + 7 * (pole - 1) <= -56 else 256
+
+def _entry_bases(f: FactoredMeromorphic, at, n, scale=None):
+    """(b, exponents) for `_series_product`: the factors' bases to n terms
+    in t = z - p, or t / scale, about each root-table entry p of `at`,
+    whose powers' product times the coefficient is f t**-order.
+    (p + t)**k - c is D_0 = p**k - c, D_j = C(k, j) p**(k - j); a factor
+    vanishing at p (the root table says which, not a tolerance) is t times
+    D_1, D_2, ...  Where a factor has the k of p's own factor, p**k is
+    that factor's c: D_0 then carries no rounding of p."""
+    ks, cs, exps = f._packed
+    p = f._points[at]
+    factor_of = np.repeat(np.arange(len(ks)), ks)
+    entry = f._owner == np.arange(len(f._owner))
+    owner = factor_of[entry][at]
+    vanish = np.zeros((len(ks), len(f._points)), dtype=bool)
+    vanish[factor_of, (np.cumsum(entry) - 1)[f._owner]] = True
+    same = ks[:, None] == ks[owner]
+    power = np.where(same, cs[owner], p ** ks[:, None])  # p**k
+    # p**(k - j) = p**k / p**j, but D_j = [j == k] at the monomial's p = 0
+    zero = at[0] == 0 and cs[0] == 0
+    divisor = np.where(np.arange(len(at)) == 0, 1.0, p) if zero else p
+    series = np.zeros((len(ks), len(at), n + 1), dtype=np.complex128)
+    series[..., 0] = power - cs[:, None]
+    for j in range(1, min(n, int(ks.max(initial=0))) + 1):
+        power = power / divisor
+        series[..., j] = np.array([math.comb(k, j) for k in ks.tolist()], float)[:, None] * power
+    if zero:
+        series[:, 0, 1:] = ks[:, None] == np.arange(1, n + 1)
+    b = np.where(vanish[:, at, None], series[..., 1:], series[..., :-1])
+    return (b if scale is None else b * np.asarray(scale)[:, None] ** np.arange(n)), exps
 
 
-def laurent_coefficients(f: FactoredMeromorphic, centres, radii, orders):
-    """Coefficients of (z - p)**(-m), m in `orders`, of the Laurent series of
-    f about each centre p that holds on the circle |z - p| = radius, by the
-    trapezoidal rule on N = `laurent_nodes(f, orders)` roots of unity:
-    radius**m * mean(f(p + radius*ring) * ring**m).
+def _laurent_table(f: FactoredMeromorphic):
+    """f's Laurent table, built on the first request and kept: row i is
+    (c_1, ..., c_n) about root-table entry i, n the highest pole order (at
+    least 1), 0 above the entry's own, so a zero, or an entry whose orders
+    cancel, has c_1 = 0 exactly; at a pole of order P, c_m is the term
+    P - m of f t**P."""
+    if f._laurent is None:
+        poles = -f._orders
+        n = max(1, int(poles.max(initial=0)))
+        rows = np.zeros((len(poles), n), dtype=np.complex128)
+        at = np.flatnonzero(poles > 0)
+        if len(at):
+            g = f.coefficient * _series_product(*_entry_bases(f, at, n))[0]
+            term = poles[at][:, None] - np.arange(1, n + 1)
+            rows[at] = np.where(term >= 0, g[np.arange(len(at))[:, None], term], 0)
+        object.__setattr__(f, "_laurent", rows)
+    return f._laurent
 
-    One row per centre, from one evaluation of f over every row's nodes;
-    each row is bit for bit what the rule gives on that centre alone, as
-    every operation on it is elementwise or a reduction along the row.
-    With no singularity of f between radius/2 and 2*radius from p (the
-    `contour_radius` rule about a root, and a radius of twice the largest
-    root about 0 for `outer_expansion`) the aliasing error is below
-    2**-56 relative.  Returns the (rows, orders) coefficients and the
-    rounding floor of each, NOISE_REL * radius**m * max|f| over the row's
-    nodes: a coefficient within its floor is not resolved.
-    """
-    ring = _RINGS[laurent_nodes(f, orders)]
-    centres = np.asarray(centres, dtype=np.complex128)[:, None]
-    radii = np.asarray(radii, dtype=float)
-    vals = f.eval_array(centres + radii[:, None] * ring)
-    coeffs = np.empty((len(radii), len(orders)), dtype=np.complex128)
-    for j, m in enumerate(orders):
-        coeffs[:, j] = radii ** m * np.mean(vals * ring ** m, axis=1)
-    scale = NOISE_REL * np.abs(vals).max(axis=1)
-    return coeffs, scale[:, None] * radii[:, None] ** np.asarray(orders, dtype=float)
+
+def _floor_scales(f: FactoredMeromorphic, entries):
+    """(radius, scales) per root-table entry index, built once and kept:
+    c_m's floor, radius**m scales[m - 1], is NOISE_REL times f's magnitude
+    sum |a_n| radius**n on the `contour_radius` circle plus ROUNDING_REL
+    times c_m's bound (`_series_product`); the b_i(0)**e_i enter as logs."""
+    missing = np.array(sorted(set(entries) - f._floors.keys()), dtype=np.int64)
+    if len(missing):
+        radii = contour_radius(f._points[missing], f._points, f._orders)
+        orders = f._orders[missing]
+        n = FLOOR_TERMS + max(1, -int(orders.min()))
+        b, exps = _entry_bases(f, missing, n, radii)
+        series, bound = _series_product(b / b[..., :1], exps)
+        scale = np.exp(math.log(abs(f.coefficient)) + orders * np.log(radii)
+                       + exps @ np.log(modulus(b[..., 0])))
+        for i, order, radius, s, g, row in zip(missing.tolist(), orders.tolist(),
+                                               radii.tolist(), scale, series, bound):
+            rounding = ROUNDING_REL * row[-order - 1::-1] if order < 0 else 0.0
+            f._floors[i] = (radius, s * (NOISE_REL * np.abs(g).sum() + rounding))
+    return [f._floors[i] for i in entries]
 
 
 _NO_ROOT = (np.empty(0, dtype=np.complex128), np.empty(0))
 
 
-def principal_part(f: FactoredMeromorphic, points):
-    """`_principal_parts` at the first root-table entry of f matching each
-    finite point p under same_point(entry, p); empty where none does."""
+def _entries(f: FactoredMeromorphic, points) -> np.ndarray:
+    """The first root-table entry matching each finite point, or -1."""
     hits = same_point(f._points, np.asarray(points, dtype=np.complex128)[:, None])
-    first = hits.argmax(axis=1) if hits.size else 0
-    return _principal_parts(f, np.where(hits.any(axis=1), first, -1))
+    return np.where(hits.any(axis=1), hits.argmax(axis=1) if hits.size else 0, -1)
 
 
-def _principal_parts(f: FactoredMeromorphic, entries):
-    """(c_1, ..., c_m) of f about each root-table entry index, with their
-    rounding floors, m = max(1, pole order): `laurent_coefficients` on the
-    entry's `contour_radius` circle.  Every entry not yet built is built in
-    one batched call, and kept on the immutable f.  A zero, or an entry
-    whose orders cancel, still gets its c_1; index -1 gives the empty result.
-    """
-    entries = entries.tolist()
-    missing = sorted({i for i in entries if i >= 0} - f._laurent.keys())
-    if missing:
-        roots = f._points[missing]
-        m = np.maximum(1, -f._orders[missing]).tolist()
-        coeffs, floors = laurent_coefficients(
-            f, roots, contour_radius(roots, f._points, f._orders),
-            np.arange(1, max(m) + 1))
-        for i, n, c, floor in zip(missing, m, coeffs, floors):
-            f._laurent[i] = (c[:n], floor[:n])
-    return [f._laurent[i] if i >= 0 else _NO_ROOT for i in entries]
+def principal_part(f: FactoredMeromorphic, points):
+    """(c, floor) at the first root-table entry of f matching each finite
+    point p, empty where none does: c = (c_1, ..., c_m), m = max(1, pole
+    order), and the floor within which each is not resolved."""
+    entries = _entries(f, points).tolist()
+    scales = iter(_floor_scales(f, [i for i in entries if i >= 0]))
+    out = []
+    for i in entries:
+        if i >= 0:
+            c, (radius, scale) = _laurent_table(f)[i, :max(1, -f._orders[i])], next(scales)
+        out.append((c, radius ** np.arange(1.0, len(c) + 1) * scale) if i >= 0 else _NO_ROOT)
+    return out
+
+
+def _outer_bases(f: FactoredMeromorphic, n, scale=1.0):
+    """(b, exponents) for `_series_product`: the bases 1 - c w**k to n
+    terms in w = 1/z, or w / scale, of the factors with c != 0."""
+    ks, cs, exps = f._packed
+    keep = np.flatnonzero((cs != 0) & (ks < n))
+    b = np.zeros((len(keep), 1, n), dtype=np.complex128)
+    b[:, 0, 0] = 1.0
+    b[np.arange(len(keep)), 0, ks[keep]] = -cs[keep] * scale ** ks[keep]
+    return b, exps[keep]
+
+
+def _outer_series(f: FactoredMeromorphic):
+    """(a, residue) of `outer_expansion`, built once and kept: f's z**n term
+    is the coefficient times prod (1 - c w**k)**e's w**(degree - n) term."""
+    if f._outer is None:
+        outer, degree = (_NO_ROOT[0], 0j), f.degree
+        if degree >= -1:
+            h = f.coefficient * _series_product(*_outer_bases(f, degree + 2))[0][0]
+            outer = (h[:degree + 1][::-1], -complex(h[degree + 1]))
+        object.__setattr__(f, "_outer", outer)
+    return f._outer
 
 
 def outer_expansion(f: FactoredMeromorphic):
-    """f's Laurent series about 0 outside all its roots, built once and
-    kept on the immutable f: `laurent_coefficients` on the circle of twice
-    the largest root (at least 1), with no singularity between half and
-    twice its radius.  Returns (a, residue, floor): a_n of z**n for n =
-    0..degree (empty below degree 0), Res_INF(f dz) = -a_-1 and the
-    rounding floor of a_-1.  Below degree -1 f dz has no pole at INF (at
-    degree -2 neither zero nor pole, below it a zero): as at a finite point
-    where f has no root, nothing is evaluated and the residue and its
-    floor are exactly 0.
-    """
-    if f._outer is None:
-        outer = (_NO_ROOT[0], 0j, 0.0)
-        if f.degree >= -1:
-            orders = np.append(-np.arange(max(0, f.degree + 1)), 1)
-            radius = 2.0 * float(modulus(f._points).max(initial=0.5))
-            (a,), (floor,) = laurent_coefficients(f, [0.0], [radius], orders)
-            outer = (a[:-1], -complex(a[-1]), float(floor[-1]))
-        object.__setattr__(f, "_outer", outer)
-    return f._outer
+    """f's Laurent series about 0 outside all its roots: (a, residue,
+    floor), a_n of z**n for n = 0..degree, Res_INF(f dz) = -a_-1 and its
+    floor as in `_floor_scales`, on the circle |z| = R of twice the largest
+    root (at least 1).  Below degree -1 f dz has no pole at INF, and the
+    residue and its floor are exactly 0."""
+    (a, residue), degree, floor = _outer_series(f), f.degree, 0.0
+    if degree >= -1:
+        radius = 2.0 * float(modulus(f._points).max(initial=0.5))
+        series, bound = _series_product(*_outer_bases(f, degree + 2 + FLOOR_TERMS, 1 / radius))
+        floor = abs(f.coefficient) * radius ** (degree + 1) * float(
+            NOISE_REL * np.abs(series).sum() + ROUNDING_REL * bound[0, degree + 1])
+    return a, residue, floor
 
 
 def antiderivative(f: FactoredMeromorphic):
@@ -430,50 +495,44 @@ def antiderivative(f: FactoredMeromorphic):
     Returns (rational, logs): `rational` lists (pole, coefficients) pairs
     for np.polyval, in z for the polynomial part (pole None) and in
     1/(z - p) for the principal part at p; `logs` lists the (p, c_1) of
-    the c_1 log(z - p) terms.  The polynomial part is read from
-    `outer_expansion` and the principal parts by root-table entry, at
-    every entry of negative order, from the builder `principal_part`
-    uses: the poles are never matched back to the table as points.
+    the c_1 log(z - p) terms, read from the outer series and from the
+    Laurent table's rows of negative order, never matched as points.
     """
     rational, logs = [], []
     if f.degree >= 0:
-        a = outer_expansion(f)[0]
+        a = _outer_series(f)[0]
         n = np.arange(f.degree + 1)
         rational.append((None, np.append((a / (n + 1))[::-1], 0.0)))
     poles = np.flatnonzero(f._orders < 0)
-    for p, (c, _) in zip(f._points[poles].tolist(), _principal_parts(f, poles)):
+    for p, c, order in zip(f._points[poles].tolist(), _laurent_table(f)[poles], -f._orders[poles]):
         logs.append((p, c[0]))
-        if len(c) > 1:
+        if order > 1:
             # c_m (z - p)**-m integrates to c_m / (1 - m) * t**(m - 1), t = 1/(z - p)
-            m = np.arange(2, len(c) + 1)
-            b = c[1:] / (1 - m)
+            m = np.arange(2, order + 1)
+            b = c[1:order] / (1 - m)
             rational.append((p, np.append(b[::-1], 0.0)))
     return rational, logs
 
 
 def residues_at(f: FactoredMeromorphic, points) -> list:
-    """Residue of the one-form f dz at each sphere point: the c_1 of
-    `principal_part`, 0 where f has no root, from one batched call over
-    the finite points, and at INF the residue of `outer_expansion`."""
-    finite = [p for p in points if not is_infinity(p)]
-    tables = iter(principal_part(f, finite))
-    out = []
-    for p in points:
-        if is_infinity(p):
-            out.append(outer_expansion(f)[1])
-        else:
-            c, _ = next(tables)
-            out.append(complex(c[0]) if len(c) else 0j)
-    return out
+    """Residue of f dz at each sphere point, from the Laurent table (0 where
+    f has no root) and at INF the outer series; no floor is computed."""
+    infinite = np.array([is_infinity(p) for p in points], dtype=bool)
+    out = np.zeros(len(points), dtype=np.complex128)
+    if infinite.any():
+        out[infinite] = _outer_series(f)[1]
+    finite = [p for p, inf in zip(points, infinite.tolist()) if not inf]
+    if finite and len(f._points):
+        entries = _entries(f, finite)
+        out[~infinite] = np.where(entries >= 0, _laurent_table(f)[entries, 0], 0)
+    return out.tolist()
 
 
 def residue_contour(f: FactoredMeromorphic, p) -> complex:
-    """Residue of f dz at a finite p: the c_1 of `principal_part`, 0 where
-    f has no root at p."""
+    """Residue of f dz at a finite p: `residues_at` of the one point."""
     return residues_at(f, [p])[0]
 
 
 def residue_at(f: FactoredMeromorphic, p) -> complex:
-    """Residue of the one-form f dz at any sphere point, `residues_at` of
-    the one point."""
+    """Residue of f dz at any sphere point: `residues_at` of the one point."""
     return residues_at(f, [p])[0]

@@ -27,9 +27,9 @@ class ClosedFormMismatch(SphereminError):
 
 
 class NoRoot(SphereminError):
-    """A period equation has no admissible root: a negative discriminant,
-    no positive root, or a root outside the search range (for
-    `hybrid_root`, no sign change in it); the CLI exits 2."""
+    """A period equation has no admissible root: a negative discriminant or
+    no positive root (for `hybrid_root`, no sign change in its range); the
+    CLI exits 2."""
 
 
 class PeriodViolation(SphereminError):

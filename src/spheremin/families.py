@@ -133,7 +133,9 @@ def solve_vase_rho(k: int, a: float) -> SolveResult:
 
 @dataclass(frozen=True)
 class DoubleVaseParams:
-    """Glued double-vase parameters: k > 1, b in (0, 1), a > 0."""
+    """Glued double-vase parameters: k > 1, b in (0, 1), a in [1e-3, 1e3].
+    The gate's tolerance is absolute, and past a = 1e3 (b below about
+    1e-3) the residues are so small that it passes them, closed or not."""
 
     k: int
     b: float
@@ -141,6 +143,9 @@ class DoubleVaseParams:
 
     def __post_init__(self):
         _check_domain(self.k, "b", self.b, "a", self.a)
+        if self.a is not None and not 1e-3 <= self.a <= 1e3:
+            raise ParameterDomainError(
+                f"double-vase a = {self.a} outside [1e-3, 1e3] at k={self.k}, b={self.b}")
 
 
 def double_vase_weierstrass_data(k: int, b: float, a: float) -> WeierstrassData:
@@ -243,8 +248,8 @@ def _double_vase_root(k: int, b: float) -> float:
     roots are q/A and C/q, and the printed radical is the +sqrt root
     (-B + sqrt(B^2 - 4AC))/(2A), A > 0, which is C/q when B >= 0 and q/A
     otherwise.  The branch is chosen by the sign of B alone, never by
-    closeness to the radical.  Raises NoRoot for a negative discriminant,
-    a nonpositive x or an a outside [1e-3, 1e3]."""
+    closeness to the radical.  Raises NoRoot for a negative discriminant
+    or a nonpositive x."""
     A, B, C = _double_vase_quadratic(k, b)
     disc = B * B - 4.0 * A * C
     if not disc >= 0.0:
@@ -253,10 +258,7 @@ def _double_vase_root(k: int, b: float) -> float:
     x = C / q if B >= 0.0 else q / A
     if not x > 0.0:
         raise NoRoot(f"double-vase quadratic has no positive root at k={k}, b={b}")
-    a = x ** (1.0 / k)
-    if not 1e-3 <= a <= 1e3:
-        raise NoRoot(f"double-vase root a = {a} outside [1e-3, 1e3] at k={k}, b={b}")
-    return a
+    return x ** (1.0 / k)
 
 
 def solve_double_vase_a(k: int, b: float) -> SolveResult:
@@ -265,13 +267,14 @@ def solve_double_vase_a(k: int, b: float) -> SolveResult:
     DoubleVaseParams(k, b)  # validates the domain
     closed = double_vase_closed_form_a(k, b)
     root = _double_vase_root(k, b)
+    DoubleVaseParams(k, b, root)  # the root must lie in the domain of a
     if abs(closed - root) > 1e-8 * max(closed, root):
         raise ClosedFormMismatch(
             f"double-vase a closed form {closed} vs numeric root {root} "
             f"at k={k}, b={b}"
         )
-    # final oracle check at the solution: the contour residue must vanish
-    # at z = b, the first root of z^k = b^k after 0 and INF
+    # final oracle check at the solution: the residue must vanish at z = b,
+    # the first root of z^k = b^k after 0 and INF
     data = double_vase_weierstrass_data(k, b, closed)
     return SolveResult(closed, closed, root, _solved_residual(data, 2), data)
 
@@ -371,10 +374,6 @@ class FamilyInstance:
     params: object  # the family's params dataclass, or None
     provenance: dict
     period: PeriodReport | None = None
-
-    @property
-    def default_base_point(self) -> complex:
-        return FAMILIES[self.family].base_point(self.params)
 
     def to_descriptor(self) -> dict:
         d = {

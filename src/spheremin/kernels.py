@@ -1,5 +1,5 @@
 """The hot evaluation kernel: pointwise factored products over complex
-node arrays (the inner loop of contour residues and mesh sampling).
+node arrays (the inner loop of mesh sampling and path quadrature).
 
 Integer powers are taken by repeated squaring with array multiplies,
 several times faster than numpy's complex `power` for any exponent but 2.

@@ -28,7 +28,6 @@ from .errors import DegenerateTriangle, ParameterDomainError
 from .weierstrass import (
     Immersion,
     WeierstrassData,
-    coordinate_forms,
     metric_scale,
     stereographic_normal,
 )
@@ -260,30 +259,6 @@ def estimate_mean_curvature(mesh: SurfaceMesh):
     H = np.full(nv, np.nan)
     H[interior] = 0.5 * np.linalg.norm(K[interior], axis=1)
     return H, interior
-
-
-# -- finite-difference diagnostics ------------------------------------
-
-
-def fd_tangents(data: WeierstrassData, z: complex, h: float = 1e-3):
-    """Tangents of X along the log-chart directions (s, theta) at z, by
-    central differences of four short local integrations; independent of
-    the sampler's closed form."""
-    forms = coordinate_forms(data)
-
-    def local(dz_target):
-        from .paths import IntegrationPath, LineSegment, integrate_forms
-
-        seg = IntegrationPath((LineSegment(z, dz_target),))
-        return integrate_forms(forms, seg).real
-
-    zs_p, zs_m = z * math.exp(h), z * math.exp(-h)
-    zt_p, zt_m = z * complex(math.cos(h), math.sin(h)), z * complex(
-        math.cos(h), -math.sin(h)
-    )
-    xu = (local(zs_p) - local(zs_m)) / (2.0 * h)
-    xv = (local(zt_p) - local(zt_m)) / (2.0 * h)
-    return xu, xv
 
 
 # -- export -----------------------------------------------------------

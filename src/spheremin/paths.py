@@ -9,8 +9,8 @@ panels converge fast; a subdivision budget guards near-pole routes).
 No mesh vertex is integrated here: `mesh.sample_mesh` evaluates the
 closed form `weierstrass.Immersion`, and nothing in the package calls
 this module.  Path integrals are an independent check of the closed
-form, for winding paths (`check_path_independence`) and for
-finite-difference tangents (`mesh.fd_tangents`).
+form; the tests' winding paths and finite-difference tangents are built
+on it (`tests/oracles.py`).
 """
 
 from __future__ import annotations
@@ -182,18 +182,6 @@ def plan_path(
     return IntegrationPath(tuple(segments))
 
 
-def loop_path(center: complex, radius: float, base: complex | None = None) -> IntegrationPath:
-    """A closed counterclockwise circle around `center`, starting at `base`
-    (default: center + radius)."""
-    if base is None:
-        theta0 = 0.0
-    else:
-        theta0 = cmath.phase(base - center)
-    return IntegrationPath(
-        (ArcSegment(center, radius, theta0, theta0 + 2.0 * math.pi),)
-    )
-
-
 # -- quadrature -------------------------------------------------------
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(15)
@@ -248,17 +236,3 @@ def integrate_point(data: WeierstrassData, path: IntegrationPath) -> np.ndarray:
     """X displacement along the path: real part of the integral of
     (phi1, phi2, phi3)."""
     return integrate_forms(coordinate_forms(data), path).real
-
-
-def check_path_independence(
-    data: WeierstrassData, path_a: IntegrationPath, path_b: IntegrationPath
-) -> float:
-    """Norm of the difference of X along two paths sharing endpoints; small
-    for period-closed data even when the paths wind around punctures."""
-    if path_a.segments and path_b.segments:
-        if not (same_point(path_a.start, path_b.start)
-                and same_point(path_a.end, path_b.end)):
-            raise ValueError("paths must share start and end points")
-    xa = integrate_point(data, path_a)
-    xb = integrate_point(data, path_b)
-    return float(np.linalg.norm(xa - xb))

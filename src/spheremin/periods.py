@@ -7,18 +7,18 @@ three residues at every puncture:
 
 By linearity Res_p((1/G -+ G) dh) = Res_p(u) -+ Res_p(v), with u = dh/G
 and v = G dh the data's factored forms, so each residue is the c_1 of one
-factored product's Laurent table, built once per root and sized from that
-product's own roots.  The data own these residues at their punctures
-(`WeierstrassData.puncture_residues`): each form is asked once for all of
-them (`algebra.residues_at`), one batched Laurent evaluation over the
-finite punctures and, where the residue at infinity is not 0 by the
-form's degree, one on its outer circle (`algebra.outer_expansion`); a
-vase or double vase makes four, as its u = dh/G and dh have degree below
--2.  This module gates data on those residues, which the solvers read
-too; it knows no family.  `hybrid_root` is a bracketing root finder: it
-brackets on one array evaluation of a function over a grid, then refines
-the first bracket with scalar calls.  No solver calls it: both families
-take their roots in closed form (`families.py`).
+factored product's Laurent table: a Taylor computation on its factors
+about each of its roots, built once for all of them.  The data own these
+residues at their punctures (`WeierstrassData.puncture_residues`): each
+form is asked once for all of them (`algebra.residues_at`), its table for
+the finite punctures and its series in 1/z for infinity, where the
+residue is exactly 0 below degree -1 (the vase's and double vase's
+u = dh/G and dh).  No form is evaluated at any point.  This module gates
+data on those residues, which the solvers read too; it knows no family.
+`hybrid_root` is a bracketing root finder: it brackets on one array
+evaluation of a function over a grid, then refines the first bracket with
+scalar calls.  No solver calls it: both families take their roots in
+closed form (`families.py`).
 """
 
 from __future__ import annotations

@@ -7,8 +7,8 @@ u = dh/G, v = G dh and w = dh, factored products built once with the
 data (`WeierstrassData.factored_forms`).  The antiderivative of each is a
 polynomial, principal parts and c_1 log(z - p) terms (`Immersion`); once
 the periods close every c_1 is real, so X needs no path and no
-quadrature.  Each principal part is read from its form's once-built
-Laurent table by root-table entry (`algebra.antiderivative`), the same
+quadrature.  Each principal part is read by root-table entry from its
+form's once-built Laurent table (`algebra.antiderivative`), the same
 table whose c_1 the period gate checks and whose dh entries give the
 ends' log growth signs.  X takes one pass over the nodes, the base point
 the last of them, forming each pole's terms once for the three forms.
@@ -218,14 +218,6 @@ def gauss_normal(data: WeierstrassData, z) -> np.ndarray:
     return np.array(stereographic_normal(g))
 
 
-def conformal_factor(data: WeierstrassData, z: complex) -> float:
-    """Induced-metric scale at a regular point."""
-    g = data.gauss_map.eval(z)
-    if g == 0:
-        raise PoleEvaluation(z, "1/G")
-    return metric_scale(g, data.dh.eval(z))
-
-
 # -- audits -----------------------------------------------------------
 
 
@@ -303,8 +295,8 @@ class EndDescriptor:
 def _log_growth_sign(data: WeierstrassData, p) -> int:
     """Sign of the vertical growth x3 ~ Re(Res_p(dh) * log(z - p)) at an
     end: -1 (the end points down) when the residue's real part is
-    positive, and 0 when that real part is within the rounding floor of
-    its contour (`algebra.laurent_coefficients`), so not resolved."""
+    positive, and 0 when that real part is within its rounding floor
+    (`algebra.principal_part`, `algebra.outer_expansion`), so not resolved."""
     if is_infinity(p):
         _, res, floor = outer_expansion(data.dh)
     else:
@@ -338,7 +330,7 @@ def classify_end(data: WeierstrassData, p) -> EndDescriptor:
 
 
 def classify_all_ends(data: WeierstrassData):
-    # the log growth signs read dh's table at the finite ends: build it in one call
+    # the log growth signs read dh's floors at the finite ends: one call
     principal_part(data.dh, data._finite_punctures)
     return [classify_end(data, p) for p in data.punctures]
 

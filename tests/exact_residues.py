@@ -1,25 +1,98 @@
-"""Residues by exact factor-wise cancellation: the analytic reference that
-tests compare the package's contour residues against, and the contour
-residue of the combinations (1/G +- G) dh that the families' closed forms
-are checked against.
+"""Independent references for the package's Laurent tables.
 
-At a pole of order 1 or 2 the factors vanishing at p are divided out
-algebraically (a shifted power splits into its enumerated linear roots),
-so no numeric limit or differentiation is ever taken.  Infinity is read
-on the w = 1/z chart (`infinity_chart`), a factored product of its own,
-so the reference at INF shares no code with the package's outer
-expansion.
+The independent oracles are sympy and mpmath.  `series_principal_part`
+and `series_outer` expand the factored product in sympy's truncated power
+series (`sympy.polys.ring_series`) over a 40-digit complex field, about
+the exact root of the entry's first factor (mpmath at 45 digits): their
+products and powers, positive and negative, are sympy's own, not the
+package's recurrence.  A factor with a root at the entry is taken as
+vanishing there exactly, as the package's root table takes it, so the
+references follow the table's merged and cancelled entries.  Infinity is
+read in w = 1/z.
+
+`residue_limit` and `exact_residue_at` divide the vanishing factors out at
+a pole of order 1 or 2 and take the product rule on the rest: the same
+method as the package's series, so they check it against a second
+writing of it, not an independent one.  Infinity is read there on the
+w = 1/z chart (`infinity_chart`), a factored product of its own.
 """
+
+import mpmath
+from sympy.polys.domains import ComplexField
+from sympy.polys.ring_series import rs_mul, rs_pow
+from sympy.polys.rings import ring
 
 from spheremin.algebra import (
     FactoredMeromorphic,
     is_infinity,
     monomial,
     residue_at,
-    residue_contour,
     same_point,
     shifted_power,
 )
+
+# sympy's truncated series in t over complex numbers of 133 bits (40 digits)
+_CC = ComplexField(133)
+_RING, _T = ring("t", _CC)
+
+
+def _exact_root(fac, p):
+    """The root of the factor nearest to the point p, at 45 digits."""
+    if fac.c == 0:
+        return mpmath.mpc(0)
+    with mpmath.workdps(45):
+        roots = [mpmath.root(mpmath.mpc(fac.c), fac.k, j) for j in range(fac.k)]
+        return min(roots, key=lambda r: abs(r - mpmath.mpc(p)))
+
+
+def _coefficients(series, n):
+    terms = series.to_dict()
+    return [complex(terms.get((j,), 0)) for j in range(n)]
+
+
+def series_principal_part(f, p):
+    """(c_1, ..., c_m) of f about the root-table point p, m = max(1, pole
+    order), by sympy's truncated series at 40 digits; (0,) where f has no
+    pole at p.  Every factor with a root that is the same point as p
+    vanishes there, about the exact root of the first of them, the entry's
+    own: (z**k - c) is t * ((p + t)**k - p**k) / t, t = z - p."""
+    vanishing = [fac for fac in f.factors
+                 if any(same_point(p, r) for r in fac.roots())]
+    order = sum(fac.exponent for fac in vanishing)
+    if order >= 0:
+        return [0j]
+    n = -order
+    root = _CC(_exact_root(vanishing[0], p))
+    g = _RING(_CC(f.coefficient))
+    for fac in f.factors:
+        if fac.c == 0:
+            base = _RING(1) if fac in vanishing else _T + root
+        else:
+            power = rs_pow(_T + root, fac.k, _T, n + 1)
+            if fac in vanishing:
+                base = _RING({(j - 1,): c for (j,), c in power.to_dict().items() if j})
+            else:
+                base = power - _CC(fac.c)
+        g = rs_mul(g, rs_pow(base, fac.exponent, _T, n), _T, n)
+    g = _coefficients(g, n)
+    return [g[n - m] for m in range(1, n + 1)]
+
+
+def series_outer(f):
+    """(a, residue) of f about infinity by sympy's truncated series at 40
+    digits: f = coefficient * z**degree * prod (1 - c w**k)**e in w = 1/z,
+    a_n its coefficient of z**n for n = 0..degree and residue = -a_-1;
+    ([], 0) below degree -1."""
+    degree = f.degree
+    if degree < -1:
+        return [], 0j
+    n = degree + 2
+    h = _RING(1)
+    for fac in f.factors:
+        if fac.c != 0:
+            h = rs_mul(h, rs_pow(1 - _CC(fac.c) * _T ** fac.k, fac.exponent, _T, n), _T, n)
+    h = [complex(f.coefficient) * c for c in _coefficients(h, n)]
+    return h[:degree + 1][::-1], -h[degree + 1]
 
 
 def infinity_chart(f, one_form: bool = False):
@@ -84,7 +157,7 @@ def residue_limit(f, p, pole_order: int) -> complex:
 def exact_residue_at(f, p) -> complex:
     """Residue of f dz at any sphere point: exact cancellation at poles of
     order 1 and 2 (at INF on the w = 1/z chart), 0 where f has no pole,
-    and the package's contour at higher orders."""
+    and the sympy series at higher orders."""
     if is_infinity(p):
         f, p = infinity_chart(f, one_form=True), 0.0
     m = -f.order_at(p)
@@ -92,7 +165,7 @@ def exact_residue_at(f, p) -> complex:
         return 0j
     if m <= 2:
         return residue_limit(f, p, m)
-    return residue_contour(f, p)
+    return series_principal_part(f, p)[0]
 
 
 def combo_residue_exact(data, p, sign: float) -> complex:
@@ -102,9 +175,9 @@ def combo_residue_exact(data, p, sign: float) -> complex:
     return exact_residue_at(u, p) + sign * exact_residue_at(v, p)
 
 
-def combo_residue_contour(data, p, sign: float) -> complex:
-    """Res_p((1/G + sign*G) dh) from the package's contour residues of the
-    data's factored forms dh/G and G dh: the oracle the families' printed
-    closed forms are checked against."""
+def combo_residue_package(data, p, sign: float) -> complex:
+    """Res_p((1/G + sign*G) dh) from the package's residues of the data's
+    factored forms dh/G and G dh: the oracle the families' printed closed
+    forms are checked against."""
     u, v, _ = data.factored_forms()
     return residue_at(u, p) + sign * residue_at(v, p)

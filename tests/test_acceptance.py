@@ -28,19 +28,19 @@ from spheremin.families import (
     make_vase,
     vase_weierstrass_data,
 )
-from spheremin.mesh import default_exclusions, fd_tangents, interior_vertices
-from spheremin.paths import check_path_independence, plan_path
+from spheremin.mesh import default_exclusions, interior_vertices
+from spheremin.paths import plan_path
 from spheremin.periods import period_report
 from spheremin.weierstrass import (
     CATENOID_NON_VERTICAL,
     CATENOID_VERTICAL_DOWN,
     PLANAR_HORIZONTAL,
     classify_all_ends,
-    conformal_factor,
     gauss_normal,
 )
 
-from exact_residues import combo_residue_contour
+from exact_residues import combo_residue_package
+from oracles import check_path_independence, conformal_factor, fd_tangents
 
 VASE_KS = range(2, 9)
 VASE_AS = (0.1, 0.3, 0.5, 0.7, 0.9)
@@ -122,13 +122,13 @@ def test_criterion_03_double_vase_residue_vs_oracle():
                 closed = -_double_vase_equation(
                     k, b, _double_vase_quadratic(k, b), a
                 )
-                oracle = combo_residue_contour(
+                oracle = combo_residue_package(
                     double_vase_weierstrass_data(k, b, a), b, +1.0
                 )
                 rel = abs(closed - oracle) / max(abs(closed), abs(oracle))
                 worst = max(worst, rel)
     ok = worst < 1e-8
-    _line(3, "double-vase residue expression vs contour oracle "
+    _line(3, "double-vase residue expression vs Laurent-series oracle "
              "(documented sign erratum, corrected form adopted)",
           ok, f"max rel disagreement {worst:.2e} over 60 cells")
 

@@ -25,6 +25,11 @@ CASES = [
     ("double_vase", 8, 0.005),
     ("double_vase", 12, 0.001),
     ("double_vase", 24, 0.00271),
+    # the base point 1 lies 0.007 from the punctures b and 1/b: the export
+    # meshes here are the most sensitive of the benchmark's to rounding
+    # changes of the Laurent coefficients
+    ("double_vase", 7, 0.99317),
+    ("double_vase", 11, 0.99336),
 ]
 
 
@@ -45,9 +50,13 @@ def oracle_dps(data):
     return 20 + math.ceil(max((abs(math.log10(c)) for c in shifts), default=0.0))
 
 
-def mp_immersion(data, base, z):
-    """X(z) - X(base): the arc |w| = |base| from arg 0 to arg z, then the
-    ray at arg z out to |z|."""
+def mp_immersion(data, base, z, turn=None, near=None):
+    """X(z) - X(base): the arc |w| = |base| from arg 0 to the angle `turn`,
+    the ray at `turn` out to |z|, then the arc |w| = |z| on to arg z;
+    `turn` is arg z unless given, and that last arc empty.  With `near`,
+    the distance from the base point to its nearest puncture, the first arc
+    is split at the angles near/4 * 2**j / |base| below `turn`, so that
+    each piece is smooth on its own scale."""
     cache = {}  # the three components share their quadrature nodes
 
     def form(w, c):
@@ -56,22 +65,37 @@ def mp_immersion(data, base, z):
             cache[w] = (0.5 * (1 / g - g) * dh, 0.5j * (1 / g + g) * dh, dh)
         return cache[w][c]
 
-    rb, th = abs(base), mpmath.arg(z)
+    rb, r, th = abs(base), abs(z), mpmath.arg(z)
+    turn = th if turn is None else mpmath.mpf(turn)
+    first = [0]
+    cut = mpmath.mpf(near or 0) / (4 * rb)
+    while 0 < cut < turn:
+        first.append(cut)
+        cut *= 2
+    first.append(turn)
     x = []
     for c in range(3):
         arc = mpmath.quad(lambda t: form(rb * mpmath.expj(t), c) * 1j * rb
-                          * mpmath.expj(t), [0, th])
-        ray = mpmath.quad(lambda s: form(s * mpmath.expj(th), c)
-                          * mpmath.expj(th), [rb, abs(z)])
-        x.append(float(mpmath.re(arc + ray)))
+                          * mpmath.expj(t), first)
+        ray = mpmath.quad(lambda s: form(s * mpmath.expj(turn), c)
+                          * mpmath.expj(turn), [rb, r])
+        end = 0 if turn == th else mpmath.quad(
+            lambda t: form(r * mpmath.expj(t), c) * 1j * r * mpmath.expj(t), [turn, th])
+        x.append(float(mpmath.re(arc + ray + end)))
     return np.array(x)
 
 
-def path_clearance(data, base, z):
+def path_clearance(data, base, z, turn=None):
+    """Distance from the path of `mp_immersion` to the finite punctures;
+    with `turn`, from its ray and last arc only, the first arc being split
+    about the base point's punctures."""
     rb, r, th = abs(base), abs(z), math.atan2(z.imag, z.real)
     t = np.linspace(0.0, 1.0, 200)
-    path = np.concatenate([rb * np.exp(1j * th * t),
-                           (rb + (r - rb) * t) * np.exp(1j * th)])
+    ray = (rb + (r - rb) * t) * np.exp(1j * (th if turn is None else turn))
+    if turn is None:
+        path = np.concatenate([rb * np.exp(1j * th * t), ray])
+    else:
+        path = np.concatenate([ray, r * np.exp(1j * (turn + (th - turn) * t))])
     return min(np.min(np.abs(path - complex(p)))
                for p in data.punctures if not is_infinity(p))
 
@@ -84,12 +108,17 @@ def test_closed_form_matches_mpmath_path_integral(family, k, value):
     mesh = sample_mesh(inst.data, DomainSpec(spec.r_min, spec.r_max, 16, 32,
                                              base_point=base))
     extent = np.max(np.ptp(mesh.vertices, axis=0))
+    # a base point within 0.1 of a puncture: the path turns off its first
+    # arc midway between the punctures at arg 0 and 2 pi / k
+    near = min(abs(base - complex(p)) for p in inst.data.punctures if not is_infinity(p))
+    turn = None if near > 0.1 else math.pi / k
     rng = random.Random(2016)
     order = rng.sample(range(mesh.n_vertices), mesh.n_vertices)
     nodes = [i for i in order
-             if path_clearance(inst.data, base, complex(mesh.source_z[i])) > 0.1][:3]
+             if path_clearance(inst.data, base, complex(mesh.source_z[i]), turn) > 0.1][:3]
     assert len(nodes) == 3
     for i in nodes:
         with mpmath.workdps(oracle_dps(inst.data)):
-            want = mp_immersion(inst.data, base, complex(mesh.source_z[i]))
+            want = mp_immersion(inst.data, base, complex(mesh.source_z[i]), turn,
+                                near if turn is not None else None)
         assert np.max(np.abs(mesh.vertices[i] - want)) <= 1e-12 * extent

@@ -6,7 +6,7 @@ import math
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from spheremin.algebra import (
@@ -31,8 +31,14 @@ from spheremin.algebra import (
 from spheremin.errors import PoleEvaluation
 from spheremin.families import FAMILIES, catenoid_weierstrass_data
 
-from exact_residues import exact_residue_at, infinity_chart, residue_limit
-from kernel_reference import squaring_eval, squaring_power, times_power
+from exact_residues import (
+    exact_residue_at,
+    infinity_chart,
+    residue_limit,
+    series_outer,
+    series_principal_part,
+)
+from kernel_reference import squaring_power, times_power
 
 
 def _poly_oracle(f: FactoredMeromorphic, z):
@@ -272,13 +278,10 @@ def test_residue_at_infinity_values():
     # dz/z: residue -1 at infinity (sum with +1 at 0 vanishes)
     f = FactoredMeromorphic(1.0, [monomial(-1)])
     assert residue_at(f, INF) == pytest.approx(-1.0)
-    # constant one-form: no residue anywhere (the contour's c_1 on the
-    # chart's double pole, zero up to rounding)
-    assert residue_at(FactoredMeromorphic(3.0), INF) == pytest.approx(0.0, abs=1e-15)
-    # z dz: still no residue at infinity (order -3, even Laurent tail)
-    assert residue_at(
-        FactoredMeromorphic(1.0, [monomial(1)]), INF
-    ) == pytest.approx(0.0, abs=1e-13)
+    # constant one-form: no residue anywhere (the series has no z**-1 term)
+    assert residue_at(FactoredMeromorphic(3.0), INF) == 0
+    # z dz: still no residue at infinity (order -3)
+    assert residue_at(FactoredMeromorphic(1.0, [monomial(1)]), INF) == 0
 
 
 def test_residue_at_dispatch():
@@ -576,7 +579,7 @@ def test_antiderivative_by_entry_is_the_point_matched_one():
     assert min(merged, cancelled, high) > 20
 
 
-# -- batched Laurent tables ----------------------------------------------
+# -- Laurent tables against sympy and mpmath ------------------------------
 
 
 def _ring(n):
@@ -584,52 +587,31 @@ def _ring(n):
     return np.exp(1j * (2.0 * math.pi * np.arange(n) / n))
 
 
-def _node_count(f, orders):
-    """The node rule as its bound reads: 128 nodes unless
-    2**-(128 - Z) * 128**(P - 1) > 2**-56, P the highest pole order in f's
-    table and Z the highest of its zero orders and of -m, m in `orders`."""
-    table = f._orders.tolist()
-    pole = max([0] + [-o for o in table])
-    zero = max([0] + table + [-m for m in orders])
-    return 128 if 2.0 ** -(128 - zero) * 128.0 ** (pole - 1) <= 2.0 ** -56 else 256
-
-
-def _one_contour(f, p, radius, orders, nodes=None):
-    """The trapezoidal rule on one centre, one order at a time, at the
-    form's own node count unless `nodes` is given."""
-    ring = _ring(nodes or _node_count(f, orders))
-    vals = squaring_eval(f, complex(p) + radius * ring)
-    coeffs = np.array([radius ** m * np.mean(vals * ring ** m) for m in orders],
-                      dtype=np.complex128)
-    scale = NOISE_REL * float(np.abs(vals).max())
-    return coeffs, scale * radius ** np.asarray(orders, dtype=float)
-
-
-def _assert_tables_are_one_contour_each(f):
-    """Every principal part of f, built in one batched call, and its outer
-    expansion (polynomial part, residue at infinity and its floor) have the
-    bits of the rule run on each centre alone, one order at a time, on the
-    form's own ring; below degree -1 the outer expansion is the exact 0."""
+def _assert_tables_match_the_series(f):
+    """Every entry's principal part of f and its outer expansion (the
+    polynomial part and the residue at infinity) match sympy's series at
+    40 digits within their floors; a zero, or an entry whose orders
+    cancel, has c_1 exactly 0, and below degree -1 the outer expansion is
+    the exact 0."""
     f = FactoredMeromorphic(f.coefficient, f.factors)  # nothing built yet
     points, orders = f._points.tolist(), f._orders.tolist()
-    nodes = 1.5 + 2.0 * _ring(256)
-    assert f.eval_array(nodes).tolist() == squaring_eval(f, nodes).tolist()
     for p, order, (c, floor) in zip(points, orders, principal_part(f, f._points)):
-        radius = _radius(p, points, orders)
-        want_c, want_floor = _one_contour(f, p, radius,
-                                          np.arange(1, max(1, -order) + 1))
-        assert c.tolist() == want_c.tolist()
-        assert floor.tolist() == want_floor.tolist()
+        want = series_principal_part(f, p)
+        assert len(c) == len(want) == max(1, -order)
+        if order >= 0:
+            assert c.tolist() == [0j]
+        else:
+            assert np.all(np.abs(c - want) <= floor), (p, order)
     a, residue, floor = outer_expansion(f)
     if f.degree <= -2:  # f dz has no pole at infinity
         assert (a.tolist(), residue, floor) == ([], 0j, 0.0)
         return
-    orders = np.append(-np.arange(max(0, f.degree + 1)), 1)  # z**0..z**degree, z**-1
+    want_a, want_residue = series_outer(f)
+    assert abs(residue - want_residue) <= floor
+    # a_n's floor: a_-1's scaled by radius**-(n + 1), as the magnitude part scales
     radius = 2.0 * max([0.5, *map(abs, points)])
-    want_c, want_floor = _one_contour(f, 0.0, radius, orders)
-    assert a.tolist() == want_c[:-1].tolist()
-    assert residue == -want_c[-1]
-    assert floor == want_floor[-1]
+    n = np.arange(f.degree + 1)
+    assert np.all(np.abs(a - want_a) <= floor * radius ** -(n + 1.0))
 
 
 def _with_charts(forms):
@@ -638,25 +620,62 @@ def _with_charts(forms):
 
 _shift = st.complex_numbers(min_magnitude=0.2, max_magnitude=5.0,
                             allow_nan=False, allow_infinity=False)
+_exponents = st.integers(-4, 4).filter(bool)
 # degrees from a short list, so that several factors share one z**k
 _pole_factors = st.lists(
     st.one_of(
-        st.integers(-4, 4).filter(bool).map(monomial),
+        _exponents.map(monomial),
         st.tuples(st.sampled_from([1, 2, 3, 6]), _shift,
-                  st.integers(-4, 4).filter(bool)).map(lambda t: shifted_power(*t)),
+                  _exponents).map(lambda t: shifted_power(*t)),
     ),
     min_size=1,
     max_size=5,
 )
 
 
-@settings(max_examples=60, deadline=None)
-@given(_pole_factors, _shift)
+@st.composite
+def _merging_factors(draw):
+    """`_pole_factors` and up to three factors (z**k - r**k)**e of distinct
+    k sharing the root r: the root table merges their roots at r (and at
+    the other roots two of them share) into one entry, whose orders cancel
+    on some draws."""
+    r = draw(_shift)
+    ks = draw(st.lists(st.sampled_from([1, 2, 3, 6]), max_size=3, unique=True))
+    return draw(_pole_factors) + [shifted_power(k, r ** k, draw(_exponents)) for k in ks]
+
+
+_R = 0.5 + 0.75j
+_CANCELLING = [shifted_power(1, _R, 2), shifted_power(2, _R ** 2, -1),
+               shifted_power(3, _R ** 3, -1), monomial(-3)]
+
+
+@settings(max_examples=40, deadline=None)
+@given(_merging_factors(), _shift)
 # a shift with a subnormal part, on which cmath.phase raises OverflowError
 @example([shifted_power(1, 2 + 5e-324j)], 1.0 + 0j)
-def test_batched_laurent_tables_are_the_single_contour_rule(factors, coeff):
-    for f in _with_charts([FactoredMeromorphic(coeff, factors)]):
-        _assert_tables_are_one_contour_each(f)
+# the roots at _R of three factors merge and their orders cancel; -_R
+# and _R's other cube roots are simple poles
+@example(_CANCELLING, 1.5 - 0.5j)
+# z**28 (p + t)**-4 (2p + t)**-4 ...: on the chart the series of the
+# factors cancel in their product far below their own sizes
+@example([monomial(5), shifted_power(3, 1.0, -8), shifted_power(1, 0.203125, -3),
+          shifted_power(2, 0.203125 ** 2, -4)], 1.0 + 0j)
+def test_laurent_tables_match_sympy(factors, coeff):
+    forms = _with_charts([FactoredMeromorphic(coeff, factors)])
+    # factors of one k whose shifts differ below the rounding of their
+    # roots give two entries at one point, of which a point reaches the first
+    assume(not any(np.triu(same_point(f._points[:, None], f._points), 1).any()
+                   for f in forms))
+    for f in forms:
+        _assert_tables_match_the_series(f)
+
+
+def test_cancelling_example_merges_and_cancels():
+    f = FactoredMeromorphic(1.5 - 0.5j, _CANCELLING)
+    assert len(f._points) == 1 + 1 + 2 + 3 - 2
+    assert f.orders_at([_R, -_R]).tolist() == [0, -1]
+    ((c, _),) = principal_part(f, [_R])
+    assert c.tolist() == [0j]
 
 
 @settings(max_examples=60, deadline=None)
@@ -674,9 +693,11 @@ def test_residue_at_infinity_matches_the_exact_reference(factors, coeff):
     for family, x in (("vase", 0.5), ("double_vase", 0.25))
 ])
 def test_batched_laurent_tables_of_the_family_data(family, k, x):
+    """Each form's table, built in one call for all its entries, against
+    sympy at every entry and at infinity, on both charts."""
     data, _, _ = FAMILIES[family].build_data(k, x)
     for f in _with_charts([data.gauss_map, data.dh, *data.factored_forms()]):
-        _assert_tables_are_one_contour_each(f)
+        _assert_tables_match_the_series(f)
 
 
 def test_batched_laurent_tables_with_an_empty_root_table():
@@ -685,74 +706,50 @@ def test_batched_laurent_tables_with_an_empty_root_table():
     forms = _with_charts([data.gauss_map, data.dh, *data.factored_forms(), constant])
     assert any(not len(f._points) for f in forms)
     for f in forms:
-        _assert_tables_are_one_contour_each(f)
+        _assert_tables_match_the_series(f)
     assert [len(c) for c, _ in principal_part(constant, [0.5, 2.0])] == [0, 0]
     assert residues_at(constant, [0.5, 2.0]) == [0j, 0j]
+    # dz/z: residue exactly 1 at 0 and -1 at infinity
+    assert residues_at(data.dh, [0j, INF]) == [1, -1]
 
 
-# -- the node count against mpmath ---------------------------------------
+# -- high orders against mpmath ------------------------------------------
 
 
-def _kernel_points(f, points, monkeypatch):
-    """principal_part of f at fresh points, and the number of nodes each
-    kernel call it made evaluated."""
-    from spheremin import kernels
-
-    sizes = []
-    kernel = kernels.eval_product
-
-    def recording(coeff, ks, cs, exps, z, out):
-        sizes.append(len(z))
-        return kernel(coeff, ks, cs, exps, z, out)
-
-    monkeypatch.setattr(kernels, "eval_product", recording)
-    tables = principal_part(f, points)
-    monkeypatch.undo()
-    return tables, sizes
-
-
-def _mp_residue(coefficient, p, m, q, n):
-    """Res_p of coefficient (z - p)**-m (z - q)**-n dz at 40 digits: the
-    (m-1)-th derivative of coefficient (z - q)**-n at p over (m-1)!."""
+def _mp_laurent(coefficient, p, m, q, n):
+    """(c_1, ..., c_m) of coefficient (z - p)**-m (z - q)**-n about p at 40
+    digits: c_j is the Taylor coefficient of order m - j of
+    coefficient (z - q)**-n at p."""
     def g(z):
         return mpmath.mpc(coefficient) * (z - mpmath.mpc(q)) ** -n
 
     with mpmath.workdps(40):
-        return complex(mpmath.diff(g, mpmath.mpc(p), m - 1) / mpmath.factorial(m - 1))
+        taylor = mpmath.taylor(g, mpmath.mpc(p), m - 1)
+        return np.array([complex(taylor[m - j]) for j in range(1, m + 1)])
 
 
-# a double pole whose only neighbour, of order n, lies 1.25 away: twice the
-# contour radius of both
+# a double pole whose only neighbour, of order n, lies 1.25 away
 _P, _Q, _C = 0.5 + 0.25j, -0.25 - 0.75j, 1.5 - 0.5j
 
 
-@pytest.mark.parametrize("n, nodes", [(11, 128), (12, 256)])
-def test_highest_pole_order_sizes_the_rule(n, nodes, monkeypatch):
-    """Order 11 is the highest pole order that 128 nodes allow on a
-    zero-free form (2**-128 * 128**10 = 2**-58); one order more takes 256.
-    Both residues match mpmath within their floors, where 64 nodes miss
-    the floor at P."""
+@pytest.mark.parametrize("n", [11, 12])
+def test_high_order_pole_matches_mpmath(n):
+    """Every coefficient of the principal parts of a pole of order n and of
+    its double-pole neighbour matches mpmath within its floor."""
     f = FactoredMeromorphic(_C, [shifted_power(1, _P, -2), shifted_power(1, _Q, -n)])
-    ((c_p, floor_p), (c_q, floor_q)), sizes = _kernel_points(f, [_P, _Q], monkeypatch)
-    assert sizes == [2 * nodes]
+    (c_p, floor_p), (c_q, floor_q) = principal_part(f, [_P, _Q])
     assert (len(c_p), len(c_q)) == (2, n)
-    exact = _mp_residue(_C, _P, 2, _Q, n)
-    assert abs(c_p[0] - exact) <= floor_p[0]
-    assert abs(c_q[0] - _mp_residue(_C, _Q, n, _P, 2)) <= floor_q[0]
-    coarse, _ = _one_contour(f, _P, 0.5 * abs(_P - _Q), [1, 2], nodes=64)
-    assert abs(coarse[0] - exact) > floor_p[0]
+    assert np.all(np.abs(c_p - _mp_laurent(_C, _P, 2, _Q, n)) <= floor_p)
+    assert np.all(np.abs(c_q - _mp_laurent(_C, _Q, n, _P, 2)) <= floor_q)
 
 
 @pytest.mark.parametrize("b", [0.001, 0.25, 0.5, 0.9, 0.99, 0.999])
-def test_zero_order_sizes_the_rule_at_a_high_order_zero(b):
-    """dh of double_vase(32, b) is z**31 g(z**32), whose residue at 0 is
-    exactly 0.  It stays within its floor; a rule sized from the pole
-    order alone, 64 nodes, aliases c_63 into it above the floor."""
+def test_high_order_zero_has_residue_exactly_0(b):
+    """dh of double_vase(32, b) is z**31 g(z**32): at its zero of order 31
+    at 0 the table gives c_1 = 0 exactly, from the orders alone."""
     data, _, _ = FAMILIES["double_vase"].build_data(32, b)
     dh = data.dh
     assert dh.order_at(0.0) == 31
-    ((c, floor),) = principal_part(dh, [0.0])
-    assert abs(c[0]) <= floor[0]
-    radius = contour_radius(0j, dh._points, dh._orders)
-    coarse, _ = _one_contour(dh, 0.0, radius, [1], nodes=64)
-    assert abs(coarse[0]) > floor[0]
+    ((c, _),) = principal_part(dh, [0.0])
+    assert c.tolist() == [0j]
+    assert residue_at(dh, 0.0) == 0j

@@ -83,8 +83,8 @@ def test_solve_vase_closed_form_mismatch_exits_3(monkeypatch, capsys):
 
 @pytest.mark.parametrize("k, b", [(2, 1e-4), (6, 5e-4), (32, 5e-4)])
 def test_solve_double_vase_root_out_of_range_exits_2(k, b, capsys):
-    # a ~ 1/b runs past 1e3: no root in the solver's range, before any
-    # data is built
+    # a ~ 1/b runs past 1e3, outside the double vase's domain: refused
+    # before any data is built
     code, out, err = run(
         ["solve", "--family", "double_vase", "--k", str(k), "--b", str(b)], capsys
     )
@@ -343,9 +343,11 @@ def test_config_switch_must_be_a_json_boolean(value, tmp_path, capsys):
 
 
 def test_config_switch_json_booleans(tmp_path, capsys):
+    # the vase's period defect at its solved rho, about 1e-16, fails a
+    # tolerance of 1e-30 (the catenoid's residues are exact)
     cfg = tmp_path / "cfg.json"
-    out_path = tmp_path / "cat.obj"
-    argv = ["export", "--family", "catenoid", "--config", str(cfg),
+    out_path = tmp_path / "vase.obj"
+    argv = ["export", "--family", "vase", "--k", "2", "--a", "0.5", "--config", str(cfg),
             "--out", str(out_path), "--nr", "8", "--ntheta", "8"]
     cfg.write_text(json.dumps({"force": False, "tol": 1e-30}))
     assert run(argv, capsys)[0] == EXIT_VERIFICATION
@@ -397,8 +399,10 @@ def test_parameter_the_family_does_not_take_rejected(argv, capsys):
 
 
 def test_export_tol_gates_the_export(tmp_path, capsys):
-    out_path = tmp_path / "cat.obj"
-    argv = ["export", "--family", "catenoid", "--tol", "1e-30",
+    # the vase's period defect at its solved rho, about 1e-16, fails a
+    # tolerance of 1e-30 (the catenoid's residues are exact)
+    out_path = tmp_path / "vase.obj"
+    argv = ["export", "--family", "vase", "--k", "2", "--a", "0.5", "--tol", "1e-30",
             "--out", str(out_path), "--nr", "8", "--ntheta", "8"]
     code, _, err = run(argv, capsys)
     assert code == EXIT_VERIFICATION
@@ -407,8 +411,8 @@ def test_export_tol_gates_the_export(tmp_path, capsys):
     code, out, _ = run(argv + ["--force"], capsys)
     assert code == EXIT_OK
     assert out_path.exists()
-    meta = json.loads((tmp_path / "cat.obj.json").read_text())
-    assert meta["family"] == {"family": "catenoid", "forced": True}
+    meta = json.loads((tmp_path / "vase.obj.json").read_text())
+    assert meta["family"] == {"family": "vase", "forced": True}
 
 
 def test_forced_export_solves_once(monkeypatch, tmp_path, capsys):

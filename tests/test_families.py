@@ -7,11 +7,11 @@ import math
 import pytest
 
 from spheremin.algebra import (
-    REACH,
     FactoredMeromorphic,
-    contour_radius,
     is_infinity,
-    same_point,
+    outer_expansion,
+    principal_part,
+    residues_at,
 )
 from spheremin.errors import ParameterDomainError, SphereminError
 from spheremin.families import (
@@ -25,7 +25,7 @@ from spheremin.families import (
     vase_weierstrass_data,
 )
 
-from exact_residues import infinity_chart
+from exact_residues import series_outer, series_principal_part
 
 
 def test_vase_instance_is_fully_verified(vase2):
@@ -130,9 +130,12 @@ def test_descriptor_round_trip(vase2):
 
 
 def test_default_base_points(vase2, dvase2, catenoid):
-    assert vase2.default_base_point == pytest.approx(0.75)
-    assert dvase2.default_base_point == 1.0 + 0j
-    assert catenoid.default_base_point == 1.0 + 0j
+    def base_point(inst):
+        return FAMILIES[inst.family].base_point(inst.params)
+
+    assert base_point(vase2) == pytest.approx(0.75)
+    assert base_point(dvase2) == 1.0 + 0j
+    assert base_point(catenoid) == 1.0 + 0j
 
 
 @pytest.mark.parametrize("name", list(FAMILIES))
@@ -147,31 +150,25 @@ def test_descriptor_round_trip_each_family(name):
     assert str(rebuilt.data.gauss_map) == str(inst.data.gauss_map)
     assert str(rebuilt.data.dh) == str(inst.data.dh)
     assert rebuilt.period.closed
-    # the zero/pole tables agree with the point queries; at every finite
-    # puncture the residue contour of each factored form, the radius
-    # `principal_part` uses, keeps every other pole beyond twice its radius
-    # and holds no other root outside the rounding reach; at INF the outer
-    # circle of `outer_expansion`, twice the largest root, is the image of
-    # the w = 1/z chart's contour about w = 0 and holds every root within
-    # half its radius
+    # the zero/pole tables agree with the point queries, and every
+    # puncture residue of each factored form matches sympy's series within
+    # its floor
     data = inst.data
     for f in (data.gauss_map, data.dh, *data.factored_forms()):
         for r, o in f.finite_roots():
             assert f.order_at(r) == o
     for f in data.factored_forms():
-        for p in data.punctures:
+        for p, residue in zip(data.punctures, residues_at(f, data.punctures)):
             if is_infinity(p):
-                radius = 2.0 * max([0.5, *map(abs, f._points.tolist())])
-                chart = infinity_chart(f, one_form=True)
-                chart_radius = contour_radius(0j, chart._points, chart._orders)
-                assert radius == pytest.approx(1.0 / chart_radius, rel=1e-12)
-                assert all(abs(r) <= radius / 2 for r in f._points.tolist())
+                _, floor = outer_expansion(f)[1:]
+                assert abs(residue - series_outer(f)[1]) <= floor
                 continue
-            radius = contour_radius(p, f._points, f._orders)
-            for r, o in f.finite_roots():
-                if not same_point(r, p):
-                    assert abs(r - p) >= 2 * radius or (
-                        o > 0 and abs(r - p) < REACH * abs(p))
+            ((c, floor),) = principal_part(f, [p])
+            if not len(c):  # f has no root there
+                assert residue == 0
+                continue
+            assert residue == c[0]
+            assert abs(residue - series_principal_part(f, p)[0]) <= floor[0]
 
 
 @pytest.mark.parametrize("make, args",
@@ -179,15 +176,15 @@ def test_descriptor_round_trip_each_family(name):
 def test_constructor_builds_its_data_once(make, args, monkeypatch):
     """The solver hands the one `WeierstrassData` it built to the gate, and
     infinity builds no product of its own: a constructor builds the four
-    factored products G, dh, dh/G and G dh, and each form's outer
-    expansion once."""
-    from spheremin import algebra, weierstrass
+    factored products G, dh, dh/G and G dh, and each form's outer series
+    once."""
+    from spheremin import algebra
     from spheremin.weierstrass import WeierstrassData
 
     built = {"data": 0, "products": 0, "outer": []}
     post_init = WeierstrassData.__post_init__
     product_init = FactoredMeromorphic.__init__
-    outer = algebra.outer_expansion
+    outer = algebra._outer_series
 
     def counting_post_init(self):
         built["data"] += 1
@@ -204,8 +201,7 @@ def test_constructor_builds_its_data_once(make, args, monkeypatch):
 
     monkeypatch.setattr(WeierstrassData, "__post_init__", counting_post_init)
     monkeypatch.setattr(FactoredMeromorphic, "__init__", counting_product_init)
-    for module in (algebra, weierstrass):
-        monkeypatch.setattr(module, "outer_expansion", counting_outer)
+    monkeypatch.setattr(algebra, "_outer_series", counting_outer)
     inst = make(*args)
     assert built["data"] == 1
     assert built["products"] == 4
@@ -236,34 +232,39 @@ def test_constructor_reads_the_point_tables_as_arrays(monkeypatch):
 def test_each_principal_part_is_built_once(make, args, monkeypatch):
     """The gate's residues and the immersion's log terms, principal parts
     and polynomial parts read one Laurent table per form: across a
-    constructor and a `sample_mesh`, `laurent_coefficients` builds at most
-    one row per (form, root), plus one per form for its outer expansion
-    (centre 0, twice the largest root), which serves both the residue at
-    infinity and the polynomial part."""
+    constructor and a `sample_mesh`, each (form, entry) row is expanded at
+    most once (`_entry_bases`), and each form's outer series is built at
+    most once, serving both the residue at infinity and the polynomial
+    part."""
     from spheremin import algebra
     from spheremin.mesh import DomainSpec, sample_mesh
 
-    calls = []
-    laurent = algebra.laurent_coefficients
+    rows, outer = [], []
+    build_rows, build_outer = algebra._entry_bases, algebra._outer_series
 
-    def counting(f, centres, radii, orders):
-        # a row is its form and circle: an outer expansion and a principal
-        # part about a root at 0 differ in radius
-        calls.extend((id(f), complex(p), float(r)) for p, r in zip(centres, radii))
-        return laurent(f, centres, radii, orders)
+    def counting_rows(f, at, *args):
+        rows.extend((id(f), i) for i in at.tolist())
+        return build_rows(f, at, *args)
 
-    monkeypatch.setattr(algebra, "laurent_coefficients", counting)
+    def counting_outer(f):
+        if f._outer is None:
+            outer.append(id(f))
+        return build_outer(f)
+
+    monkeypatch.setattr(algebra, "_entry_bases", counting_rows)
+    monkeypatch.setattr(algebra, "_outer_series", counting_outer)
     inst = make(*args)
     spec = FAMILIES[inst.family]
     sample_mesh(inst.data, DomainSpec(spec.r_min, spec.r_max, 8, 16,
-                                      base_point=inst.default_base_point))
-    assert calls
-    assert len(calls) == len(set(calls))
+                                      base_point=spec.base_point(inst.params)))
+    assert rows and outer
+    assert len(rows) == len(set(rows))
+    assert len(outer) == len(set(outer))
 
 
 def test_double_vase_gate_above_the_contour_noise_floor():
-    # the integrand reaches radius * max|f| ~ 1e2 on the contour here, so
-    # successive trapezoidal estimates differ by ~1e-12 at every node count
+    # the integrand once reached radius * max|f| ~ 1e2 on a residue contour
+    # here, where successive trapezoidal estimates differed by ~1e-12
     inst = make_double_vase(3, 0.99014)
     assert inst.period.closed
     assert inst.period.worst.defect < 1e-10

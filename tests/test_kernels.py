@@ -7,9 +7,8 @@ import numpy as np
 import pytest
 
 from spheremin import kernels
-from spheremin.algebra import Factor, FactoredMeromorphic
+from spheremin.algebra import contour_radius
 from spheremin.families import FAMILIES
-from spheremin.periods import assert_period_closed
 
 from kernel_reference import power_loop_eval, squaring_eval
 from test_accuracy import mp_value
@@ -66,35 +65,32 @@ SAMPLE = 1500
 QUANTILE_SLACK = 0.02
 
 
-def _gate_evaluations(family, k, x, monkeypatch):
-    """(form, nodes, kernel values) of every kernel call the period gate
-    makes on fresh data: u, v and w at the finite punctures' Laurent rows,
-    and v on its outer circle for infinity's residues (u and w have degree
-    below -2, where the residue at infinity is 0 without a contour)."""
+def _circle_evaluations(family, k, x):
+    """(form, nodes, kernel values) on the circles a residue contour once
+    evaluated, near the poles: 128 nodes on the `contour_radius` circle
+    about each finite puncture, for u, v and w at once, and 128 on v's
+    circle of twice its largest root (u and w have degree below -2)."""
     spec = FAMILIES[family]
     data, _, _ = spec.build_data(k, x, spec.solve(k, x).value)
+    ring = np.exp(2j * np.pi * np.arange(128) / 128)
+    u, v, w = data.factored_forms()
     calls = []
-    kernel = kernels.eval_product
-
-    def recording(coeff, ks, cs, exps, z, out):
-        kernel(coeff, ks, cs, exps, z, out)
-        form = FactoredMeromorphic(coeff, [Factor(int(k), complex(c), int(e))
-                                           for k, c, e in zip(ks, cs, exps)])
-        calls.append((form, z.copy(), out.copy()))
-        return out
-
-    monkeypatch.setattr(kernels, "eval_product", recording)
-    assert_period_closed(data, spec.period_tol)
-    monkeypatch.undo()
+    for f in (u, v, w):
+        centres = data._finite_punctures
+        radii = contour_radius(centres, f._points, f._orders)
+        nodes = (centres[:, None] + radii[:, None] * ring).ravel()
+        calls.append((f, nodes, f.eval_array(nodes)))
+    nodes = 2.0 * max(0.5, float(np.abs(v._points).max())) * ring
+    calls.append((v, nodes, v.eval_array(nodes)))
     return calls
 
 
 @pytest.mark.parametrize("family, k, x", ACCURACY_CASES)
-def test_squaring_is_as_accurate_as_numpy_power(family, k, x, monkeypatch):
+def test_squaring_is_as_accurate_as_numpy_power(family, k, x):
     """Relative errors against mpmath at 60 digits, at a seeded sample of
-    the gate's contour nodes: the kernel's median and 99th percentile are
-    no larger than those of the numpy `power` loop it replaced."""
-    calls = _gate_evaluations(family, k, x, monkeypatch)
+    nodes near the poles: the kernel's median and 99th percentile are no
+    larger than those of the numpy `power` loop it replaced."""
+    calls = _circle_evaluations(family, k, x)
     assert len(calls) == 4
     nodes = np.concatenate([z for _, z, _ in calls])
     new = np.concatenate([got for _, _, got in calls])

@@ -23,7 +23,6 @@ from spheremin.mesh import (
     _face_geometry,
     estimate_mean_curvature,
     exclusion_disks,
-    fd_tangents,
     interior_vertices,
     sample_mesh,
     write_metadata,
@@ -34,9 +33,10 @@ from spheremin.weierstrass import (
     _COMBINATION,
     Immersion,
     WeierstrassData,
-    conformal_factor,
     gauss_normal,
 )
+
+from oracles import conformal_factor, fd_tangents
 
 
 def test_domain_spec_validation():

@@ -12,14 +12,14 @@ from spheremin.paths import (
     DETOUR_INFLATION,
     IntegrationPath,
     LineSegment,
-    check_path_independence,
     empty_path,
     integrate_forms,
     integrate_point,
-    loop_path,
     plan_path,
 )
 from spheremin.weierstrass import coordinate_forms
+
+from oracles import check_path_independence, loop_path
 
 
 def test_straight_route_when_clear():

@@ -39,11 +39,11 @@ from spheremin.periods import (
     period_report,
 )
 
-from exact_residues import combo_residue_contour, combo_residue_exact
+from exact_residues import combo_residue_package, combo_residue_exact
 
 # frozen independent oracles (exact rationals obtained symbolically)
 VASE_RES_K2_A05_RHO1 = 0.140625            # 9/64
-DVASE_RES_K2_B05_A2 = 3.0 / 32.0           # symbolic contour residue
+DVASE_RES_K2_B05_A2 = 3.0 / 32.0           # symbolic residue
 RHO_K2_A05 = 1.1094003924504583            # sqrt(3/(0.75*3.25))
 A_K6_B025 = 3.9766740675703147
 
@@ -59,6 +59,22 @@ def test_param_domains():
         DoubleVaseParams(2, 0.0)
     with pytest.raises(ParameterDomainError):
         DoubleVaseParams(1, 0.5)
+
+
+def test_double_vase_a_domain_bound():
+    """a in [1e-3, 1e3] is the double vase's stated domain: a solved a
+    outside it is refused before any data is built, as at the 20 points
+    b in {1e-4, 5e-4}, where a is about 1/b and the residues are too small
+    for the gate's absolute tolerance to judge."""
+    assert DoubleVaseParams(2, 0.5, 1e3).a == 1e3
+    assert DoubleVaseParams(2, 0.5, 1e-3).a == 1e-3
+    for a in (1e3 * (1 + 1e-12), 1e-3 * (1 - 1e-12)):
+        with pytest.raises(ParameterDomainError):
+            DoubleVaseParams(2, 0.5, a)
+    for k in GRID_KS:
+        for b in (1e-4, 5e-4):
+            with pytest.raises(ParameterDomainError, match=r"outside \[1e-3, 1e3\]"):
+                solve_double_vase_a(k, b)
 
 
 @pytest.mark.parametrize("family", ["vase", "double_vase"])
@@ -82,10 +98,10 @@ def test_vase_residue_closed_form_value():
 
 
 def test_vase_residue_oracle_agreement():
-    # the closed form against the trapezoidal contour, within 1e-9
+    # the closed form against the package's Laurent series, within 1e-9
     for k, a, rho in [(2, 0.5, 1.0), (3, 0.3, 0.7), (5, 0.8, 2.0)]:
         closed = _vase_equation(k, a ** k, rho)
-        oracle = combo_residue_contour(vase_weierstrass_data(k, a, rho), 1.0, +1.0)
+        oracle = combo_residue_package(vase_weierstrass_data(k, a, rho), 1.0, +1.0)
         assert abs(closed - oracle) <= 1e-9 * max(1.0, abs(closed), abs(oracle))
 
 
@@ -93,7 +109,7 @@ def test_combo_residue_exact_matches_contour():
     data = vase_weierstrass_data(2, 0.5, 1.0)
     for p in (1.0, -1.0, 0j):
         for sign in (+1.0, -1.0):
-            con = combo_residue_contour(data, p, sign)
+            con = combo_residue_package(data, p, sign)
             ex = combo_residue_exact(data, p, sign)
             assert con == pytest.approx(ex, rel=1e-9, abs=1e-11)
 
@@ -103,7 +119,7 @@ def test_combo_residue_exact_matches_contour_on_solved_data():
         data = solved.data
         for p in data.punctures:
             for sign in (+1.0, -1.0):
-                con = combo_residue_contour(data, p, sign)
+                con = combo_residue_package(data, p, sign)
                 ex = combo_residue_exact(data, p, sign)
                 assert con == pytest.approx(ex, rel=1e-9, abs=1e-11), (p, sign)
 
@@ -121,7 +137,7 @@ def test_combo_residue_exact_matches_contour_near_cancelled_pole():
     for p in data.punctures:
         tol = 1e-10 if p is not INF and p.real < 0 else 1e-11
         for sign in (+1.0, -1.0):
-            con = combo_residue_contour(data, p, sign)
+            con = combo_residue_package(data, p, sign)
             ex = combo_residue_exact(data, p, sign)
             assert con == pytest.approx(ex, rel=1e-9, abs=tol), (p, sign)
 
@@ -172,7 +188,7 @@ def test_double_vase_residue_oracle_agreement():
     for k, b, a in [(2, 0.5, 2.0), (3, 0.25, 1.5), (4, 0.75, 3.0)]:
         closed = -_double_vase_equation(k, b, _double_vase_quadratic(k, b), a)
         data = double_vase_weierstrass_data(k, b, a)
-        contour = combo_residue_contour(data, b, +1.0)
+        contour = combo_residue_package(data, b, +1.0)
         assert closed == pytest.approx(contour, rel=1e-8)
 
 
@@ -479,11 +495,11 @@ def test_period_report_entry_at_b(dvase2):
 @pytest.mark.parametrize("family, k, x",
                          [("double_vase", 24, 0.5), ("vase", 24, 0.5), ("vase", 2, 0.5)])
 def test_period_gate_evaluates_each_form_once_per_chart(family, k, x, monkeypatch):
-    """The gate asks each factored form for every finite puncture in one
-    batched Laurent evaluation, and once more on its outer circle for
-    infinity (`outer_expansion`) where the form's degree is -1 or more:
-    4 kernel calls, as u = dh/G and dh have degree below -2, where one
-    contour per residue made 150 for double_vase(24, 0.5)."""
+    """The gate reads each factored form's residues from its Laurent
+    table, a Taylor computation on its factors, and the residue at
+    infinity from its series in 1/z: no form is evaluated at any node, so
+    the kernel makes 0 calls, where one batched contour per chart made 4
+    and one contour per residue 150 for double_vase(24, 0.5)."""
     from spheremin import kernels
 
     spec = FAMILIES[family]
@@ -497,15 +513,15 @@ def test_period_gate_evaluates_each_form_once_per_chart(family, k, x, monkeypatc
         return kernel(*args)
 
     monkeypatch.setattr(kernels, "eval_product", counting)
-    assert_period_closed(data, spec.period_tol)
-    assert calls[0] == 4
+    assert assert_period_closed(data, spec.period_tol).closed
+    assert data.dh._laurent is not None
+    assert calls[0] == 0
 
     # the whole constructor, solver included: the solver's residual builds
-    # the rows of (dh/G, G dh) that the gate then reads
-    calls[0] = 0
+    # the tables of (dh/G, G dh) that the gate then reads
     inst = make_vase(k, x) if family == "vase" else make_double_vase(k, x)
     assert inst.period.closed
-    assert calls[0] == 4
+    assert calls[0] == 0
 
 
 @pytest.mark.parametrize("family, k, x", [

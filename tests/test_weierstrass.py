@@ -14,7 +14,6 @@ from spheremin.weierstrass import (
     WeierstrassData,
     classify_all_ends,
     classify_end,
-    conformal_factor,
     coordinate_forms,
     degree_audit,
     gauss_normal,
@@ -25,6 +24,7 @@ from spheremin.weierstrass import (
 )
 
 from exact_residues import infinity_chart
+from oracles import conformal_factor
 
 
 def _catenoid_data():
