@@ -1,32 +1,28 @@
 """Factored meromorphic functions on the Riemann sphere.
 
-A function is stored as a nonzero scalar times a product of integer
-powers of factors `z**k - c`, the monomial `z` being the one with k = 1,
-c = 0.  This covers the Gauss maps and height-differential coefficients
-of all surfaces built here while keeping zeros, poles, orders and
-residues exactly enumerable.
-A residue of a sum is the sum of the residues of its factored terms.
+A function is a nonzero scalar times integer powers of factors
+`z**k - c`, the monomial `z` being the one with k = 1, c = 0: zeros,
+poles, orders and residues stay exactly enumerable.  A residue of a sum
+is the sum of the residues of its factored terms.
 
-A function's (root, order) table is built from its factors once, when
-it is created, and held as two arrays that every zero/pole query reads
-with one array operation.  The k roots of one factor are distinct and
-factors of equal k share none, so the table is each factor's roots end
-to end with its exponent; only roots of factors of different k, neither
-a monomial, are compared, once per pair, a match adding its exponent to
-the earlier entry.  Two finite points are the same when |p - q| <= 1e-9
-|p| (`same_point`, so 0 matches only 0: the monomial's root needs no
-comparison), the rule for those roots and for numbers from outside met
-with a table: punctures, query points, path chaining.  Moduli are taken with `np.hypot` (`modulus`), the bits of the
-built-in `abs`; `np.abs` differs from it in the last bit on about a third
-of random values, and would move radii and meshes.
+Zeros and poles are entries of a `RootTable`: each factor's roots end to
+end, a root of a factor of another k matching an earlier one joining its
+entry.  Two finite points are the same when |p - q| <= 1e-9 |p|
+(`same_point`, so 0 matches only 0), the rule for roots and for points
+met with a table: punctures, queries, path chaining.  Moduli are taken
+with `np.hypot` (`modulus`), the bits of the built-in `abs`, which
+`np.abs` misses in the last bit on a third of values.  Weierstrass
+data build one table over all their factors, and each of their products
+is an exponent vector over it (`_Entries`); a product built on its own
+builds its table on the first query, by the same code.
 
-Every Laurent coefficient is a finite Taylor computation on the factors,
-evaluating f nowhere: a function's table of c_1, c_2, ... at every root
-(`_laurent_table`), and its expansion in w = 1/z, the polynomial part and
-the residue at infinity (`_outer_series`), are each built once and kept;
-every residue in the package is read from them (`residues_at`).  The
-rounding floors are computed only when asked for (`principal_part`,
-`outer_expansion`).
+Every Laurent coefficient is a finite Taylor computation on the factors:
+the factors' series about a table's entries (`_entry_bases`, one
+expansion for all the products over it, `laurent_tables`), a product's
+table of c_1, c_2, ... (`_laurent_table`) and its series in w = 1/z
+(`_outer_series`) are built once and kept, and every residue is read
+from them (`residues_at`).  Rounding floors are computed only when asked
+for (`principal_part`, `outer_expansion`).
 """
 
 from __future__ import annotations
@@ -39,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
-from .errors import PoleEvaluation
+from .errors import ParameterDomainError, PoleEvaluation
 
 _ROOT_MATCH_TOL = 1e-9
 # achievable relative accuracy of a factored evaluation: near high-order
@@ -157,13 +153,84 @@ def shifted_power(k: int, c: complex, exponent: int = 1) -> Factor:
     return Factor(k, complex(c), exponent)
 
 
+def _factor_order(f: Factor):
+    """A product's factor order: monomials first, the kernel multiplies in it."""
+    return (f.c != 0, f.k, f.c.real, f.c.imag)
+
+
+class RootTable:
+    """The roots of the distinct factors (k, c) of a list, in
+    `_factor_order`, merged into entries: each factor's roots end to end, a
+    root of a factor of another k matching an earlier one joining its
+    entry.  It holds the entries' points, the factor whose root each is
+    (`owner`) and which factors vanish at each (`vanish`), whatever their
+    exponents.  Two factors of one k whose roots match would give two
+    entries at one point, and are refused."""
+
+    __slots__ = ("ks", "cs", "index", "points", "owner", "vanish")
+
+    def __init__(self, factors):
+        factors = sorted({(f.k, f.c): f for f in factors}.values(), key=_factor_order)
+        ks = np.array([f.k for f in factors], dtype=np.int64)
+        cs = np.array([f.c for f in factors], dtype=np.complex128)
+        roots = np.array([r for f in factors for r in f.roots()], dtype=np.complex128)
+        start = np.cumsum([0] + ks.tolist())
+        # the roots of z**k - c are one root turned by multiples of 2 pi / k:
+        # two factors of one k share all their roots or none
+        shifted = ks[cs != 0]
+        for k in sorted(set(shifted[np.bincount(shifted)[shifted] > 1].tolist())):
+            group = np.flatnonzero((ks == k) & (cs != 0))
+            turns = roots[start[group][:, None] + np.arange(k)]
+            i, j = np.nonzero(np.triu(same_point(turns[:, None, :1], turns).any(axis=2), 1))
+            if len(i):
+                raise ParameterDomainError(
+                    f"the factors z^{k} - {complex(cs[group[i[0]]])!r} and z^{k} - "
+                    f"{complex(cs[group[j[0]]])!r} share the root {complex(turns[i[0], 0])!r}")
+        # 0, the monomial's root, matches only 0, which no factor with c != 0 has
+        owner = np.arange(len(roots))
+        for i, j in itertools.combinations(range(len(factors)), 2):
+            if cs[i] != 0 and ks[i] != ks[j]:
+                a, b = np.nonzero(same_point(roots[start[i]:start[i + 1], None],
+                                             roots[start[j]:start[j + 1]]))
+                a, b = a + start[i], b + start[j]
+                free = owner[b] == b
+                owner[b[free]] = owner[a[free]]
+        entry = owner == np.arange(len(roots))
+        factor_of = np.repeat(np.arange(len(factors)), ks)
+        self.ks, self.cs = ks, cs
+        self.index = {(f.k, f.c): i for i, f in enumerate(factors)}
+        self.points, self.owner = roots[entry], factor_of[entry]
+        self.vanish = np.zeros((len(factors), len(self.points)), dtype=bool)
+        self.vanish[factor_of, (np.cumsum(entry) - 1)[owner]] = True
+
+
+class _Entries:
+    """A product's entries of a root table, from its exponent of each of the
+    table's factors: those where one of its factors vanishes (`at`, table
+    indices; a factor it lacks adds no entry), their points and orders, and
+    each table entry's index among them, or -1 (`local`)."""
+
+    __slots__ = ("table", "nonzero", "full", "at", "local", "points", "orders")
+
+    def __init__(self, table: RootTable, exps: np.ndarray):
+        self.table, self.nonzero = table, np.flatnonzero(exps)
+        self.full = exps @ table.vanish  # the order at every entry
+        self.at = np.flatnonzero(table.vanish[self.nonzero].any(axis=0))
+        self.local = np.full(len(table.points), -1)
+        self.local[self.at] = np.arange(len(self.at))
+        self.points, self.orders = table.points[self.at], self.full[self.at]
+
+
 class FactoredMeromorphic:
-    """coefficient * prod(factor**exponent), immutable after construction."""
+    """coefficient * prod(factor**exponent), immutable after construction.
+    Its zeros and poles are entries of `table`, a `RootTable` holding all
+    its factors that other products may share, or else of its own, built
+    on the first query."""
 
-    __slots__ = ("coefficient", "factors", "_packed", "_points", "_orders",
-                 "_owner", "_laurent", "_floors", "_outer")
+    __slots__ = ("coefficient", "factors", "_packed", "_entries", "_laurent",
+                 "_floors", "_outer")
 
-    def __init__(self, coefficient: complex, factors=()):
+    def __init__(self, coefficient: complex, factors=(), table=None):
         coefficient = complex(coefficient)
         if coefficient == 0:
             raise ValueError("coefficient must be nonzero")
@@ -173,9 +240,8 @@ class FactoredMeromorphic:
         for f in factors:
             key = (f.k, f.c)
             merged[key] = merged.get(key, 0) + f.exponent
-        kept = [Factor(k, c, e) for (k, c), e in merged.items() if e != 0]
-        # monomials first: the kernel multiplies in this order
-        kept.sort(key=lambda f: (f.c != 0, f.k, f.c.real, f.c.imag))
+        kept = sorted((Factor(k, c, e) for (k, c), e in merged.items() if e != 0),
+                      key=_factor_order)
         object.__setattr__(self, "coefficient", coefficient)
         object.__setattr__(self, "factors", tuple(kept))
         packed = (
@@ -184,28 +250,25 @@ class FactoredMeromorphic:
             np.array([f.exponent for f in kept], dtype=np.int64),
         )
         object.__setattr__(self, "_packed", packed)
-        # (root, order) arrays: each factor's roots end to end; a root of a
-        # factor of another k matching an earlier one joins its entry, and
-        # entries whose orders cancel stay.  The monomial comes first, and
-        # its root 0 matches only 0, which no factor with c != 0 has
-        roots = np.array([r for f in kept for r in f.roots()], dtype=np.complex128)
-        start = np.cumsum([0] + [f.k for f in kept])
-        owner = np.arange(len(roots))
-        for i, j in itertools.combinations(range(len(kept)), 2):
-            if kept[i].c != 0 and kept[i].k != kept[j].k:
-                a, b = np.nonzero(same_point(roots[start[i]:start[i + 1], None],
-                                             roots[start[j]:start[j + 1]]))
-                a, b = a + start[i], b + start[j]
-                free = owner[b] == b
-                owner[b[free]] = owner[a[free]]
-        entries = owner == np.arange(len(roots))
-        orders = np.bincount(owner, np.repeat(packed[2], packed[0]), len(roots))
-        object.__setattr__(self, "_points", roots[entries])
-        object.__setattr__(self, "_orders", orders[entries].astype(np.int64))
-        object.__setattr__(self, "_owner", owner)  # see _entry_bases
+        entries = None  # see _view
+        if table is not None:
+            exps = np.zeros(len(table.ks), dtype=np.int64)
+            exps[[table.index[f.k, f.c] for f in kept]] = packed[2]
+            entries = _Entries(table, exps)
+        object.__setattr__(self, "_entries", entries)
         object.__setattr__(self, "_laurent", None)  # see _laurent_table
         object.__setattr__(self, "_floors", {})  # see _floor_scales
         object.__setattr__(self, "_outer", None)  # see _outer_series
+
+    @property
+    def _view(self) -> _Entries:
+        if self._entries is None:
+            object.__setattr__(self, "_entries",
+                               _Entries(RootTable(self.factors), self._packed[2]))
+        return self._entries
+
+    _points = property(lambda self: self._view.points)
+    _orders = property(lambda self: self._view.orders)
 
     def __setattr__(self, name, value):
         raise AttributeError("FactoredMeromorphic is immutable")
@@ -328,7 +391,10 @@ def _series_product(b, exponents):
     modulus, which bounds its rounding (None to t**1: g_1 = g_0 sum e_i
     b_i1/b_i0).  A negative power follows J. C. P. Miller's recurrence
     (Knuth, TAOCP vol. 2, 4.7); a positive one may vanish inside the
-    floor's circle, so it is multiplied out by repeated squaring."""
+    floor's circle, so it is multiplied out by repeated squaring.  b is
+    copied C-contiguous first: numpy multiplies a strided complex array in
+    another loop, which rounds differently."""
+    b = np.ascontiguousarray(b)
     rows, n = b.shape[1:]
     if n <= 2:
         g = np.empty((rows, n), dtype=np.complex128)
@@ -357,21 +423,17 @@ def _series_product(b, exponents):
     return g, bound
 
 
-def _entry_bases(f: FactoredMeromorphic, at, n, scale=None):
-    """(b, exponents) for `_series_product`: the factors' bases to n terms
-    in t = z - p, or t / scale, about each root-table entry p of `at`,
-    whose powers' product times the coefficient is f t**-order.
-    (p + t)**k - c is D_0 = p**k - c, D_j = C(k, j) p**(k - j); a factor
-    vanishing at p (the root table says which, not a tolerance) is t times
-    D_1, D_2, ...  Where a factor has the k of p's own factor, p**k is
-    that factor's c: D_0 then carries no rounding of p."""
-    ks, cs, exps = f._packed
-    p = f._points[at]
-    factor_of = np.repeat(np.arange(len(ks)), ks)
-    entry = f._owner == np.arange(len(f._owner))
-    owner = factor_of[entry][at]
-    vanish = np.zeros((len(ks), len(f._points)), dtype=bool)
-    vanish[factor_of, (np.cumsum(entry) - 1)[f._owner]] = True
+def _entry_bases(table: RootTable, at, n):
+    """Every factor's base of `table` to n terms in t = z - p about each
+    entry p of `at` (table indices, ascending), an array (factors,
+    len(at), n) for `_series_product`, whose powers' product times the
+    coefficient is f t**-order.  (p + t)**k - c is D_0 = p**k - c, D_j =
+    C(k, j) p**(k - j); a factor vanishing at p (the root table says which,
+    not a tolerance) is t times D_1, D_2, ...  Where a factor has the k of
+    p's own factor, p**k is that factor's c: D_0 then carries no rounding
+    of p."""
+    ks, cs = table.ks, table.cs
+    p, owner = table.points[at], table.owner[at]
     same = ks[:, None] == ks[owner]
     power = np.where(same, cs[owner], p ** ks[:, None])  # p**k
     # p**(k - j) = p**k / p**j, but D_j = [j == k] at the monomial's p = 0
@@ -384,40 +446,58 @@ def _entry_bases(f: FactoredMeromorphic, at, n, scale=None):
         series[..., j] = np.array([math.comb(k, j) for k in ks.tolist()], float)[:, None] * power
     if zero:
         series[:, 0, 1:] = ks[:, None] == np.arange(1, n + 1)
-    b = np.where(vanish[:, at, None], series[..., 1:], series[..., :-1])
-    return (b if scale is None else b * np.asarray(scale)[:, None] ** np.arange(n)), exps
+    return np.where(table.vanish[:, at, None], series[..., 1:], series[..., :-1])
 
 
 def _laurent_table(f: FactoredMeromorphic):
-    """f's Laurent table, built on the first request and kept: row i is
-    (c_1, ..., c_n) about root-table entry i, n the highest pole order (at
-    least 1), 0 above the entry's own, so a zero, or an entry whose orders
-    cancel, has c_1 = 0 exactly; at a pole of order P, c_m is the term
-    P - m of f t**P."""
+    """f's Laurent table (`laurent_tables`), built on the first request."""
     if f._laurent is None:
-        poles = -f._orders
-        n = max(1, int(poles.max(initial=0)))
-        rows = np.zeros((len(poles), n), dtype=np.complex128)
-        at = np.flatnonzero(poles > 0)
+        laurent_tables([f])
+    return f._laurent
+
+
+def laurent_tables(products):
+    """Build and keep the Laurent tables of products over one root table:
+    row i is (c_1, ..., c_n) about a product's entry i, n its highest pole
+    order (at least 1), 0 above the entry's own, so a zero, or an entry
+    whose orders cancel, has c_1 = 0 exactly; at a pole of order P, c_m is
+    the term P - m of f t**P.  The bases are expanded once, about every
+    entry where one of the products has a pole, to the highest pole order,
+    and each table is one `_series_product` over its rows and factors."""
+    products = [f for f in products if f._laurent is None]
+    full = np.array([f._view.full for f in products])
+    poles = np.flatnonzero((full < 0).any(axis=0))
+    if len(poles):
+        b = _entry_bases(products[0]._view.table, poles, -int(full.min()))
+    for f in products:
+        view = f._view
+        order = -view.orders
+        n = max(1, int(order.max(initial=0)))
+        rows = np.zeros((len(order), n), dtype=np.complex128)
+        at = np.flatnonzero(order > 0)
         if len(at):
-            g = f.coefficient * _series_product(*_entry_bases(f, at, n))[0]
-            term = poles[at][:, None] - np.arange(1, n + 1)
+            rows_b = b[view.nonzero][:, np.searchsorted(poles, view.at[at]), :n]
+            g = f.coefficient * _series_product(rows_b, f._packed[2])[0]
+            term = order[at][:, None] - np.arange(1, n + 1)
             rows[at] = np.where(term >= 0, g[np.arange(len(at))[:, None], term], 0)
         object.__setattr__(f, "_laurent", rows)
-    return f._laurent
 
 
 def _floor_scales(f: FactoredMeromorphic, entries):
     """(radius, scales) per root-table entry index, built once and kept:
     c_m's floor, radius**m scales[m - 1], is NOISE_REL times f's magnitude
     sum |a_n| radius**n on the `contour_radius` circle plus ROUNDING_REL
-    times c_m's bound (`_series_product`); the b_i(0)**e_i enter as logs."""
+    times c_m's bound (`_series_product`); the b_i(0)**e_i enter as logs.
+    The circle is bounded by f's entries alone: an entry of its table
+    where none of f's factors vanishes is none of them."""
     missing = np.array(sorted(set(entries) - f._floors.keys()), dtype=np.int64)
     if len(missing):
-        radii = contour_radius(f._points[missing], f._points, f._orders)
-        orders = f._orders[missing]
+        view, exps = f._view, f._packed[2]
+        radii = contour_radius(view.points[missing], view.points, view.orders)
+        orders = view.orders[missing]
         n = FLOOR_TERMS + max(1, -int(orders.min()))
-        b, exps = _entry_bases(f, missing, n, radii)
+        b = _entry_bases(view.table, view.at[missing], n)[view.nonzero]
+        b = b * radii[:, None] ** np.arange(n)
         series, bound = _series_product(b / b[..., :1], exps)
         scale = np.exp(math.log(abs(f.coefficient)) + orders * np.log(radii)
                        + exps @ np.log(modulus(b[..., 0])))
@@ -431,9 +511,9 @@ def _floor_scales(f: FactoredMeromorphic, entries):
 _NO_ROOT = (np.empty(0, dtype=np.complex128), np.empty(0))
 
 
-def _entries(f: FactoredMeromorphic, points) -> np.ndarray:
-    """The first root-table entry matching each finite point, or -1."""
-    hits = same_point(f._points, np.asarray(points, dtype=np.complex128)[:, None])
+def first_entries(table_points, points) -> np.ndarray:
+    """The first of `table_points` matching each finite point, or -1."""
+    hits = same_point(table_points, np.asarray(points, dtype=np.complex128)[:, None])
     return np.where(hits.any(axis=1), hits.argmax(axis=1) if hits.size else 0, -1)
 
 
@@ -441,7 +521,7 @@ def principal_part(f: FactoredMeromorphic, points):
     """(c, floor) at the first root-table entry of f matching each finite
     point p, empty where none does: c = (c_1, ..., c_m), m = max(1, pole
     order), and the floor within which each is not resolved."""
-    entries = _entries(f, points).tolist()
+    entries = first_entries(f._points, points).tolist()
     scales = iter(_floor_scales(f, [i for i in entries if i >= 0]))
     out = []
     for i in entries:
@@ -494,37 +574,45 @@ def antiderivative(f: FactoredMeromorphic):
 
     Returns (rational, logs): `rational` lists (pole, coefficients) pairs
     for np.polyval, in z for the polynomial part (pole None) and in
-    1/(z - p) for the principal part at p; `logs` lists the (p, c_1) of
+    1/(z - p) for the principal part at p; `logs` lists the (pole, c_1) of
     the c_1 log(z - p) terms, read from the outer series and from the
-    Laurent table's rows of negative order, never matched as points.
+    Laurent table's rows of negative order, never matched as points.  A
+    pole is the index of its entry in f's root table, whose `points` hold
+    its p: products over one table name a point by one index.
     """
     rational, logs = [], []
     if f.degree >= 0:
         a = _outer_series(f)[0]
         n = np.arange(f.degree + 1)
         rational.append((None, np.append((a / (n + 1))[::-1], 0.0)))
-    poles = np.flatnonzero(f._orders < 0)
-    for p, c, order in zip(f._points[poles].tolist(), _laurent_table(f)[poles], -f._orders[poles]):
-        logs.append((p, c[0]))
+    view = f._view
+    poles = np.flatnonzero(view.orders < 0)
+    for i, c, order in zip(view.at[poles].tolist(), _laurent_table(f)[poles], -view.orders[poles]):
+        logs.append((i, c[0]))
         if order > 1:
             # c_m (z - p)**-m integrates to c_m / (1 - m) * t**(m - 1), t = 1/(z - p)
             m = np.arange(2, order + 1)
             b = c[1:order] / (1 - m)
-            rational.append((p, np.append(b[::-1], 0.0)))
+            rational.append((i, np.append(b[::-1], 0.0)))
     return rational, logs
 
 
-def residues_at(f: FactoredMeromorphic, points) -> list:
+def residues_at(f: FactoredMeromorphic, points, entries=None) -> list:
     """Residue of f dz at each sphere point, from the Laurent table (0 where
-    f has no root) and at INF the outer series; no floor is computed."""
+    f has no root) and at INF the outer series; no floor is computed.
+    `entries`, the root-table entry of each finite point (`first_entries`
+    of the table's points, -1 for none), spares products over one table
+    the match."""
     infinite = np.array([is_infinity(p) for p in points], dtype=bool)
     out = np.zeros(len(points), dtype=np.complex128)
     if infinite.any():
         out[infinite] = _outer_series(f)[1]
     finite = [p for p, inf in zip(points, infinite.tolist()) if not inf]
     if finite and len(f._points):
-        entries = _entries(f, finite)
-        out[~infinite] = np.where(entries >= 0, _laurent_table(f)[entries, 0], 0)
+        view = f._view
+        local = (first_entries(view.points, finite) if entries is None
+                 else np.where(entries >= 0, view.local[entries], -1))
+        out[~infinite] = np.where(local >= 0, _laurent_table(f)[local, 0], 0)
     return out.tolist()
 
 

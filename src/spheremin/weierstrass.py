@@ -4,14 +4,17 @@ the immersion in closed form.
 The immersion is X(z) = Re of the path integral of
 (0.5*(1/G - G)*dh, 0.5i*(1/G + G)*dh, dh).  The three forms combine
 u = dh/G, v = G dh and w = dh, factored products built once with the
-data (`WeierstrassData.factored_forms`).  The antiderivative of each is a
-polynomial, principal parts and c_1 log(z - p) terms (`Immersion`); once
-the periods close every c_1 is real, so X needs no path and no
-quadrature.  Each principal part is read by root-table entry from its
-form's once-built Laurent table (`algebra.antiderivative`), the same
-table whose c_1 the period gate checks and whose dh entries give the
-ends' log growth signs.  X takes one pass over the nodes, the base point
-the last of them, forming each pole's terms once for the three forms.
+data (`WeierstrassData.factored_forms`).  The data hold one root table,
+over the factors of G and dh, and G, dh, u and v are exponent vectors
+over it: the audits read their orders from it, and the forms' Laurent
+tables come from one expansion of its bases.  The antiderivative of each
+form is a polynomial, principal parts and c_1 log(z - p) terms
+(`Immersion`); once the periods close every c_1 is real, so X needs no
+path and no quadrature.  Each principal part is read by table entry from
+its form's Laurent table (`algebra.antiderivative`), the same table whose
+c_1 the period gate checks and whose dh entries give the ends' log growth
+signs.  X takes one pass over the nodes, the base point the last of
+them, forming each pole's terms once for the three forms.
 """
 
 from __future__ import annotations
@@ -25,7 +28,10 @@ from .algebra import (
     INF,
     Factor,
     FactoredMeromorphic,
+    RootTable,
     antiderivative,
+    first_entries,
+    laurent_tables,
     is_infinity,
     one_form_order_at,
     outer_expansion,
@@ -33,7 +39,7 @@ from .algebra import (
     residues_at,
     same_point,
 )
-from .errors import PoleEvaluation, UnrecognizedEndType
+from .errors import ParameterDomainError, PoleEvaluation, UnrecognizedEndType
 
 PLANAR_HORIZONTAL = "planar_horizontal"
 CATENOID_VERTICAL_UP = "catenoid_vertical_up"
@@ -44,7 +50,7 @@ CATENOID_NON_VERTICAL = "catenoid_non_vertical"
 @dataclass(frozen=True)
 class WeierstrassData:
     """Gauss map G, height differential coefficient (dh = coeff * dz) and
-    the puncture set."""
+    the puncture set; G and dh are kept rebuilt over the data's root table."""
 
     gauss_map: FactoredMeromorphic
     dh: FactoredMeromorphic
@@ -58,18 +64,26 @@ class WeierstrassData:
         matches = np.triu(same_point(finite[:, None], finite[None, :]), 1)
         repeats += finite[matches.any(axis=0)].tolist()
         if repeats:
-            raise ValueError(f"punctures are not pairwise distinct: {repeats[0]!r}")
+            raise ParameterDomainError(f"punctures are not pairwise distinct: {repeats[0]!r}")
         object.__setattr__(self, "punctures", pts)
         object.__setattr__(self, "_finite_punctures", finite)
+        # one root table over the factors of G and dh, which G, dh, u = dh/G
+        # and v = G dh read
         g, dh = self.gauss_map, self.dh
-        # equal factors (k, c) of G and dh give bit-equal roots
-        roots = g._points[g._orders != 0].tolist() + dh._points[dh._orders != 0].tolist()
-        object.__setattr__(self, "_singular",
-                           np.array(list(dict.fromkeys(roots)), dtype=np.complex128))
-        # u = dh/G from the factors of dh and of G, G's exponents negated
-        u = FactoredMeromorphic(dh.coefficient * (1.0 / g.coefficient), dh.factors
-                                + tuple(Factor(f.k, f.c, -f.exponent) for f in g.factors))
-        object.__setattr__(self, "_forms", (u, g * dh, dh))
+        table = RootTable(g.factors + dh.factors)
+        inverse = tuple(Factor(f.k, f.c, -f.exponent) for f in g.factors)
+        u = FactoredMeromorphic(dh.coefficient * (1.0 / g.coefficient), dh.factors + inverse, table)
+        v = FactoredMeromorphic(g.coefficient * dh.coefficient, g.factors + dh.factors, table)
+        g, dh = (FactoredMeromorphic(f.coefficient, f.factors, table) for f in (g, dh))
+        object.__setattr__(self, "gauss_map", g)
+        object.__setattr__(self, "dh", dh)
+        object.__setattr__(self, "_table", table)
+        object.__setattr__(self, "_forms", (u, v, dh))
+        # the entries where G or dh has a zero or pole, G's first
+        og, odh = g._view.full, dh._view.full
+        singular = np.concatenate([np.flatnonzero(og), np.flatnonzero(odh * (og == 0))])
+        object.__setattr__(self, "_singular", singular)
+        object.__setattr__(self, "_puncture_entries", first_entries(table.points, finite))
         object.__setattr__(self, "_residues", None)  # see puncture_residues
 
     def is_puncture(self, p) -> bool:
@@ -79,8 +93,8 @@ class WeierstrassData:
 
     def finite_singularities(self):
         """All finite zeros/poles of G and dh (candidate special points for
-        routing and audits), built once with the data."""
-        return self._singular.tolist()
+        routing and audits), read from the root table."""
+        return self._table.points[self._singular].tolist()
 
     def factored_forms(self):
         """(u, v, w) = (dh/G, G dh, dh) as factored products, built once
@@ -88,10 +102,13 @@ class WeierstrassData:
         return self._forms
 
     def puncture_residues(self):
-        """(Res u, Res v, Res dh) at each puncture, from one `residues_at`
-        call per factored form on the first request, and kept."""
+        """(Res u, Res v, Res dh) at each puncture on the first request, and
+        kept: the forms' Laurent tables come from one expansion of the
+        table's bases (`algebra.laurent_tables`), and the punctures are
+        matched to the table's entries once, with the data."""
         if self._residues is None:
-            res = (residues_at(f, self.punctures) for f in self._forms)
+            laurent_tables(self._forms)
+            res = (residues_at(f, self.punctures, self._puncture_entries) for f in self._forms)
             object.__setattr__(self, "_residues", list(zip(*res)))
         return self._residues
 
@@ -134,17 +151,17 @@ class Immersion:
         rational, logs = [], []  # (column of _COMBINATION, pole, coefficients or c_1)
         for col, f in enumerate(data.factored_forms()):
             form_rational, form_logs = antiderivative(f)
-            rational += [(col, p, c) for p, c in form_rational]
-            logs += [(col, p, c1) for p, c1 in form_logs]
-        # the forms' poles at one point are bit-equal: group them by value
-        entry = {p: i for i, p in enumerate(dict.fromkeys(p for _, p, _ in logs))}
-        self._log_points = np.array(list(entry), dtype=np.complex128)
+            rational += [(col, i, c) for i, c in form_rational]
+            logs += [(col, i, c1) for i, c1 in form_logs]
+        # the forms' poles are entries of the data's one root table
+        entry = {i: j for j, i in enumerate(dict.fromkeys(i for _, i, _ in logs))}
+        self._log_points = data._table.points[list(entry)]
         # a rational term names its pole's row, -1 for the polynomial in z
-        self._rational = [(col, entry.get(p, -1), c) for col, p, c in rational]
+        self._rational = [(col, entry.get(i, -1), c) for col, i, c in rational]
         self._inverted = {i for _, i, _ in self._rational if i >= 0}
         # one scatter of the c_1 into a (3, P) table, combined column by column
         table = np.zeros((3, len(entry)), dtype=np.complex128)
-        table[[col for col, _, _ in logs], [entry[p] for _, p, _ in logs]] = [
+        table[[col for col, _, _ in logs], [entry[i] for _, i, _ in logs]] = [
             c1 for _, _, c1 in logs]
         coeffs = np.zeros_like(table)
         for col in range(3):
@@ -231,14 +248,13 @@ class RegularityViolation:
 def regularity_check(data: WeierstrassData):
     """Away from punctures, G has a zero/pole iff dh has a zero of equal
     multiplicity.  Returns the list of violations (empty when regular).
-    The finite candidates and their orders are read with one broadcast
-    over each table."""
-    singular = data._singular
-    off_punctures = ~same_point(singular[:, None], data._finite_punctures).any(axis=1)
-    candidates = singular[off_punctures]
-    points = candidates.tolist()
-    og = data.gauss_map.orders_at(candidates).tolist()
-    odh = data.dh.orders_at(candidates).tolist()
+    The finite candidates and their orders are read from the root table."""
+    on_puncture = np.zeros(len(data._table.points), dtype=bool)
+    on_puncture[data._puncture_entries[data._puncture_entries >= 0]] = True
+    candidates = data._singular[~on_puncture[data._singular]]
+    points = data._table.points[candidates].tolist()
+    og = data.gauss_map._view.full[candidates].tolist()
+    odh = data.dh._view.full[candidates].tolist()
     if not data.is_puncture(INF):
         points.append(INF)
         og.append(data.gauss_map.order_at(INF))
@@ -266,15 +282,9 @@ def degree_audit(data: WeierstrassData) -> DegreeAudit:
     """Count zeros and poles with multiplicity over the whole sphere; on a
     sphere G balances exactly and dh has two fewer zeros than poles."""
     def counts(f: FactoredMeromorphic, one_form: bool):
-        zeros = poles = 0
-        orders = [o for _, o in f.finite_roots()]
-        orders.append(one_form_order_at(f, INF) if one_form else f.order_at(INF))
-        for o in orders:
-            if o > 0:
-                zeros += o
-            else:
-                poles -= o
-        return zeros, poles
+        at_inf = one_form_order_at(f, INF) if one_form else f.order_at(INF)
+        orders = np.append(f._orders, at_inf)
+        return int(orders[orders > 0].sum()), -int(orders[orders < 0].sum())
 
     gz, gp = counts(data.gauss_map, one_form=False)
     dz, dp = counts(data.dh, one_form=True)

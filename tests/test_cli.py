@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -91,6 +92,26 @@ def test_solve_double_vase_root_out_of_range_exits_2(k, b, capsys):
     assert code == EXIT_PARAMS
     assert out == ""
     assert "outside [1e-3, 1e3]" in err
+
+
+@pytest.mark.parametrize("command", ["solve", "verify", "export"])
+@pytest.mark.parametrize("args, message", [
+    # the punctures b and 1/b coincide: once an uncaught ValueError
+    (["--family", "double_vase", "--k", "3", "--b", "0.9999999999"], "not pairwise distinct"),
+    # z^3 - a^3 and z^3 - 1 share their roots: once an overflow warning and exit 3
+    (["--family", "vase", "--k", "3", "--a", "0.99999999999999"], "share the root"),
+    (["--family", "vase", "--k", "3", "--a", "0.9999999999"], "share the root"),
+    # the solved a meets b: the gate once failed here, exit 3
+    (["--family", "double_vase", "--k", "2", "--b", "0.99999"], "share the root"),
+])
+def test_two_factors_of_one_k_at_one_root_exit_2(command, args, message, tmp_path, capsys):
+    out = ["--out", str(tmp_path / "m.obj")] if command == "export" else []
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, _, err = run([command, *args, *out], capsys)
+    assert code == EXIT_PARAMS
+    assert message in err
+    assert not list(tmp_path.iterdir())
 
 
 def test_solve_double_vase_reference_value(capsys):

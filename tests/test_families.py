@@ -7,7 +7,6 @@ import math
 import pytest
 
 from spheremin.algebra import (
-    FactoredMeromorphic,
     is_infinity,
     outer_expansion,
     principal_part,
@@ -175,24 +174,25 @@ def test_descriptor_round_trip_each_family(name):
                          [(make_vase, (6, 0.5)), (make_double_vase, (6, 0.25))])
 def test_constructor_builds_its_data_once(make, args, monkeypatch):
     """The solver hands the one `WeierstrassData` it built to the gate, and
-    infinity builds no product of its own: a constructor builds the four
-    factored products G, dh, dh/G and G dh, and each form's outer series
-    once."""
+    infinity builds no product of its own: a constructor builds one root
+    table, over the factors of G and dh, which G, dh, dh/G and G dh all
+    read (G and dh as the family writes them never build one), and each
+    form's outer series once."""
     from spheremin import algebra
     from spheremin.weierstrass import WeierstrassData
 
-    built = {"data": 0, "products": 0, "outer": []}
+    built = {"data": 0, "tables": 0, "outer": []}
     post_init = WeierstrassData.__post_init__
-    product_init = FactoredMeromorphic.__init__
+    table_init = algebra.RootTable.__init__
     outer = algebra._outer_series
 
     def counting_post_init(self):
         built["data"] += 1
         post_init(self)
 
-    def counting_product_init(self, *a, **kw):
-        built["products"] += 1
-        product_init(self, *a, **kw)
+    def counting_table_init(self, *a, **kw):
+        built["tables"] += 1
+        table_init(self, *a, **kw)
 
     def counting_outer(f):
         if f._outer is None:
@@ -200,12 +200,14 @@ def test_constructor_builds_its_data_once(make, args, monkeypatch):
         return outer(f)
 
     monkeypatch.setattr(WeierstrassData, "__post_init__", counting_post_init)
-    monkeypatch.setattr(FactoredMeromorphic, "__init__", counting_product_init)
+    monkeypatch.setattr(algebra.RootTable, "__init__", counting_table_init)
     monkeypatch.setattr(algebra, "_outer_series", counting_outer)
     inst = make(*args)
     assert built["data"] == 1
-    assert built["products"] == 4
-    assert sorted(built["outer"]) == sorted(id(f) for f in inst.data.factored_forms())
+    assert built["tables"] == 1
+    data = inst.data
+    assert all(f._view.table is data._table for f in (data.gauss_map, *data.factored_forms()))
+    assert sorted(built["outer"]) == sorted(id(f) for f in data.factored_forms())
 
 
 def test_constructor_reads_the_point_tables_as_arrays(monkeypatch):
@@ -231,20 +233,21 @@ def test_constructor_reads_the_point_tables_as_arrays(monkeypatch):
                          [(make_vase, (3, 0.4)), (make_double_vase, (6, 0.25))])
 def test_each_principal_part_is_built_once(make, args, monkeypatch):
     """The gate's residues and the immersion's log terms, principal parts
-    and polynomial parts read one Laurent table per form: across a
-    constructor and a `sample_mesh`, each (form, entry) row is expanded at
-    most once (`_entry_bases`), and each form's outer series is built at
-    most once, serving both the residue at infinity and the polynomial
-    part."""
+    and polynomial parts read one Laurent table per form, and the three
+    tables one expansion of the root table's bases: across a constructor
+    and a `sample_mesh`, `_entry_bases` runs once, each entry's bases in
+    it, and each form's outer series is built at most once, serving both
+    the residue at infinity and the polynomial part."""
     from spheremin import algebra
     from spheremin.mesh import DomainSpec, sample_mesh
 
-    rows, outer = [], []
+    calls, rows, outer = [], [], []
     build_rows, build_outer = algebra._entry_bases, algebra._outer_series
 
-    def counting_rows(f, at, *args):
-        rows.extend((id(f), i) for i in at.tolist())
-        return build_rows(f, at, *args)
+    def counting_rows(table, at, *args):
+        calls.append(id(table))
+        rows.extend((id(table), i) for i in at.tolist())
+        return build_rows(table, at, *args)
 
     def counting_outer(f):
         if f._outer is None:
@@ -257,9 +260,12 @@ def test_each_principal_part_is_built_once(make, args, monkeypatch):
     spec = FAMILIES[inst.family]
     sample_mesh(inst.data, DomainSpec(spec.r_min, spec.r_max, 8, 16,
                                       base_point=spec.base_point(inst.params)))
-    assert rows and outer
+    assert calls == [id(inst.data._table)]
     assert len(rows) == len(set(rows))
-    assert len(outer) == len(set(outer))
+    # the expansion covers every form's poles
+    poles = {i for f in inst.data.factored_forms() for i in f._view.at[f._orders < 0].tolist()}
+    assert {i for _, i in rows} == poles
+    assert outer and len(outer) == len(set(outer))
 
 
 def test_double_vase_gate_above_the_contour_noise_floor():

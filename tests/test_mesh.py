@@ -215,10 +215,11 @@ def loop_immersion(data, base, z):
     every term over the nodes, each forming its own 1/(z - p) or
     |z - p|, then the same walk over the base point alone."""
     rational, logs = [], []
+    points = data._table.points.tolist()  # the forms' poles are its entries
     for col, f in enumerate(data.factored_forms()):
         form_rational, form_logs = antiderivative(f)
-        rational += [(col, p, c) for p, c in form_rational]
-        logs += [(col, p, c1) for p, c1 in form_logs]
+        rational += [(col, None if i is None else points[i], c) for i, c in form_rational]
+        logs += [(col, points[i], c1) for i, c1 in form_logs]
     entry = {p: i for i, p in enumerate(dict.fromkeys(p for _, p, _ in logs))}
     points = np.array(list(entry), dtype=np.complex128)
     coeffs = np.zeros((len(entry), 3), dtype=np.complex128)

@@ -8,7 +8,15 @@ import types
 import numpy as np
 import pytest
 
-from spheremin.algebra import same_point
+from spheremin.algebra import (
+    INF,
+    FactoredMeromorphic,
+    _laurent_table,
+    monomial,
+    residues_at,
+    same_point,
+    shifted_power,
+)
 from spheremin.errors import (
     NoRoot,
     ParameterDomainError,
@@ -38,6 +46,7 @@ from spheremin.periods import (
     hybrid_root,
     period_report,
 )
+from spheremin.weierstrass import WeierstrassData
 
 from exact_residues import combo_residue_package, combo_residue_exact
 
@@ -239,6 +248,51 @@ def test_root_matches_the_radical_on_the_grid(family):
             assert res.value == res.closed_form
             worst = max(worst, abs(res.numeric_root - res.closed_form) / res.closed_form)
     assert worst <= 1e-13
+
+
+def _assert_shared_forms_are_standalone(data):
+    """G and each factored form, all read from the data's one root table,
+    against a product built from its own factors: the same points and
+    orders, and Laurent tables and puncture residues that are ==."""
+    residues = list(zip(*data.puncture_residues()))
+    for f, res in zip((data.gauss_map, *data.factored_forms()), [None, *residues]):
+        g = FactoredMeromorphic(f.coefficient, f.factors)
+        assert g._view.table is not data._table
+        assert g._points.tolist() == f._points.tolist()
+        assert g._orders.tolist() == f._orders.tolist()
+        assert np.array_equal(_laurent_table(g), _laurent_table(f))
+        if res is not None:
+            assert residues_at(g, data.punctures) == list(res)
+
+
+@pytest.mark.parametrize("family", ["vase", "double_vase"])
+def test_shared_forms_are_standalone_on_the_grid(family):
+    for k in GRID_KS:
+        for x in GRID_X:
+            data = FAMILIES[family].build_data(k, x)[0]
+            _assert_shared_forms_are_standalone(data)
+            if family == "vase":
+                # u = dh/G has no (z^k - a^k), whose roots the table holds
+                u = data.factored_forms()[0]
+                assert len(u.factors) == len(data._table.ks) - 1
+                assert len(u._points) == len(data._table.points) - k
+
+
+def test_shared_forms_are_standalone_at_merged_roots():
+    # z - i and z^2 + 1 share the root i, the table's one entry there (at
+    # the exact i of z - i), where G's orders cancel; u = dh/G has no
+    # z^2 + 1, so -i is none of its entries
+    G = FactoredMeromorphic(2.0, [monomial(1), shifted_power(1, 1j),
+                                  shifted_power(2, -1.0, -1)])
+    dh = FactoredMeromorphic(0.5, [monomial(-1), shifted_power(1, 1j, -2),
+                                   shifted_power(2, -1.0, -1), shifted_power(3, 8.0)])
+    data = WeierstrassData(G, dh, (0j, INF, 1j, -1j, 2.0 + 0j))
+    assert len(data._table.points) == 1 + 1 + 2 + 3 - 1
+    assert data.gauss_map.orders_at([1j]).tolist() == [0]
+    u, v, _ = data.factored_forms()
+    assert -1j not in u._points.round(12).tolist()
+    assert v.orders_at([1j, -1j]).tolist() == [-3, -2]
+    _assert_shared_forms_are_standalone(data)
 
 
 def test_two_root_points_solve_to_the_radicals_branch():
@@ -536,9 +590,9 @@ def test_constructor_reads_the_puncture_residues_once(family, k, x, monkeypatch)
     asked = []
     residues_at = weierstrass.residues_at
 
-    def counting(f, points):
+    def counting(f, points, *args):
         asked.append(f)
-        return residues_at(f, points)
+        return residues_at(f, points, *args)
 
     monkeypatch.setattr(weierstrass, "residues_at", counting)
     inst = make_vase(k, x) if family == "vase" else make_double_vase(k, x)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from spheremin.algebra import INF, FactoredMeromorphic, monomial, shifted_power
-from spheremin.errors import PoleEvaluation, UnrecognizedEndType
+from spheremin.errors import ParameterDomainError, PoleEvaluation, UnrecognizedEndType
 from spheremin.families import make_double_vase, make_vase, vase_weierstrass_data
 from spheremin.weierstrass import (
     CATENOID_NON_VERTICAL,
@@ -36,9 +36,9 @@ def _catenoid_data():
 def test_duplicate_punctures_rejected():
     G = FactoredMeromorphic(1.0, [monomial(1)])
     dh = FactoredMeromorphic(1.0, [monomial(-1)])
-    with pytest.raises(ValueError):
+    with pytest.raises(ParameterDomainError):
         WeierstrassData(G, dh, (0j, 1 + 0j, 1 + 1e-12j))
-    with pytest.raises(ValueError):
+    with pytest.raises(ParameterDomainError):
         WeierstrassData(G, dh, (0j, INF, INF))
     # the rule is relative: 0 matches only 0
     assert WeierstrassData(G, dh, (0j, 1e-12 + 0j)).is_puncture(1e-12)
