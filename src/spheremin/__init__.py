@@ -38,7 +38,6 @@ from .periods import assert_period_closed
 from .weierstrass import (
     WeierstrassData,
     classify_end,
-    coordinate_forms,
     degree_audit,
     gauss_normal,
     regularity_check,
@@ -52,7 +51,6 @@ __all__ = [
     "residue_at",
     "residue_contour",
     "WeierstrassData",
-    "coordinate_forms",
     "regularity_check",
     "degree_audit",
     "gauss_normal",

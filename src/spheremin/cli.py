@@ -22,15 +22,8 @@ from dataclasses import asdict, replace
 import numpy as np
 
 from . import __version__
-from .errors import (
-    ClosedFormMismatch,
-    NoRoot,
-    ParameterDomainError,
-    PeriodViolation,
-    SphereminError,
-    UnrecognizedEndType,
-)
-from .families import FAMILIES, FamilyInstance, gate, provenance
+from .errors import ClosedFormMismatch, NoRoot, ParameterDomainError, SphereminError
+from .families import FAMILIES, FamilyInstance, provenance
 from .mesh import (
     DomainSpec,
     estimate_mean_curvature,
@@ -39,8 +32,7 @@ from .mesh import (
     write_obj,
     write_ply,
 )
-from .periods import period_report
-from .weierstrass import verification_report
+from .periods import audit
 
 EXIT_OK = 0
 EXIT_RUNTIME = 1
@@ -200,55 +192,26 @@ def cmd_solve(args, spec) -> int:
 
 
 def cmd_verify(args, spec) -> int:
-    tol = _tolerance(args, spec)
     data, params, _ = spec.build_data(args.k, _input(args, spec), args.rho)
+    checked = audit(data, _tolerance(args, spec))
     payload = _base_payload(args)
-    payload["tolerance"] = tol
     if params is not None:
         payload["resolved_parameters"] = asdict(params)
-    failures = []
-    try:
-        payload.update(verification_report(data))
-    except UnrecognizedEndType as exc:
-        failures.append(str(exc))
-    else:
-        if payload["regularity_violations"]:
-            failures.append("regularity violations present")
-        if not payload["degree_audit"]["passed"]:
-            failures.append("degree audit failed")
-    report = period_report(data, tol)
-    payload["period"] = report.to_json()
-    if not report.closed:
-        worst = report.worst
-        failures.append(
-            f"period condition fails at {worst.location!r} "
-            f"(defect {worst.defect:.3e})"
-        )
-    payload["passed"] = not failures
-    payload["failures"] = failures
+    payload.update(checked.to_json())
     _emit(payload, args.out)
-    return EXIT_OK if not failures else EXIT_VERIFICATION
+    return EXIT_VERIFICATION if checked.failures else EXIT_OK
 
 
 def cmd_export(args, spec) -> int:
-    tol = _tolerance(args, spec)
-    data = None
-    try:  # `construct`, in two steps, so that --force reuses the data
-        data, params, record = spec.build_data(args.k, _input(args, spec))
-        report = gate(data, tol)
-    except SphereminError as exc:
-        if isinstance(exc, (ParameterDomainError, NoRoot)):
-            raise
-        if not args.force:
-            print(f"verification failed: {exc}", file=sys.stderr)
-            return EXIT_VERIFICATION
-        if data is None:  # the solve itself failed: nothing to export
-            raise
-        report = getattr(exc, "report", None) or period_report(data, tol)
+    data, params, record = spec.build_data(args.k, _input(args, spec))
+    checked = audit(data, _tolerance(args, spec))
+    if not checked.failures:
+        descriptor = FamilyInstance(spec.name, data, params, record).to_descriptor()
+    elif args.force:
         descriptor = {"family": spec.name, "forced": True}
     else:
-        instance = FamilyInstance(spec.name, data, params, record, report)
-        descriptor = instance.to_descriptor()
+        print(f"verification failed: {checked.failures[0]}", file=sys.stderr)
+        return EXIT_VERIFICATION
 
     window = {"r_min": args.rmin, "r_max": args.rmax, "n_r": args.nr,
               "n_theta": args.ntheta, "exclusion_radius": args.exclusion_radius}
@@ -267,7 +230,7 @@ def cmd_export(args, spec) -> int:
     write_metadata(mesh, args.out + ".json")
     print(
         f"wrote {args.out}: {mesh.n_vertices} vertices, {mesh.n_faces} faces; "
-        f"max period defect {report.worst.defect:.3e}; "
+        f"max period defect {checked.period.worst.defect:.3e}; "
         f"median |H| {median_h:.3e}"
     )
     return EXIT_OK
@@ -312,7 +275,7 @@ def main(argv=None) -> int:
     except (ParameterDomainError, NoRoot) as exc:
         print(f"invalid parameters: {exc}", file=sys.stderr)
         return EXIT_PARAMS
-    except (PeriodViolation, ClosedFormMismatch) as exc:
+    except ClosedFormMismatch as exc:
         print(f"verification failure: {exc}", file=sys.stderr)
         return EXIT_VERIFICATION
     except OSError as exc:

@@ -22,8 +22,8 @@ gate in `periods.py` knows no family.
 
 Each family is one `FamilySpec` entry of `FAMILIES`; every per-family
 decision (solver, tolerance, export window, base point, descriptor) reads
-that entry.  Every constructor runs the full gate (period closure,
-regularity, degree audit) and never returns a partially verified instance.
+that entry.  Every constructor runs the full gate (`periods.audit`) and
+never returns a partially verified instance.
 """
 
 from __future__ import annotations
@@ -34,9 +34,9 @@ from dataclasses import asdict, dataclass, field
 from typing import Callable
 
 from .algebra import INF, FactoredMeromorphic, monomial, shifted_power
-from .errors import ClosedFormMismatch, NoRoot, ParameterDomainError, SphereminError
-from .periods import PeriodReport, assert_period_closed
-from .weierstrass import WeierstrassData, degree_audit, point_json, regularity_check
+from .errors import ClosedFormMismatch, NoRoot, ParameterDomainError
+from .periods import PeriodReport, audit
+from .weierstrass import WeierstrassData, point_json
 
 
 @dataclass(frozen=True)
@@ -385,24 +385,14 @@ class FamilyInstance:
         return d
 
 
-def gate(data: WeierstrassData, tol: float) -> PeriodReport:
-    """Regularity, degree audit and period closure; raises on the first
-    failure and returns the period report otherwise."""
-    violations = regularity_check(data)
-    if violations:
-        raise SphereminError(f"regularity violations: {violations}")
-    audit = degree_audit(data)
-    if not audit.passed:
-        raise SphereminError(f"degree audit failed: {audit}")
-    return assert_period_closed(data, tol)
-
-
 def construct(spec: FamilySpec, k=None, value=None) -> FamilyInstance:
-    """The one constructor path: solve, build the data, gate it at the
-    family's period tolerance."""
+    """The one constructor path: solve, build the data and audit it at the
+    family's period tolerance, raising the audit's first failure."""
     data, params, record = spec.build_data(k, value)
-    report = gate(data, spec.period_tol)
-    return FamilyInstance(spec.name, data, params, record, report)
+    checked = audit(data, spec.period_tol)
+    if checked.failures:
+        raise checked.failures[0]
+    return FamilyInstance(spec.name, data, params, record, checked.period)
 
 
 def make_vase(k: int, a: float) -> FamilyInstance:

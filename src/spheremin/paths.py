@@ -23,7 +23,7 @@ import numpy as np
 
 from .algebra import NOISE_REL, same_point
 from .errors import QuadratureFailure, Unroutable
-from .weierstrass import CoordinateForms, WeierstrassData, coordinate_forms
+from .weierstrass import CoordinateForms, WeierstrassData
 
 DETOUR_INFLATION = 1.1
 SEGMENT_TOL = 1e-12
@@ -235,4 +235,4 @@ def integrate_forms(forms: CoordinateForms, path: IntegrationPath) -> np.ndarray
 def integrate_point(data: WeierstrassData, path: IntegrationPath) -> np.ndarray:
     """X displacement along the path: real part of the integral of
     (phi1, phi2, phi3)."""
-    return integrate_forms(coordinate_forms(data), path).real
+    return integrate_forms(CoordinateForms(data), path).real

@@ -15,6 +15,8 @@ the finite punctures and its series in 1/z for infinity, where the
 residue is exactly 0 below degree -1 (the vase's and double vase's
 u = dh/G and dh).  No form is evaluated at any point.  This module gates
 data on those residues, which the solvers read too; it knows no family.
+`audit` is the one gate of every constructor, `verify` and `export`: one
+record of the regularity, degree, end and period checks and their failures.
 `hybrid_root` is a bracketing root finder: it brackets on one array
 evaluation of a function over a grid, then refines the first bracket with
 scalar calls.  No solver calls it: both families take their roots in
@@ -28,8 +30,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NoRoot, PeriodViolation
-from .weierstrass import WeierstrassData, point_json
+from .errors import NoRoot, PeriodViolation, SphereminError, UnrecognizedEndType
+from .weierstrass import DegreeAudit, WeierstrassData, degree_audit, describe_ends, point_json
+from .weierstrass import puncture_ends, regularity_check
 
 
 @dataclass(frozen=True)
@@ -116,8 +119,8 @@ def period_report(data: WeierstrassData, tol: float) -> PeriodReport:
 
 
 def assert_period_closed(data: WeierstrassData, tol: float) -> PeriodReport:
-    """Gate every constructor must pass before sampling: raises
-    PeriodViolation (carrying the report) if any condition fails."""
+    """The period check of `audit`: raises PeriodViolation (carrying the
+    report) if any condition fails."""
     report = period_report(data, tol)
     if not report.closed:
         worst = report.worst
@@ -127,6 +130,53 @@ def assert_period_closed(data: WeierstrassData, tol: float) -> PeriodReport:
             report=report,
         )
     return report
+
+
+@dataclass(frozen=True)
+class Audit:
+    """Every check of one data at one period tolerance, and the failures,
+    in this order: regularity violations, a failed degree audit, each end
+    whose order pair matches no pattern, an open period report."""
+
+    data: WeierstrassData
+    violations: list  # RegularityViolation
+    degrees: DegreeAudit
+    ends: list  # (location, ord G, ord dh, kind or None) per puncture
+    period: PeriodReport
+    failures: tuple  # SphereminError
+
+    def to_json(self) -> dict:
+        """The record, each end with its limit normal and log growth sign."""
+        return {
+            "ends": [{**vars(e), "location": point_json(e.location),
+                      "limit_normal": e.kind and list(map(float, e.limit_normal))}
+                     for e in describe_ends(self.data, self.ends)],
+            "degree_audit": {**vars(self.degrees), "passed": self.degrees.passed},
+            "regularity_violations": [{**vars(v), "location": point_json(v.location)}
+                                      for v in self.violations],
+            "tolerance": self.period.tol,
+            "period": self.period.to_json(),
+            "passed": not self.failures,
+            "failures": [str(exc) for exc in self.failures],
+        }
+
+
+def audit(data: WeierstrassData, tol: float) -> Audit:
+    """The one pass or fail of every constructor, `verify` and `export`:
+    the data fail when the record's failures are not empty."""
+    violations = regularity_check(data)
+    degrees = degree_audit(data)
+    ends = puncture_ends(data)
+    failures = [SphereminError(f"regularity violations: {violations}")] if violations else []
+    if not degrees.passed:
+        failures.append(SphereminError(f"degree audit failed: {degrees}"))
+    failures += [UnrecognizedEndType(p, g, d) for p, g, d, kind in ends if kind is None]
+    try:
+        period = assert_period_closed(data, tol)
+    except PeriodViolation as exc:
+        period = exc.report
+        failures.append(exc)
+    return Audit(data, violations, degrees, ends, period, tuple(failures))
 
 
 # hybrid_root: grid points, bisection and Newton tolerances (relative)

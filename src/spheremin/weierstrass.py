@@ -131,10 +131,6 @@ class CoordinateForms:
         )
 
 
-def coordinate_forms(data: WeierstrassData) -> CoordinateForms:
-    return CoordinateForms(data)
-
-
 class Immersion:
     """X(z) = Re F(z) - Re F(base), F the exact antiderivative of
     (phi1, phi2, phi3), evaluated on arrays in one pass over the nodes,
@@ -297,9 +293,9 @@ def degree_audit(data: WeierstrassData) -> DegreeAudit:
 @dataclass(frozen=True)
 class EndDescriptor:
     location: object
-    kind: str
-    limit_normal: tuple
-    log_growth_sign: int
+    kind: str | None  # None: the order pair matches no pattern
+    limit_normal: tuple | None
+    log_growth_sign: int | None
 
 
 def _log_growth_sign(data: WeierstrassData, p) -> int:
@@ -317,32 +313,67 @@ def _log_growth_sign(data: WeierstrassData, p) -> int:
     return -1 if res.real > 0 else 1
 
 
+def end_kind(g_order: int, dh_order: int):
+    """The end type of the order pair (ord G, ord dh) at a puncture, None if
+    it matches no pattern: planar where |ord G| = k + 1 >= 2 and ord dh =
+    k - 1, a vertical catenoid where |ord G| = 1 and ord dh = -1, and a
+    non-vertical one where ord G = 0 and ord dh = -2."""
+    if abs(g_order) == 1 and dh_order == -1:
+        return CATENOID_VERTICAL_DOWN if g_order > 0 else CATENOID_VERTICAL_UP
+    if abs(g_order) >= 2 and dh_order == abs(g_order) - 2:
+        return PLANAR_HORIZONTAL
+    if g_order == 0 and dh_order == -2:
+        return CATENOID_NON_VERTICAL
+    return None
+
+
+def puncture_ends(data: WeierstrassData) -> list:
+    """(location, ord G, ord dh, end_kind) at each puncture: the finite
+    orders read from the root table, infinity's from the degrees."""
+    og, odh = data.gauss_map._view.full.tolist(), data.dh._view.full.tolist()
+    entries = iter(data._puncture_entries.tolist())  # -1: no zero or pole there
+    ends = []
+    for p in data.punctures:
+        if is_infinity(p):
+            g, d = data.gauss_map.order_at(INF), one_form_order_at(data.dh, INF)
+        else:
+            i = next(entries)
+            g, d = (og[i], odh[i]) if i >= 0 else (0, 0)
+        ends.append((p, g, d, end_kind(g, d)))
+    return ends
+
+
+def _describe_end(data: WeierstrassData, p, g_order: int, kind) -> EndDescriptor:
+    """The limit normal and log growth sign of an end of the given kind;
+    an end of no kind has neither."""
+    if kind is None:
+        return EndDescriptor(p, None, None, None)
+    if kind == CATENOID_NON_VERTICAL:
+        normal = tuple(gauss_normal(data, p))
+    else:
+        normal = (0.0, 0.0, -1.0) if g_order > 0 else (0.0, 0.0, 1.0)
+    sign = 0 if kind == PLANAR_HORIZONTAL else _log_growth_sign(data, p)
+    return EndDescriptor(p, kind, normal, sign)
+
+
 def classify_end(data: WeierstrassData, p) -> EndDescriptor:
-    """Match the order pair (G, dh) at a puncture against the planar /
-    vertical-catenoid / non-vertical-catenoid patterns."""
+    """The end at a puncture, from its order pair (G, dh) at that point;
+    raises UnrecognizedEndType where the pair matches no pattern."""
     if not data.is_puncture(p):
         raise ValueError(f"{p!r} is not a puncture")
     og = data.gauss_map.order_at(p)
     odh = one_form_order_at(data.dh, p)
-    if abs(og) >= 3 and odh == abs(og) - 2:
-        normal = (0.0, 0.0, -1.0) if og > 0 else (0.0, 0.0, 1.0)
-        return EndDescriptor(p, PLANAR_HORIZONTAL, normal, 0)
-    if abs(og) == 1 and odh == -1:
-        sign = _log_growth_sign(data, p)
-        if og > 0:
-            return EndDescriptor(p, CATENOID_VERTICAL_DOWN, (0.0, 0.0, -1.0), sign)
-        return EndDescriptor(p, CATENOID_VERTICAL_UP, (0.0, 0.0, 1.0), sign)
-    if og == 0 and odh == -2:
-        sign = _log_growth_sign(data, p)
-        normal = tuple(gauss_normal(data, p))
-        return EndDescriptor(p, CATENOID_NON_VERTICAL, normal, sign)
-    raise UnrecognizedEndType(p, og, odh)
+    kind = end_kind(og, odh)
+    if kind is None:
+        raise UnrecognizedEndType(p, og, odh)
+    return _describe_end(data, p, og, kind)
 
 
-def classify_all_ends(data: WeierstrassData):
+def describe_ends(data: WeierstrassData, ends) -> list:
+    """`_describe_end` at each (location, ord G, ord dh, kind) of `ends`."""
     # the log growth signs read dh's floors at the finite ends: one call
     principal_part(data.dh, data._finite_punctures)
-    return [classify_end(data, p) for p in data.punctures]
+    return [_describe_end(data, p, g, kind) for p, g, _, kind in ends]
 
 
 # -- report serialization ---------------------------------------------
@@ -353,35 +384,3 @@ def point_json(p):
         return "inf"
     p = complex(p)
     return {"re": p.real, "im": p.imag}
-
-
-def verification_report(data: WeierstrassData) -> dict:
-    """JSON-ready report: per-puncture end descriptors, degree audit and
-    regularity violations."""
-    audit = degree_audit(data)
-    return {
-        "ends": [
-            {
-                "location": point_json(e.location),
-                "kind": e.kind,
-                "limit_normal": [float(x) for x in e.limit_normal],
-                "log_growth_sign": e.log_growth_sign,
-            }
-            for e in classify_all_ends(data)
-        ],
-        "degree_audit": {
-            "g_zeros": audit.g_zeros,
-            "g_poles": audit.g_poles,
-            "dh_zeros": audit.dh_zeros,
-            "dh_poles": audit.dh_poles,
-            "passed": audit.passed,
-        },
-        "regularity_violations": [
-            {
-                "location": point_json(v.location),
-                "g_order": v.g_order,
-                "dh_order": v.dh_order,
-            }
-            for v in regularity_check(data)
-        ],
-    }

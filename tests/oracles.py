@@ -19,7 +19,7 @@ from spheremin.paths import (
     integrate_forms,
     integrate_point,
 )
-from spheremin.weierstrass import coordinate_forms, metric_scale
+from spheremin.weierstrass import CoordinateForms, metric_scale
 
 
 def conformal_factor(data, z: complex) -> float:
@@ -58,7 +58,7 @@ def fd_tangents(data, z: complex, h: float = 1e-3):
     """Tangents of X along the log-chart directions (s, theta) at z, by
     central differences of four short local integrations; independent of
     the sampler's closed form."""
-    forms = coordinate_forms(data)
+    forms = CoordinateForms(data)
 
     def local(dz_target):
         seg = IntegrationPath((LineSegment(z, dz_target),))

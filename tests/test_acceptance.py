@@ -35,8 +35,8 @@ from spheremin.weierstrass import (
     CATENOID_NON_VERTICAL,
     CATENOID_VERTICAL_DOWN,
     PLANAR_HORIZONTAL,
-    classify_all_ends,
     gauss_normal,
+    puncture_ends,
 )
 
 from exact_residues import combo_residue_package
@@ -177,15 +177,15 @@ def test_criterion_05_end_inventories(vase_grid, dv_grid):
     ok = True
     detail = "all inventories exact"
     for (k, a), res in vase_grid[0].items():
-        ends = classify_all_ends(vase_weierstrass_data(k, a, res.value))
-        inv = Counter(e.kind for e in ends)
+        ends = puncture_ends(vase_weierstrass_data(k, a, res.value))
+        inv = Counter(kind for _, _, _, kind in ends)
         want = Counter(
             {PLANAR_HORIZONTAL: 1, CATENOID_VERTICAL_DOWN: 1,
              CATENOID_NON_VERTICAL: k}
         )
         by_loc = {
-            str(e.location): e.kind for e in ends
-            if is_infinity(e.location) or abs(e.location) < 0.5
+            str(p): kind for p, _, _, kind in ends
+            if is_infinity(p) or abs(p) < 0.5
         }
         if inv != want or by_loc.get("INF") != PLANAR_HORIZONTAL \
                 or by_loc.get("0j") != CATENOID_VERTICAL_DOWN:
@@ -193,10 +193,10 @@ def test_criterion_05_end_inventories(vase_grid, dv_grid):
             break
     if ok:
         for (k, b), res in dv_grid.items():
-            ends = classify_all_ends(
+            ends = puncture_ends(
                 double_vase_weierstrass_data(k, b, res.value)
             )
-            inv = Counter(e.kind for e in ends)
+            inv = Counter(kind for _, _, _, kind in ends)
             want = Counter(
                 {PLANAR_HORIZONTAL: 2, CATENOID_NON_VERTICAL: 2 * k}
             )

@@ -19,8 +19,10 @@ from spheremin.cli import (
     EXIT_VERIFICATION,
     main,
 )
-from spheremin.errors import DegenerateTriangle
-from spheremin.families import FAMILIES
+from spheremin.algebra import INF, FactoredMeromorphic, monomial, shifted_power
+from spheremin.errors import DegenerateTriangle, SphereminError
+from spheremin.families import FAMILIES, construct, solve_vase_rho, vase_weierstrass_data
+from spheremin.weierstrass import DegreeAudit, WeierstrassData
 
 
 def family_args(name):
@@ -454,6 +456,62 @@ def test_forced_export_solves_once(monkeypatch, tmp_path, capsys):
     )
     assert code == EXIT_OK
     assert calls == [(2, 0.5)]
+
+
+def _corrupt_vase():
+    # the vase's dh without its factor z^2 - a^2: G's zeros at +-a are regular points
+    rho = solve_vase_rho(2, 0.5).value
+    G = FactoredMeromorphic(rho, [monomial(1), shifted_power(2, 0.25)])
+    dh = FactoredMeromorphic(-1.0, [monomial(-1), shifted_power(2, 1.0, -2)])
+    return WeierstrassData(G, dh, (0j, INF, *shifted_power(2, 1.0).roots()))
+
+
+def _enneper():
+    # G = z, dh = z dz: regular, closed, and (G: -1, dh: -3) at infinity
+    z = FactoredMeromorphic(1.0, [monomial(1)])
+    return WeierstrassData(z, z, (INF,))
+
+
+@pytest.mark.parametrize("case, fails", [
+    ("solved vase", False), ("open vase", True), ("regularity violation", True),
+    ("degree audit", True), ("enneper", True),
+])
+def test_constructor_verify_and_export_decide_alike(case, fails, monkeypatch, tmp_path, capsys):
+    """One audit decides for all three paths: the constructor raises
+    exactly when `verify` and `export` exit 3, on the same first failure,
+    and a refused export writes no file.  Each case's data replace the
+    catenoid's, in the vase's export window."""
+    rho = solve_vase_rho(2, 0.5).value
+    data = {
+        "solved vase": lambda: vase_weierstrass_data(2, 0.5, rho),
+        "open vase": lambda: vase_weierstrass_data(2, 0.5, 2.0 * rho),
+        "regularity violation": _corrupt_vase,
+        "degree audit": lambda: vase_weierstrass_data(2, 0.5, rho),
+        "enneper": _enneper,
+    }[case]
+    if case == "degree audit":
+        from spheremin import periods
+
+        monkeypatch.setattr(periods, "degree_audit", lambda data: DegreeAudit(1, 0, 0, 2))
+    spec = dataclasses.replace(FAMILIES["catenoid"], build=lambda _: data(), r_min=0.45,
+                               r_max=2.2, base_point=lambda _: 0.75 + 0j)
+    monkeypatch.setitem(FAMILIES, "catenoid", spec)
+    try:
+        construct(spec)
+        raised = None
+    except SphereminError as exc:
+        raised = str(exc)
+    assert (raised is not None) == fails
+    code, out, _ = run(["verify", "--family", "catenoid"], capsys)
+    assert code == (EXIT_VERIFICATION if fails else EXIT_OK)
+    assert json.loads(out)["failures"][:1] == ([raised] if fails else [])
+    mesh = tmp_path / "surface.obj"
+    code, _, err = run(["export", "--family", "catenoid", "--nr", "8", "--ntheta", "16",
+                        "--out", str(mesh)], capsys)
+    assert code == (EXIT_VERIFICATION if fails else EXIT_OK)
+    assert mesh.exists() != fails
+    if fails:
+        assert err == f"verification failed: {raised}\n"
 
 
 def test_tiny_surface_exports_its_faces(tmp_path, capsys):

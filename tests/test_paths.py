@@ -17,7 +17,7 @@ from spheremin.paths import (
     integrate_point,
     plan_path,
 )
-from spheremin.weierstrass import coordinate_forms
+from spheremin.weierstrass import CoordinateForms
 
 from oracles import check_path_independence, loop_path
 
@@ -100,7 +100,7 @@ def test_catenoid_integral_closed_form(catenoid):
 
 def test_integrate_forms_complex_parts(catenoid):
     # phi3 = dz/z: the full complex integral along 1 -> z is log(z)
-    forms = coordinate_forms(catenoid.data)
+    forms = CoordinateForms(catenoid.data)
     z = 1.5 * np.exp(0.8j)
     path = plan_path([(0.0, 0.05)], 1.0, complex(z))
     total = integrate_forms(forms, path)

@@ -3,24 +3,37 @@
 import numpy as np
 import pytest
 
-from spheremin.algebra import INF, FactoredMeromorphic, monomial, shifted_power
+from spheremin.algebra import (
+    INF,
+    FactoredMeromorphic,
+    monomial,
+    one_form_order_at,
+    shifted_power,
+)
 from spheremin.errors import ParameterDomainError, PoleEvaluation, UnrecognizedEndType
-from spheremin.families import make_double_vase, make_vase, vase_weierstrass_data
+from spheremin.families import (
+    make_double_vase,
+    make_vase,
+    solve_double_vase_a,
+    solve_vase_rho,
+    vase_weierstrass_data,
+)
+from spheremin.periods import audit
 from spheremin.weierstrass import (
     CATENOID_NON_VERTICAL,
     CATENOID_VERTICAL_DOWN,
     CATENOID_VERTICAL_UP,
     PLANAR_HORIZONTAL,
+    CoordinateForms,
     WeierstrassData,
-    classify_all_ends,
     classify_end,
-    coordinate_forms,
     degree_audit,
+    describe_ends,
     gauss_normal,
     gauss_value,
+    puncture_ends,
     regularity_check,
     stereographic_normal,
-    verification_report,
 )
 
 from exact_residues import infinity_chart
@@ -31,6 +44,11 @@ def _catenoid_data():
     G = FactoredMeromorphic(1.0, [monomial(1)])
     dh = FactoredMeromorphic(1.0, [monomial(-1)])
     return WeierstrassData(G, dh, (0j, INF))
+
+
+def _ends(data):
+    """The ends of the data's audit record, with their normals and signs."""
+    return describe_ends(data, puncture_ends(data))
 
 
 def test_duplicate_punctures_rejected():
@@ -47,7 +65,7 @@ def test_duplicate_punctures_rejected():
 def test_coordinate_forms_null_quadric(vase2):
     """phi1^2 + phi2^2 + phi3^2 = 0 pointwise: conformality of the
     representation itself, independent of any integration."""
-    forms = coordinate_forms(vase2.data)
+    forms = CoordinateForms(vase2.data)
     rng = np.random.default_rng(3)
     z = 0.3 + rng.uniform(0.0, 1.5, size=60) * np.exp(
         2j * np.pi * rng.uniform(size=60)
@@ -59,7 +77,7 @@ def test_coordinate_forms_null_quadric(vase2):
 
 
 def test_coordinate_forms_catenoid_values():
-    forms = coordinate_forms(_catenoid_data())
+    forms = CoordinateForms(_catenoid_data())
     z = np.array([2.0 + 0j])
     phi = forms.stacked(z)[:, 0]
     # G = z, dh = dz/z at z=2: (0.5(1/2 - 2)/2, 0.5i(1/2 + 2)/2, 1/2)
@@ -156,7 +174,7 @@ def test_degree_audit_counts_chart_orders():
 
 def test_classify_vase_ends(vase2):
     k = vase2.params.k
-    ends = classify_all_ends(vase2.data)
+    ends = _ends(vase2.data)
     kinds = {}
     for e in ends:
         kinds.setdefault(e.kind, []).append(e.location)
@@ -177,14 +195,14 @@ def test_vase_ring_ends_share_one_sign(k, a, sign):
     # the k ends on the unit circle are equal under the k-fold rotation.
     # Res(dh) = -a^k / k there: at (16, 0.1) that is -6.3e-18, below the
     # rounding floor of its contour, and the signs used to be noise
-    ends = classify_all_ends(make_vase(k, a).data)
+    ends = _ends(make_vase(k, a).data)
     ring = [e.log_growth_sign for e in ends if e.kind == CATENOID_NON_VERTICAL]
     assert ring == [sign] * k
 
 
 def test_classify_double_vase_ends(dvase2):
     k, b = dvase2.params.k, dvase2.params.b
-    ends = classify_all_ends(dvase2.data)
+    ends = _ends(dvase2.data)
     kinds = {}
     for e in ends:
         kinds.setdefault(e.kind, []).append(e.location)
@@ -204,34 +222,80 @@ def test_small_double_vase_ends_are_all_non_vertical(k, b):
     as at every other b: G is regular there and dh has a double pole.  A
     pole of G lies about 4e-10 from each end on |z| = b, and an absolute
     matching tolerance used to merge the two."""
-    ends = classify_all_ends(make_double_vase(k, b).data)
+    ends = _ends(make_double_vase(k, b).data)
     kinds = [e.kind for e in ends]
     assert kinds.count(CATENOID_NON_VERTICAL) == 2 * k
     assert kinds.count(PLANAR_HORIZONTAL) == 2
 
 
 def test_classify_catenoid_ends(catenoid):
-    ends = classify_all_ends(catenoid.data)
+    ends = _ends(catenoid.data)
     assert {e.kind for e in ends} == {
         CATENOID_VERTICAL_DOWN,
         CATENOID_VERTICAL_UP,
     }
 
 
+def _bad_orders_data():
+    # G with a double zero but dh with a simple pole matches no pattern
+    G = FactoredMeromorphic(1.0, [monomial(2)])
+    dh = FactoredMeromorphic(1.0, [monomial(-1), shifted_power(1, 1.0, -2)])
+    return WeierstrassData(G, dh, (0j,))
+
+
+def _planar_k1_data():
+    # G = z^2, dh = dz/(z - 1)^2: G has a double zero at 0 and a double
+    # pole at infinity, where dh has neither zero nor pole (k = 1)
+    G = FactoredMeromorphic(1.0, [monomial(2)])
+    dh = FactoredMeromorphic(1.0, [shifted_power(1, 1.0, -2)])
+    return WeierstrassData(G, dh, (0j, INF, 1 + 0j))
+
+
+def test_planar_end_of_order_k_1():
+    """The planar pattern, G of order k + 1 and dh a zero of order k - 1,
+    holds down to k = 1: |ord G| = 2 and dh neither zero nor pole."""
+    data = _planar_k1_data()
+    kinds = [PLANAR_HORIZONTAL, PLANAR_HORIZONTAL, CATENOID_NON_VERTICAL]
+    assert [classify_end(data, p).kind for p in data.punctures] == kinds
+    assert [kind for _, _, _, kind in puncture_ends(data)] == kinds
+    assert [e.limit_normal for e in _ends(data)][:2] == [(0.0, 0.0, -1.0), (0.0, 0.0, 1.0)]
+
+
+def _grid_data():
+    # the solved vase and double-vase grids of test_acceptance.py
+    vases = [solve_vase_rho(k, a).data for k in range(2, 9) for a in (0.1, 0.3, 0.5, 0.7, 0.9)]
+    return vases + [solve_double_vase_a(k, b).data
+                    for k in range(2, 7) for b in (0.1, 0.25, 0.5, 0.75)]
+
+
+def test_table_ends_are_the_pointwise_ones():
+    """The audit record reads each puncture's order pair from the root
+    table and infinity's from the degrees; `classify_end` reads them at the
+    point.  Both give the same order pair and the same kind everywhere."""
+    checked = 0
+    for data in _grid_data() + [_planar_k1_data(), _bad_orders_data()]:
+        for p, g, d, kind in puncture_ends(data):
+            assert (g, d) == (data.gauss_map.order_at(p), one_form_order_at(data.dh, p))
+            if kind is None:
+                with pytest.raises(UnrecognizedEndType) as exc_info:
+                    classify_end(data, p)
+                assert (exc_info.value.g_order, exc_info.value.dh_order) == (g, d)
+            else:
+                assert classify_end(data, p).kind == kind
+            checked += 1
+    assert checked == 449
+
+
 def test_classify_rejects_non_puncture_and_bad_orders():
     data = _catenoid_data()
     with pytest.raises(ValueError):
         classify_end(data, 5.0)
-    # G with a double zero but dh with a simple pole matches no pattern
-    G = FactoredMeromorphic(1.0, [monomial(2)])
-    dh = FactoredMeromorphic(1.0, [monomial(-1), shifted_power(1, 1.0, -2)])
-    bad = WeierstrassData(G, dh, (0j,))
     with pytest.raises(UnrecognizedEndType):
-        classify_end(bad, 0j)
+        classify_end(_bad_orders_data(), 0j)
 
 
 def test_non_vertical_normal_is_not_vertical(vase2):
-    ends = classify_all_ends(vase2.data)
+    ends = _ends(vase2.data)
     for e in ends:
         if e.kind == CATENOID_NON_VERTICAL:
             n = np.asarray(e.limit_normal)
@@ -240,7 +304,8 @@ def test_non_vertical_normal_is_not_vertical(vase2):
 
 
 def test_verification_report_shape(vase2):
-    rep = verification_report(vase2.data)
+    rep = audit(vase2.data, 1e-9).to_json()
+    assert rep["passed"] and rep["failures"] == []
     assert rep["degree_audit"]["passed"]
     assert rep["regularity_violations"] == []
     assert len(rep["ends"]) == len(vase2.data.punctures)
