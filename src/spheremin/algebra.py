@@ -11,10 +11,12 @@ entry.  Two finite points are the same when |p - q| <= 1e-9 |p|
 (`same_point`, so 0 matches only 0), the rule for roots and for points
 met with a table: punctures, queries, path chaining.  Moduli are taken
 with `np.hypot` (`modulus`), the bits of the built-in `abs`, which
-`np.abs` misses in the last bit on a third of values.  Weierstrass
-data build one table over all their factors, and each of their products
-is an exponent vector over it (`_Entries`); a product built on its own
-builds its table on the first query, by the same code.
+`np.abs` misses in the last bit on a third of values.  A product is a
+coefficient and an exponent vector over a table (`RootTable.exponents`),
+its factors the table's factors of nonzero exponent: Weierstrass data
+build one table over all their factors and each of their products over
+it, and a product built from a factor list alone builds its own table
+over the factors that do not cancel when it is made.
 
 Every Laurent coefficient is a finite Taylor computation on the factors:
 the factors' series about a table's entries (`_entry_bases`, one
@@ -203,82 +205,67 @@ class RootTable:
         self.vanish = np.zeros((len(factors), len(self.points)), dtype=bool)
         self.vanish[factor_of, (np.cumsum(entry) - 1)[owner]] = True
 
-
-class _Entries:
-    """A product's entries of a root table, from its exponent of each of the
-    table's factors: those where one of its factors vanishes (`at`, table
-    indices; a factor it lacks adds no entry), their points and orders, and
-    each table entry's index among them, or -1 (`local`)."""
-
-    __slots__ = ("table", "nonzero", "full", "at", "local", "points", "orders")
-
-    def __init__(self, table: RootTable, exps: np.ndarray):
-        self.table, self.nonzero = table, np.flatnonzero(exps)
-        self.full = exps @ table.vanish  # the order at every entry
-        self.at = np.flatnonzero(table.vanish[self.nonzero].any(axis=0))
-        self.local = np.full(len(table.points), -1)
-        self.local[self.at] = np.arange(len(self.at))
-        self.points, self.orders = table.points[self.at], self.full[self.at]
+    def exponents(self, factors) -> np.ndarray:
+        """The exponent of each of the table's factors in the product of
+        `factors`, all of them in the table."""
+        exps = np.zeros(len(self.ks), dtype=np.int64)
+        for f in factors:
+            exps[self.index[f.k, f.c]] += f.exponent
+        return exps
 
 
 class FactoredMeromorphic:
-    """coefficient * prod(factor**exponent), immutable after construction.
-    Its zeros and poles are entries of `table`, a `RootTable` holding all
-    its factors that other products may share, or else of its own, built
-    on the first query."""
+    """coefficient * prod(factor**exponent), immutable after construction:
+    a coefficient and an exponent vector over a `RootTable`, which other
+    products may share.  Its factors are the table's factors of nonzero
+    exponent, in the table's order.  Its zeros and poles are the table's
+    entries where one of them vanishes (`_at`; a factor it lacks adds none),
+    their points and orders, and each table entry's index among them, or
+    -1 (`_local`).  Built from a list of factors alone, it sums the
+    exponents of one (k, c) and has a table of its own over the factors
+    whose sums are not 0."""
 
-    __slots__ = ("coefficient", "factors", "_packed", "_entries", "_laurent",
-                 "_floors", "_outer")
+    __slots__ = ("coefficient", "_packed", "_table", "_nonzero", "_full", "_at",
+                 "_local", "_points", "_orders", "_laurent", "_floors", "_outer")
 
-    def __init__(self, coefficient: complex, factors=(), table=None):
+    def __init__(self, coefficient: complex, factors=(), table=None, exponents=None):
         coefficient = complex(coefficient)
         if coefficient == 0:
             raise ValueError("coefficient must be nonzero")
         if not (math.isfinite(coefficient.real) and math.isfinite(coefficient.imag)):
             raise ValueError("coefficient must be finite")
-        merged: dict = {}
-        for f in factors:
-            key = (f.k, f.c)
-            merged[key] = merged.get(key, 0) + f.exponent
-        kept = sorted((Factor(k, c, e) for (k, c), e in merged.items() if e != 0),
-                      key=_factor_order)
-        object.__setattr__(self, "coefficient", coefficient)
-        object.__setattr__(self, "factors", tuple(kept))
-        packed = (
-            np.array([f.k for f in kept], dtype=np.int64),
-            np.array([f.c for f in kept], dtype=np.complex128),
-            np.array([f.exponent for f in kept], dtype=np.int64),
-        )
-        object.__setattr__(self, "_packed", packed)
-        entries = None  # see _view
-        if table is not None:
-            exps = np.zeros(len(table.ks), dtype=np.int64)
-            exps[[table.index[f.k, f.c] for f in kept]] = packed[2]
-            entries = _Entries(table, exps)
-        object.__setattr__(self, "_entries", entries)
-        object.__setattr__(self, "_laurent", None)  # see _laurent_table
-        object.__setattr__(self, "_floors", {})  # see _floor_scales
-        object.__setattr__(self, "_outer", None)  # see _outer_series
+        if table is None:  # a table of its own, over the factors that do not cancel
+            total: dict = {}
+            for f in factors:
+                total[f.k, f.c] = total.get((f.k, f.c), 0) + f.exponent
+            factors = [Factor(k, c, e) for (k, c), e in total.items() if e]
+            table = RootTable(factors)
+            exponents = table.exponents(factors)
+        nonzero = np.flatnonzero(exponents)
+        at = np.flatnonzero(table.vanish[nonzero].any(axis=0))
+        full = exponents @ table.vanish  # the order at every entry
+        local = np.full(len(table.points), -1)
+        local[at] = np.arange(len(at))
+        for name, value in (
+            ("coefficient", coefficient),
+            ("_packed", (table.ks[nonzero], table.cs[nonzero], exponents[nonzero])),
+            ("_table", table), ("_nonzero", nonzero), ("_full", full), ("_at", at),
+            ("_local", local), ("_points", table.points[at]), ("_orders", full[at]),
+            ("_laurent", None),  # see _laurent_table
+            ("_floors", {}),  # see _floor_scales
+            ("_outer", None),  # see _outer_series
+        ):
+            object.__setattr__(self, name, value)
 
     @property
-    def _view(self) -> _Entries:
-        if self._entries is None:
-            object.__setattr__(self, "_entries",
-                               _Entries(RootTable(self.factors), self._packed[2]))
-        return self._entries
-
-    _points = property(lambda self: self._view.points)
-    _orders = property(lambda self: self._view.orders)
+    def factors(self) -> tuple:
+        """The factors of nonzero exponent, in the table's order."""
+        return tuple(map(Factor, *(a.tolist() for a in self._packed)))
 
     def __setattr__(self, name, value):
         raise AttributeError("FactoredMeromorphic is immutable")
 
     # -- evaluation ----------------------------------------------------
-
-    def __call__(self, z):
-        if isinstance(z, np.ndarray):
-            return self.eval_array(z)
-        return self.eval(z)
 
     def eval(self, z: complex) -> complex:
         """Scalar evaluation, factor by factor; raises PoleEvaluation if z
@@ -307,7 +294,8 @@ class FactoredMeromorphic:
     @property
     def degree(self) -> int:
         """Total degree: order of growth at infinity."""
-        return sum(f.exponent * f.k for f in self.factors)
+        ks, _, exps = self._packed
+        return int(ks @ exps)
 
     def finite_roots(self):
         """(root, order) pairs over all finite zeros and poles, orders
@@ -328,15 +316,6 @@ class FactoredMeromorphic:
         under same_point(entry, point)."""
         hits = same_point(self._points, np.asarray(points, dtype=np.complex128)[:, None])
         return np.where(hits, self._orders, 0).sum(axis=1)
-
-    def __mul__(self, other):
-        if isinstance(other, FactoredMeromorphic):
-            return FactoredMeromorphic(
-                self.coefficient * other.coefficient, self.factors + other.factors
-            )
-        return FactoredMeromorphic(self.coefficient * complex(other), self.factors)
-
-    __rmul__ = __mul__
 
     def __str__(self):
         parts = [_fmt_number(self.coefficient)]
@@ -465,18 +444,17 @@ def laurent_tables(products):
     entry where one of the products has a pole, to the highest pole order,
     and each table is one `_series_product` over its rows and factors."""
     products = [f for f in products if f._laurent is None]
-    full = np.array([f._view.full for f in products])
+    full = np.array([f._full for f in products])
     poles = np.flatnonzero((full < 0).any(axis=0))
     if len(poles):
-        b = _entry_bases(products[0]._view.table, poles, -int(full.min()))
+        b = _entry_bases(products[0]._table, poles, -int(full.min()))
     for f in products:
-        view = f._view
-        order = -view.orders
+        order = -f._orders
         n = max(1, int(order.max(initial=0)))
         rows = np.zeros((len(order), n), dtype=np.complex128)
         at = np.flatnonzero(order > 0)
         if len(at):
-            rows_b = b[view.nonzero][:, np.searchsorted(poles, view.at[at]), :n]
+            rows_b = b[f._nonzero][:, np.searchsorted(poles, f._at[at]), :n]
             g = f.coefficient * _series_product(rows_b, f._packed[2])[0]
             term = order[at][:, None] - np.arange(1, n + 1)
             rows[at] = np.where(term >= 0, g[np.arange(len(at))[:, None], term], 0)
@@ -492,11 +470,11 @@ def _floor_scales(f: FactoredMeromorphic, entries):
     where none of f's factors vanishes is none of them."""
     missing = np.array(sorted(set(entries) - f._floors.keys()), dtype=np.int64)
     if len(missing):
-        view, exps = f._view, f._packed[2]
-        radii = contour_radius(view.points[missing], view.points, view.orders)
-        orders = view.orders[missing]
+        exps = f._packed[2]
+        radii = contour_radius(f._points[missing], f._points, f._orders)
+        orders = f._orders[missing]
         n = FLOOR_TERMS + max(1, -int(orders.min()))
-        b = _entry_bases(view.table, view.at[missing], n)[view.nonzero]
+        b = _entry_bases(f._table, f._at[missing], n)[f._nonzero]
         b = b * radii[:, None] ** np.arange(n)
         series, bound = _series_product(b / b[..., :1], exps)
         scale = np.exp(math.log(abs(f.coefficient)) + orders * np.log(radii)
@@ -585,9 +563,8 @@ def antiderivative(f: FactoredMeromorphic):
         a = _outer_series(f)[0]
         n = np.arange(f.degree + 1)
         rational.append((None, np.append((a / (n + 1))[::-1], 0.0)))
-    view = f._view
-    poles = np.flatnonzero(view.orders < 0)
-    for i, c, order in zip(view.at[poles].tolist(), _laurent_table(f)[poles], -view.orders[poles]):
+    poles = np.flatnonzero(f._orders < 0)
+    for i, c, order in zip(f._at[poles].tolist(), _laurent_table(f)[poles], -f._orders[poles]):
         logs.append((i, c[0]))
         if order > 1:
             # c_m (z - p)**-m integrates to c_m / (1 - m) * t**(m - 1), t = 1/(z - p)
@@ -609,9 +586,8 @@ def residues_at(f: FactoredMeromorphic, points, entries=None) -> list:
         out[infinite] = _outer_series(f)[1]
     finite = [p for p, inf in zip(points, infinite.tolist()) if not inf]
     if finite and len(f._points):
-        view = f._view
-        local = (first_entries(view.points, finite) if entries is None
-                 else np.where(entries >= 0, view.local[entries], -1))
+        local = (first_entries(f._points, finite) if entries is None
+                 else np.where(entries >= 0, f._local[entries], -1))
         out[~infinite] = np.where(local >= 0, _laurent_table(f)[local, 0], 0)
     return out.tolist()
 

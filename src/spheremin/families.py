@@ -28,12 +28,13 @@ never returns a partially verified instance.
 
 from __future__ import annotations
 
+import itertools
 import math
 import sys
 from dataclasses import asdict, dataclass, field
 from typing import Callable
 
-from .algebra import INF, FactoredMeromorphic, monomial, shifted_power
+from .algebra import INF, monomial, same_point, shifted_power
 from .errors import ClosedFormMismatch, NoRoot, ParameterDomainError
 from .periods import PeriodReport, audit
 from .weierstrass import WeierstrassData, point_json
@@ -82,11 +83,9 @@ class VaseParams:
 def vase_weierstrass_data(k: int, a: float, rho: float) -> WeierstrassData:
     """Raw (unverified) vase data at the scale rho."""
     ak = a ** k
-    G = FactoredMeromorphic(rho, [monomial(1), shifted_power(k, ak)])
+    G = (rho, [monomial(1), shifted_power(k, ak)])
     # a^k - z^k = -(z^k - a^k)
-    dh = FactoredMeromorphic(
-        -1.0, [monomial(-1), shifted_power(k, ak), shifted_power(k, 1.0, -2)]
-    )
+    dh = (-1.0, [monomial(-1), shifted_power(k, ak), shifted_power(k, 1.0, -2)])
     punctures = (0j, INF, *shifted_power(k, 1.0).roots())
     return WeierstrassData(G, dh, punctures)
 
@@ -135,7 +134,10 @@ def solve_vase_rho(k: int, a: float) -> SolveResult:
 class DoubleVaseParams:
     """Glued double-vase parameters: k > 1, b in (0, 1), a in [1e-3, 1e3].
     The gate's tolerance is absolute, and past a = 1e3 (b below about
-    1e-3) the residues are so small that it passes them, closed or not."""
+    1e-3) the residues are so small that it passes them, closed or not.
+    The roots of the factors z^k - c lie on the circles |z| = b, 1/b, a
+    and 1/a, which must be distinct (`same_point`): near b = 1 the
+    punctures b and 1/b, or the roots of two factors, would coincide."""
 
     k: int
     b: float
@@ -143,9 +145,20 @@ class DoubleVaseParams:
 
     def __post_init__(self):
         _check_domain(self.k, "b", self.b, "a", self.a)
-        if self.a is not None and not 1e-3 <= self.a <= 1e3:
-            raise ParameterDomainError(
-                f"double-vase a = {self.a} outside [1e-3, 1e3] at k={self.k}, b={self.b}")
+        radii = {"b": self.b, "1/b": 1.0 / self.b}
+        if self.a is not None:
+            if not 1e-3 <= self.a <= 1e3:
+                raise ParameterDomainError(
+                    f"double-vase a = {self.a} outside [1e-3, 1e3] at k={self.k}, b={self.b}")
+            radii.update({"a": self.a, "1/a": 1.0 / self.a})
+        for (m, x), (n, y) in itertools.combinations(radii.items(), 2):
+            if same_point(x, y):
+                solved = "" if self.a is None else f", solved a = {self.a}"
+                what = ("the punctures b and 1/b are not pairwise distinct" if n == "1/b"
+                        else "two factors z^k - c would share the root")
+                raise ParameterDomainError(
+                    f"double-vase {m} and {n} are the same point at k={self.k}, "
+                    f"b = {self.b}{solved}: {what}")
 
 
 def double_vase_weierstrass_data(k: int, b: float, a: float) -> WeierstrassData:
@@ -154,20 +167,9 @@ def double_vase_weierstrass_data(k: int, b: float, a: float) -> WeierstrassData:
     bk = b ** k
     # (a^k z^k - 1) = a^k (z^k - a^-k); (b^k z^k - 1) = b^k (z^k - b^-k);
     # the stray powers of a^k and b^(2k) cancel, leaving unit coefficients.
-    G = FactoredMeromorphic(
-        1.0 / ak,
-        [monomial(k + 1), shifted_power(k, ak), shifted_power(k, 1.0 / ak, -1)],
-    )
-    dh = FactoredMeromorphic(
-        1.0,
-        [
-            monomial(k - 1),
-            shifted_power(k, ak),
-            shifted_power(k, 1.0 / ak),
-            shifted_power(k, bk, -2),
-            shifted_power(k, 1.0 / bk, -2),
-        ],
-    )
+    G = (1.0 / ak, [monomial(k + 1), shifted_power(k, ak), shifted_power(k, 1.0 / ak, -1)])
+    dh = (1.0, [monomial(k - 1), shifted_power(k, ak), shifted_power(k, 1.0 / ak),
+                shifted_power(k, bk, -2), shifted_power(k, 1.0 / bk, -2)])
     punctures = (
         0j,
         INF,
@@ -267,12 +269,12 @@ def solve_double_vase_a(k: int, b: float) -> SolveResult:
     DoubleVaseParams(k, b)  # validates the domain
     closed = double_vase_closed_form_a(k, b)
     root = _double_vase_root(k, b)
-    DoubleVaseParams(k, b, root)  # the root must lie in the domain of a
     if abs(closed - root) > 1e-8 * max(closed, root):
         raise ClosedFormMismatch(
             f"double-vase a closed form {closed} vs numeric root {root} "
             f"at k={k}, b={b}"
         )
+    DoubleVaseParams(k, b, closed)  # the solution must lie in the domain of a
     # final oracle check at the solution: the residue must vanish at z = b,
     # the first root of z^k = b^k after 0 and INF
     data = double_vase_weierstrass_data(k, b, closed)
@@ -284,9 +286,7 @@ def solve_double_vase_a(k: int, b: float) -> SolveResult:
 
 def catenoid_weierstrass_data() -> WeierstrassData:
     """The classical catenoid: G = z, dh = dz/z, punctures at 0 and infinity."""
-    G = FactoredMeromorphic(1.0, [monomial(1)])
-    dh = FactoredMeromorphic(1.0, [monomial(-1)])
-    return WeierstrassData(G, dh, (0j, INF))
+    return WeierstrassData((1.0, [monomial(1)]), (1.0, [monomial(-1)]), (0j, INF))
 
 
 def provenance(solved: SolveResult) -> dict:

@@ -4,10 +4,12 @@ the immersion in closed form.
 The immersion is X(z) = Re of the path integral of
 (0.5*(1/G - G)*dh, 0.5i*(1/G + G)*dh, dh).  The three forms combine
 u = dh/G, v = G dh and w = dh, factored products built once with the
-data (`WeierstrassData.factored_forms`).  The data hold one root table,
-over the factors of G and dh, and G, dh, u and v are exponent vectors
-over it: the audits read their orders from it, and the forms' Laurent
-tables come from one expansion of its bases.  The antiderivative of each
+data (`WeierstrassData.factored_forms`).  The data take G and dh as
+(coefficient, factors) and build one root table over all those factors
+and four products over it: G and dh from their factor lists, u and v as
+the exponent vectors dh - G and G + dh.  The audits read their orders
+from the table, and the forms' Laurent tables come from one expansion
+of its bases.  The antiderivative of each
 form is a polynomial, principal parts and c_1 log(z - p) terms
 (`Immersion`); once the periods close every c_1 is real, so X needs no
 path and no quadrature.  Each principal part is read by table entry from
@@ -26,7 +28,6 @@ import numpy as np
 
 from .algebra import (
     INF,
-    Factor,
     FactoredMeromorphic,
     RootTable,
     antiderivative,
@@ -47,44 +48,36 @@ CATENOID_VERTICAL_DOWN = "catenoid_vertical_down"
 CATENOID_NON_VERTICAL = "catenoid_non_vertical"
 
 
-@dataclass(frozen=True)
 class WeierstrassData:
-    """Gauss map G, height differential coefficient (dh = coeff * dz) and
-    the puncture set; G and dh are kept rebuilt over the data's root table."""
+    """Gauss map G, height differential dh = h(z) dz and the puncture set.
+    G and h are given as (coefficient, factors); the data build one root
+    table over all their factors, and G, dh, u = dh/G and v = G dh are
+    exponent vectors over it."""
 
-    gauss_map: FactoredMeromorphic
-    dh: FactoredMeromorphic
-    punctures: tuple
-
-    def __post_init__(self):
-        pts = tuple(self.punctures)
-        finite = np.array([p for p in pts if not is_infinity(p)],
+    def __init__(self, gauss_map, dh, punctures):
+        self.punctures = tuple(punctures)
+        finite = np.array([p for p in self.punctures if not is_infinity(p)],
                           dtype=np.complex128)
-        repeats = [INF] * (len(pts) - len(finite) - 1)
+        repeats = [INF] * (len(self.punctures) - len(finite) - 1)
         matches = np.triu(same_point(finite[:, None], finite[None, :]), 1)
         repeats += finite[matches.any(axis=0)].tolist()
         if repeats:
             raise ParameterDomainError(f"punctures are not pairwise distinct: {repeats[0]!r}")
-        object.__setattr__(self, "punctures", pts)
-        object.__setattr__(self, "_finite_punctures", finite)
-        # one root table over the factors of G and dh, which G, dh, u = dh/G
-        # and v = G dh read
-        g, dh = self.gauss_map, self.dh
-        table = RootTable(g.factors + dh.factors)
-        inverse = tuple(Factor(f.k, f.c, -f.exponent) for f in g.factors)
-        u = FactoredMeromorphic(dh.coefficient * (1.0 / g.coefficient), dh.factors + inverse, table)
-        v = FactoredMeromorphic(g.coefficient * dh.coefficient, g.factors + dh.factors, table)
-        g, dh = (FactoredMeromorphic(f.coefficient, f.factors, table) for f in (g, dh))
-        object.__setattr__(self, "gauss_map", g)
-        object.__setattr__(self, "dh", dh)
-        object.__setattr__(self, "_table", table)
-        object.__setattr__(self, "_forms", (u, v, dh))
+        self._finite_punctures = finite
+        (g_coef, g_factors), (dh_coef, dh_factors) = gauss_map, dh
+        table = self._table = RootTable([*g_factors, *dh_factors])
+        eg, edh = table.exponents(g_factors), table.exponents(dh_factors)
+        g = self.gauss_map = FactoredMeromorphic(g_coef, table=table, exponents=eg)
+        dh = self.dh = FactoredMeromorphic(dh_coef, table=table, exponents=edh)
+        u = FactoredMeromorphic(dh.coefficient * (1.0 / g.coefficient), table=table,
+                                exponents=edh - eg)
+        v = FactoredMeromorphic(g.coefficient * dh.coefficient, table=table, exponents=eg + edh)
+        self._forms = (u, v, dh)
         # the entries where G or dh has a zero or pole, G's first
-        og, odh = g._view.full, dh._view.full
-        singular = np.concatenate([np.flatnonzero(og), np.flatnonzero(odh * (og == 0))])
-        object.__setattr__(self, "_singular", singular)
-        object.__setattr__(self, "_puncture_entries", first_entries(table.points, finite))
-        object.__setattr__(self, "_residues", None)  # see puncture_residues
+        og, odh = g._full, dh._full
+        self._singular = np.concatenate([np.flatnonzero(og), np.flatnonzero(odh * (og == 0))])
+        self._puncture_entries = first_entries(table.points, finite)
+        self._residues = None  # see puncture_residues
 
     def is_puncture(self, p) -> bool:
         if is_infinity(p):
@@ -109,7 +102,7 @@ class WeierstrassData:
         if self._residues is None:
             laurent_tables(self._forms)
             res = (residues_at(f, self.punctures, self._puncture_entries) for f in self._forms)
-            object.__setattr__(self, "_residues", list(zip(*res)))
+            self._residues = list(zip(*res))
         return self._residues
 
 
@@ -249,8 +242,8 @@ def regularity_check(data: WeierstrassData):
     on_puncture[data._puncture_entries[data._puncture_entries >= 0]] = True
     candidates = data._singular[~on_puncture[data._singular]]
     points = data._table.points[candidates].tolist()
-    og = data.gauss_map._view.full[candidates].tolist()
-    odh = data.dh._view.full[candidates].tolist()
+    og = data.gauss_map._full[candidates].tolist()
+    odh = data.dh._full[candidates].tolist()
     if not data.is_puncture(INF):
         points.append(INF)
         og.append(data.gauss_map.order_at(INF))
@@ -330,7 +323,7 @@ def end_kind(g_order: int, dh_order: int):
 def puncture_ends(data: WeierstrassData) -> list:
     """(location, ord G, ord dh, end_kind) at each puncture: the finite
     orders read from the root table, infinity's from the degrees."""
-    og, odh = data.gauss_map._view.full.tolist(), data.dh._view.full.tolist()
+    og, odh = data.gauss_map._full.tolist(), data.dh._full.tolist()
     entries = iter(data._puncture_entries.tolist())  # -1: no zero or pole there
     ends = []
     for p in data.punctures:

@@ -19,7 +19,7 @@ from spheremin.cli import (
     EXIT_VERIFICATION,
     main,
 )
-from spheremin.algebra import INF, FactoredMeromorphic, monomial, shifted_power
+from spheremin.algebra import INF, monomial, shifted_power
 from spheremin.errors import DegenerateTriangle, SphereminError
 from spheremin.families import FAMILIES, construct, solve_vase_rho, vase_weierstrass_data
 from spheremin.weierstrass import DegreeAudit, WeierstrassData
@@ -103,8 +103,14 @@ def test_solve_double_vase_root_out_of_range_exits_2(k, b, capsys):
     # z^3 - a^3 and z^3 - 1 share their roots: once an overflow warning and exit 3
     (["--family", "vase", "--k", "3", "--a", "0.99999999999999"], "share the root"),
     (["--family", "vase", "--k", "3", "--a", "0.9999999999"], "share the root"),
-    # the solved a meets b: the gate once failed here, exit 3
+    # the solved a meets 1/b: the gate once failed here, exit 3
     (["--family", "double_vase", "--k", "2", "--b", "0.99999"], "share the root"),
+    # the parameters refuse both, naming b, where the root table or the
+    # puncture check once refused them naming factors or points
+    (["--family", "double_vase", "--k", "12", "--b", "0.999999"],
+     "b and 1/a are the same point at k=12, b = 0.999999"),
+    (["--family", "double_vase", "--k", "3", "--b", "0.9999999999"],
+     "b and 1/b are the same point at k=3, b = 0.9999999999"),
 ])
 def test_two_factors_of_one_k_at_one_root_exit_2(command, args, message, tmp_path, capsys):
     out = ["--out", str(tmp_path / "m.obj")] if command == "export" else []
@@ -461,14 +467,14 @@ def test_forced_export_solves_once(monkeypatch, tmp_path, capsys):
 def _corrupt_vase():
     # the vase's dh without its factor z^2 - a^2: G's zeros at +-a are regular points
     rho = solve_vase_rho(2, 0.5).value
-    G = FactoredMeromorphic(rho, [monomial(1), shifted_power(2, 0.25)])
-    dh = FactoredMeromorphic(-1.0, [monomial(-1), shifted_power(2, 1.0, -2)])
+    G = (rho, [monomial(1), shifted_power(2, 0.25)])
+    dh = (-1.0, [monomial(-1), shifted_power(2, 1.0, -2)])
     return WeierstrassData(G, dh, (0j, INF, *shifted_power(2, 1.0).roots()))
 
 
 def _enneper():
     # G = z, dh = z dz: regular, closed, and (G: -1, dh: -3) at infinity
-    z = FactoredMeromorphic(1.0, [monomial(1)])
+    z = (1.0, [monomial(1)])
     return WeierstrassData(z, z, (INF,))
 
 

@@ -175,38 +175,45 @@ def test_descriptor_round_trip_each_family(name):
 def test_constructor_builds_its_data_once(make, args, monkeypatch):
     """The solver hands the one `WeierstrassData` it built to the gate, and
     infinity builds no product of its own: a constructor builds one root
-    table, over the factors of G and dh, which G, dh, dh/G and G dh all
-    read (G and dh as the family writes them never build one), and each
+    table, over the factors of G and dh, and four products over it, G, dh,
+    dh/G and G dh (the family writes G and dh as factor lists), and each
     form's outer series once."""
     from spheremin import algebra
     from spheremin.weierstrass import WeierstrassData
 
-    built = {"data": 0, "tables": 0, "outer": []}
-    post_init = WeierstrassData.__post_init__
+    built = {"data": 0, "tables": 0, "products": 0, "outer": []}
+    data_init = WeierstrassData.__init__
     table_init = algebra.RootTable.__init__
+    product_init = algebra.FactoredMeromorphic.__init__
     outer = algebra._outer_series
 
-    def counting_post_init(self):
+    def counting_data_init(self, *a, **kw):
         built["data"] += 1
-        post_init(self)
+        data_init(self, *a, **kw)
 
     def counting_table_init(self, *a, **kw):
         built["tables"] += 1
         table_init(self, *a, **kw)
+
+    def counting_product_init(self, *a, **kw):
+        built["products"] += 1
+        product_init(self, *a, **kw)
 
     def counting_outer(f):
         if f._outer is None:
             built["outer"].append(id(f))
         return outer(f)
 
-    monkeypatch.setattr(WeierstrassData, "__post_init__", counting_post_init)
+    monkeypatch.setattr(WeierstrassData, "__init__", counting_data_init)
     monkeypatch.setattr(algebra.RootTable, "__init__", counting_table_init)
+    monkeypatch.setattr(algebra.FactoredMeromorphic, "__init__", counting_product_init)
     monkeypatch.setattr(algebra, "_outer_series", counting_outer)
     inst = make(*args)
     assert built["data"] == 1
     assert built["tables"] == 1
+    assert built["products"] == 4
     data = inst.data
-    assert all(f._view.table is data._table for f in (data.gauss_map, *data.factored_forms()))
+    assert all(f._table is data._table for f in (data.gauss_map, *data.factored_forms()))
     assert sorted(built["outer"]) == sorted(id(f) for f in data.factored_forms())
 
 
@@ -263,7 +270,7 @@ def test_each_principal_part_is_built_once(make, args, monkeypatch):
     assert calls == [id(inst.data._table)]
     assert len(rows) == len(set(rows))
     # the expansion covers every form's poles
-    poles = {i for f in inst.data.factored_forms() for i in f._view.at[f._orders < 0].tolist()}
+    poles = {i for f in inst.data.factored_forms() for i in f._at[f._orders < 0].tolist()}
     assert {i for _, i in rows} == poles
     assert outer and len(outer) == len(set(outer))
 

@@ -71,8 +71,7 @@ def test_catenoid_mesh_identity(catenoid):
 
 def test_enneper_polynomial_part():
     # G = z, dh = z dz, one puncture at infinity: X is a polynomial
-    data = WeierstrassData(FactoredMeromorphic(1.0, [monomial(1)]),
-                           FactoredMeromorphic(1.0, [monomial(1)]), (INF,))
+    data = WeierstrassData((1.0, [monomial(1)]), (1.0, [monomial(1)]), (INF,))
     mesh = sample_mesh(data, DomainSpec(0.5, 2.0, 16, 32))
 
     def exact(z):
@@ -87,7 +86,8 @@ def test_enneper_polynomial_part():
 def test_zero_area_cut_is_relative_to_extent(catenoid):
     # the same surface scaled by 1e-20 keeps every face
     spec = DomainSpec(0.5, 2.0, 16, 32)
-    tiny = WeierstrassData(catenoid.data.gauss_map, 1e-20 * catenoid.data.dh,
+    g, dh = catenoid.data.gauss_map, catenoid.data.dh
+    tiny = WeierstrassData((g.coefficient, g.factors), (1e-20 * dh.coefficient, dh.factors),
                            catenoid.data.punctures)
     mesh, small = sample_mesh(catenoid.data, spec), sample_mesh(tiny, spec)
     assert small.n_faces == mesh.n_faces == 960
@@ -538,9 +538,7 @@ def test_fd_tangents_are_conformal(vase2):
 
 
 def test_base_point_inside_exclusion_is_parameter_error():
-    g = FactoredMeromorphic(1.0, [monomial(1)])
-    dh = FactoredMeromorphic(1.0, [monomial(-1)])
-    data = WeierstrassData(g, dh, (0j, INF))
+    data = WeierstrassData((1.0, [monomial(1)]), (1.0, [monomial(-1)]), (0j, INF))
     with pytest.raises(ParameterDomainError, match="exclusion disk"):
         sample_mesh(data, DomainSpec(0.5, 2.0, 16, 32, base_point=1.0,
                                      exclusion_radius=1.5))

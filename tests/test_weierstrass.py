@@ -41,8 +41,8 @@ from oracles import conformal_factor
 
 
 def _catenoid_data():
-    G = FactoredMeromorphic(1.0, [monomial(1)])
-    dh = FactoredMeromorphic(1.0, [monomial(-1)])
+    G = (1.0, [monomial(1)])
+    dh = (1.0, [monomial(-1)])
     return WeierstrassData(G, dh, (0j, INF))
 
 
@@ -52,8 +52,8 @@ def _ends(data):
 
 
 def test_duplicate_punctures_rejected():
-    G = FactoredMeromorphic(1.0, [monomial(1)])
-    dh = FactoredMeromorphic(1.0, [monomial(-1)])
+    G = (1.0, [monomial(1)])
+    dh = (1.0, [monomial(-1)])
     with pytest.raises(ParameterDomainError):
         WeierstrassData(G, dh, (0j, 1 + 0j, 1 + 1e-12j))
     with pytest.raises(ParameterDomainError):
@@ -108,7 +108,7 @@ def test_gauss_value_and_normal_at_infinity_from_the_degree(degree, factors):
     # degree 0, the coefficient at 0, exactly 0 below
     G = FactoredMeromorphic(0.5 - 2.0j, factors)
     assert G.degree == degree
-    data = WeierstrassData(G, FactoredMeromorphic(1.0), (INF,))
+    data = WeierstrassData((G.coefficient, G.factors), (1.0, []), (INF,))
     if degree > 0:
         with pytest.raises(PoleEvaluation):
             infinity_chart(G).eval(0.0)
@@ -140,10 +140,8 @@ def test_regularity_clean_families(vase2, dvase2, catenoid):
 def test_regularity_detects_corruption():
     # dropping the (z^k - a^k) factor of dh orphans the zeros of G
     k, a, rho = 2, 0.5, 1.0
-    G = FactoredMeromorphic(rho, [monomial(1), shifted_power(k, a ** k)])
-    bad_dh = FactoredMeromorphic(
-        -1.0, [monomial(-1), shifted_power(k, 1.0, -2)]
-    )
+    G = (rho, [monomial(1), shifted_power(k, a ** k)])
+    bad_dh = (-1.0, [monomial(-1), shifted_power(k, 1.0, -2)])
     data = WeierstrassData(G, bad_dh, (0j, INF, *shifted_power(k, 1.0).roots()))
     violations = regularity_check(data)
     locs = sorted(complex(v.location).real for v in violations)
@@ -165,8 +163,8 @@ def test_degree_audit_families(vase2, dvase2, catenoid):
 
 def test_degree_audit_counts_chart_orders():
     # dz/z: simple poles at 0 and infinity, no zeros anywhere
-    dh = FactoredMeromorphic(1.0, [monomial(-1)])
-    G = FactoredMeromorphic(1.0, [monomial(1)])
+    dh = (1.0, [monomial(-1)])
+    G = (1.0, [monomial(1)])
     audit = degree_audit(WeierstrassData(G, dh, (0j, INF)))
     assert (audit.dh_zeros, audit.dh_poles) == (0, 2)
     assert audit.passed
@@ -238,16 +236,16 @@ def test_classify_catenoid_ends(catenoid):
 
 def _bad_orders_data():
     # G with a double zero but dh with a simple pole matches no pattern
-    G = FactoredMeromorphic(1.0, [monomial(2)])
-    dh = FactoredMeromorphic(1.0, [monomial(-1), shifted_power(1, 1.0, -2)])
+    G = (1.0, [monomial(2)])
+    dh = (1.0, [monomial(-1), shifted_power(1, 1.0, -2)])
     return WeierstrassData(G, dh, (0j,))
 
 
 def _planar_k1_data():
     # G = z^2, dh = dz/(z - 1)^2: G has a double zero at 0 and a double
     # pole at infinity, where dh has neither zero nor pole (k = 1)
-    G = FactoredMeromorphic(1.0, [monomial(2)])
-    dh = FactoredMeromorphic(1.0, [shifted_power(1, 1.0, -2)])
+    G = (1.0, [monomial(2)])
+    dh = (1.0, [shifted_power(1, 1.0, -2)])
     return WeierstrassData(G, dh, (0j, INF, 1 + 0j))
 
 
