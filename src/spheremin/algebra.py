@@ -547,31 +547,21 @@ def outer_expansion(f: FactoredMeromorphic):
     return a, residue, floor
 
 
-def antiderivative(f: FactoredMeromorphic):
-    """An antiderivative of f dz with its log terms kept apart.
-
-    Returns (rational, logs): `rational` lists (pole, coefficients) pairs
-    for np.polyval, in z for the polynomial part (pole None) and in
-    1/(z - p) for the principal part at p; `logs` lists the (pole, c_1) of
-    the c_1 log(z - p) terms, read from the outer series and from the
-    Laurent table's rows of negative order, never matched as points.  A
-    pole is the index of its entry in f's root table, whose `points` hold
-    its p: products over one table name a point by one index.
-    """
-    rational, logs = [], []
+def primitive_terms(f: FactoredMeromorphic):
+    """An antiderivative of f dz as arrays read from its outer series and
+    Laurent table: (poly, poles, orders, c1, b).  `poly` holds the
+    z**(n + 1) coefficients a_n / (n + 1), n = degree down to 0 (none below
+    degree 0).  f's poles are root-table entries (`poles`, in entry order,
+    and `orders`); `c1` holds their c_1 log(z - p) terms' c_1, and row j of
+    `b` the t**(m - 1) coefficients c_m / (1 - m), t = 1/(z - p), m >= 2,
+    0 beyond the pole's order."""
+    poly = np.empty(0, dtype=np.complex128)
     if f.degree >= 0:
-        a = _outer_series(f)[0]
-        n = np.arange(f.degree + 1)
-        rational.append((None, np.append((a / (n + 1))[::-1], 0.0)))
+        poly = (_outer_series(f)[0] / np.arange(1, f.degree + 2))[::-1]
     poles = np.flatnonzero(f._orders < 0)
-    for i, c, order in zip(f._at[poles].tolist(), _laurent_table(f)[poles], -f._orders[poles]):
-        logs.append((i, c[0]))
-        if order > 1:
-            # c_m (z - p)**-m integrates to c_m / (1 - m) * t**(m - 1), t = 1/(z - p)
-            m = np.arange(2, order + 1)
-            b = c[1:order] / (1 - m)
-            rational.append((i, np.append(b[::-1], 0.0)))
-    return rational, logs
+    c = _laurent_table(f)[poles]
+    b = c[:, 1:] / (1 - np.arange(2, c.shape[1] + 1))
+    return poly, f._at[poles], -f._orders[poles], c[:, 0], b
 
 
 def residues_at(f: FactoredMeromorphic, points, entries=None) -> list:

@@ -70,7 +70,8 @@ def _check_domain(k: int, name: str, x: float, solved_name: str, solved):
 
 @dataclass(frozen=True)
 class VaseParams:
-    """Vase-of-catenoids parameters: k > 1, a in (0, 1), scale rho > 0."""
+    """Vase-of-catenoids parameters: k > 1, a in (0, 1) and not 1 under
+    `same_point` (z^k - a^k and z^k - 1 share no root), scale rho > 0."""
 
     k: int
     a: float
@@ -78,6 +79,9 @@ class VaseParams:
 
     def __post_init__(self):
         _check_domain(self.k, "a", self.a, "rho", self.rho)
+        if same_point(1.0, self.a):
+            raise ParameterDomainError(f"vase a and 1 are the same point at k={self.k}, a = "
+                                       f"{self.a}: z^k - a^k and z^k - 1 would share the root")
 
 
 def vase_weierstrass_data(k: int, a: float, rho: float) -> WeierstrassData:

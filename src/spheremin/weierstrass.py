@@ -12,11 +12,11 @@ from the table, and the forms' Laurent tables come from one expansion
 of its bases.  The antiderivative of each
 form is a polynomial, principal parts and c_1 log(z - p) terms
 (`Immersion`); once the periods close every c_1 is real, so X needs no
-path and no quadrature.  Each principal part is read by table entry from
-its form's Laurent table (`algebra.antiderivative`), the same table whose
-c_1 the period gate checks and whose dh entries give the ends' log growth
-signs.  X takes one pass over the nodes, the base point the last of
-them, forming each pole's terms once for the three forms.
+path and no quadrature.  Its terms are arrays read from each form's
+Laurent table (`algebra.primitive_terms`), the same table whose c_1 the
+period gate checks and whose dh entries give the ends' log growth signs.
+X takes one pass over the nodes, the base point the last of them,
+forming each pole's terms once for the three forms, each by Horner.
 """
 
 from __future__ import annotations
@@ -30,12 +30,12 @@ from .algebra import (
     INF,
     FactoredMeromorphic,
     RootTable,
-    antiderivative,
     first_entries,
     laurent_tables,
     is_infinity,
     one_form_order_at,
     outer_expansion,
+    primitive_terms,
     principal_part,
     residues_at,
     same_point,
@@ -137,21 +137,22 @@ class Immersion:
 
     def __init__(self, data: WeierstrassData, base: complex):
         self._base = complex(base)
-        rational, logs = [], []  # (column of _COMBINATION, pole, coefficients or c_1)
-        for col, f in enumerate(data.factored_forms()):
-            form_rational, form_logs = antiderivative(f)
-            rational += [(col, i, c) for i, c in form_rational]
-            logs += [(col, i, c1) for i, c1 in form_logs]
-        # the forms' poles are entries of the data's one root table
-        entry = {i: j for j, i in enumerate(dict.fromkeys(i for _, i, _ in logs))}
+        terms = [primitive_terms(f) for f in data.factored_forms()]
+        # the forms' poles are entries of the data's one root table, first seen first
+        seen = np.concatenate([poles for _, poles, _, _, _ in terms]).tolist()
+        entry = {i: j for j, i in enumerate(dict.fromkeys(seen))}
         self._log_points = data._table.points[list(entry)]
-        # a rational term names its pole's row, -1 for the polynomial in z
-        self._rational = [(col, entry.get(i, -1), c) for col, i, c in rational]
+        # per form the polynomial in z (row -1), then the poles' rows in entry
+        # order, the leading coefficient first; the c_1 into a (3, P) table
+        self._rational, table = [], np.zeros((3, len(entry)), dtype=np.complex128)
+        for col, (poly, poles, orders, c1, b) in enumerate(terms):
+            rows = [entry[i] for i in poles.tolist()]
+            table[col, rows] = c1
+            self._rational += [(col, -1, poly.tolist())] if len(poly) else []
+            self._rational += [(col, row, b[j, m - 2::-1].tolist())
+                               for j, (row, m) in enumerate(zip(rows, orders.tolist())) if m > 1]
         self._inverted = {i for _, i, _ in self._rational if i >= 0}
-        # one scatter of the c_1 into a (3, P) table, combined column by column
-        table = np.zeros((3, len(entry)), dtype=np.complex128)
-        table[[col for col, _, _ in logs], [entry[i] for _, i, _ in logs]] = [
-            c1 for _, _, c1 in logs]
+        # the c_1 combined column by column
         coeffs = np.zeros_like(table)
         for col in range(3):
             coeffs += _COMBINATION[:, col, None] * table[col]
@@ -169,13 +170,18 @@ class Immersion:
             logs.append(np.log(np.abs(d)))
             if i in self._inverted:
                 inverse[i] = 1.0 / d
-        # rational parts of the antiderivatives of u, v and w
+        # rational parts of the antiderivatives of u, v and w, each by Horner
+        # with no constant term: y = c_0 x, then y = (y + c_j) x
         R = np.zeros((3, len(z)), dtype=np.complex128)
-        for col, i, c in self._rational:
-            R[col] += np.polyval(c, z if i < 0 else inverse[i])
+        for col, i, (c0, *rest) in self._rational:
+            x = z if i < 0 else inverse[i]
+            y = c0 * x
+            for c in rest:
+                y = (y + c) * x
+            R[col] += y
         X = (_COMBINATION @ R).real
         for c1, log in zip(self._log_coeffs.T, logs):
-            X += np.outer(c1, log)
+            X += c1[:, None] * log
         return X
 
     def __call__(self, z) -> np.ndarray:

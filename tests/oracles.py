@@ -3,14 +3,15 @@ scale from scalar evaluations of G and dh (`conformal_factor`), and, on
 the package's path quadrature (`spheremin.paths`), a closed loop about a
 point (`loop_path`), the difference of X along two paths with the same
 ends (`check_path_independence`) and finite-difference tangents
-(`fd_tangents`)."""
+(`fd_tangents`); and the immersion's terms as lists for np.polyval, pole by
+pole (`antiderivative`), as it first read them."""
 
 import cmath
 import math
 
 import numpy as np
 
-from spheremin.algebra import same_point
+from spheremin.algebra import _laurent_table, _outer_series, same_point
 from spheremin.errors import PoleEvaluation
 from spheremin.paths import (
     ArcSegment,
@@ -71,3 +72,30 @@ def fd_tangents(data, z: complex, h: float = 1e-3):
     xu = (local(zs_p) - local(zs_m)) / (2.0 * h)
     xv = (local(zt_p) - local(zt_m)) / (2.0 * h)
     return xu, xv
+
+
+def antiderivative(f):
+    """An antiderivative of f dz with its log terms kept apart.
+
+    Returns (rational, logs): `rational` lists (pole, coefficients) pairs
+    for np.polyval, in z for the polynomial part (pole None) and in
+    1/(z - p) for the principal part at p; `logs` lists the (pole, c_1) of
+    the c_1 log(z - p) terms, read from the outer series and from the
+    Laurent table's rows of negative order, never matched as points.  A
+    pole is the index of its entry in f's root table, whose `points` hold
+    its p: products over one table name a point by one index.
+    """
+    rational, logs = [], []
+    if f.degree >= 0:
+        a = _outer_series(f)[0]
+        n = np.arange(f.degree + 1)
+        rational.append((None, np.append((a / (n + 1))[::-1], 0.0)))
+    poles = np.flatnonzero(f._orders < 0)
+    for i, c, order in zip(f._at[poles].tolist(), _laurent_table(f)[poles], -f._orders[poles]):
+        logs.append((i, c[0]))
+        if order > 1:
+            # c_m (z - p)**-m integrates to c_m / (1 - m) * t**(m - 1), t = 1/(z - p)
+            m = np.arange(2, order + 1)
+            b = c[1:order] / (1 - m)
+            rational.append((i, np.append(b[::-1], 0.0)))
+    return rational, logs

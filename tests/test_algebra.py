@@ -18,12 +18,12 @@ from spheremin.algebra import (
     Factor,
     _entry_bases,
     _series_product,
-    antiderivative,
     contour_radius,
     is_infinity,
     monomial,
     one_form_order_at,
     outer_expansion,
+    primitive_terms,
     principal_part,
     residue_at,
     residue_contour,
@@ -530,8 +530,9 @@ def test_root_table_skips_only_pairs_that_cannot_match():
 
 
 def _point_matched_antiderivative(f):
-    """`antiderivative` with its poles matched back to the root table as
-    points, through `principal_part`, as it first read them."""
+    """The antiderivative's terms as lists for np.polyval, with the poles
+    matched back to the root table as points through `principal_part`, as
+    the immersion first read them."""
     rational, logs = [], []
     if f.degree >= 0:
         a = outer_expansion(f)[0]
@@ -569,17 +570,21 @@ def test_antiderivative_by_entry_is_the_point_matched_one():
         coeff = complex(*rng.normal(size=2))
         # each path on its own copy, so that neither reads the other's tables
         f = FactoredMeromorphic(coeff, factors)
-        rational, logs = antiderivative(f)
+        poly, poles, orders, c1, b = primitive_terms(f)
         # its poles are root-table entries: each names its point there
-        points = f._table.points.tolist()
-        rational = [(None if i is None else points[i], c) for i, c in rational]
-        logs = [(points[i], c1) for i, c1 in logs]
+        points = f._table.points[poles].tolist()
+        # the polynomial part and each principal part of order m > 1, the
+        # leading coefficient first, with no constant term
+        rational = [(None, poly)] if len(poly) else []
+        rational += [(p, row[m - 2::-1]) for p, row, m in zip(points, b, orders.tolist())
+                     if m > 1]
         want_rational, want_logs = _point_matched_antiderivative(
             FactoredMeromorphic(coeff, factors))
         assert [p for p, _ in rational] == [p for p, _ in want_rational]
-        assert all(_bits_equal(c, w) for (_, c), (_, w) in zip(rational, want_rational))
-        assert [p for p, _ in logs] == [p for p, _ in want_logs]
-        assert all(_bits_equal(c, w) for (_, c), (_, w) in zip(logs, want_logs))
+        assert all(_bits_equal(c, w[:-1]) and w[-1] == 0
+                   for (_, c), (_, w) in zip(rational, want_rational))
+        assert points == [p for p, _ in want_logs]
+        assert _bits_equal(c1, [c for _, c in want_logs])
         merged += len(f._points) < sum(g.k for g in f.factors)
         cancelled += bool((f._orders == 0).any())
         high += bool((f._orders <= -2).any())

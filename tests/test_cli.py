@@ -122,6 +122,19 @@ def test_two_factors_of_one_k_at_one_root_exit_2(command, args, message, tmp_pat
     assert not list(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize("k", [2, 3, 4, 5, 6, 8, 12, 16, 24, 32])
+def test_vase_near_a_1_names_a(k, capsys):
+    # the parameters refuse a within same_point of 1, naming a and k, where
+    # the root table once refused the factors z^k - a^k and z^k - 1
+    for j in range(9, 14):
+        a = 1.0 - 10.0 ** -j
+        code, out, err = run(["verify", "--family", "vase", "--k", str(k), "--a", repr(a)],
+                             capsys)
+        assert code == EXIT_PARAMS
+        assert out == ""
+        assert f"vase a and 1 are the same point at k={k}, a = {a}:" in err
+
+
 def test_solve_double_vase_reference_value(capsys):
     code, out, _ = run(
         ["solve", "--family", "double_vase", "--k", "6", "--b", "0.25"], capsys

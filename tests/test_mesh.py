@@ -11,10 +11,10 @@ import pytest
 from spheremin.algebra import (
     INF,
     FactoredMeromorphic,
-    antiderivative,
     is_infinity,
     monomial,
     residue_at,
+    shifted_power,
 )
 from spheremin.errors import DegenerateTriangle, ParameterDomainError
 from spheremin.families import FAMILIES, construct, make_double_vase, make_vase
@@ -36,7 +36,7 @@ from spheremin.weierstrass import (
     gauss_normal,
 )
 
-from oracles import conformal_factor, fd_tangents
+from oracles import antiderivative, conformal_factor, fd_tangents
 
 
 def test_domain_spec_validation():
@@ -238,26 +238,52 @@ def loop_immersion(data, base, z):
     return re_primitive(np.asarray(z)) - re_primitive(np.array([complex(base)]))[0]
 
 
+# hand-built data whose rational terms are longer than the families'
+# (finite poles of order <= 2): Horner runs over 3 or more coefficients
+HAND_BUILT = {
+    # dh/G has poles of order 5 at 0.5, 2 at the cube roots of 1 + i and 1
+    # at 0 and at the roots of z^2 - 0.3i, all coefficients complex
+    "pole_of_order_5": lambda: WeierstrassData(
+        (0.7 + 0.2j, [shifted_power(2, 0.3j)]),
+        (1.3 - 0.4j, [shifted_power(1, 0.5, -5), shifted_power(3, 1 + 1j, -2), monomial(-1)]),
+        (INF,)),
+    # dh = z^3 (z - 0.5)^-4 dz: G dh has a polynomial part of degree 3
+    "polynomial_of_degree_3": lambda: WeierstrassData(
+        (0.5j, [monomial(2), shifted_power(2, -0.25)]),
+        (1.0, [monomial(3), shifted_power(1, 0.5, -4)]),
+        (INF,)),
+}
+
+
 @pytest.mark.parametrize("name, args, res", [
     *((name, args, (64, 128)) for name, args in FINE_EXPORTS),
     # 38 and 74 rational terms over 13 and 25 poles at k = 12, 146 over 49
     # at k = 24
     ("vase", (12, 0.4), (16, 32)), ("double_vase", (12, 0.75), (16, 32)),
     ("double_vase", (24, 0.5), (16, 32)),
+    *((name, (), (16, 32)) for name in HAND_BUILT),
 ])
 def test_immersion_is_the_two_pass_loop_bit_for_bit(name, args, res):
     """One node pass, the base as its last node and each pole's terms
     formed once, gives the vertices of the per-term loop to the last bit
     and sign, and exactly 0 at the base point."""
-    spec = FAMILIES[name]
-    inst = construct(spec, *args)
-    base = spec.base_point(inst.params)
-    mesh = sample_mesh(inst.data, DomainSpec(spec.r_min, spec.r_max, *res,
-                                             base_point=base))
-    want = loop_immersion(inst.data, base, mesh.source_z)
-    assert np.array_equal(mesh.vertices, want)
-    assert np.array_equal(np.signbit(mesh.vertices), np.signbit(want))
-    at_base = Immersion(inst.data, base)(np.array([base]))
+    if name in HAND_BUILT:
+        # no period closes: the immersion on a log-polar grid whose ray
+        # theta = 0 runs along the real axis through the pole at 0.5
+        data, base = HAND_BUILT[name](), 1.5 + 0.5j
+        s = np.linspace(np.log(0.2), np.log(2.0), res[0])
+        z = np.exp(s[:, None] + 2j * np.pi * np.arange(res[1]) / res[1]).ravel()
+        got = Immersion(data, base)(z)
+    else:
+        spec = FAMILIES[name]
+        inst = construct(spec, *args)
+        data, base = inst.data, spec.base_point(inst.params)
+        mesh = sample_mesh(data, DomainSpec(spec.r_min, spec.r_max, *res, base_point=base))
+        got, z = mesh.vertices, mesh.source_z
+    want = loop_immersion(data, base, z)
+    assert np.array_equal(got, want)
+    assert np.array_equal(np.signbit(got), np.signbit(want))
+    at_base = Immersion(data, base)(np.array([base]))
     assert np.array_equal(at_base, np.zeros((1, 3)))
     assert not np.signbit(at_base).any()
 
