@@ -1,16 +1,17 @@
 """Surface sampling, discrete curvature diagnostics and mesh export.
 
 The domain is a polar annulus in the log chart z = exp(s + i*theta)
-minus the puncture exclusion disks.  X is evaluated at every grid node
-at once from its closed form (`weierstrass.Immersion`): no path is
-planned and no quadrature runs.  Vertex ids, faces and edge counts
-are array operations.  A face-geometry pass (a single gather of the
-corners, three edges and one cross product per face) runs over all faces
-for the zero-area face drop, and again over the faces kept for the
-cotangent curvature estimate.  The OBJ writer formats bytes: `%.9g` `v`
-and `vn` lines, then `f a//a b//b c//c` lines with 1-based ids, reusing
-one formatted token per vertex for every face around it; PLY is binary
-little-endian.
+minus the puncture exclusion disks.  X is evaluated at the grid nodes
+from its closed form (`weierstrass.Immersion`): no path is planned and
+no quadrature runs.  Vertex ids, faces and edge counts are array
+operations.  A face-geometry pass (one gather of the corners, three
+edges and one cross product per face) runs over all faces for the
+zero-area drop, and over the faces kept for the cotangent curvature.
+The immersion, the drop and the curvature walk their nodes or faces in
+blocks of `kernels.BLOCK` into whole-mesh arrays.  The OBJ writer formats
+bytes: `%.9g` `v` and `vn` lines, then `f a//a b//b c//c` lines with
+1-based ids, one formatted token per vertex reused by every face around
+it; PLY is binary little-endian.
 Output meshes are deterministic for a fixed spec, and identical meshes
 give identical bytes.
 """
@@ -25,6 +26,7 @@ import numpy as np
 
 from .algebra import is_infinity, nearest_other
 from .errors import DegenerateTriangle, ParameterDomainError
+from .kernels import BLOCK
 from .weierstrass import (
     Immersion,
     WeierstrassData,
@@ -124,11 +126,24 @@ def _face_geometry(vertices, faces):
     return E, np.sqrt(cx * cx + cy * cy + cz * cz)
 
 
+def _nonzero_area(vertices, faces):
+    """Mask of the faces whose twice area exceeds ZERO_AREA * extent**2 (inf
+    past extent 1.3e154), extent the bounding box's longest side taken column
+    by column (np.ptp over axis 0 is up to 10x slower); BLOCK faces at a time."""
+    keep = np.empty(len(faces), dtype=bool)
+    with np.errstate(over="ignore"):
+        bound = ZERO_AREA * max(x.max() - x.min() for x in np.transpose(vertices)) ** 2
+        for start in range(0, len(faces), BLOCK):
+            _, twice_area = _face_geometry(vertices, faces[start:start + BLOCK])
+            keep[start:start + BLOCK] = twice_area > bound
+    return keep
+
+
 def sample_mesh(data: WeierstrassData, spec: DomainSpec,
                 metadata: dict | None = None) -> SurfaceMesh:
     """Evaluate the immersion over the polar grid and triangulate it; a
-    base point inside an exclusion disk, or a window that leaves no face,
-    raises ParameterDomainError."""
+    base point inside an exclusion disk, or a window that leaves no face
+    or gives a value that is not finite, raises ParameterDomainError."""
     exclusions = exclusion_disks(data, spec)
     s = np.linspace(math.log(spec.r_min), math.log(spec.r_max), spec.n_r)
     theta = 2.0 * math.pi * np.arange(spec.n_theta) / spec.n_theta
@@ -163,15 +178,20 @@ def sample_mesh(data: WeierstrassData, spec: DomainSpec,
     src = grid_z[valid]
     immersion = Immersion(data, base)
     verts = immersion(src)
-
-    g = data.gauss_map.eval_array(src)
-    normals = np.stack(stereographic_normal(g), axis=1)
-    conformal = metric_scale(g, data.dh.eval_array(src))
+    # |G|^2 overflows on a window too wide for doubles: refused below, not warned
+    with np.errstate(all="ignore"):
+        g = data.gauss_map.eval_array(src)
+        normals = np.stack(stereographic_normal(g), axis=1)
+        conformal = metric_scale(g, data.dh.eval_array(src))
+    window = f"the window [r_min, r_max] = [{spec.r_min}, {spec.r_max}]"
+    if not all(np.isfinite(x).all() for x in (verts, normals, conformal)):
+        raise ParameterDomainError(f"{window} gives a vertex, normal or conformal factor"
+                                   " that is not finite")
 
     # drop zero-area faces, relative to the size of the surface
-    extent = float(np.max(np.ptp(verts, axis=0)))
-    _, twice_area = _face_geometry(verts, faces_arr)
-    faces_arr = faces_arr[twice_area > ZERO_AREA * extent ** 2]
+    faces_arr = faces_arr[_nonzero_area(verts, faces_arr)]
+    if not len(faces_arr):
+        raise ParameterDomainError(f"{window} leaves no face of nonzero area")
 
     meta = dict(metadata or {})
     meta["domain"] = {
@@ -196,12 +216,13 @@ def interior_vertices(mesh: SurfaceMesh) -> np.ndarray:
     n = mesh.n_vertices
     F = np.asarray(mesh.faces, dtype=np.int64).reshape(-1, 3)
     a, b = F.ravel(), F[:, [1, 2, 0]].ravel()
-    keys, counts = np.unique(np.minimum(a, b) * n + np.maximum(a, b),
-                             return_counts=True)
+    keys = np.minimum(a, b) * n + np.maximum(a, b)
+    keys.sort()  # the key of an edge of one face then differs from both neighbours
+    differs = np.concatenate(([True], keys[1:] != keys[:-1], [True]))
     used = np.zeros(n, dtype=bool)
     boundary = np.zeros(n, dtype=bool)
-    used[keys // n] = used[keys % n] = True
-    edge = keys[counts == 1]
+    used[a] = True
+    edge = keys[differs[:-1] & differs[1:]]
     boundary[edge // n] = boundary[edge % n] = True
     return used & ~boundary
 
@@ -209,51 +230,49 @@ def interior_vertices(mesh: SurfaceMesh) -> np.ndarray:
 def estimate_mean_curvature(mesh: SurfaceMesh):
     """Per-vertex |H| via the cotangent-Laplacian mean-curvature vector,
     normalized by the mixed Voronoi area (Meyer, Desbrun, Schroeder and
-    Barr, 2003).  Its own face-geometry pass over the mesh's faces (the
-    ones `sample_mesh` kept after its pass over all faces) gives each
-    face's edges and its cross product; every corner's cotangent, obtuse
-    test and the 179 degree refusal (DegenerateTriangle) come from those,
-    without angles.
+    Barr, 2003).  Its own face-geometry pass over the faces `sample_mesh`
+    kept, one `kernels.BLOCK` of faces at a time, gives each face's edges
+    and cross product; each corner's cotangent, obtuse test and the 179
+    degree refusal (DegenerateTriangle) come from those, without angles.
+    Whole-mesh sums then run in corner order, as over one block.
     Returns (|H| array with NaN off the interior, interior mask)."""
     V, F = mesh.vertices, mesh.faces
-    nv = len(V)
+    nv, m = len(V), len(F)
     interior = interior_vertices(mesh)  # first, while no face block is held
-    E, twice_area = _face_geometry(V, F)
-
-    # corner c sees the edges E[c+2] and -E[c+1]: the sign of their dot
-    # product tells an obtuse corner, and dot / |cross| is its cotangent
-    dot = -np.sum(E[[1, 2, 0]] * E[[2, 0, 1]], axis=1)
-    obtuse = dot < 0
-    if np.any(obtuse & (twice_area < TAN_1_DEG * -dot)):
-        raise DegenerateTriangle("a face angle exceeds 179 degrees")
+    contrib, wd = np.empty((3, m)), np.empty((3, 6, m))
     # a face without area has 0/0 cotangents, NaN in every product below
     with np.errstate(divide="ignore", invalid="ignore"):
-        cots = dot / twice_area
-        area = 0.5 * twice_area
-
-        # Meyer mixed area: circumcentric pieces on non-obtuse faces, else
-        # half the face area at the obtuse corner and a quarter elsewhere.
-        # Each vertex sums its contributions in corner order (np.bincount
-        # accumulates in input order).
-        edge2_cot = np.sum(E * E, axis=1) * cots  # |E[c]|^2 cot c
-        contrib = np.where(
-            obtuse.any(axis=0),
-            np.where(obtuse, 0.5 * area, 0.25 * area),
-            0.125 * (edge2_cot[[1, 2, 0]] + edge2_cot[[2, 0, 1]]),
-        )
+        for start in range(0, m, BLOCK):
+            block = slice(start, start + BLOCK)
+            E, twice_area = _face_geometry(V, F[block])
+            # corner c sees the edges E[c+2] = E[c-1] and -E[c+1] = -E[c-2]: the
+            # sign of their dot product tells an obtuse corner, and dot / |cross|
+            # is its cotangent; per corner, so no (3, 3, block) product is held
+            dot = -np.array([(E[c - 2] * E[c - 1]).sum(axis=0) for c in range(3)])
+            obtuse = dot < 0
+            if np.any(obtuse & (twice_area < TAN_1_DEG * -dot)):
+                raise DegenerateTriangle("a face angle exceeds 179 degrees")
+            cots = dot / twice_area
+            area = 0.5 * twice_area
+            # Meyer mixed area: circumcentric pieces on non-obtuse faces, else
+            # half the face area at the obtuse corner and a quarter elsewhere
+            edge2_cot = np.sum(E * E, axis=1) * cots  # |E[c]|^2 cot c
+            contrib[:, block] = np.where(
+                obtuse.any(axis=0),
+                np.where(obtuse, 0.5 * area, 0.25 * area),
+                0.125 * (edge2_cot[[1, 2, 0]] + edge2_cot[[2, 0, 1]]),
+            )
+            # cotangent Laplacian: the edge E[c], from i1 = F[:, c+1] to
+            # i2 = F[:, c+2], adds -cot(c) E[c] at i1 and cot(c) E[c] at i2
+            for j in range(3):
+                np.multiply(cots, E[:, j], out=wd[j, 1::2, block])
+                np.negative(wd[j, 1::2, block], out=wd[j, ::2, block])
+        # each vertex sums its terms in corner order (np.bincount
+        # accumulates in input order)
         A = np.bincount(F.T.ravel(), contrib.ravel(), minlength=nv)
-
-        # cotangent Laplacian: the edge E[c], from i1 = F[:, c+1] to
-        # i2 = F[:, c+2], adds -cot(c) E[c] at i1 and cot(c) E[c] at i2, in
-        # corner order; one coordinate at a time, to keep the blocks small
         index = F[:, [1, 2, 2, 0, 0, 1]].T.ravel()
-        wd = np.empty((6, len(F)))
-        S = np.empty((nv, 3))
-        for j in range(3):
-            np.multiply(cots, E[:, j], out=wd[1::2])
-            np.negative(wd[1::2], out=wd[::2])
-            S[:, j] = np.bincount(index, wd.ravel(), minlength=nv)
-        del E, contrib, index, wd  # the blocks would set the peak of the norms below
+        S = np.stack([np.bincount(index, w.ravel(), minlength=nv) for w in wd], axis=1)
+        del contrib, index, wd  # they would set the peak of the norms below
         K = S / (2.0 * A[:, None])
 
     H = np.full(nv, np.nan)
@@ -288,7 +307,12 @@ def write_obj(mesh: SurfaceMesh, path: str):
 
 
 def write_ply(mesh: SurfaceMesh, path: str):
-    """Binary little-endian PLY with position, normal and conformal factor."""
+    """Binary little-endian PLY with position, normal and conformal factor;
+    a vertex table beyond float32 raises ParameterDomainError, writing nothing."""
+    with np.errstate(over="ignore"):
+        vdata = np.hstack([mesh.vertices, mesh.normals, mesh.conformal[:, None]]).astype("<f4")
+    if not np.isfinite(vdata).all():
+        raise ParameterDomainError("the vertex table does not fit float32")
     header = "\n".join(
         [
             "ply",
@@ -309,9 +333,6 @@ def write_ply(mesh: SurfaceMesh, path: str):
     )
     with open(path, "wb") as fh:
         fh.write(header.encode("ascii"))
-        vdata = np.hstack(
-            [mesh.vertices, mesh.normals, mesh.conformal[:, None]]
-        ).astype("<f4")
         fh.write(vdata.tobytes())
         fdata = np.zeros(mesh.n_faces, dtype=[("n", "u1"), ("v", "<i4", 3)])
         fdata["n"] = 3

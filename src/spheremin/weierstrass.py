@@ -15,8 +15,8 @@ form is a polynomial, principal parts and c_1 log(z - p) terms
 path and no quadrature.  Its terms are arrays read from each form's
 Laurent table (`algebra.primitive_terms`), the same table whose c_1 the
 period gate checks and whose dh entries give the ends' log growth signs.
-X takes one pass over the nodes, the base point the last of them,
-forming each pole's terms once for the three forms, each by Horner.
+X takes one pass over the nodes in `kernels.BLOCK` blocks, the base
+point last, forming each pole's terms once for the three forms by Horner.
 """
 
 from __future__ import annotations
@@ -41,6 +41,7 @@ from .algebra import (
     same_point,
 )
 from .errors import ParameterDomainError, PoleEvaluation, UnrecognizedEndType
+from .kernels import BLOCK
 
 PLANAR_HORIZONTAL = "planar_horizontal"
 CATENOID_VERTICAL_UP = "catenoid_vertical_up"
@@ -127,7 +128,8 @@ class CoordinateForms:
 class Immersion:
     """X(z) = Re F(z) - Re F(base), F the exact antiderivative of
     (phi1, phi2, phi3), evaluated on arrays in one pass over the nodes,
-    the base point riding along as the last node.
+    the base point riding along as the last node, one `kernels.BLOCK` of
+    nodes at a time into one (n + 1, 3) array; no node's X depends on its block.
 
     Each log term enters as Re(c_1) log|z - p|, c_1 the coefficient of one
     coordinate; `dropped_imag`, the largest |Im c_1| left out, bounds how
@@ -186,8 +188,10 @@ class Immersion:
 
     def __call__(self, z) -> np.ndarray:
         """(n, 3) array of X at the points z."""
-        z = np.ravel(np.asarray(z, dtype=np.complex128))
-        X = self._re_primitive(np.append(z, self._base)).T
+        z = np.append(np.ravel(np.asarray(z, dtype=np.complex128)), self._base)
+        X = np.empty((len(z), 3))
+        for start in range(0, len(z), BLOCK):
+            X[start:start + BLOCK] = self._re_primitive(z[start:start + BLOCK]).T
         return X[:-1] - X[-1]
 
 

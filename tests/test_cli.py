@@ -625,6 +625,54 @@ def test_export_window_without_faces_is_parameter_error(tmp_path, capsys):
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("rmin, rmax", [("1", "1.0000000000001"), ("0.5", "0.5000000000001")])
+def test_export_window_whose_faces_have_no_area_is_parameter_error(rmin, rmax, tmp_path, capsys):
+    # the faces lie outside the exclusion disks, and the zero-area drop
+    # removes every one of them
+    out_path = tmp_path / "cat.obj"
+    code, out, err = run(
+        ["export", "--family", "catenoid", "--nr", "8", "--ntheta", "8",
+         "--rmin", rmin, "--rmax", rmax, "--out", str(out_path)],
+        capsys,
+    )
+    assert code == EXIT_PARAMS
+    assert out == ""
+    assert "no face of nonzero area" in err and rmax in err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_thin_window_with_area_exports_its_faces(tmp_path, capsys):
+    code, out, _ = run(
+        ["export", "--family", "catenoid", "--nr", "8", "--ntheta", "8",
+         "--rmin", "1", "--rmax", "1.000000001", "--out", str(tmp_path / "cat.obj")],
+        capsys,
+    )
+    assert code == EXIT_OK
+    assert "64 vertices, 112 faces" in out
+
+
+@pytest.mark.parametrize("argv, message", [
+    # extent**2 overflowed a Python float, an uncaught OverflowError
+    (["--family", "catenoid", "--rmin", "1e-160", "--rmax", "1e+160"], "[1e-160, 1e+160]"),
+    # |G|^2 overflows: NaN normals, written with exit 0
+    (["--family", "vase", "--k", "2", "--a", "0.5", "--rmax", "1e+60"], "[0.45, 1e+60]"),
+    # finite in doubles, inf in the PLY's float32 table
+    (["--family", "vase", "--k", "2", "--a", "0.5", "--rmax", "1e45", "--format", "ply"],
+     "does not fit float32"),
+])
+def test_export_window_beyond_the_floats_is_parameter_error(argv, message, tmp_path, capsys):
+    out_path = tmp_path / "wide.mesh"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run(
+            ["export", *argv, "--nr", "8", "--ntheta", "8", "--out", str(out_path)], capsys
+        )
+    assert code == EXIT_PARAMS
+    assert out == ""
+    assert message in err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_export_base_point_in_exclusion_disk_is_parameter_error(tmp_path, capsys):
     out_path = tmp_path / "cat.obj"
     code, out, err = run(

@@ -2,12 +2,14 @@
 
 import json
 import struct
+import tracemalloc
 import warnings
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from spheremin import cli
 from spheremin.algebra import (
     INF,
     FactoredMeromorphic,
@@ -18,9 +20,12 @@ from spheremin.algebra import (
 )
 from spheremin.errors import DegenerateTriangle, ParameterDomainError
 from spheremin.families import FAMILIES, construct, make_double_vase, make_vase
+from spheremin.kernels import BLOCK
 from spheremin.mesh import (
+    ZERO_AREA,
     DomainSpec,
     _face_geometry,
+    _nonzero_area,
     estimate_mean_curvature,
     exclusion_disks,
     interior_vertices,
@@ -288,6 +293,109 @@ def test_immersion_is_the_two_pass_loop_bit_for_bit(name, args, res):
     assert not np.signbit(at_base).any()
 
 
+# -- the export's passes in blocks of kernels.BLOCK -----------------------
+
+
+def annulus_nodes(n):
+    rng = np.random.default_rng(n)
+    return np.exp(rng.uniform(np.log(0.45), np.log(2.2), n) + 2j * np.pi * rng.random(n))
+
+
+def traced_peak(fn, *args):
+    """Peak bytes traced while fn(*args) runs, above what was held before."""
+    tracemalloc.start()
+    try:
+        held = tracemalloc.get_traced_memory()[0]
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1] - held
+    finally:
+        tracemalloc.stop()
+
+
+# one block's worth of temporaries: a (3, 3, BLOCK) float array, the size
+# of one block's edge vectors
+BLOCK_BYTES = 3 * 3 * BLOCK * 8
+
+
+@pytest.mark.parametrize("nodes", [BLOCK - 2, BLOCK - 1, BLOCK, 2 * BLOCK])
+@pytest.mark.parametrize("name, args", FINE_EXPORTS)
+def test_blocked_immersion_is_one_unblocked_pass(name, args, nodes):
+    """n nodes and the base point, n + 1 in {BLOCK - 1, BLOCK, BLOCK + 1,
+    2 BLOCK + 1}, walked in blocks give one `_re_primitive` call over all
+    of them to the last bit and sign, with the base point alone in its
+    block at BLOCK + 1 and 2 BLOCK + 1."""
+    spec = FAMILIES[name]
+    inst = construct(spec, *args)
+    base = spec.base_point(inst.params)
+    immersion = Immersion(inst.data, base)
+    z = annulus_nodes(nodes)
+    X = immersion._re_primitive(np.append(z, base)).T
+    want = X[:-1] - X[-1]
+    got = immersion(z)
+    assert np.array_equal(got, want)
+    assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
+@pytest.mark.parametrize("faces", [BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK + 5])
+def test_blocked_drop_and_curvature_are_one_unblocked_pass(faces):
+    mesh = fine_export_mesh("vase", (2, 0.5))
+    V, F = mesh.vertices, mesh.faces[:faces]
+    # the drop: a face of no area in every block
+    G = F.copy()
+    G[::97, 1] = G[::97, 0]
+    keep = _nonzero_area(V, G)
+    extent = float(np.max(np.ptp(V, axis=0)))
+    assert np.array_equal(keep, _face_geometry(V, G)[1] > ZERO_AREA * extent ** 2)
+    assert np.array_equal(~keep, np.arange(faces) % 97 == 0)
+    # the curvature over exactly `faces` faces, against one unblocked pass
+    sub = replace(mesh, faces=F)
+    H, interior = estimate_mean_curvature(sub)
+    H_ref, interior_ref = add_at_curvature(sub, per_face_terms)
+    assert np.array_equal(interior, interior_ref)
+    assert np.isnan(H).sum() == (~interior).sum() and interior.any()
+    assert np.array_equal(H, H_ref, equal_nan=True)
+
+
+def test_curvature_refuses_a_face_in_the_last_block(monkeypatch, tmp_path):
+    # 2 BLOCK + 10 faces of the export, then one with a 179.5 degree corner
+    mesh = fine_export_mesh("catenoid", ())
+    n, t = mesh.n_vertices, np.radians(179.5)
+    bad = replace(
+        mesh,
+        vertices=np.vstack([mesh.vertices, [[0.0, 0.0, 0.0], [1.0, 0.0, 0.0],
+                                            [np.cos(t), np.sin(t), 0.0]]]),
+        normals=np.vstack([mesh.normals, np.tile([0.0, 0.0, 1.0], (3, 1))]),
+        source_z=np.append(mesh.source_z, np.zeros(3)),
+        conformal=np.append(mesh.conformal, np.ones(3)),
+        faces=np.vstack([mesh.faces[:2 * BLOCK + 10], [[n, n + 1, n + 2]]]),
+    )
+    with pytest.raises(DegenerateTriangle, match="179 degrees"):
+        estimate_mean_curvature(bad)
+    # the export refuses it before writing anything
+    monkeypatch.setattr(cli, "sample_mesh", lambda data, domain, metadata: bad)
+    out = tmp_path / "c.obj"
+    assert cli.main(["export", "--family", "catenoid", "--out", str(out)]) == cli.EXIT_RUNTIME
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_blocked_passes_hold_one_block_of_temporaries():
+    """From 4 to 8 blocks, the traced peak of the immersion call and of the
+    drop grows by the extra whole-mesh arrays plus at most one block's worth:
+    for the immersion the nodes with the base point (16 bytes a node), X
+    (24) and the result (24); for the drop its mask (1 byte a face)."""
+    spec = FAMILIES["double_vase"]
+    inst = construct(spec, 6, 0.25)
+    immersion = Immersion(inst.data, spec.base_point(inst.params))
+    small, large = (traced_peak(immersion, annulus_nodes(b * BLOCK)) for b in (4, 8))
+    assert large - small <= 4 * BLOCK * (16 + 24 + 24) + BLOCK_BYTES
+
+    rng = np.random.default_rng(3)
+    V = rng.normal(size=(20000, 3))
+    small, large = (traced_peak(_nonzero_area, V, rng.integers(0, 20000, size=(b * BLOCK, 3)))
+                    for b in (4, 8))
+    assert large - small <= 4 * BLOCK + BLOCK_BYTES
+
+
 def test_obj_text_of_a_hand_built_mesh(tmp_path):
     # faces out of vertex order, and vertex 2 (id 3) in no face
     from spheremin.mesh import SurfaceMesh
@@ -546,6 +654,21 @@ def test_catenoid_curvature_converges(catenoid):
         meds.append(np.nanmedian(H[interior]))
     assert meds[0] < 2e-3
     assert meds[0] / meds[1] >= 3.0
+
+
+@pytest.mark.parametrize("case", ["exclusion_holes", "dropped_faces"])
+def test_interior_vertices_match_the_loop(vase3, case):
+    if case == "exclusion_holes":
+        # a hole round each of the three punctures on the unit circle
+        mesh = sample_mesh(vase3.data, DomainSpec(0.45, 2.2, 16, 32, base_point=0.75,
+                                                  exclusion_radius=0.15))
+        assert mesh.n_vertices < 16 * 32
+    else:
+        mesh = sample_mesh(vase3.data, DomainSpec(0.45, 2.2, 16, 32, base_point=0.75))
+        mesh = replace(mesh, faces=np.delete(mesh.faces, [100, 101, 401], axis=0))
+    interior = interior_vertices(mesh)
+    assert np.array_equal(interior, loop_interior_vertices(mesh))
+    assert 0 < interior.sum() < mesh.n_vertices - 64
 
 
 def test_interior_vertices_excludes_boundary(catenoid):
