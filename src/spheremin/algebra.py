@@ -6,30 +6,27 @@ poles, orders and residues stay exactly enumerable.  A residue of a sum
 is the sum of the residues of its factored terms.
 
 Zeros and poles are entries of a `RootTable`: each factor's roots end to
-end, a root of a factor of another k matching an earlier one joining its
-entry.  Two finite points are the same when |p - q| <= 1e-9 |p|
-(`same_point`, so 0 matches only 0), the rule for roots and for points
-met with a table: punctures, queries, path chaining.  Moduli are taken
-with `np.hypot` (`modulus`), the bits of the built-in `abs`, which
-`np.abs` misses in the last bit on a third of values.  A product is a
-coefficient and an exponent vector over a table (`RootTable.exponents`),
-its factors the table's factors of nonzero exponent: Weierstrass data
-build one table over all their factors and each of their products over
-it, and a product built from a factor list alone builds its own table
-over the factors that do not cancel when it is made.
+end (`roots_of`), a root of a factor of another k matching an earlier one
+joining its entry.  Two finite points are the same when |p - q| <= 1e-9
+|p| (`same_point`, so 0 matches only 0).  Moduli are taken with
+`np.hypot` (`modulus`), the bits of the built-in `abs`, which `np.abs`
+misses in the last bit on a third of values.  A product is a coefficient
+and an exponent vector over a table, its factors the table's factors of
+nonzero exponent; products over one table are built together
+(`FactoredMeromorphic.over_table`), and one built from a factor list
+alone builds its own table over the factors that do not cancel.
 
 Every Laurent coefficient is a finite Taylor computation on the factors:
 the factors' series about a table's entries (`_entry_bases`, one
 expansion for all the products over it, `laurent_tables`), a product's
-table of c_1, c_2, ... (`_laurent_table`) and its series in w = 1/z
-(`_outer_series`) are built once and kept, and every residue is read
-from them (`residues_at`).  Rounding floors are computed only when asked
-for (`principal_part`, `outer_expansion`).
+table of c_1, c_2, ... and its series in w = 1/z (`_outer_series`) are
+built once and kept, and residues are read from them at table entries
+(`entry_residues`) or at a point (`residue_at`).  Rounding floors are
+computed only when asked for (`principal_part`, `outer_expansion`).
 """
 
 from __future__ import annotations
 
-import cmath
 import itertools
 import math
 from dataclasses import dataclass
@@ -76,8 +73,10 @@ def modulus(z):
 
 def same_point(p, q):
     """Sphere-point equality: INF matches only INF, finite points when
-    |p - q| <= 1e-9 * |p|, so 0 matches only 0.  Finite p and q broadcast;
-    the result is a boolean array or scalar."""
+    |p - q| <= 1e-9 * |p|, so 0 matches only 0.  Two numbers compare by the
+    built-in abs, arrays broadcast (`modulus`, the same bits)."""
+    if isinstance(p, (int, float, complex)) and isinstance(q, (int, float, complex)):
+        return abs(p - q) <= _ROOT_MATCH_TOL * abs(p)
     if is_infinity(p) or is_infinity(q):
         return is_infinity(p) and is_infinity(q)
     p = np.asarray(p, dtype=np.complex128)
@@ -127,15 +126,7 @@ class Factor:
     def roots(self):
         """All roots of the base, exactly enumerated (no fractional powers
         ever enter evaluation; these are used for singularity bookkeeping)."""
-        if self.c == 0:
-            return [0j]
-        r = abs(self.c) ** (1.0 / self.k)
-        # cmath.phase raises OverflowError on a subnormal part
-        phi = math.atan2(self.c.imag, self.c.real)
-        return [
-            r * cmath.exp(1j * (phi + 2.0 * math.pi * j) / self.k)
-            for j in range(self.k)
-        ]
+        return roots_of([self]).tolist()
 
     def __str__(self):
         if self.c == 0:
@@ -160,14 +151,25 @@ def _factor_order(f: Factor):
     return (f.c != 0, f.k, f.c.real, f.c.imag)
 
 
+def roots_of(factors) -> np.ndarray:
+    """The roots |c|**(1/k) exp(i (phi + 2 pi j) / k) of each factor, end to
+    end, in one np.exp; |c|**(1/k) and phi stay Python's per factor (numpy
+    moves bits of the radius; cmath.phase overflows on a subnormal part)."""
+    ks = [f.k for f in factors]
+    columns = [(math.atan2(f.c.imag, f.c.real) if f.c != 0 else 0.0, abs(f.c) ** (1.0 / f.k),
+                f.k, start) for f, start in zip(factors, itertools.accumulate([0] + ks))]
+    phi, radius, k, start = np.repeat(np.array(columns, dtype=float).reshape(-1, 4).T, ks, axis=1)
+    return radius * np.exp(1j * ((phi + 2.0 * math.pi * (np.arange(len(k)) - start)) / k))
+
+
 class RootTable:
     """The roots of the distinct factors (k, c) of a list, in
     `_factor_order`, merged into entries: each factor's roots end to end, a
-    root of a factor of another k matching an earlier one joining its
-    entry.  It holds the entries' points, the factor whose root each is
-    (`owner`) and which factors vanish at each (`vanish`), whatever their
-    exponents.  Two factors of one k whose roots match would give two
-    entries at one point, and are refused."""
+    root of a factor of another k matching an earlier one joining the entry
+    of the first it matches.  It holds the entries' points, the factor
+    whose root each is (`owner`) and which factors vanish at each
+    (`vanish`), whatever their exponents.  Two factors of one k whose roots
+    match would give two entries at one point, and are refused."""
 
     __slots__ = ("ks", "cs", "index", "points", "owner", "vanish")
 
@@ -175,12 +177,16 @@ class RootTable:
         factors = sorted({(f.k, f.c): f for f in factors}.values(), key=_factor_order)
         ks = np.array([f.k for f in factors], dtype=np.int64)
         cs = np.array([f.c for f in factors], dtype=np.complex128)
-        roots = np.array([r for f in factors for r in f.roots()], dtype=np.complex128)
+        roots = roots_of(factors)
         start = np.cumsum([0] + ks.tolist())
         # the roots of z**k - c are one root turned by multiples of 2 pi / k:
-        # two factors of one k share all their roots or none
-        shifted = ks[cs != 0]
-        for k in sorted(set(shifted[np.bincount(shifted)[shifted] > 1].tolist())):
+        # two factors of one k share all their roots or none, and none where
+        # their radii |c|**(1/k) lie more than twice the tolerance apart
+        radii = sorted((f.k, abs(f.c) ** (1.0 / f.k)) for f in factors if f.c != 0)
+        for k, of_k in itertools.groupby(radii, key=lambda kr: kr[0]):
+            r = [x for _, x in of_k]
+            if all(b - a > 2.0 * _ROOT_MATCH_TOL * b for a, b in zip(r, r[1:])):
+                continue
             group = np.flatnonzero((ks == k) & (cs != 0))
             turns = roots[start[group][:, None] + np.arange(k)]
             i, j = np.nonzero(np.triu(same_point(turns[:, None, :1], turns).any(axis=2), 1))
@@ -188,17 +194,19 @@ class RootTable:
                 raise ParameterDomainError(
                     f"the factors z^{k} - {complex(cs[group[i[0]]])!r} and z^{k} - "
                     f"{complex(cs[group[j[0]]])!r} share the root {complex(turns[i[0], 0])!r}")
-        # 0, the monomial's root, matches only 0, which no factor with c != 0 has
-        owner = np.arange(len(roots))
-        for i, j in itertools.combinations(range(len(factors)), 2):
-            if cs[i] != 0 and ks[i] != ks[j]:
-                a, b = np.nonzero(same_point(roots[start[i]:start[i + 1], None],
-                                             roots[start[j]:start[j + 1]]))
-                a, b = a + start[i], b + start[j]
-                free = owner[b] == b
-                owner[b[free]] = owner[a[free]]
-        entry = owner == np.arange(len(roots))
+        # a root of a later factor of another k joins the first root of an
+        # earlier one it matches; 0, the monomial's root, matches only 0,
+        # which no factor with c != 0 has
         factor_of = np.repeat(np.arange(len(factors)), ks)
+        owner = np.arange(len(roots))
+        if len({k for k, _ in radii}) > 1:
+            pairs = np.triu((cs != 0)[:, None] & (ks[:, None] != ks), 1)
+            hits = same_point(roots[:, None], roots) & pairs[factor_of][:, factor_of]
+            joins = np.flatnonzero(hits.any(axis=0))
+            owner[joins] = hits[:, joins].argmax(axis=0)
+            while (owner[owner] != owner).any():  # an earlier root may have joined another
+                owner = owner[owner]
+        entry = owner == np.arange(len(roots))
         self.ks, self.cs = ks, cs
         self.index = {(f.k, f.c): i for i, f in enumerate(factors)}
         self.points, self.owner = roots[entry], factor_of[entry]
@@ -217,23 +225,17 @@ class RootTable:
 class FactoredMeromorphic:
     """coefficient * prod(factor**exponent), immutable after construction:
     a coefficient and an exponent vector over a `RootTable`, which other
-    products may share.  Its factors are the table's factors of nonzero
-    exponent, in the table's order.  Its zeros and poles are the table's
-    entries where one of them vanishes (`_at`; a factor it lacks adds none),
-    their points and orders, and each table entry's index among them, or
-    -1 (`_local`).  Built from a list of factors alone, it sums the
-    exponents of one (k, c) and has a table of its own over the factors
-    whose sums are not 0."""
+    products may share (`over_table`).  Its factors are the table's factors
+    of nonzero exponent, in the table's order.  Its zeros and poles are the
+    table's entries where one of them vanishes (`_at`), their points and
+    orders, and each table entry's index among them, or -1 (`_local`).
+    Built from a list of factors alone, it has a table of its own over the
+    factors whose summed exponents are not 0."""
 
     __slots__ = ("coefficient", "_packed", "_table", "_nonzero", "_full", "_at",
                  "_local", "_points", "_orders", "_laurent", "_floors", "_outer")
 
     def __init__(self, coefficient: complex, factors=(), table=None, exponents=None):
-        coefficient = complex(coefficient)
-        if coefficient == 0:
-            raise ValueError("coefficient must be nonzero")
-        if not (math.isfinite(coefficient.real) and math.isfinite(coefficient.imag)):
-            raise ValueError("coefficient must be finite")
         if table is None:  # a table of its own, over the factors that do not cancel
             total: dict = {}
             for f in factors:
@@ -241,21 +243,14 @@ class FactoredMeromorphic:
             factors = [Factor(k, c, e) for (k, c), e in total.items() if e]
             table = RootTable(factors)
             exponents = table.exponents(factors)
-        nonzero = np.flatnonzero(exponents)
-        at = np.flatnonzero(table.vanish[nonzero].any(axis=0))
-        full = exponents @ table.vanish  # the order at every entry
-        local = np.full(len(table.points), -1)
-        local[at] = np.arange(len(at))
-        for name, value in (
-            ("coefficient", coefficient),
-            ("_packed", (table.ks[nonzero], table.cs[nonzero], exponents[nonzero])),
-            ("_table", table), ("_nonzero", nonzero), ("_full", full), ("_at", at),
-            ("_local", local), ("_points", table.points[at]), ("_orders", full[at]),
-            ("_laurent", None),  # see _laurent_table
-            ("_floors", {}),  # see _floor_scales
-            ("_outer", None),  # see _outer_series
-        ):
-            object.__setattr__(self, name, value)
+        _build([self], [coefficient], table, np.asarray(exponents)[None])
+
+    @classmethod
+    def over_table(cls, table, coefficients, exponents) -> list:
+        """The products of the coefficients and exponent rows over `table`."""
+        products = [cls.__new__(cls) for _ in coefficients]
+        _build(products, coefficients, table, exponents)
+        return products
 
     @property
     def factors(self) -> tuple:
@@ -325,6 +320,30 @@ class FactoredMeromorphic:
     __repr__ = __str__
 
 
+def _build(products, coefficients, table, exponents):
+    """Fill products over one table from their coefficients and exponent
+    rows, their orders at every entry (`_full`) and the entries where one
+    of their factors vanishes (`_at`) from products with `table.vanish`."""
+    coefficients = [complex(c) for c in coefficients]
+    for c in coefficients:
+        if c == 0 or not (math.isfinite(c.real) and math.isfinite(c.imag)):
+            raise ValueError(f"coefficient must be {'nonzero' if c == 0 else 'finite'}")
+    full, hit = exponents @ table.vanish, (exponents != 0) @ table.vanish
+    local = np.where(hit, np.cumsum(hit, axis=1) - 1, -1)
+    for f, c, exps, orders, at, loc in zip(products, coefficients, exponents, full, hit, local):
+        nonzero, at = exps.nonzero()[0], at.nonzero()[0]
+        for name, value in (
+            ("coefficient", c),
+            ("_packed", (table.ks[nonzero], table.cs[nonzero], exps[nonzero])),
+            ("_table", table), ("_nonzero", nonzero), ("_full", orders), ("_at", at),
+            ("_local", loc), ("_points", table.points[at]), ("_orders", orders[at]),
+            ("_laurent", None),  # see _laurent_table
+            ("_floors", {}),  # see _floor_scales
+            ("_outer", None),  # see _outer_series
+        ):
+            object.__setattr__(f, name, value)
+
+
 def one_form_order_at(f: FactoredMeromorphic, p) -> int:
     """Order of the one-form f dz at a sphere point: at INF, where
     dz = -dw/w**2 for w = 1/z, it is -degree - 2."""
@@ -377,7 +396,7 @@ def _series_product(b, exponents):
     rows, n = b.shape[1:]
     if n <= 2:
         g = np.empty((rows, n), dtype=np.complex128)
-        g[:, 0] = np.prod(b[..., 0] ** exponents[:, None], axis=0)
+        g[:, 0] = np.multiply.reduce(b[..., 0] ** exponents[:, None], axis=0)
         if n == 2:
             g[:, 1] = g[:, 0] * np.dot(exponents.astype(float), b[..., 1] / b[..., 0])
         return g, None
@@ -413,8 +432,9 @@ def _entry_bases(table: RootTable, at, n):
     of p."""
     ks, cs = table.ks, table.cs
     p, owner = table.points[at], table.owner[at]
-    same = ks[:, None] == ks[owner]
-    power = np.where(same, cs[owner], p ** ks[:, None])  # p**k
+    power = cs[owner][None].repeat(len(ks), axis=0)  # p**k
+    i, j = (ks[:, None] != ks[owner]).nonzero()  # the powers of another k than p's own
+    power[i, j] = p[j] ** ks[i]
     # p**(k - j) = p**k / p**j, but D_j = [j == k] at the monomial's p = 0
     zero = at[0] == 0 and cs[0] == 0
     divisor = np.where(np.arange(len(at)) == 0, 1.0, p) if zero else p
@@ -440,24 +460,32 @@ def laurent_tables(products):
     row i is (c_1, ..., c_n) about a product's entry i, n its highest pole
     order (at least 1), 0 above the entry's own, so a zero, or an entry
     whose orders cancel, has c_1 = 0 exactly; at a pole of order P, c_m is
-    the term P - m of f t**P.  The bases are expanded once, about every
-    entry where one of the products has a pole, to the highest pole order,
-    and each table is one `_series_product` over its rows and factors."""
+    the term P - m of f t**P.  The poles are one list of (product, entry)
+    pairs: the bases are expanded once about all of them, each product's
+    powers are one `_series_product` over its own pairs (zgemv rounds a
+    column by the number of columns), and the rest is one pass."""
     products = [f for f in products if f._laurent is None]
+    if not products:
+        return
     full = np.array([f._full for f in products])
-    poles = np.flatnonzero((full < 0).any(axis=0))
-    if len(poles):
-        b = _entry_bases(products[0]._table, poles, -int(full.min()))
-    for f in products:
-        order = -f._orders
-        n = max(1, int(order.max(initial=0)))
-        rows = np.zeros((len(order), n), dtype=np.complex128)
-        at = np.flatnonzero(order > 0)
-        if len(at):
-            rows_b = b[f._nonzero][:, np.searchsorted(poles, f._at[at]), :n]
-            g = f.coefficient * _series_product(rows_b, f._packed[2])[0]
-            term = order[at][:, None] - np.arange(1, n + 1)
-            rows[at] = np.where(term >= 0, g[np.arange(len(at))[:, None], term], 0)
+    negative = full < 0
+    form, entry = negative.nonzero()  # the pairs, product by product in entry order
+    orders = np.maximum(1, -full.min(axis=1, initial=0)).tolist()
+    n = max(orders)
+    split = np.searchsorted(form, np.arange(len(products) + 1)).tolist()
+    g = np.zeros((len(form), n), dtype=np.complex128)
+    if len(form):
+        poles = np.logical_or.reduce(negative, axis=0).nonzero()[0]
+        b = _entry_bases(products[0]._table, poles, n)[:, poles.searchsorted(entry)]
+        for f, m, start, stop in zip(products, orders, split, split[1:]):
+            if stop > start:
+                g[start:stop, :m] = _series_product(b[f._nonzero, start:stop, :m], f._packed[2])[0]
+    g = np.array([f.coefficient for f in products])[form, None] * g
+    term = -full[form, entry][:, None] - np.arange(1, n + 1)
+    c = np.where(term >= 0, g[np.arange(len(term))[:, None], term], 0)
+    for f, m, start, stop in zip(products, orders, split, split[1:]):
+        rows = np.zeros((len(f._orders), m), dtype=np.complex128)
+        rows[f._local[entry[start:stop]]] = c[start:stop, :m]
         object.__setattr__(f, "_laurent", rows)
 
 
@@ -564,29 +592,29 @@ def primitive_terms(f: FactoredMeromorphic):
     return poly, f._at[poles], -f._orders[poles], c[:, 0], b
 
 
-def residues_at(f: FactoredMeromorphic, points, entries=None) -> list:
-    """Residue of f dz at each sphere point, from the Laurent table (0 where
-    f has no root) and at INF the outer series; no floor is computed.
-    `entries`, the root-table entry of each finite point (`first_entries`
-    of the table's points, -1 for none), spares products over one table
-    the match."""
-    infinite = np.array([is_infinity(p) for p in points], dtype=bool)
-    out = np.zeros(len(points), dtype=np.complex128)
-    if infinite.any():
-        out[infinite] = _outer_series(f)[1]
-    finite = [p for p, inf in zip(points, infinite.tolist()) if not inf]
-    if finite and len(f._points):
-        local = (first_entries(f._points, finite) if entries is None
-                 else np.where(entries >= 0, f._local[entries], -1))
-        out[~infinite] = np.where(local >= 0, _laurent_table(f)[local, 0], 0)
-    return out.tolist()
-
-
-def residue_contour(f: FactoredMeromorphic, p) -> complex:
-    """Residue of f dz at a finite p: `residues_at` of the one point."""
-    return residues_at(f, [p])[0]
+def entry_residues(products, entries, infinite) -> np.ndarray:
+    """Residues of f dz for products over one table, a row each: c_1 at
+    each of the table's `entries` (0 at -1 or where f has no root), and
+    the outer series' where the mask `infinite` is set."""
+    laurent_tables(products)
+    out = np.zeros((len(products), len(entries)), dtype=np.complex128)
+    for row, f in zip(out, products):  # entry -1 reads the 0 after the last c_1
+        row[:] = np.append(f._laurent[:, 0], 0)[np.append(f._local, -1)[entries]]
+        if infinite.any():
+            row[infinite] = _outer_series(f)[1]
+    return out
 
 
 def residue_at(f: FactoredMeromorphic, p) -> complex:
-    """Residue of f dz at any sphere point: `residues_at` of the one point."""
-    return residues_at(f, [p])[0]
+    """Residue of f dz at any sphere point: c_1 of the Laurent table at the
+    first entry of f matching p (0 where none does), and at INF the outer
+    series' residue; no floor is computed."""
+    if is_infinity(p):
+        return complex(_outer_series(f)[1])
+    (i,) = first_entries(f._points, [p]).tolist()
+    return complex(_laurent_table(f)[i, 0]) if i >= 0 else 0j
+
+
+def residue_contour(f: FactoredMeromorphic, p) -> complex:
+    """Residue of f dz at a finite p: `residue_at`."""
+    return residue_at(f, p)

@@ -17,8 +17,8 @@ sqrt(-Q/P) (`_vase_coefficients`), and the double vase's quadratic in
 a^k gives its +sqrt root by the cancellation-free quadratic formula
 (`_double_vase_root`).  Each solver checks the printed radical against
 that root, raises `ClosedFormMismatch` when they disagree, and returns
-the data it built at the solution, which the constructor then gates; the
-gate in `periods.py` knows no family.
+the params it validated and the data it built at the solution, which the
+constructor then gates; the gate in `periods.py` knows no family.
 
 Each family is one `FamilySpec` entry of `FAMILIES`; every per-family
 decision (solver, tolerance, export window, base point, descriptor) reads
@@ -34,7 +34,7 @@ import sys
 from dataclasses import asdict, dataclass, field
 from typing import Callable
 
-from .algebra import INF, monomial, same_point, shifted_power
+from .algebra import INF, monomial, roots_of, same_point, shifted_power
 from .errors import ClosedFormMismatch, NoRoot, ParameterDomainError
 from .periods import PeriodReport, audit
 from .weierstrass import WeierstrassData, point_json
@@ -42,13 +42,14 @@ from .weierstrass import WeierstrassData, point_json
 
 @dataclass(frozen=True)
 class SolveResult:
-    """A solved period equation and the data built at its solution."""
+    """A solved period equation, its params and the data built from them."""
 
     value: float
     closed_form: float
     numeric_root: float
     residual: float
     data: WeierstrassData | None = field(default=None, compare=False, repr=False)
+    params: object = field(default=None, compare=False, repr=False)
 
 
 def _check_domain(k: int, name: str, x: float, solved_name: str, solved):
@@ -110,7 +111,7 @@ def _vase_equation(k: int, ak: float, rho):
 def _solved_residual(data: WeierstrassData, index: int) -> float:
     """|Res((1/G + G) dh)| at data.punctures[index], from the data's
     puncture residues, which the gate then reads."""
-    u, v, _ = data.puncture_residues()[index]
+    u, v, _ = data.puncture_residues()[:, index].tolist()
     return abs(u + v)
 
 
@@ -126,9 +127,10 @@ def solve_vase_rho(k: int, a: float) -> SolveResult:
         raise ClosedFormMismatch(
             f"vase rho closed form {closed} vs numeric root {root} at k={k}, a={a}"
         )
+    params = VaseParams(k, a, closed)
     data = vase_weierstrass_data(k, a, closed)
     # the puncture z = 1, first of the unit roots after 0 and INF
-    return SolveResult(closed, closed, root, _solved_residual(data, 2), data)
+    return SolveResult(closed, closed, root, _solved_residual(data, 2), data, params)
 
 
 # -- family 2: glued double vase --------------------------------------
@@ -174,12 +176,7 @@ def double_vase_weierstrass_data(k: int, b: float, a: float) -> WeierstrassData:
     G = (1.0 / ak, [monomial(k + 1), shifted_power(k, ak), shifted_power(k, 1.0 / ak, -1)])
     dh = (1.0, [monomial(k - 1), shifted_power(k, ak), shifted_power(k, 1.0 / ak),
                 shifted_power(k, bk, -2), shifted_power(k, 1.0 / bk, -2)])
-    punctures = (
-        0j,
-        INF,
-        *shifted_power(k, bk).roots(),
-        *shifted_power(k, 1.0 / bk).roots(),
-    )
+    punctures = (0j, INF, *roots_of([shifted_power(k, bk), shifted_power(k, 1.0 / bk)]).tolist())
     return WeierstrassData(G, dh, punctures)
 
 
@@ -278,11 +275,11 @@ def solve_double_vase_a(k: int, b: float) -> SolveResult:
             f"double-vase a closed form {closed} vs numeric root {root} "
             f"at k={k}, b={b}"
         )
-    DoubleVaseParams(k, b, closed)  # the solution must lie in the domain of a
+    params = DoubleVaseParams(k, b, closed)  # the solution must lie in the domain of a
     # final oracle check at the solution: the residue must vanish at z = b,
     # the first root of z^k = b^k after 0 and INF
     data = double_vase_weierstrass_data(k, b, closed)
-    return SolveResult(closed, closed, root, _solved_residual(data, 2), data)
+    return SolveResult(closed, closed, root, _solved_residual(data, 2), data, params)
 
 
 # -- the catenoid fixture and the family table ------------------------
@@ -335,8 +332,8 @@ class FamilySpec:
 
     def build_data(self, k=None, value=None, solved=None):
         """Solve (unless `solved` fixes the solved parameter) and build the
-        data without the gate; a solve hands on the data it built.
-        Returns (data, params, provenance)."""
+        data without the gate; a solve hands on the params it validated and
+        the data it built.  Returns (data, params, provenance)."""
         if self.solver is None:
             return self.build(None), None, {}
         self._require(k, value)
@@ -344,8 +341,7 @@ class FamilySpec:
             params = self.params_type(k, value, solved)
             return self.build(params), params, {}
         result = self.solver(k, value)
-        params = self.params_type(k, value, result.value)
-        return result.data, params, provenance(result)
+        return result.data, result.params, provenance(result)
 
 
 FAMILIES = {spec.name: spec for spec in (

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import is_infinity, nearest_other
+from .algebra import nearest_other
 from .errors import DegenerateTriangle, ParameterDomainError
 from .kernels import BLOCK
 from .weierstrass import (
@@ -92,7 +92,7 @@ class SurfaceMesh:
 def default_exclusions(data: WeierstrassData):
     """Exclusion disks: around each puncture, EXCLUSION_SCALE times the
     distance to its nearest other singularity or puncture."""
-    finite = [complex(p) for p in data.punctures if not is_infinity(p)]
+    finite = data._finite_punctures.tolist()
     dist = nearest_other(finite, data.finite_singularities() + finite)
     return [(p, EXCLUSION_SCALE * d if d < math.inf else EXCLUSION_SCALE)
             for p, d in zip(finite, dist.tolist())]
@@ -101,11 +101,7 @@ def default_exclusions(data: WeierstrassData):
 def exclusion_disks(data: WeierstrassData, spec: DomainSpec):
     if spec.exclusion_radius is None:
         return default_exclusions(data)
-    return [
-        (complex(p), spec.exclusion_radius)
-        for p in data.punctures
-        if not is_infinity(p)
-    ]
+    return [(p, spec.exclusion_radius) for p in data._finite_punctures.tolist()]
 
 
 def _face_geometry(vertices, faces):

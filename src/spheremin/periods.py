@@ -7,16 +7,14 @@ three residues at every puncture:
 
 By linearity Res_p((1/G -+ G) dh) = Res_p(u) -+ Res_p(v), with u = dh/G
 and v = G dh the data's factored forms, so each residue is the c_1 of one
-factored product's Laurent table: a Taylor computation on its factors
-about each of its roots, built once for all of them.  The data own these
-residues at their punctures (`WeierstrassData.puncture_residues`): each
-form is asked once for all of them (`algebra.residues_at`), its table for
-the finite punctures and its series in 1/z for infinity, where the
-residue is exactly 0 below degree -1 (the vase's and double vase's
-u = dh/G and dh).  No form is evaluated at any point.  This module gates
-data on those residues, which the solvers read too; it knows no family.
-`audit` is the one gate of every constructor, `verify` and `export`: one
-record of the regularity, degree, end and period checks and their failures.
+factored product's Laurent table, read at the punctures' table entries,
+or at infinity from its series in 1/z, exactly 0 below degree -1
+(`WeierstrassData.puncture_residues`).  No form is evaluated at any point.
+The report holds the conditions as arrays, and makes `PeriodEntry`
+objects only when asked for.  This module gates data on those residues,
+which the solvers read too; it knows no family.  `audit` is the one gate
+of every constructor, `verify` and `export`: one record of the
+regularity, degree, end and period checks and their failures.
 `hybrid_root` is a bracketing root finder: it brackets on one array
 evaluation of a function over a grid, then refines the first bracket with
 scalar calls.  No solver calls it: both families take their roots in
@@ -25,7 +23,6 @@ closed form (`families.py`).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,10 +39,7 @@ class PeriodEntry:
     res_plus: complex   # Res((1/G + G) dh)
     res_dh: complex     # Res(dh)
     tol: float
-
-    @property
-    def minus_real(self) -> bool:
-        return abs(self.res_minus.imag) <= self.tol
+    defect: float       # its column of `PeriodReport.defects`
 
     @property
     def i_plus_real(self) -> bool:
@@ -53,69 +47,56 @@ class PeriodEntry:
         return abs(self.res_plus.real) <= self.tol
 
     @property
-    def dh_real(self) -> bool:
-        return abs(self.res_dh.imag) <= self.tol
-
-    @property
     def closed(self) -> bool:
-        return self.minus_real and self.i_plus_real and self.dh_real
-
-    @property
-    def defect(self) -> float:
-        parts = (abs(self.res_minus.imag), abs(self.res_plus.real), abs(self.res_dh.imag))
-        # Python's max drops a NaN after the first value; a NaN part makes
-        # the sum of these nonnegative parts NaN
-        return math.nan if math.isnan(sum(parts)) else max(parts)
+        """All three conditions within tol: a NaN defect is not."""
+        return self.defect <= self.tol
 
 
-def _defect_rank(entry: PeriodEntry):
-    # a NaN defect ranks first; only an unclosed entry has one above tol
-    defect = entry.defect
-    return math.isnan(defect), defect
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PeriodReport:
-    entries: tuple
+    """The conditions at every puncture: `residues` rows Res((1/G - G) dh),
+    Res((1/G + G) dh) and Res(dh), a column per location."""
+
+    locations: tuple
+    residues: np.ndarray
     tol: float
 
     @property
+    def defects(self) -> np.ndarray:
+        """Each column's largest part, NaN if one is (np.max keeps a NaN)."""
+        minus, plus, dh = self.residues
+        return np.abs([minus.imag, plus.real, dh.imag]).max(axis=0)
+
+    @property
     def closed(self) -> bool:
-        return all(e.closed for e in self.entries)
+        return bool((self.defects <= self.tol).all())
+
+    @property
+    def entries(self) -> tuple:
+        return tuple(map(PeriodEntry, self.locations, *self.residues.tolist(),
+                         [self.tol] * len(self.locations), self.defects.tolist()))
 
     @property
     def worst(self) -> PeriodEntry:
-        return max(self.entries, key=_defect_rank)
+        """The first puncture of NaN defect, else the first of the largest."""
+        defects = self.defects
+        nan = np.isnan(defects)
+        return self.entries[int(nan.argmax() if nan.any() else defects.argmax())]
 
     def to_json(self) -> dict:
         def c(v):
             return {"re": v.real, "im": v.imag}
 
-        return {
-            "tolerance": self.tol,
-            "punctures": [
-                {
-                    "location": point_json(e.location),
-                    "res_1G_minus_G": c(e.res_minus),
-                    "res_1G_plus_G": c(e.res_plus),
-                    "res_dh": c(e.res_dh),
-                    "closed": e.closed,
-                }
-                for e in self.entries
-            ],
-        }
-
-
-def _period_entries(data: WeierstrassData, tol: float) -> list:
-    """One PeriodEntry per puncture, from the data's puncture residues."""
-    return [
-        PeriodEntry(location=p, res_minus=u - v, res_plus=u + v, res_dh=w, tol=tol)
-        for p, (u, v, w) in zip(data.punctures, data.puncture_residues())
-    ]
+        return {"tolerance": self.tol, "punctures": [
+            {"location": point_json(e.location), "res_1G_minus_G": c(e.res_minus),
+             "res_1G_plus_G": c(e.res_plus), "res_dh": c(e.res_dh), "closed": e.closed}
+            for e in self.entries]}
 
 
 def period_report(data: WeierstrassData, tol: float) -> PeriodReport:
-    return PeriodReport(tuple(_period_entries(data, tol)), tol)
+    """The report of the data's puncture residues, Res u -+ Res v and Res dh."""
+    u, v, w = data.puncture_residues()
+    return PeriodReport(data.punctures, np.array([u - v, u + v, w]), tol)
 
 
 def assert_period_closed(data: WeierstrassData, tol: float) -> PeriodReport:

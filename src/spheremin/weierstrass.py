@@ -2,21 +2,20 @@
 the immersion in closed form.
 
 The immersion is X(z) = Re of the path integral of
-(0.5*(1/G - G)*dh, 0.5i*(1/G + G)*dh, dh).  The three forms combine
-u = dh/G, v = G dh and w = dh, factored products built once with the
-data (`WeierstrassData.factored_forms`).  The data take G and dh as
-(coefficient, factors) and build one root table over all those factors
-and four products over it: G and dh from their factor lists, u and v as
-the exponent vectors dh - G and G + dh.  The audits read their orders
-from the table, and the forms' Laurent tables come from one expansion
-of its bases.  The antiderivative of each
-form is a polynomial, principal parts and c_1 log(z - p) terms
-(`Immersion`); once the periods close every c_1 is real, so X needs no
-path and no quadrature.  Its terms are arrays read from each form's
-Laurent table (`algebra.primitive_terms`), the same table whose c_1 the
-period gate checks and whose dh entries give the ends' log growth signs.
-X takes one pass over the nodes in `kernels.BLOCK` blocks, the base
-point last, forming each pole's terms once for the three forms by Horner.
+(0.5*(1/G - G)*dh, 0.5i*(1/G + G)*dh, dh), combined from u = dh/G,
+v = G dh and w = dh.  The data take G and dh as (coefficient, factors)
+and build one root table over all those factors and four products over
+it in one pass: G, dh, and u and v as the exponent vectors dh - G and
+G + dh.  A puncture is held as its table entry, with a mask of infinity,
+so the audits read orders and residues at the punctures as arrays; INF
+itself is met only where a point is named (queries, JSON).  The
+antiderivative of each form is a polynomial, principal parts and
+c_1 log(z - p) terms (`Immersion`); once the periods close every c_1 is
+real, so X needs no path and no quadrature.  Its terms are arrays read
+from each form's Laurent table (`algebra.primitive_terms`), the table
+whose c_1 the period gate checks.  X takes one pass over the nodes in
+`kernels.BLOCK` blocks, the base point in the last, forming each pole's
+terms once for the three forms by Horner.
 """
 
 from __future__ import annotations
@@ -30,14 +29,13 @@ from .algebra import (
     INF,
     FactoredMeromorphic,
     RootTable,
+    entry_residues,
     first_entries,
-    laurent_tables,
     is_infinity,
     one_form_order_at,
     outer_expansion,
     primitive_terms,
     principal_part,
-    residues_at,
     same_point,
 )
 from .errors import ParameterDomainError, PoleEvaluation, UnrecognizedEndType
@@ -53,36 +51,39 @@ class WeierstrassData:
     """Gauss map G, height differential dh = h(z) dz and the puncture set.
     G and h are given as (coefficient, factors); the data build one root
     table over all their factors, and G, dh, u = dh/G and v = G dh are
-    exponent vectors over it."""
+    exponent vectors over it.  A puncture is its table entry (`_entries`,
+    -1 at infinity or off the table), with a mask and a flag for INF."""
 
     def __init__(self, gauss_map, dh, punctures):
         self.punctures = tuple(punctures)
-        finite = np.array([p for p in self.punctures if not is_infinity(p)],
-                          dtype=np.complex128)
+        self._inf = np.array([p is INF for p in self.punctures], dtype=bool)
+        finite = np.array([p for p in self.punctures if p is not INF], dtype=np.complex128)
         repeats = [INF] * (len(self.punctures) - len(finite) - 1)
         matches = np.triu(same_point(finite[:, None], finite[None, :]), 1)
         repeats += finite[matches.any(axis=0)].tolist()
         if repeats:
             raise ParameterDomainError(f"punctures are not pairwise distinct: {repeats[0]!r}")
-        self._finite_punctures = finite
+        self._has_inf, self._finite_punctures = len(finite) < len(self.punctures), finite
         (g_coef, g_factors), (dh_coef, dh_factors) = gauss_map, dh
         table = self._table = RootTable([*g_factors, *dh_factors])
         eg, edh = table.exponents(g_factors), table.exponents(dh_factors)
-        g = self.gauss_map = FactoredMeromorphic(g_coef, table=table, exponents=eg)
-        dh = self.dh = FactoredMeromorphic(dh_coef, table=table, exponents=edh)
-        u = FactoredMeromorphic(dh.coefficient * (1.0 / g.coefficient), table=table,
-                                exponents=edh - eg)
-        v = FactoredMeromorphic(g.coefficient * dh.coefficient, table=table, exponents=eg + edh)
-        self._forms = (u, v, dh)
+        gc, dc = complex(g_coef), complex(dh_coef)  # a G of coefficient 0 is refused first
+        g, dh, u, v = FactoredMeromorphic.over_table(
+            table, [gc, dc, dc * (1.0 / gc) if gc != 0 else gc, gc * dc],
+            np.array([eg, edh, edh - eg, eg + edh]))
+        self.gauss_map, self.dh, self._forms = g, dh, (u, v, dh)
         # the entries where G or dh has a zero or pole, G's first
         og, odh = g._full, dh._full
         self._singular = np.concatenate([np.flatnonzero(og), np.flatnonzero(odh * (og == 0))])
-        self._puncture_entries = first_entries(table.points, finite)
+        # G's and dh's orders at each entry, at infinity, and 0 (entry -1)
+        self._orders = np.hstack([[og, odh], [[-g.degree, 0], [-dh.degree - 2, 0]]])
+        self._entries = np.full(len(self.punctures), -1)
+        self._entries[~self._inf] = first_entries(table.points, finite)
         self._residues = None  # see puncture_residues
 
     def is_puncture(self, p) -> bool:
         if is_infinity(p):
-            return len(self._finite_punctures) < len(self.punctures)
+            return self._has_inf
         return bool(same_point(p, self._finite_punctures).any())
 
     def finite_singularities(self):
@@ -95,15 +96,11 @@ class WeierstrassData:
         with the data; (phi1, phi2, phi3) = _COMBINATION @ (u, v, w)."""
         return self._forms
 
-    def puncture_residues(self):
-        """(Res u, Res v, Res dh) at each puncture on the first request, and
-        kept: the forms' Laurent tables come from one expansion of the
-        table's bases (`algebra.laurent_tables`), and the punctures are
-        matched to the table's entries once, with the data."""
+    def puncture_residues(self) -> np.ndarray:
+        """(3, N) array of Res u, Res v and Res dh at the N punctures, read
+        at their entries on the first request and kept."""
         if self._residues is None:
-            laurent_tables(self._forms)
-            res = (residues_at(f, self.punctures, self._puncture_entries) for f in self._forms)
-            self._residues = list(zip(*res))
+            self._residues = entry_residues(self._forms, self._entries, self._inf)
         return self._residues
 
 
@@ -127,9 +124,9 @@ class CoordinateForms:
 
 class Immersion:
     """X(z) = Re F(z) - Re F(base), F the exact antiderivative of
-    (phi1, phi2, phi3), evaluated on arrays in one pass over the nodes,
-    the base point riding along as the last node, one `kernels.BLOCK` of
-    nodes at a time into one (n + 1, 3) array; no node's X depends on its block.
+    (phi1, phi2, phi3), evaluated on arrays in one pass over the nodes in
+    `kernels.BLOCK` blocks into one (n + 1, 3) array, the base point the
+    last node of the last block; no node's X depends on its block.
 
     Each log term enters as Re(c_1) log|z - p|, c_1 the coefficient of one
     coordinate; `dropped_imag`, the largest |Im c_1| left out, bounds how
@@ -190,8 +187,9 @@ class Immersion:
         """(n, 3) array of X at the points z."""
         z = np.append(np.ravel(np.asarray(z, dtype=np.complex128)), self._base)
         X = np.empty((len(z), 3))
-        for start in range(0, len(z), BLOCK):
-            X[start:start + BLOCK] = self._re_primitive(z[start:start + BLOCK]).T
+        edges = [*range(0, max(len(z) - 1, 1), BLOCK), len(z)]
+        for start, stop in zip(edges, edges[1:]):
+            X[start:stop] = self._re_primitive(z[start:stop]).T
         return X[:-1] - X[-1]
 
 
@@ -246,23 +244,16 @@ class RegularityViolation:
 
 def regularity_check(data: WeierstrassData):
     """Away from punctures, G has a zero/pole iff dh has a zero of equal
-    multiplicity.  Returns the list of violations (empty when regular).
-    The finite candidates and their orders are read from the root table."""
-    on_puncture = np.zeros(len(data._table.points), dtype=bool)
-    on_puncture[data._puncture_entries[data._puncture_entries >= 0]] = True
-    candidates = data._singular[~on_puncture[data._singular]]
-    points = data._table.points[candidates].tolist()
-    og = data.gauss_map._full[candidates].tolist()
-    odh = data.dh._full[candidates].tolist()
-    if not data.is_puncture(INF):
-        points.append(INF)
-        og.append(data.gauss_map.order_at(INF))
-        odh.append(one_form_order_at(data.dh, INF))
-    return [
-        RegularityViolation(p, g, d)
-        for p, g, d in zip(points, og, odh)
-        if not ((g == 0 and d == 0) or (d > 0 and abs(g) == d))
-    ]
+    multiplicity, |ord G| = ord dh.  Returns the violations (empty when
+    regular) from the order columns, by singular entry, infinity last."""
+    points = len(data._table.points)
+    og, odh = data._orders
+    bad = np.abs(og) != odh
+    bad[data._entries] = False  # a puncture; -1, no entry, is the zero column
+    bad[points] &= not data._has_inf
+    columns = np.append(data._singular, points)
+    return [RegularityViolation(INF if c == points else complex(data._table.points[c]),
+                                int(og[c]), int(odh[c])) for c in columns[bad[columns]].tolist()]
 
 
 @dataclass(frozen=True)
@@ -278,16 +269,12 @@ class DegreeAudit:
 
 
 def degree_audit(data: WeierstrassData) -> DegreeAudit:
-    """Count zeros and poles with multiplicity over the whole sphere; on a
+    """Count zeros and poles with multiplicity over the whole sphere, from
+    the data's order columns: the table's entries and infinity; on a
     sphere G balances exactly and dh has two fewer zeros than poles."""
-    def counts(f: FactoredMeromorphic, one_form: bool):
-        at_inf = one_form_order_at(f, INF) if one_form else f.order_at(INF)
-        orders = np.append(f._orders, at_inf)
-        return int(orders[orders > 0].sum()), -int(orders[orders < 0].sum())
-
-    gz, gp = counts(data.gauss_map, one_form=False)
-    dz, dp = counts(data.dh, one_form=True)
-    return DegreeAudit(gz, gp, dz, dp)
+    orders = data._orders
+    (gz, dz), (g, d) = np.maximum(orders, 0).sum(axis=1).tolist(), orders.sum(axis=1).tolist()
+    return DegreeAudit(gz, gz - g, dz, dz - d)
 
 
 # -- end classification -----------------------------------------------
@@ -331,19 +318,11 @@ def end_kind(g_order: int, dh_order: int):
 
 
 def puncture_ends(data: WeierstrassData) -> list:
-    """(location, ord G, ord dh, end_kind) at each puncture: the finite
-    orders read from the root table, infinity's from the degrees."""
-    og, odh = data.gauss_map._full.tolist(), data.dh._full.tolist()
-    entries = iter(data._puncture_entries.tolist())  # -1: no zero or pole there
-    ends = []
-    for p in data.punctures:
-        if is_infinity(p):
-            g, d = data.gauss_map.order_at(INF), one_form_order_at(data.dh, INF)
-        else:
-            i = next(entries)
-            g, d = (og[i], odh[i]) if i >= 0 else (0, 0)
-        ends.append((p, g, d, end_kind(g, d)))
-    return ends
+    """(location, ord G, ord dh, end_kind) at each puncture, the orders read
+    at the punctures' entries and each distinct pair classified once."""
+    og, odh = data._orders[:, np.where(data._inf, len(data._table.points), data._entries)].tolist()
+    kinds = {pair: end_kind(*pair) for pair in set(zip(og, odh))}
+    return [(p, g, d, kinds[g, d]) for p, g, d in zip(data.punctures, og, odh)]
 
 
 def _describe_end(data: WeierstrassData, p, g_order: int, kind) -> EndDescriptor:

@@ -3,15 +3,27 @@ scale from scalar evaluations of G and dh (`conformal_factor`), and, on
 the package's path quadrature (`spheremin.paths`), a closed loop about a
 point (`loop_path`), the difference of X along two paths with the same
 ends (`check_path_independence`) and finite-difference tangents
-(`fd_tangents`); and the immersion's terms as lists for np.polyval, pole by
-pole (`antiderivative`), as it first read them."""
+(`fd_tangents`); the immersion's terms as lists for np.polyval, pole by
+pole (`antiderivative`), as it first read them; and the residues at a
+list of points (`residues_at`), the puncture residues, period entries and
+ends puncture by puncture, each point tested for infinity and matched to
+the table on its own (`loop_puncture_residues`, `loop_period_entries`,
+`loop_worst`, `loop_puncture_ends`), as the data first read them."""
 
 import cmath
 import math
 
 import numpy as np
 
-from spheremin.algebra import _laurent_table, _outer_series, same_point
+from spheremin.algebra import (
+    INF,
+    _laurent_table,
+    _outer_series,
+    first_entries,
+    is_infinity,
+    one_form_order_at,
+    same_point,
+)
 from spheremin.errors import PoleEvaluation
 from spheremin.paths import (
     ArcSegment,
@@ -20,7 +32,15 @@ from spheremin.paths import (
     integrate_forms,
     integrate_point,
 )
-from spheremin.weierstrass import CoordinateForms, metric_scale
+from spheremin.periods import PeriodEntry
+from spheremin.weierstrass import (
+    CATENOID_NON_VERTICAL,
+    CATENOID_VERTICAL_DOWN,
+    CATENOID_VERTICAL_UP,
+    PLANAR_HORIZONTAL,
+    CoordinateForms,
+    metric_scale,
+)
 
 
 def conformal_factor(data, z: complex) -> float:
@@ -99,3 +119,74 @@ def antiderivative(f):
             b = c[1:order] / (1 - m)
             rational.append((i, np.append(b[::-1], 0.0)))
     return rational, logs
+
+
+def residues_at(f, points) -> list:
+    """Residue of f dz at each sphere point, from the Laurent table (0 where
+    f has no root) and at INF the outer series: each point tested for
+    infinity, the finite ones matched to f's roots."""
+    infinite = np.array([is_infinity(p) for p in points], dtype=bool)
+    out = np.zeros(len(points), dtype=np.complex128)
+    if infinite.any():
+        out[infinite] = _outer_series(f)[1]
+    finite = [p for p, inf in zip(points, infinite.tolist()) if not inf]
+    if finite and len(f._points):
+        local = first_entries(f._points, finite)
+        out[~infinite] = np.where(local >= 0, _laurent_table(f)[local, 0], 0)
+    return out.tolist()
+
+
+def loop_puncture_residues(data) -> list:
+    """(Res u, Res v, Res dh) at each puncture: one `residues_at` call per
+    form over the puncture list, which tests each point for infinity and
+    matches each finite one to the form's roots."""
+    return list(zip(*(residues_at(f, data.punctures) for f in data.factored_forms())))
+
+
+def loop_period_entries(data, tol) -> list:
+    """One PeriodEntry per puncture, Res((1/G -+ G) dh) = Res u -+ Res v
+    taken on Python complex numbers, each with its `loop_defect`."""
+    return [PeriodEntry(p, u - v, u + v, w, tol, loop_defect(u - v, u + v, w))
+            for p, (u, v, w) in zip(data.punctures, loop_puncture_residues(data))]
+
+
+def loop_defect(res_minus, res_plus, res_dh) -> float:
+    """The largest of the three parts, NaN if one is: Python's max drops a
+    NaN after the first value, and a NaN part makes the sum of these
+    nonnegative parts NaN."""
+    parts = (abs(res_minus.imag), abs(res_plus.real), abs(res_dh.imag))
+    return math.nan if math.isnan(sum(parts)) else max(parts)
+
+
+def loop_worst(entries):
+    """The entry of NaN defect, else of the largest, the first on a tie:
+    Python's max over (NaN, defect) keys."""
+    def rank(e):
+        return math.isnan(e.defect), e.defect
+    return max(entries, key=rank)
+
+
+def loop_end_kind(g: int, d: int):
+    if abs(g) == 1 and d == -1:
+        return CATENOID_VERTICAL_DOWN if g > 0 else CATENOID_VERTICAL_UP
+    if abs(g) >= 2 and d == abs(g) - 2:
+        return PLANAR_HORIZONTAL
+    if g == 0 and d == -2:
+        return CATENOID_NON_VERTICAL
+    return None
+
+
+def loop_puncture_ends(data) -> list:
+    """(location, ord G, ord dh, kind) at each puncture: infinity's orders
+    from the degrees, a finite puncture's from the first table entry it
+    matches (0, 0 where none does)."""
+    og, odh = data.gauss_map._full.tolist(), data.dh._full.tolist()
+    ends = []
+    for p in data.punctures:
+        if is_infinity(p):
+            g, d = data.gauss_map.order_at(INF), one_form_order_at(data.dh, INF)
+        else:
+            (i,) = first_entries(data._table.points, [p]).tolist()
+            g, d = (og[i], odh[i]) if i >= 0 else (0, 0)
+        ends.append((p, g, d, loop_end_kind(g, d)))
+    return ends

@@ -16,6 +16,7 @@ from spheremin.algebra import (
     FactoredMeromorphic,
     _fmt_number,
     Factor,
+    RootTable,
     _entry_bases,
     _series_product,
     contour_radius,
@@ -27,7 +28,7 @@ from spheremin.algebra import (
     principal_part,
     residue_at,
     residue_contour,
-    residues_at,
+    roots_of,
     same_point,
     shifted_power,
 )
@@ -42,6 +43,7 @@ from exact_residues import (
     series_principal_part,
 )
 from kernel_reference import squaring_power, times_power
+from oracles import residues_at
 
 
 def _poly_oracle(f: FactoredMeromorphic, z):
@@ -225,6 +227,11 @@ def test_broadcast_same_point_is_the_scalar_rule(draws):
     pts = np.concatenate([p, q])
     got = same_point(pts[:, None], pts[None, :])
     assert got.tolist() == [[_same(a, b) for b in pts] for a in pts]
+    # two Python numbers take the built-in abs, the same rule
+    assert got.tolist() == [[same_point(a, b) for b in pts.tolist()] for a in pts.tolist()]
+    moduli = np.abs(pts).tolist()
+    assert [[same_point(a, b) for b in moduli] for a in moduli] == \
+        same_point(np.array(moduli)[:, None], np.array(moduli)).tolist()
 
 
 def test_contour_radius_is_bitwise_the_scalar_rule():
@@ -662,6 +669,46 @@ def _share_a_root(factors):
     return any(a.k == b.k and a.c != 0 and b.c != 0
                and any(_same(r, q) for r in a.roots() for q in b.roots())
                for a, b in itertools.combinations(factors, 2))
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 6, 24])
+def test_factors_of_one_k_near_the_tolerance_are_refused_by_the_scalar_rule(k):
+    """Two factors z**k - c of one k whose radii |c|**(1/k) differ by
+    about the match tolerance, their roots aligned: the table refuses them
+    exactly when the first root of the earlier factor is the same point as
+    a root of the later one by the scalar rule, though it compares no roots
+    where the radii lie twice the tolerance apart."""
+    c = 1.7 * cmath.exp(0.3j)
+    refused = 0
+    for rel in np.geomspace(1e-11, 1e-7, 81).tolist():
+        for scale in (1.0 + rel, 1.0 - rel):
+            factors = [shifted_power(k, c), shifted_power(k, c * scale ** k)]
+            first, later = sorted(factors, key=lambda f: (f.c.real, f.c.imag))
+            if any(_same(first.roots()[0], q) for q in later.roots()):
+                refused += 1
+                with pytest.raises(ParameterDomainError, match="share the root"):
+                    RootTable(factors)
+            else:
+                assert len(RootTable(factors).points) == 2 * k
+    assert 0 < refused < 162
+
+
+def test_roots_are_the_per_root_formula_bit_for_bit():
+    """One np.exp over all roots gives cmath's |c|**(1/k) exp(i (phi +
+    2 pi j)/k), root by root, to the last bit and the sign of each zero."""
+    rng = np.random.default_rng(5)
+    shifts = [1.0, -1.0, 1j, -1j, complex(-1.0, -0.0), complex(-0.0, 1.0), 1e-300, 2 + 5e-324j]
+    factors = [shifted_power(k, complex(c)) for k in (1, 2, 3, 5, 7, 12, 16, 24, 32, 100)
+               for c in shifts + (rng.normal(size=8) + 1j * rng.normal(size=8)).tolist()
+               + (rng.uniform(0.001, 0.999, 8) ** k).tolist()]
+    want = [abs(f.c) ** (1.0 / f.k)
+            * cmath.exp(1j * (math.atan2(f.c.imag, f.c.real) + 2.0 * math.pi * j) / f.k)
+            for f in factors for j in range(f.k)]
+    got = roots_of(factors)
+    assert len(want) == 4848
+    assert _bits_equal(got, want)
+    assert monomial(3).roots() == [0j]
+    assert not np.signbit(roots_of([monomial(1)]).view(float)).any()
 
 
 def _kept(factors):

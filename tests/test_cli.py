@@ -457,6 +457,30 @@ def test_export_tol_gates_the_export(tmp_path, capsys):
     assert meta["family"] == {"family": "vase", "forced": True}
 
 
+def test_verify_names_the_worst_of_the_open_punctures(capsys):
+    # at twice its scale the vase's three unit roots are open; z = 1, the
+    # first of them, has the largest defect (0.604, the others 0.523)
+    code, out, _ = run(["verify", "--family", "vase", "--k", "3", "--a", "0.5", "--rho", "2"],
+                       capsys)
+    assert code == EXIT_VERIFICATION
+    payload = json.loads(out)
+    assert [p["closed"] for p in payload["period"]["punctures"]] == [True, True] + [False] * 3
+    assert payload["failures"][0] == ("period condition fails at (1+0j) "
+                                      "(defect 6.042e-01 > 1.0e-09)")
+
+
+def test_export_names_the_first_of_tied_worst_punctures(tmp_path, capsys):
+    # at tol 1e-30 the solved vase(3, 0.5) fails at two unit roots whose
+    # defects are both 2**-54 exactly: the first of them is named
+    out_path = tmp_path / "vase.obj"
+    code, _, err = run(["export", "--family", "vase", "--k", "3", "--a", "0.5", "--tol", "1e-30",
+                        "--out", str(out_path), "--nr", "8", "--ntheta", "8"], capsys)
+    assert code == EXIT_VERIFICATION
+    assert err == ("verification failed: period condition fails at "
+                   "(-0.4999999999999998+0.8660254037844387j) (defect 5.551e-17 > 1.0e-30)\n")
+    assert not out_path.exists()
+
+
 def test_forced_export_solves_once(monkeypatch, tmp_path, capsys):
     spec = FAMILIES["vase"]
     calls = []

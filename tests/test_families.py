@@ -10,7 +10,6 @@ from spheremin.algebra import (
     is_infinity,
     outer_expansion,
     principal_part,
-    residues_at,
 )
 from spheremin.errors import ParameterDomainError, SphereminError
 from spheremin.families import (
@@ -25,6 +24,7 @@ from spheremin.families import (
 )
 
 from exact_residues import series_outer, series_principal_part
+from oracles import residues_at
 
 
 def test_vase_instance_is_fully_verified(vase2):
@@ -177,14 +177,15 @@ def test_constructor_builds_its_data_once(make, args, monkeypatch):
     infinity builds no product of its own: a constructor builds one root
     table, over the factors of G and dh, and four products over it, G, dh,
     dh/G and G dh (the family writes G and dh as factor lists), and each
-    form's outer series once."""
+    form's outer series once.  Every product is built by `algebra._build`,
+    which counts them."""
     from spheremin import algebra
     from spheremin.weierstrass import WeierstrassData
 
     built = {"data": 0, "tables": 0, "products": 0, "outer": []}
     data_init = WeierstrassData.__init__
     table_init = algebra.RootTable.__init__
-    product_init = algebra.FactoredMeromorphic.__init__
+    build_products = algebra._build
     outer = algebra._outer_series
 
     def counting_data_init(self, *a, **kw):
@@ -195,9 +196,9 @@ def test_constructor_builds_its_data_once(make, args, monkeypatch):
         built["tables"] += 1
         table_init(self, *a, **kw)
 
-    def counting_product_init(self, *a, **kw):
-        built["products"] += 1
-        product_init(self, *a, **kw)
+    def counting_build(products, *a, **kw):
+        built["products"] += len(products)
+        build_products(products, *a, **kw)
 
     def counting_outer(f):
         if f._outer is None:
@@ -206,7 +207,7 @@ def test_constructor_builds_its_data_once(make, args, monkeypatch):
 
     monkeypatch.setattr(WeierstrassData, "__init__", counting_data_init)
     monkeypatch.setattr(algebra.RootTable, "__init__", counting_table_init)
-    monkeypatch.setattr(algebra.FactoredMeromorphic, "__init__", counting_product_init)
+    monkeypatch.setattr(algebra, "_build", counting_build)
     monkeypatch.setattr(algebra, "_outer_series", counting_outer)
     inst = make(*args)
     assert built["data"] == 1
@@ -218,10 +219,12 @@ def test_constructor_builds_its_data_once(make, args, monkeypatch):
 
 
 def test_constructor_reads_the_point_tables_as_arrays(monkeypatch):
-    """Every root, pole and puncture query is one broadcast `same_point`:
-    make_double_vase(24, 0.5) made 58,198 scalar calls when the tables were
-    scanned pair by pair."""
-    from spheremin import algebra, paths, weierstrass
+    """Every root, pole and puncture query is an array read or one
+    broadcast `same_point`: make_double_vase(24, 0.5) made 58,198 scalar
+    calls when the tables were scanned pair by pair.  The calls left are
+    the punctures' (their distinctness and their table entries, one
+    broadcast each) and the parameters' (`DoubleVaseParams`, its circles)."""
+    from spheremin import algebra, families, paths, weierstrass
 
     calls = [0]
     rule = algebra.same_point
@@ -230,10 +233,39 @@ def test_constructor_reads_the_point_tables_as_arrays(monkeypatch):
         calls[0] += 1
         return rule(p, q, *args)
 
-    for module in (algebra, weierstrass, paths):
+    for module in (algebra, weierstrass, paths, families):
         monkeypatch.setattr(module, "same_point", counting_same_point)
     make_double_vase(24, 0.5)
     assert 0 < calls[0] <= 1000
+
+
+@pytest.mark.parametrize("make, x", [(make_vase, 0.5), (make_double_vase, 0.25)])
+def test_infinity_is_tested_a_fixed_number_of_times_per_constructor(make, x, monkeypatch):
+    """A constructor reads its punctures as table entries and a mask of
+    infinity, so `is_infinity` runs as often at k = 24 (50 punctures for
+    the double vase) as at k = 2; it ran 125 times per constructor, once per
+    puncture and per call, when the puncture lists were scanned point by
+    point."""
+    import sys
+
+    from spheremin import algebra
+
+    calls = [0]
+    rule = algebra.is_infinity
+
+    def counting(p):
+        calls[0] += 1
+        return rule(p)
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "spheremin" and getattr(module, "is_infinity", None) is rule:
+            monkeypatch.setattr(module, "is_infinity", counting)
+    counts = []
+    for k in (2, 24):
+        calls[0] = 0
+        assert make(k, x).period.closed
+        counts.append(calls[0])
+    assert counts[0] == counts[1] <= 4
 
 
 @pytest.mark.parametrize("make, args",

@@ -322,8 +322,8 @@ BLOCK_BYTES = 3 * 3 * BLOCK * 8
 def test_blocked_immersion_is_one_unblocked_pass(name, args, nodes):
     """n nodes and the base point, n + 1 in {BLOCK - 1, BLOCK, BLOCK + 1,
     2 BLOCK + 1}, walked in blocks give one `_re_primitive` call over all
-    of them to the last bit and sign, with the base point alone in its
-    block at BLOCK + 1 and 2 BLOCK + 1."""
+    of them to the last bit and sign, the base point riding in the last
+    block of nodes (BLOCK + 1 nodes long at BLOCK + 1 and 2 BLOCK + 1)."""
     spec = FAMILIES[name]
     inst = construct(spec, *args)
     base = spec.base_point(inst.params)
@@ -334,6 +334,44 @@ def test_blocked_immersion_is_one_unblocked_pass(name, args, nodes):
     got = immersion(z)
     assert np.array_equal(got, want)
     assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
+@pytest.mark.parametrize("nodes, blocks", [
+    (0, [1]), (BLOCK - 1, [BLOCK]), (BLOCK, [BLOCK + 1]), (BLOCK + 1, [BLOCK, 2]),
+    (2 * BLOCK - 1, [BLOCK, BLOCK]), (2 * BLOCK, [BLOCK, BLOCK + 1]),
+])
+def test_base_point_rides_in_the_last_block(nodes, blocks, monkeypatch):
+    """The base point joins the last block of nodes and never makes a
+    `_re_primitive` call of its own: 2 calls at 8,192 nodes, a full 64x128
+    grid, where a one-node third block walked every pole and term again."""
+    spec = FAMILIES["double_vase"]
+    inst = construct(spec, 6, 0.25)
+    immersion = Immersion(inst.data, spec.base_point(inst.params))
+    sizes, re_primitive = [], Immersion._re_primitive
+
+    def counting(self, z):
+        sizes.append(len(z))
+        return re_primitive(self, z)
+
+    monkeypatch.setattr(Immersion, "_re_primitive", counting)
+    assert immersion(annulus_nodes(nodes)).shape == (nodes, 3)
+    assert sizes == blocks
+
+
+@pytest.mark.parametrize("name, args", [("catenoid", ()), ("double_vase", (6, 0.25))])
+def test_fine_export_grid_makes_two_immersion_blocks(name, args, monkeypatch):
+    """The 64x128 grids of `export_fine`'s catenoid and double vase put all
+    8,192 nodes through the immersion: 2 blocks, the second with the base
+    point."""
+    sizes, re_primitive = [], Immersion._re_primitive
+
+    def counting(self, z):
+        sizes.append(len(z))
+        return re_primitive(self, z)
+
+    monkeypatch.setattr(Immersion, "_re_primitive", counting)
+    fine_export_mesh(name, args)
+    assert sizes == [BLOCK, BLOCK + 1]
 
 
 @pytest.mark.parametrize("faces", [BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK + 5])

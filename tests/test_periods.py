@@ -1,7 +1,6 @@
 """Period conditions, residue equations and the family solvers."""
 
 import cmath
-import dataclasses
 import math
 import types
 
@@ -13,7 +12,6 @@ from spheremin.algebra import (
     FactoredMeromorphic,
     _laurent_table,
     monomial,
-    residues_at,
     same_point,
     shifted_power,
 )
@@ -40,15 +38,21 @@ from spheremin.families import (
 )
 from spheremin.periods import (
     ROOT_GRID,
-    PeriodEntry,
     PeriodReport,
     assert_period_closed,
     hybrid_root,
     period_report,
 )
-from spheremin.weierstrass import WeierstrassData
+from spheremin.weierstrass import WeierstrassData, puncture_ends
 
 from exact_residues import combo_residue_package, combo_residue_exact
+from oracles import (
+    loop_period_entries,
+    loop_puncture_ends,
+    loop_puncture_residues,
+    loop_worst,
+    residues_at,
+)
 
 # frozen independent oracles (exact rationals obtained symbolically)
 VASE_RES_K2_A05_RHO1 = 0.140625            # 9/64
@@ -254,7 +258,7 @@ def _assert_shared_forms_are_standalone(data):
     """G and each factored form, all read from the data's one root table,
     against a product built from its own factors: the same points and
     orders, and Laurent tables and puncture residues that are ==."""
-    residues = list(zip(*data.puncture_residues()))
+    residues = data.puncture_residues().tolist()
     for f, res in zip((data.gauss_map, *data.factored_forms()), [None, *residues]):
         g = FactoredMeromorphic(f.coefficient, f.factors)
         assert g._table is not data._table
@@ -292,6 +296,75 @@ def test_shared_forms_are_standalone_at_merged_roots():
     assert -1j not in u._points.round(12).tolist()
     assert v.orders_at([1j, -1j]).tolist() == [-3, -2]
     _assert_shared_forms_are_standalone(data)
+
+
+TIER1_GRID = ([("vase", k, a) for k in range(2, 9) for a in (0.1, 0.3, 0.5, 0.7, 0.9)]
+              + [("double_vase", k, b) for k in range(2, 7) for b in (0.1, 0.25, 0.5, 0.75)])
+GRID_800 = [(family, k, x) for family in ("vase", "double_vase") for k in GRID_KS for x in GRID_X]
+
+
+def _same_bits(got, want) -> bool:
+    """Equal complex arrays, the sign of every zero part included."""
+    got, want = np.asarray(got, dtype=complex), np.asarray(want, dtype=complex)
+    return np.array_equal(got, want) and all(
+        np.array_equal(np.signbit(part(got)), np.signbit(part(want)))
+        for part in (np.real, np.imag))
+
+
+def _off_table_data():
+    """Data with punctures off the root table, one of them rounded off its
+    root (-1j against the table's -1.8e-16 - 1j), beside entries whose
+    c_1 are not 0: those punctures read no entry's row."""
+    G = (2.0, [monomial(1), shifted_power(1, 1j), shifted_power(2, -1.0, -1)])
+    dh = (0.5, [monomial(-1), shifted_power(1, 1j, -2), shifted_power(2, -1.0, -1),
+                shifted_power(1, 3.0, -2)])
+    return [lambda: WeierstrassData(G, dh, (0j, INF, 1j, -1j, 0.5 + 0j, 3.0 + 0j)),
+            lambda: WeierstrassData((1.0, [monomial(1)]),
+                                    (1.0, [monomial(-1), shifted_power(1, 3.0, -2)]),
+                                    (0.5 + 0j, 0j, INF, 3.0 + 0j))]
+
+
+@pytest.mark.parametrize("grid", ["tier1", "800", "off-table"])
+def test_array_path_is_the_per_point_path(grid):
+    """The data's (3, N) puncture residues, the array period report and
+    the ends read at the punctures' table entries are, on every grid point
+    that builds, exactly the per-point path's (`tests/oracles.py`): one
+    `residues_at` per form over the puncture list, one PeriodEntry per
+    puncture and one table match per puncture, on data of their own whose
+    forms build their Laurent tables one by one."""
+    built = 0
+    cases = {"tier1": TIER1_GRID, "800": GRID_800, "off-table": _off_table_data()}[grid]
+    for case in cases:
+        tol = 1e-9 if callable(case) else FAMILIES[case[0]].period_tol
+        try:
+            data, fresh = [case() if callable(case) else FAMILIES[case[0]].build_data(*case[1:])[0]
+                           for _ in range(2)]
+        except (ParameterDomainError, NoRoot):
+            continue
+        built += 1
+        want = loop_puncture_residues(fresh)
+        assert _same_bits(data.puncture_residues(), np.array(want).T), case
+        report, entries = period_report(data, tol), loop_period_entries(fresh, tol)
+        assert _same_bits(report.residues, [[e.res_minus for e in entries],
+                                            [e.res_plus for e in entries],
+                                            [e.res_dh for e in entries]])
+        assert report.entries == tuple(entries)
+        assert report.closed == all(e.closed for e in entries)
+        assert report.defects.tolist() == [e.defect for e in entries]
+        assert report.worst == loop_worst(entries)
+        assert puncture_ends(data) == loop_puncture_ends(fresh)
+    assert built == {"tier1": 55, "800": 800, "off-table": 2}[grid]
+
+
+def test_catenoid_residues_keep_the_signs_of_their_zeros():
+    """The catenoid's residues are exact, zeros with their signs: each form
+    multiplies only its own factors' powers, where a power 1 of a factor
+    it lacks would flip Res((1/G - G) dh) at 0 from -0.0 to 0.0."""
+    data = FAMILIES["catenoid"].build_data()[0]
+    report = period_report(data, 1e-9)
+    want = np.array([[complex(-0.0, 0.0), 0j], [0j, 0j], [1 + 0j, complex(-1.0, -0.0)]])
+    assert data.punctures == (0j, INF)
+    assert _same_bits(report.residues, want)
 
 
 def test_two_root_points_solve_to_the_radicals_branch():
@@ -518,23 +591,29 @@ def test_assert_period_closed_raises_with_report():
 @pytest.mark.parametrize("field", ["res_minus", "res_plus", "res_dh"])
 def test_nan_residue_reaches_the_defect_and_the_worst_entry(field, monkeypatch):
     # Python's max drops a NaN after its first value, which would give a
-    # NaN in res_plus a defect of 0.0, let `worst` name the closed entry and
-    # the gate's message report a defect below tol
+    # NaN in res_plus a defect of 0.0, let `worst` name the closed puncture
+    # and the gate's message report a defect below tol; the report's
+    # defects are one np.max over the three parts, which keeps the NaN
     from spheremin import periods
 
     tol = 1e-9
-    closed = PeriodEntry(0j, 1.0 + 5e-10j, 5e-10 + 1j, 2.0 + 5e-10j, tol)
-    broken = dataclasses.replace(PeriodEntry(1.0 + 0j, 1.0, 1j, 1.0, tol),
-                                 **{field: complex(math.nan, math.nan)})
-    assert closed.closed and closed.defect == 5e-10
-    assert not broken.closed and math.isnan(broken.defect)
-    for entries in ((closed, broken), (broken, closed)):
-        report = PeriodReport(entries, tol)
+    closed = [1.0 + 5e-10j, 5e-10 + 1j, 2.0 + 5e-10j]
+    broken = [1.0 + 0j, 1j, 1.0 + 0j]
+    broken[["res_minus", "res_plus", "res_dh"].index(field)] = complex(math.nan, math.nan)
+    for locations, columns in (((0j, 1.0 + 0j), (closed, broken)),
+                               ((1.0 + 0j, 0j), (broken, closed))):
+        report = PeriodReport(locations, np.array(columns).T, tol)
+        ok, bad = locations.index(0j), locations.index(1.0 + 0j)
+        assert report.defects[ok] == 5e-10 and math.isnan(report.defects[bad])
+        assert report.entries[ok].closed and report.entries[ok].defect == 5e-10
+        assert not report.entries[bad].closed and math.isnan(report.entries[bad].defect)
         assert not report.closed
-        assert report.worst is broken
-    monkeypatch.setattr(periods, "_period_entries", lambda data, tol: [closed, broken])
-    with pytest.raises(PeriodViolation, match=r"at \(1\+0j\) \(defect nan > 1\.0e-09\)"):
-        assert_period_closed(types.SimpleNamespace(punctures=()), tol)
+        worst = report.worst
+        assert worst.location == 1.0 + 0j and math.isnan(worst.defect)
+        assert getattr(worst, field) != getattr(worst, field)  # the NaN part itself
+        monkeypatch.setattr(periods, "period_report", lambda data, tol, report=report: report)
+        with pytest.raises(PeriodViolation, match=r"at \(1\+0j\) \(defect nan > 1\.0e-09\)"):
+            assert_period_closed(types.SimpleNamespace(punctures=locations), tol)
 
 
 def test_period_report_entry_at_b(dvase2):
@@ -583,20 +662,21 @@ def test_period_gate_evaluates_each_form_once_per_chart(family, k, x, monkeypatc
 ])
 def test_constructor_reads_the_puncture_residues_once(family, k, x, monkeypatch):
     """The solver's residual and the gate read the data's one copy of the
-    puncture residues: one `residues_at` call per form, 3 in all."""
+    puncture residues: one `entry_residues` call, for the three forms."""
     from spheremin import weierstrass
 
     asked = []
-    residues_at = weierstrass.residues_at
+    entry_residues = weierstrass.entry_residues
 
-    def counting(f, points, *args):
-        asked.append(f)
-        return residues_at(f, points, *args)
+    def counting(products, *args):
+        asked.append(products)
+        return entry_residues(products, *args)
 
-    monkeypatch.setattr(weierstrass, "residues_at", counting)
+    monkeypatch.setattr(weierstrass, "entry_residues", counting)
     inst = make_vase(k, x) if family == "vase" else make_double_vase(k, x)
     assert inst.period.closed
     forms = inst.data.factored_forms()
-    assert len(asked) == 3 and all(f is g for f, g in zip(asked, forms))
+    assert len(asked) == 1 and len(asked[0]) == 3
+    assert all(f is g for f, g in zip(asked[0], forms))
     # the residual at the third puncture (z = 1 or z = b) is the gate's, bit for bit
     assert inst.provenance["residual"] == abs(inst.period.entries[2].res_plus)

@@ -8,6 +8,7 @@ from spheremin.algebra import (
     FactoredMeromorphic,
     monomial,
     one_form_order_at,
+    same_point,
     shifted_power,
 )
 from spheremin.errors import ParameterDomainError, PoleEvaluation, UnrecognizedEndType
@@ -60,6 +61,24 @@ def test_duplicate_punctures_rejected():
         WeierstrassData(G, dh, (0j, INF, INF))
     # the rule is relative: 0 matches only 0
     assert WeierstrassData(G, dh, (0j, 1e-12 + 0j)).is_puncture(1e-12)
+
+
+def test_punctures_on_two_entries_at_one_point_are_rejected():
+    """z**3 - c and z**3 - c (1 + 1e-9)**3 leave two table entries that
+    are one point by `same_point` (the table compares only the earlier
+    factor's first root): punctures at those two roots are still refused,
+    though each is a table entry of its own."""
+    c = 1.7 * np.exp(0.3j)
+    factors = [shifted_power(3, c), shifted_power(3, c * (1 + 1e-9) ** 3)]
+    first, later = (np.array(f.roots()) for f in factors)
+    hits = np.argwhere(same_point(first[:, None], later[None, :]))
+    assert len(hits) == 1
+    (i, j), = hits.tolist()
+    punctures = (complex(first[i]), complex(later[j]))
+    data = WeierstrassData((1.0, []), (1.0, factors), (INF,))
+    assert len(data._table.points) == 6 and set(punctures) <= set(data._table.points.tolist())
+    with pytest.raises(ParameterDomainError, match="not pairwise distinct"):
+        WeierstrassData((1.0, []), (1.0, factors), (*punctures, INF))
 
 
 def test_coordinate_forms_null_quadric(vase2):
