@@ -37,7 +37,6 @@ from .paths import (
 from .periods import assert_period_closed
 from .weierstrass import (
     WeierstrassData,
-    classify_end,
     degree_audit,
     gauss_normal,
     regularity_check,
@@ -54,7 +53,6 @@ __all__ = [
     "regularity_check",
     "degree_audit",
     "gauss_normal",
-    "classify_end",
     "VaseParams",
     "DoubleVaseParams",
     "assert_period_closed",

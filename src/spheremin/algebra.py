@@ -22,7 +22,8 @@ expansion for all the products over it, `laurent_tables`), a product's
 table of c_1, c_2, ... and its series in w = 1/z (`_outer_series`) are
 built once and kept, and residues are read from them at table entries
 (`entry_residues`) or at a point (`residue_at`).  Rounding floors are
-computed only when asked for (`principal_part`, `outer_expansion`).
+computed only when asked for, at table entries (`_floor_scales`) or at
+infinity (`outer_expansion`).
 """
 
 from __future__ import annotations
@@ -168,8 +169,9 @@ class RootTable:
     root of a factor of another k matching an earlier one joining the entry
     of the first it matches.  It holds the entries' points, the factor
     whose root each is (`owner`) and which factors vanish at each
-    (`vanish`), whatever their exponents.  Two factors of one k whose roots
-    match would give two entries at one point, and are refused."""
+    (`vanish`), whatever their exponents.  Two factors of one k with a
+    root pair that matches would give two entries at one point, and are
+    refused: the entries are distinct points."""
 
     __slots__ = ("ks", "cs", "index", "points", "owner", "vanish")
 
@@ -180,8 +182,9 @@ class RootTable:
         roots = roots_of(factors)
         start = np.cumsum([0] + ks.tolist())
         # the roots of z**k - c are one root turned by multiples of 2 pi / k:
-        # two factors of one k share all their roots or none, and none where
-        # their radii |c|**(1/k) lie more than twice the tolerance apart
+        # two factors of one k share no root where their radii |c|**(1/k) lie
+        # more than twice the tolerance apart; nearer, every root pair is
+        # compared, since at the tolerance one pair may match and another not
         radii = sorted((f.k, abs(f.c) ** (1.0 / f.k)) for f in factors if f.c != 0)
         for k, of_k in itertools.groupby(radii, key=lambda kr: kr[0]):
             r = [x for _, x in of_k]
@@ -189,11 +192,13 @@ class RootTable:
                 continue
             group = np.flatnonzero((ks == k) & (cs != 0))
             turns = roots[start[group][:, None] + np.arange(k)]
-            i, j = np.nonzero(np.triu(same_point(turns[:, None, :1], turns).any(axis=2), 1))
+            hits = same_point(turns[:, None, :, None], turns[None, :, None, :])
+            i, j = np.nonzero(np.triu(hits.any(axis=(2, 3)), 1))
             if len(i):
+                shared = turns[i[0], hits[i[0], j[0]].any(axis=1).argmax()]
                 raise ParameterDomainError(
                     f"the factors z^{k} - {complex(cs[group[i[0]]])!r} and z^{k} - "
-                    f"{complex(cs[group[j[0]]])!r} share the root {complex(turns[i[0], 0])!r}")
+                    f"{complex(cs[group[j[0]]])!r} share the root {complex(shared)!r}")
         # a root of a later factor of another k joins the first root of an
         # earlier one it matches; 0, the monomial's root, matches only 0,
         # which no factor with c != 0 has
@@ -299,19 +304,6 @@ class FactoredMeromorphic:
         return list(zip(self._points[nonzero].tolist(),
                         self._orders[nonzero].tolist()))
 
-    def order_at(self, p) -> int:
-        """Zero order (>0), pole order (<0) or 0 at a sphere point."""
-        if is_infinity(p):
-            return -self.degree
-        return int(self.orders_at([p])[0])
-
-    def orders_at(self, points) -> np.ndarray:
-        """`order_at` of each finite point, from one broadcast over the
-        root table: the summed orders of the entries matching the point
-        under same_point(entry, point)."""
-        hits = same_point(self._points, np.asarray(points, dtype=np.complex128)[:, None])
-        return np.where(hits, self._orders, 0).sum(axis=1)
-
     def __str__(self):
         parts = [_fmt_number(self.coefficient)]
         parts.extend(str(f) for f in self.factors)
@@ -342,14 +334,6 @@ def _build(products, coefficients, table, exponents):
             ("_outer", None),  # see _outer_series
         ):
             object.__setattr__(f, name, value)
-
-
-def one_form_order_at(f: FactoredMeromorphic, p) -> int:
-    """Order of the one-form f dz at a sphere point: at INF, where
-    dz = -dw/w**2 for w = 1/z, it is -degree - 2."""
-    if is_infinity(p):
-        return -f.degree - 2
-    return f.order_at(p)
 
 
 # -- Laurent tables ---------------------------------------------------
@@ -514,27 +498,10 @@ def _floor_scales(f: FactoredMeromorphic, entries):
     return [f._floors[i] for i in entries]
 
 
-_NO_ROOT = (np.empty(0, dtype=np.complex128), np.empty(0))
-
-
 def first_entries(table_points, points) -> np.ndarray:
     """The first of `table_points` matching each finite point, or -1."""
     hits = same_point(table_points, np.asarray(points, dtype=np.complex128)[:, None])
     return np.where(hits.any(axis=1), hits.argmax(axis=1) if hits.size else 0, -1)
-
-
-def principal_part(f: FactoredMeromorphic, points):
-    """(c, floor) at the first root-table entry of f matching each finite
-    point p, empty where none does: c = (c_1, ..., c_m), m = max(1, pole
-    order), and the floor within which each is not resolved."""
-    entries = first_entries(f._points, points).tolist()
-    scales = iter(_floor_scales(f, [i for i in entries if i >= 0]))
-    out = []
-    for i in entries:
-        if i >= 0:
-            c, (radius, scale) = _laurent_table(f)[i, :max(1, -f._orders[i])], next(scales)
-        out.append((c, radius ** np.arange(1.0, len(c) + 1) * scale) if i >= 0 else _NO_ROOT)
-    return out
 
 
 def _outer_bases(f: FactoredMeromorphic, n, scale=1.0):
@@ -552,7 +519,7 @@ def _outer_series(f: FactoredMeromorphic):
     """(a, residue) of `outer_expansion`, built once and kept: f's z**n term
     is the coefficient times prod (1 - c w**k)**e's w**(degree - n) term."""
     if f._outer is None:
-        outer, degree = (_NO_ROOT[0], 0j), f.degree
+        outer, degree = (np.empty(0, dtype=np.complex128), 0j), f.degree
         if degree >= -1:
             h = f.coefficient * _series_product(*_outer_bases(f, degree + 2))[0][0]
             outer = (h[:degree + 1][::-1], -complex(h[degree + 1]))

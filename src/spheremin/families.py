@@ -9,16 +9,15 @@ Family 2 (glued double vase, rho = 1), solved for a by `solve_double_vase_a`:
     period equation Res_b((1/G + G) dh) = 0, a quadratic in a^k
 plus the classical catenoid (G = z, dh = dz/z) as a known-answer fixture.
 
-Each family's period equation is one function of its solved parameter
-(`_vase_equation`, `_double_vase_equation`), broadcasting over arrays.
-Both are closed forms, and each solver takes its root straight from the
-equation's coefficients: the vase's rho P + Q/rho = 0 has the root
-sqrt(-Q/P) (`_vase_coefficients`), and the double vase's quadratic in
-a^k gives its +sqrt root by the cancellation-free quadratic formula
-(`_double_vase_root`).  Each solver checks the printed radical against
-that root, raises `ClosedFormMismatch` when they disagree, and returns
-the params it validated and the data it built at the solution, which the
-constructor then gates; the gate in `periods.py` knows no family.
+Both period equations are closed forms, and each solver takes its root
+straight from the equation's coefficients: the vase's rho P + Q/rho = 0
+has the root sqrt(-Q/P) (`_vase_coefficients`), and the double vase's
+quadratic in a^k gives its +sqrt root by the cancellation-free quadratic
+formula (`_double_vase_root`).  Each solver checks the printed radical
+against that root, raises `ClosedFormMismatch` when they disagree, and
+returns the params it validated and the data it built at the solution,
+which the constructor then gates; the gate in `periods.py` knows no
+family.
 
 Each family is one `FamilySpec` entry of `FAMILIES`; every per-family
 decision (solver, tolerance, export window, base point, descriptor) reads
@@ -101,13 +100,6 @@ def _vase_coefficients(k: int, ak: float):
     return (ak - 1.0) * (k * ak + k - ak + 1.0) / k ** 2, (k + 1.0) / k ** 2
 
 
-def _vase_equation(k: int, ak: float, rho):
-    """Res_1((1/G + G) dh) of the vase in closed form, for a^k = ak;
-    rho broadcasts."""
-    P, Q = _vase_coefficients(k, ak)
-    return rho * P + Q / rho
-
-
 def _solved_residual(data: WeierstrassData, index: int) -> float:
     """|Res((1/G + G) dh)| at data.punctures[index], from the data's
     puncture residues, which the gate then reads."""
@@ -182,7 +174,9 @@ def double_vase_weierstrass_data(k: int, b: float, a: float) -> WeierstrassData:
 
 def _double_vase_quadratic(k: int, b: float):
     """The coefficients (A, B, C) of the double-vase period equation as a
-    quadratic A x^2 + B x + C in x = a^k (up to its denominator)."""
+    quadratic A x^2 + B x + C in x = a^k: the printed Res_b((1/G + G) dh)
+    is it over a^k b (b^k - 1)^3 (b^k + 1)^3 k^2, with the quoted sign,
+    the negative of the defining contour integral."""
     A = b ** (2 * k) * (
         k - 1.0
         + b ** (2 + 2 * k) * (k - 1.0)
@@ -203,21 +197,6 @@ def _double_vase_quadratic(k: int, b: float):
         - k * b ** (2 + 6 * k)
     )
     return A, B, C
-
-
-def _double_vase_equation(k: int, b: float, quadratic, a):
-    """The printed Res_b((1/G + G) dh) of the double vase, a quadratic in
-    a^k over a^k * b * (b^k - 1)^3 * (b^k + 1)^3 * k^2, from the
-    coefficients `quadratic` of `_double_vase_quadratic`; a broadcasts.
-
-    It keeps the quoted sign, which is the negative of the defining
-    contour integral (verified symbolically); the root set is the same
-    either way, and the solver negates it."""
-    ak = a ** k
-    bk = b ** k
-    A, B, C = quadratic
-    denom = ak * b * (bk - 1.0) ** 3 * (bk + 1.0) ** 3 * k ** 2
-    return (A * ak ** 2 + B * ak + C) / denom
 
 
 def double_vase_closed_form_a(k: int, b: float) -> float:

@@ -42,11 +42,6 @@ class PeriodEntry:
     defect: float       # its column of `PeriodReport.defects`
 
     @property
-    def i_plus_real(self) -> bool:
-        # i * Res((1/G + G) dh) real  <=>  Re Res((1/G + G) dh) = 0
-        return abs(self.res_plus.real) <= self.tol
-
-    @property
     def closed(self) -> bool:
         """All three conditions within tol: a NaN defect is not."""
         return self.defect <= self.tol

@@ -7,15 +7,16 @@ v = G dh and w = dh.  The data take G and dh as (coefficient, factors)
 and build one root table over all those factors and four products over
 it in one pass: G, dh, and u and v as the exponent vectors dh - G and
 G + dh.  A puncture is held as its table entry, with a mask of infinity,
-so the audits read orders and residues at the punctures as arrays; INF
-itself is met only where a point is named (queries, JSON).  The
-antiderivative of each form is a polynomial, principal parts and
-c_1 log(z - p) terms (`Immersion`); once the periods close every c_1 is
-real, so X needs no path and no quadrature.  Its terms are arrays read
-from each form's Laurent table (`algebra.primitive_terms`), the table
-whose c_1 the period gate checks.  X takes one pass over the nodes in
-`kernels.BLOCK` blocks, the base point in the last, forming each pole's
-terms once for the three forms by Horner.
+so the audits read orders, residues and the ends' floors at the
+punctures' entries as arrays; INF itself is met only where a point is
+named (the Gauss map's value, JSON).  The antiderivative of each form is
+a polynomial, principal parts and c_1 log(z - p) terms (`Immersion`);
+once the periods close every c_1 is real, so X needs no path and no
+quadrature.  Its terms are arrays read from each form's Laurent table
+(`algebra.primitive_terms`), the table whose c_1 the period gate checks.
+X takes one pass over the nodes in `kernels.BLOCK` blocks, the base
+point in the last, forming each pole's terms once for the three forms by
+Horner.
 """
 
 from __future__ import annotations
@@ -29,16 +30,16 @@ from .algebra import (
     INF,
     FactoredMeromorphic,
     RootTable,
+    _floor_scales,
+    _laurent_table,
     entry_residues,
     first_entries,
     is_infinity,
-    one_form_order_at,
     outer_expansion,
     primitive_terms,
-    principal_part,
     same_point,
 )
-from .errors import ParameterDomainError, PoleEvaluation, UnrecognizedEndType
+from .errors import ParameterDomainError, PoleEvaluation
 from .kernels import BLOCK
 
 PLANAR_HORIZONTAL = "planar_horizontal"
@@ -80,11 +81,6 @@ class WeierstrassData:
         self._entries = np.full(len(self.punctures), -1)
         self._entries[~self._inf] = first_entries(table.points, finite)
         self._residues = None  # see puncture_residues
-
-    def is_puncture(self, p) -> bool:
-        if is_infinity(p):
-            return self._has_inf
-        return bool(same_point(p, self._finite_punctures).any())
 
     def finite_singularities(self):
         """All finite zeros/poles of G and dh (candidate special points for
@@ -288,16 +284,19 @@ class EndDescriptor:
     log_growth_sign: int | None
 
 
-def _log_growth_sign(data: WeierstrassData, p) -> int:
+def _log_growth_sign(data: WeierstrassData, entry: int) -> int:
     """Sign of the vertical growth x3 ~ Re(Res_p(dh) * log(z - p)) at an
     end: -1 (the end points down) when the residue's real part is
-    positive, and 0 when that real part is within its rounding floor
-    (`algebra.principal_part`, `algebra.outer_expansion`), so not resolved."""
-    if is_infinity(p):
+    positive, and 0 when that real part is within its rounding floor, so
+    not resolved.  `entry` is dh's entry at a finite end, where dh has a
+    pole: c_1 from dh's Laurent table and the floor radius * scale_1 that
+    `describe_ends` builds (`algebra._floor_scales`); -1 is infinity
+    (`algebra.outer_expansion`)."""
+    if entry < 0:
         _, res, floor = outer_expansion(data.dh)
     else:
-        c, floors = principal_part(data.dh, [p])[0]  # dh has a pole at every such end
-        res, floor = c[0], floors[0]
+        ((radius, scales),) = _floor_scales(data.dh, [entry])
+        res, floor = _laurent_table(data.dh)[entry, 0], radius * scales[0]
     if abs(res.real) <= floor:
         return 0
     return -1 if res.real > 0 else 1
@@ -325,37 +324,27 @@ def puncture_ends(data: WeierstrassData) -> list:
     return [(p, g, d, kinds[g, d]) for p, g, d in zip(data.punctures, og, odh)]
 
 
-def _describe_end(data: WeierstrassData, p, g_order: int, kind) -> EndDescriptor:
-    """The limit normal and log growth sign of an end of the given kind;
-    an end of no kind has neither."""
+def _describe_end(data: WeierstrassData, p, g_order: int, kind, entry: int) -> EndDescriptor:
+    """The limit normal and log growth sign of an end of the given kind at
+    dh's `entry`; an end of no kind has neither."""
     if kind is None:
         return EndDescriptor(p, None, None, None)
     if kind == CATENOID_NON_VERTICAL:
         normal = tuple(gauss_normal(data, p))
     else:
         normal = (0.0, 0.0, -1.0) if g_order > 0 else (0.0, 0.0, 1.0)
-    sign = 0 if kind == PLANAR_HORIZONTAL else _log_growth_sign(data, p)
+    sign = 0 if kind == PLANAR_HORIZONTAL else _log_growth_sign(data, entry)
     return EndDescriptor(p, kind, normal, sign)
 
 
-def classify_end(data: WeierstrassData, p) -> EndDescriptor:
-    """The end at a puncture, from its order pair (G, dh) at that point;
-    raises UnrecognizedEndType where the pair matches no pattern."""
-    if not data.is_puncture(p):
-        raise ValueError(f"{p!r} is not a puncture")
-    og = data.gauss_map.order_at(p)
-    odh = one_form_order_at(data.dh, p)
-    kind = end_kind(og, odh)
-    if kind is None:
-        raise UnrecognizedEndType(p, og, odh)
-    return _describe_end(data, p, og, kind)
-
-
 def describe_ends(data: WeierstrassData, ends) -> list:
-    """`_describe_end` at each (location, ord G, ord dh, kind) of `ends`."""
-    # the log growth signs read dh's floors at the finite ends: one call
-    principal_part(data.dh, data._finite_punctures)
-    return [_describe_end(data, p, g, kind) for p, g, _, kind in ends]
+    """`_describe_end` at each (location, ord G, ord dh, kind) of `ends`,
+    the data's `puncture_ends`, each at dh's entry of its puncture (-1 at
+    infinity or where dh has no root)."""
+    entries = np.append(data.dh._local, -1)[data._entries].tolist()
+    # the floors of every finite end in one call: its batch sizes their series
+    _floor_scales(data.dh, [i for i in entries if i >= 0])
+    return [_describe_end(data, p, g, kind, i) for (p, g, _, kind), i in zip(ends, entries)]
 
 
 # -- report serialization ---------------------------------------------

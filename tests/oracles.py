@@ -8,7 +8,12 @@ pole (`antiderivative`), as it first read them; and the residues at a
 list of points (`residues_at`), the puncture residues, period entries and
 ends puncture by puncture, each point tested for infinity and matched to
 the table on its own (`loop_puncture_residues`, `loop_period_entries`,
-`loop_worst`, `loop_puncture_ends`), as the data first read them."""
+`loop_worst`, `loop_puncture_ends`), as the data first read them; the
+orders and principal parts at points (`order_at`, `orders_at`,
+`one_form_order_at`, `principal_part`) and the ends' records point by
+point (`loop_end_records`), as the end record first read them; and the
+families' printed period equations as functions (`vase_equation`,
+`double_vase_equation`)."""
 
 import cmath
 import math
@@ -16,15 +21,16 @@ import math
 import numpy as np
 
 from spheremin.algebra import (
-    INF,
+    _floor_scales,
     _laurent_table,
     _outer_series,
     first_entries,
     is_infinity,
-    one_form_order_at,
+    outer_expansion,
     same_point,
 )
 from spheremin.errors import PoleEvaluation
+from spheremin.families import _vase_coefficients
 from spheremin.paths import (
     ArcSegment,
     IntegrationPath,
@@ -39,6 +45,7 @@ from spheremin.weierstrass import (
     CATENOID_VERTICAL_UP,
     PLANAR_HORIZONTAL,
     CoordinateForms,
+    gauss_normal,
     metric_scale,
 )
 
@@ -184,9 +191,108 @@ def loop_puncture_ends(data) -> list:
     ends = []
     for p in data.punctures:
         if is_infinity(p):
-            g, d = data.gauss_map.order_at(INF), one_form_order_at(data.dh, INF)
+            g, d = order_at(data.gauss_map, p), one_form_order_at(data.dh, p)
         else:
             (i,) = first_entries(data._table.points, [p]).tolist()
             g, d = (og[i], odh[i]) if i >= 0 else (0, 0)
         ends.append((p, g, d, loop_end_kind(g, d)))
     return ends
+
+
+def order_at(f, p) -> int:
+    """Zero order (>0), pole order (<0) or 0 of f at a sphere point:
+    -degree at INF, else `orders_at`."""
+    if is_infinity(p):
+        return -f.degree
+    return int(orders_at(f, [p])[0])
+
+
+def orders_at(f, points) -> np.ndarray:
+    """f's order at each finite point, from one broadcast over its roots:
+    the summed orders of the entries matching the point under
+    same_point(entry, point)."""
+    hits = same_point(f._points, np.asarray(points, dtype=np.complex128)[:, None])
+    return np.where(hits, f._orders, 0).sum(axis=1)
+
+
+def one_form_order_at(f, p) -> int:
+    """Order of the one-form f dz at a sphere point: at INF, where
+    dz = -dw/w**2 for w = 1/z, it is -degree - 2."""
+    if is_infinity(p):
+        return -f.degree - 2
+    return order_at(f, p)
+
+
+_NO_ROOT = (np.empty(0, dtype=np.complex128), np.empty(0))
+
+
+def principal_part(f, points) -> list:
+    """(c, floor) at the first of f's roots matching each finite point p,
+    empty where none does: c = (c_1, ..., c_m), m = max(1, pole order),
+    and the floor within which each is not resolved.  The floors of the
+    entries not yet built are built in one `_floor_scales` call, whose
+    batch sizes their series."""
+    entries = first_entries(f._points, points).tolist()
+    scales = iter(_floor_scales(f, [i for i in entries if i >= 0]))
+    out = []
+    for i in entries:
+        if i >= 0:
+            c, (radius, scale) = _laurent_table(f)[i, :max(1, -f._orders[i])], next(scales)
+        out.append((c, radius ** np.arange(1.0, len(c) + 1) * scale) if i >= 0 else _NO_ROOT)
+    return out
+
+
+def loop_end_records(data) -> list:
+    """(kind, limit_normal, log_growth_sign) at each puncture, as the
+    audit record's JSON holds them, point by point: the kind from the
+    orders of G and of dh dz at the point, the normal from G's value there
+    and the sign from dh's principal part at the point, or from its outer
+    expansion at INF.  dh's floors at the finite punctures are built
+    first in one `principal_part` call, the batch the record sizes its
+    series by."""
+    g, dh = data.gauss_map, data.dh
+    principal_part(dh, [p for p in data.punctures if not is_infinity(p)])
+    records = []
+    for p in data.punctures:
+        og = order_at(g, p)
+        kind = loop_end_kind(og, one_form_order_at(dh, p))
+        if kind is None:
+            records.append((None, None, None))
+            continue
+        if kind == CATENOID_NON_VERTICAL:
+            normal = [float(x) for x in gauss_normal(data, p)]
+        else:
+            normal = [0.0, 0.0, -1.0] if og > 0 else [0.0, 0.0, 1.0]
+        sign = 0
+        if kind != PLANAR_HORIZONTAL:
+            if is_infinity(p):
+                _, res, floor = outer_expansion(dh)
+            else:
+                ((c, floors),) = principal_part(dh, [p])
+                res, floor = c[0], floors[0]
+            sign = 0 if abs(res.real) <= floor else (-1 if res.real > 0 else 1)
+        records.append((kind, normal, sign))
+    return records
+
+
+def vase_equation(k: int, ak: float, rho):
+    """Res_1((1/G + G) dh) of the vase in closed form, rho P + Q / rho
+    for a^k = ak; rho broadcasts."""
+    P, Q = _vase_coefficients(k, ak)
+    return rho * P + Q / rho
+
+
+def double_vase_equation(k: int, b: float, quadratic, a):
+    """The printed Res_b((1/G + G) dh) of the double vase, a quadratic in
+    a^k over a^k * b * (b^k - 1)^3 * (b^k + 1)^3 * k^2, from the
+    coefficients `quadratic` of `families._double_vase_quadratic`; a
+    broadcasts.
+
+    It keeps the quoted sign, which is the negative of the defining
+    contour integral (verified symbolically); the root set is the same
+    either way."""
+    ak = a ** k
+    bk = b ** k
+    A, B, C = quadratic
+    denom = ak * b * (bk - 1.0) ** 3 * (bk + 1.0) ** 3 * k ** 2
+    return (A * ak ** 2 + B * ak + C) / denom

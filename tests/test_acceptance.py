@@ -22,7 +22,6 @@ from spheremin import (
 )
 from spheremin.algebra import INF, is_infinity, residue_at
 from spheremin.families import (
-    _double_vase_equation,
     _double_vase_quadratic,
     double_vase_weierstrass_data,
     make_vase,
@@ -40,7 +39,12 @@ from spheremin.weierstrass import (
 )
 
 from exact_residues import combo_residue_package
-from oracles import check_path_independence, conformal_factor, fd_tangents
+from oracles import (
+    check_path_independence,
+    conformal_factor,
+    double_vase_equation,
+    fd_tangents,
+)
 
 VASE_KS = range(2, 9)
 VASE_AS = (0.1, 0.3, 0.5, 0.7, 0.9)
@@ -119,7 +123,7 @@ def test_criterion_03_double_vase_residue_vs_oracle():
     for k in DV_KS:
         for b in DV_BS:
             for a in DV_AS:
-                closed = -_double_vase_equation(
+                closed = -double_vase_equation(
                     k, b, _double_vase_quadratic(k, b), a
                 )
                 oracle = combo_residue_package(

@@ -22,10 +22,8 @@ from spheremin.algebra import (
     contour_radius,
     is_infinity,
     monomial,
-    one_form_order_at,
     outer_expansion,
     primitive_terms,
-    principal_part,
     residue_at,
     residue_contour,
     roots_of,
@@ -34,6 +32,7 @@ from spheremin.algebra import (
 )
 from spheremin.errors import ParameterDomainError, PoleEvaluation
 from spheremin.families import FAMILIES, catenoid_weierstrass_data
+from spheremin.weierstrass import WeierstrassData, puncture_ends
 
 from exact_residues import (
     exact_residue_at,
@@ -43,7 +42,7 @@ from exact_residues import (
     series_principal_part,
 )
 from kernel_reference import squaring_power, times_power
-from oracles import residues_at
+from oracles import order_at, orders_at, principal_part, residues_at
 
 
 def _poly_oracle(f: FactoredMeromorphic, z):
@@ -142,12 +141,12 @@ def test_orders_and_roots():
     f = FactoredMeromorphic(
         1.0, [monomial(-1), shifted_power(2, 4.0), shifted_power(2, 1.0, -2)]
     )
-    assert f.order_at(0.0) == -1
-    assert f.order_at(2.0) == 1
-    assert f.order_at(-2.0) == 1
-    assert f.order_at(1.0) == -2
-    assert f.order_at(5.0) == 0
-    assert f.order_at(INF) == -f.degree == 3
+    assert order_at(f, 0.0) == -1
+    assert order_at(f, 2.0) == 1
+    assert order_at(f, -2.0) == 1
+    assert order_at(f, 1.0) == -2
+    assert order_at(f, 5.0) == 0
+    assert order_at(f, INF) == -f.degree == 3
     poles = [r for r, o in f.finite_roots() if o < 0]
     assert sorted(poles, key=lambda z: z.real) == pytest.approx(
         [-1.0, 0.0, 1.0]
@@ -165,14 +164,17 @@ def test_finite_roots_aggregate_shared_locations():
     assert roots == {-1.0: 1}
 
 
+def _dh_orders(dh, punctures):
+    """The orders of dh dz that the audit reads at the punctures, with a
+    constant G."""
+    return [d for _, _, d, _ in puncture_ends(WeierstrassData((1.0, []), dh, punctures))]
+
+
 def test_one_form_order_at_infinity():
     # dz/z has simple poles at both 0 and infinity as a one-form
-    f = FactoredMeromorphic(1.0, [monomial(-1)])
-    assert f.order_at(0.0) == -1
-    assert one_form_order_at(f, INF) == -1
+    assert _dh_orders((1.0, [monomial(-1)]), (0j, INF)) == [-1, -1]
     # constant one-form dz: double pole at infinity
-    g = FactoredMeromorphic(1.0)
-    assert one_form_order_at(g, INF) == -2
+    assert _dh_orders((1.0, []), (INF,)) == [-2]
 
 
 def test_infinity_chart_function_values():
@@ -376,7 +378,7 @@ def test_order_additivity_under_product(fa, fb):
     f, g = FactoredMeromorphic(1.0, fa), FactoredMeromorphic(1.0, fb)
     fg = FactoredMeromorphic(1.0, fa + fb)
     for p in [0.0, 1.0, -1.0, 0.5, INF]:
-        assert fg.order_at(p) == f.order_at(p) + g.order_at(p)
+        assert order_at(fg, p) == order_at(f, p) + order_at(g, p)
 
 
 @settings(max_examples=40, deadline=None)
@@ -384,7 +386,7 @@ def test_order_additivity_under_product(fa, fb):
 def test_sphere_orders_balance(factors):
     # a meromorphic function on the sphere has equally many zeros and poles
     f = FactoredMeromorphic(2.0, factors)
-    total = sum(o for _, o in f.finite_roots()) + f.order_at(INF)
+    total = sum(o for _, o in f.finite_roots()) + order_at(f, INF)
     assert total == 0
 
 
@@ -406,7 +408,8 @@ def test_infinity_chart_round_trip(factors):
 def test_one_form_order_at_infinity_is_the_chart_order(factors):
     # -degree - 2, the order at w = 0 of the oracle's w = 1/z pullback
     f = FactoredMeromorphic(0.5 + 2.0j, factors)
-    assert one_form_order_at(f, INF) == infinity_chart(f, one_form=True).order_at(0.0)
+    chart = infinity_chart(f, one_form=True)
+    assert _dh_orders((0.5 + 2.0j, factors), (INF,)) == [order_at(chart, 0.0)]
 
 
 # -- one factor form against the two kinds it replaced ----------------
@@ -510,7 +513,7 @@ def test_root_table_is_the_factors_roots_end_to_end(factors):
     queries = points + [0.5 + 0.5j, 3.0, 1e-12]
     want = [sum(fac.exponent for fac in f.factors
                 if any(_same(r, p) for r in fac.roots())) for p in queries]
-    assert f.orders_at(queries).tolist() == want
+    assert orders_at(f, queries).tolist() == want
 
 
 def test_root_table_skips_only_pairs_that_cannot_match():
@@ -675,22 +678,44 @@ def _share_a_root(factors):
 def test_factors_of_one_k_near_the_tolerance_are_refused_by_the_scalar_rule(k):
     """Two factors z**k - c of one k whose radii |c|**(1/k) differ by
     about the match tolerance, their roots aligned: the table refuses them
-    exactly when the first root of the earlier factor is the same point as
-    a root of the later one by the scalar rule, though it compares no roots
-    where the radii lie twice the tolerance apart."""
+    exactly when a root of the earlier factor is the same point as a root
+    of the later one by the scalar rule, though it compares no roots where
+    the radii lie twice the tolerance apart; the message names a root of
+    such a pair."""
     c = 1.7 * cmath.exp(0.3j)
     refused = 0
     for rel in np.geomspace(1e-11, 1e-7, 81).tolist():
         for scale in (1.0 + rel, 1.0 - rel):
             factors = [shifted_power(k, c), shifted_power(k, c * scale ** k)]
             first, later = sorted(factors, key=lambda f: (f.c.real, f.c.imag))
-            if any(_same(first.roots()[0], q) for q in later.roots()):
+            shared = [p for p in first.roots() if any(_same(p, q) for q in later.roots())]
+            if shared:
                 refused += 1
-                with pytest.raises(ParameterDomainError, match="share the root"):
+                with pytest.raises(ParameterDomainError, match="share the root") as exc_info:
                     RootTable(factors)
+                assert str(exc_info.value).endswith(f"share the root {shared[0]!r}")
             else:
                 assert len(RootTable(factors).points) == 2 * k
     assert 0 < refused < 162
+
+
+def test_factors_of_one_k_with_one_matching_root_pair_are_refused():
+    """z**3 - c and z**3 - c (1 + 1e-9)**3, c = 1.7 exp(0.3i): one root
+    pair is one point by the scalar rule and the other two are not.  The
+    table refuses the factors, naming that pair's root; comparing only the
+    earlier factor's first root, it once kept six entries, two of them one
+    point."""
+    c = 1.7 * cmath.exp(0.3j)
+    factors = [shifted_power(3, c), shifted_power(3, c * (1 + 1e-9) ** 3)]
+    first, later = sorted(factors, key=lambda f: (f.c.real, f.c.imag))
+    pairs = [(i, j) for i, p in enumerate(first.roots())
+             for j, q in enumerate(later.roots()) if _same(p, q)]
+    assert len(pairs) == 1 and pairs[0][0] != 0
+    with pytest.raises(ParameterDomainError, match="share the root") as exc_info:
+        RootTable(factors)
+    assert str(exc_info.value).endswith(f"share the root {first.roots()[pairs[0][0]]!r}")
+    with pytest.raises(ParameterDomainError, match="share the root"):
+        FactoredMeromorphic(1.0, factors)
 
 
 def test_roots_are_the_per_root_formula_bit_for_bit():
@@ -753,7 +778,7 @@ def test_laurent_tables_match_sympy(factors, coeff):
 def test_cancelling_example_merges_and_cancels():
     f = FactoredMeromorphic(1.5 - 0.5j, _CANCELLING)
     assert len(f._points) == 1 + 1 + 2 + 3 - 2
-    assert f.orders_at([_R, -_R]).tolist() == [0, -1]
+    assert orders_at(f, [_R, -_R]).tolist() == [0, -1]
     ((c, _),) = principal_part(f, [_R])
     assert c.tolist() == [0j]
 
@@ -849,7 +874,7 @@ def test_high_order_zero_has_residue_exactly_0(b):
     at 0 the table gives c_1 = 0 exactly, from the orders alone."""
     data, _, _ = FAMILIES["double_vase"].build_data(32, b)
     dh = data.dh
-    assert dh.order_at(0.0) == 31
+    assert puncture_ends(data)[0][:3] == (0j, 32 + 1, 31)
     ((c, _),) = principal_part(dh, [0.0])
     assert c.tolist() == [0j]
     assert residue_at(dh, 0.0) == 0j

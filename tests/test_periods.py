@@ -25,9 +25,7 @@ from spheremin.families import (
     FAMILIES,
     DoubleVaseParams,
     VaseParams,
-    _double_vase_equation,
     _double_vase_quadratic,
-    _vase_equation,
     double_vase_closed_form_a,
     double_vase_weierstrass_data,
     make_double_vase,
@@ -47,11 +45,14 @@ from spheremin.weierstrass import WeierstrassData, puncture_ends
 
 from exact_residues import combo_residue_package, combo_residue_exact
 from oracles import (
+    double_vase_equation,
     loop_period_entries,
     loop_puncture_ends,
     loop_puncture_residues,
     loop_worst,
+    orders_at,
     residues_at,
+    vase_equation,
 )
 
 # frozen independent oracles (exact rationals obtained symbolically)
@@ -106,14 +107,14 @@ def test_solved_value_must_be_positive_and_finite(family, solved):
 
 def test_vase_residue_closed_form_value():
     # k=2, a=0.5, rho=1: rho(ak-1)(k ak + k - ak + 1)/k^2 + (k+1)/(rho k^2)
-    val = _vase_equation(2, 0.5 ** 2, 1.0)
+    val = vase_equation(2, 0.5 ** 2, 1.0)
     assert val == pytest.approx(VASE_RES_K2_A05_RHO1, rel=1e-12)
 
 
 def test_vase_residue_oracle_agreement():
     # the closed form against the package's Laurent series, within 1e-9
     for k, a, rho in [(2, 0.5, 1.0), (3, 0.3, 0.7), (5, 0.8, 2.0)]:
-        closed = _vase_equation(k, a ** k, rho)
+        closed = vase_equation(k, a ** k, rho)
         oracle = combo_residue_package(vase_weierstrass_data(k, a, rho), 1.0, +1.0)
         assert abs(closed - oracle) <= 1e-9 * max(1.0, abs(closed), abs(oracle))
 
@@ -193,13 +194,13 @@ def test_double_vase_printed_residue_sign_convention():
     defining contour integral; the solver negates it.  The
     value 3/32 at (k=2, b=1/2, a=2) was frozen from a symbolic residue
     computation."""
-    printed = _double_vase_equation(2, 0.5, _double_vase_quadratic(2, 0.5), 2.0)
+    printed = double_vase_equation(2, 0.5, _double_vase_quadratic(2, 0.5), 2.0)
     assert printed == pytest.approx(-DVASE_RES_K2_B05_A2, rel=1e-12)
 
 
 def test_double_vase_residue_oracle_agreement():
     for k, b, a in [(2, 0.5, 2.0), (3, 0.25, 1.5), (4, 0.75, 3.0)]:
-        closed = -_double_vase_equation(k, b, _double_vase_quadratic(k, b), a)
+        closed = -double_vase_equation(k, b, _double_vase_quadratic(k, b), a)
         data = double_vase_weierstrass_data(k, b, a)
         contour = combo_residue_package(data, b, +1.0)
         assert closed == pytest.approx(contour, rel=1e-8)
@@ -291,10 +292,10 @@ def test_shared_forms_are_standalone_at_merged_roots():
                 shifted_power(3, 8.0)])
     data = WeierstrassData(G, dh, (0j, INF, 1j, -1j, 2.0 + 0j))
     assert len(data._table.points) == 1 + 1 + 2 + 3 - 1
-    assert data.gauss_map.orders_at([1j]).tolist() == [0]
+    assert orders_at(data.gauss_map, [1j]).tolist() == [0]
     u, v, _ = data.factored_forms()
     assert -1j not in u._points.round(12).tolist()
-    assert v.orders_at([1j, -1j]).tolist() == [-3, -2]
+    assert orders_at(v, [1j, -1j]).tolist() == [-3, -2]
     _assert_shared_forms_are_standalone(data)
 
 
@@ -476,7 +477,7 @@ def vase_bracket(k, a):
     """The vase period equation in rho and the bracket the solver once
     searched: three decades either side of the printed radical."""
     closed = solve_vase_rho(k, a).closed_form
-    return (lambda rho: _vase_equation(k, a ** k, rho)), 1e-3 * closed, 1e3 * closed
+    return (lambda rho: vase_equation(k, a ** k, rho)), 1e-3 * closed, 1e3 * closed
 
 
 def double_vase_bracket(k, b):
@@ -490,7 +491,7 @@ def double_vase_bracket(k, b):
     if C / A > 0:
         mid = (C / A) ** (0.5 / k)
         lo, hi = (mid, hi) if closed > mid else (lo, mid)
-    return (lambda a: -_double_vase_equation(k, b, quadratic, a)), lo, hi
+    return (lambda a: -double_vase_equation(k, b, quadratic, a)), lo, hi
 
 
 def test_hybrid_root_matches_the_loop_on_the_solver_equations():
@@ -576,7 +577,8 @@ def test_period_report_open_for_unsolved_vase():
     assert open_entries
     for e in open_entries:
         assert abs(abs(complex(e.location)) - 1.0) < 1e-12
-        assert not e.i_plus_real
+        # i * Res((1/G + G) dh) real  <=>  Re Res((1/G + G) dh) = 0
+        assert abs(e.res_plus.real) > e.tol
         assert e.defect == pytest.approx(VASE_RES_K2_A05_RHO1, rel=1e-9)
 
 

@@ -7,7 +7,6 @@ from spheremin.algebra import (
     INF,
     FactoredMeromorphic,
     monomial,
-    one_form_order_at,
     same_point,
     shifted_power,
 )
@@ -27,7 +26,6 @@ from spheremin.weierstrass import (
     PLANAR_HORIZONTAL,
     CoordinateForms,
     WeierstrassData,
-    classify_end,
     degree_audit,
     describe_ends,
     gauss_normal,
@@ -38,7 +36,13 @@ from spheremin.weierstrass import (
 )
 
 from exact_residues import infinity_chart
-from oracles import conformal_factor
+from oracles import (
+    conformal_factor,
+    loop_end_records,
+    loop_puncture_ends,
+    one_form_order_at,
+    order_at,
+)
 
 
 def _catenoid_data():
@@ -59,15 +63,16 @@ def test_duplicate_punctures_rejected():
         WeierstrassData(G, dh, (0j, 1 + 0j, 1 + 1e-12j))
     with pytest.raises(ParameterDomainError):
         WeierstrassData(G, dh, (0j, INF, INF))
-    # the rule is relative: 0 matches only 0
-    assert WeierstrassData(G, dh, (0j, 1e-12 + 0j)).is_puncture(1e-12)
+    # the rule is relative: 0 matches only 0, the table's one entry
+    assert WeierstrassData(G, dh, (0j, 1e-12 + 0j))._entries.tolist() == [0, -1]
 
 
 def test_punctures_on_two_entries_at_one_point_are_rejected():
-    """z**3 - c and z**3 - c (1 + 1e-9)**3 leave two table entries that
-    are one point by `same_point` (the table compares only the earlier
-    factor's first root): punctures at those two roots are still refused,
-    though each is a table entry of its own."""
+    """z**3 - c and z**3 - c (1 + 1e-9)**3 have one root pair that is one
+    point by `same_point` and two that are not.  The table refuses the
+    factors, so no two of its entries are one point (it once compared only
+    the earlier factor's first root and kept six entries), and punctures
+    at those two roots are refused before it, as not pairwise distinct."""
     c = 1.7 * np.exp(0.3j)
     factors = [shifted_power(3, c), shifted_power(3, c * (1 + 1e-9) ** 3)]
     first, later = (np.array(f.roots()) for f in factors)
@@ -75,8 +80,8 @@ def test_punctures_on_two_entries_at_one_point_are_rejected():
     assert len(hits) == 1
     (i, j), = hits.tolist()
     punctures = (complex(first[i]), complex(later[j]))
-    data = WeierstrassData((1.0, []), (1.0, factors), (INF,))
-    assert len(data._table.points) == 6 and set(punctures) <= set(data._table.points.tolist())
+    with pytest.raises(ParameterDomainError, match="share the root"):
+        WeierstrassData((1.0, []), (1.0, factors), (INF,))
     with pytest.raises(ParameterDomainError, match="not pairwise distinct"):
         WeierstrassData((1.0, []), (1.0, factors), (*punctures, INF))
 
@@ -273,8 +278,8 @@ def test_planar_end_of_order_k_1():
     holds down to k = 1: |ord G| = 2 and dh neither zero nor pole."""
     data = _planar_k1_data()
     kinds = [PLANAR_HORIZONTAL, PLANAR_HORIZONTAL, CATENOID_NON_VERTICAL]
-    assert [classify_end(data, p).kind for p in data.punctures] == kinds
     assert [kind for _, _, _, kind in puncture_ends(data)] == kinds
+    assert [e.kind for e in _ends(data)] == kinds
     assert [e.limit_normal for e in _ends(data)][:2] == [(0.0, 0.0, -1.0), (0.0, 0.0, 1.0)]
 
 
@@ -285,30 +290,43 @@ def _grid_data():
                     for k in range(2, 7) for b in (0.1, 0.25, 0.5, 0.75)]
 
 
+def _all_end_data():
+    return _grid_data() + [_planar_k1_data(), _bad_orders_data()]
+
+
 def test_table_ends_are_the_pointwise_ones():
     """The audit record reads each puncture's order pair from the root
-    table and infinity's from the degrees; `classify_end` reads them at the
-    point.  Both give the same order pair and the same kind everywhere."""
+    table and infinity's from the degrees, and its normals and growth signs
+    at the punctures' entries; the oracles read them at the point, puncture
+    by puncture (on data built apart, so no floor is shared).  Both give the
+    same order pair, kind, limit normal and log growth sign everywhere, and
+    an end of no kind is a failure of the record naming its pair."""
     checked = 0
-    for data in _grid_data() + [_planar_k1_data(), _bad_orders_data()]:
-        for p, g, d, kind in puncture_ends(data):
-            assert (g, d) == (data.gauss_map.order_at(p), one_form_order_at(data.dh, p))
+    for data, apart in zip(_all_end_data(), _all_end_data()):
+        ends = puncture_ends(data)
+        assert ends == loop_puncture_ends(data)
+        checked_data = audit(data, 1e-8)
+        record = [(e["kind"], e["limit_normal"], e["log_growth_sign"])
+                  for e in checked_data.to_json()["ends"]]
+        assert record == loop_end_records(apart)
+        for p, g, d, kind in ends:
+            assert (g, d) == (order_at(data.gauss_map, p), one_form_order_at(data.dh, p))
             if kind is None:
-                with pytest.raises(UnrecognizedEndType) as exc_info:
-                    classify_end(data, p)
-                assert (exc_info.value.g_order, exc_info.value.dh_order) == (g, d)
-            else:
-                assert classify_end(data, p).kind == kind
+                (exc,) = [e for e in checked_data.failures if isinstance(e, UnrecognizedEndType)]
+                assert (exc.location, exc.g_order, exc.dh_order) == (p, g, d)
             checked += 1
     assert checked == 449
 
 
-def test_classify_rejects_non_puncture_and_bad_orders():
-    data = _catenoid_data()
-    with pytest.raises(ValueError):
-        classify_end(data, 5.0)
-    with pytest.raises(UnrecognizedEndType):
-        classify_end(_bad_orders_data(), 0j)
+def test_audit_rejects_bad_orders():
+    # G's double zero with dh's simple pole at 0 matches no pattern
+    checked = audit(_bad_orders_data(), 1e-9)
+    (exc,) = [e for e in checked.failures if isinstance(e, UnrecognizedEndType)]
+    assert (exc.location, exc.g_order, exc.dh_order) == (0j, 2, -1)
+    assert not checked.to_json()["passed"]
+    assert checked.to_json()["ends"][0] == {
+        "location": {"re": 0.0, "im": 0.0}, "kind": None,
+        "limit_normal": None, "log_growth_sign": None}
 
 
 def test_non_vertical_normal_is_not_vertical(vase2):
@@ -335,5 +353,5 @@ def test_verification_report_shape(vase2):
 def test_unsolved_vase_still_classifies():
     # end classification is structural and holds for any rho
     data = vase_weierstrass_data(3, 0.5, 1.0)
-    kinds = [classify_end(data, p).kind for p in data.punctures]
+    kinds = [e.kind for e in _ends(data)]
     assert kinds.count(CATENOID_NON_VERTICAL) == 3
