@@ -21,9 +21,10 @@ the factors' series about a table's entries (`_entry_bases`, one
 expansion for all the products over it, `laurent_tables`), a product's
 table of c_1, c_2, ... and its series in w = 1/z (`_outer_series`) are
 built once and kept, and residues are read from them at table entries
-(`entry_residues`) or at a point (`residue_at`).  Rounding floors are
-computed only when asked for, at table entries (`_floor_scales`) or at
-infinity (`outer_expansion`).
+(`entry_residues`) or at a point (`residue_at`).  A coefficient's
+rounding floor is ROUNDING_REL times |coefficient| times the bound that
+`_series_product` forms beside it, computed only when asked for, at
+table entries (`_rounding_floor`) or at infinity (`outer_expansion`).
 """
 
 from __future__ import annotations
@@ -38,10 +39,6 @@ from . import kernels
 from .errors import ParameterDomainError, PoleEvaluation
 
 _ROOT_MATCH_TOL = 1e-9
-# achievable relative accuracy of a factored evaluation: near high-order
-# poles its values carry cancellation noise of about this size relative to
-# the local magnitude, which no quadrature refinement can resolve
-NOISE_REL = 1e-12
 
 
 class _Infinity:
@@ -238,7 +235,7 @@ class FactoredMeromorphic:
     factors whose summed exponents are not 0."""
 
     __slots__ = ("coefficient", "_packed", "_table", "_nonzero", "_full", "_at",
-                 "_local", "_points", "_orders", "_laurent", "_floors", "_outer")
+                 "_local", "_points", "_orders", "_laurent", "_outer")
 
     def __init__(self, coefficient: complex, factors=(), table=None, exponents=None):
         if table is None:  # a table of its own, over the factors that do not cancel
@@ -330,7 +327,6 @@ def _build(products, coefficients, table, exponents):
             ("_table", table), ("_nonzero", nonzero), ("_full", orders), ("_at", at),
             ("_local", loc), ("_points", table.points[at]), ("_orders", orders[at]),
             ("_laurent", None),  # see _laurent_table
-            ("_floors", {}),  # see _floor_scales
             ("_outer", None),  # see _outer_series
         ):
             object.__setattr__(f, name, value)
@@ -339,24 +335,7 @@ def _build(products, coefficients, table, exponents):
 # -- Laurent tables ---------------------------------------------------
 
 
-REACH = np.finfo(float).eps / NOISE_REL  # z**k - c cancels within REACH |p|
-# terms past a principal part in a floor's magnitude: past n = P, P the
-# highest order of a pole beside the circle, they fall off like 2**-n
-FLOOR_TERMS = 24
 ROUNDING_REL = 2.0 ** -44  # a few eps per term and factor of a product
-
-
-def contour_radius(p, points, orders):
-    """Half the distance from each p (broadcast over a leading axis) to the
-    nearest other root of the table (points, orders), 1.0 when there is
-    none: the circle whose magnitude scales the rounding floors.  A pole
-    always bounds it; a root that is no pole does not within REACH * |p|."""
-    p = np.asarray(p, dtype=np.complex128)[..., None]
-    dist, size = modulus(p - points), modulus(p)
-    # `same_point`, from the one modulus of p - points
-    skip = (dist <= _ROOT_MATCH_TOL * size) | ((orders >= 0) & (dist < REACH * size))
-    dist = np.where(skip, np.inf, dist).min(axis=-1, initial=np.inf)
-    return np.where(dist < math.inf, 0.5 * dist, 1.0)
 
 
 def _times(x, y):
@@ -372,10 +351,10 @@ def _series_product(b, exponents):
     != 0, to its length, and the product of the powers' coefficients in
     modulus, which bounds its rounding (None to t**1: g_1 = g_0 sum e_i
     b_i1/b_i0).  A negative power follows J. C. P. Miller's recurrence
-    (Knuth, TAOCP vol. 2, 4.7); a positive one may vanish inside the
-    floor's circle, so it is multiplied out by repeated squaring.  b is
-    copied C-contiguous first: numpy multiplies a strided complex array in
-    another loop, which rounds differently."""
+    (Knuth, TAOCP vol. 2, 4.7); a positive one may vanish near t = 0, so
+    it is multiplied out by repeated squaring.  b is copied C-contiguous
+    first: numpy multiplies a strided complex array in another loop, which
+    rounds differently."""
     b = np.ascontiguousarray(b)
     rows, n = b.shape[1:]
     if n <= 2:
@@ -391,8 +370,11 @@ def _series_product(b, exponents):
             power = np.empty_like(base)
             power[:, 0] = base[:, 0] ** e
             for m in range(1, n):
+                # slices keep the terms row-major: each row is then summed
+                # alone, in one order whatever the rows (an index array
+                # lays them out by column)
                 j = np.arange(1, m + 1)
-                terms = ((e + 1) * j - m) * base[:, j] * power[:, m - j]
+                terms = ((e + 1) * j - m) * base[:, 1:m + 1] * power[:, m - 1::-1]
                 power[:, m] = terms.sum(axis=1) / (m * base[:, 0])
         else:
             power = None
@@ -473,29 +455,17 @@ def laurent_tables(products):
         object.__setattr__(f, "_laurent", rows)
 
 
-def _floor_scales(f: FactoredMeromorphic, entries):
-    """(radius, scales) per root-table entry index, built once and kept:
-    c_m's floor, radius**m scales[m - 1], is NOISE_REL times f's magnitude
-    sum |a_n| radius**n on the `contour_radius` circle plus ROUNDING_REL
-    times c_m's bound (`_series_product`); the b_i(0)**e_i enter as logs.
-    The circle is bounded by f's entries alone: an entry of its table
-    where none of f's factors vanishes is none of them."""
-    missing = np.array(sorted(set(entries) - f._floors.keys()), dtype=np.int64)
-    if len(missing):
-        exps = f._packed[2]
-        radii = contour_radius(f._points[missing], f._points, f._orders)
-        orders = f._orders[missing]
-        n = FLOOR_TERMS + max(1, -int(orders.min()))
-        b = _entry_bases(f._table, f._at[missing], n)[f._nonzero]
-        b = b * radii[:, None] ** np.arange(n)
-        series, bound = _series_product(b / b[..., :1], exps)
-        scale = np.exp(math.log(abs(f.coefficient)) + orders * np.log(radii)
-                       + exps @ np.log(modulus(b[..., 0])))
-        for i, order, radius, s, g, row in zip(missing.tolist(), orders.tolist(),
-                                               radii.tolist(), scale, series, bound):
-            rounding = ROUNDING_REL * row[-order - 1::-1] if order < 0 else 0.0
-            f._floors[i] = (radius, s * (NOISE_REL * np.abs(g).sum() + rounding))
-    return [f._floors[i] for i in entries]
+def _rounding_floor(f: FactoredMeromorphic, entries):
+    """The rounding floors of c_1, ..., c_P at each of f's poles `entries`
+    (indices of its roots, ascending), P the pole's order: c_m's is
+    ROUNDING_REL |coefficient| times the bound of its t**(P - m) term from
+    `_series_product`, over at least 3 terms (`_series_product` bounds no
+    shorter series).  That bound sums over the lower terms only, so a
+    pole's floors do not depend on the others asked for with it."""
+    orders = f._orders[entries]
+    b = _entry_bases(f._table, f._at[entries], max(3, -int(orders.min())))
+    bound = ROUNDING_REL * abs(f.coefficient) * _series_product(b[f._nonzero], f._packed[2])[1]
+    return [row[-order - 1::-1] for order, row in zip(orders.tolist(), bound)]
 
 
 def first_entries(table_points, points) -> np.ndarray:
@@ -504,14 +474,14 @@ def first_entries(table_points, points) -> np.ndarray:
     return np.where(hits.any(axis=1), hits.argmax(axis=1) if hits.size else 0, -1)
 
 
-def _outer_bases(f: FactoredMeromorphic, n, scale=1.0):
+def _outer_bases(f: FactoredMeromorphic, n):
     """(b, exponents) for `_series_product`: the bases 1 - c w**k to n
-    terms in w = 1/z, or w / scale, of the factors with c != 0."""
+    terms in w = 1/z of the factors with c != 0."""
     ks, cs, exps = f._packed
     keep = np.flatnonzero((cs != 0) & (ks < n))
     b = np.zeros((len(keep), 1, n), dtype=np.complex128)
     b[:, 0, 0] = 1.0
-    b[np.arange(len(keep)), 0, ks[keep]] = -cs[keep] * scale ** ks[keep]
+    b[np.arange(len(keep)), 0, ks[keep]] = -cs[keep]
     return b, exps[keep]
 
 
@@ -530,15 +500,13 @@ def _outer_series(f: FactoredMeromorphic):
 def outer_expansion(f: FactoredMeromorphic):
     """f's Laurent series about 0 outside all its roots: (a, residue,
     floor), a_n of z**n for n = 0..degree, Res_INF(f dz) = -a_-1 and its
-    floor as in `_floor_scales`, on the circle |z| = R of twice the largest
-    root (at least 1).  Below degree -1 f dz has no pole at INF, and the
-    residue and its floor are exactly 0."""
+    rounding floor as in `_rounding_floor`, ROUNDING_REL |coefficient|
+    times the bound of the w**(degree + 1) term.  Below degree -1 f dz has
+    no pole at INF, and the residue and its floor are exactly 0."""
     (a, residue), degree, floor = _outer_series(f), f.degree, 0.0
     if degree >= -1:
-        radius = 2.0 * float(modulus(f._points).max(initial=0.5))
-        series, bound = _series_product(*_outer_bases(f, degree + 2 + FLOOR_TERMS, 1 / radius))
-        floor = abs(f.coefficient) * radius ** (degree + 1) * float(
-            NOISE_REL * np.abs(series).sum() + ROUNDING_REL * bound[0, degree + 1])
+        bound = _series_product(*_outer_bases(f, max(3, degree + 2)))[1]
+        floor = ROUNDING_REL * abs(f.coefficient) * float(bound[0, degree + 1])
     return a, residue, floor
 
 

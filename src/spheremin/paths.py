@@ -21,10 +21,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import NOISE_REL, same_point
+from .algebra import same_point
 from .errors import QuadratureFailure, Unroutable
 from .weierstrass import CoordinateForms, WeierstrassData
 
+# achievable relative accuracy of a factored evaluation: near high-order
+# poles its values carry cancellation noise of about this size relative to
+# the local magnitude, which no quadrature refinement can resolve
+NOISE_REL = 1e-12
 DETOUR_INFLATION = 1.1
 SEGMENT_TOL = 1e-12
 SUBDIVISION_BUDGET = 10_000

@@ -7,7 +7,7 @@ v = G dh and w = dh.  The data take G and dh as (coefficient, factors)
 and build one root table over all those factors and four products over
 it in one pass: G, dh, and u and v as the exponent vectors dh - G and
 G + dh.  A puncture is held as its table entry, with a mask of infinity,
-so the audits read orders, residues and the ends' floors at the
+so the audits read orders, residues and the ends' rounding floors at the
 punctures' entries as arrays; INF itself is met only where a point is
 named (the Gauss map's value, JSON).  The antiderivative of each form is
 a polynomial, principal parts and c_1 log(z - p) terms (`Immersion`);
@@ -30,8 +30,8 @@ from .algebra import (
     INF,
     FactoredMeromorphic,
     RootTable,
-    _floor_scales,
     _laurent_table,
+    _rounding_floor,
     entry_residues,
     first_entries,
     is_infinity,
@@ -289,14 +289,12 @@ def _log_growth_sign(data: WeierstrassData, entry: int) -> int:
     end: -1 (the end points down) when the residue's real part is
     positive, and 0 when that real part is within its rounding floor, so
     not resolved.  `entry` is dh's entry at a finite end, where dh has a
-    pole: c_1 from dh's Laurent table and the floor radius * scale_1 that
-    `describe_ends` builds (`algebra._floor_scales`); -1 is infinity
-    (`algebra.outer_expansion`)."""
+    pole: c_1 from dh's Laurent table and its floor
+    (`algebra._rounding_floor`); -1 is infinity (`algebra.outer_expansion`)."""
     if entry < 0:
         _, res, floor = outer_expansion(data.dh)
     else:
-        ((radius, scales),) = _floor_scales(data.dh, [entry])
-        res, floor = _laurent_table(data.dh)[entry, 0], radius * scales[0]
+        res, floor = _laurent_table(data.dh)[entry, 0], _rounding_floor(data.dh, [entry])[0][0]
     if abs(res.real) <= floor:
         return 0
     return -1 if res.real > 0 else 1
@@ -342,8 +340,6 @@ def describe_ends(data: WeierstrassData, ends) -> list:
     the data's `puncture_ends`, each at dh's entry of its puncture (-1 at
     infinity or where dh has no root)."""
     entries = np.append(data.dh._local, -1)[data._entries].tolist()
-    # the floors of every finite end in one call: its batch sizes their series
-    _floor_scales(data.dh, [i for i in entries if i >= 0])
     return [_describe_end(data, p, g, kind, i) for (p, g, _, kind), i in zip(ends, entries)]
 
 

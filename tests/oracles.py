@@ -3,8 +3,9 @@ scale from scalar evaluations of G and dh (`conformal_factor`), and, on
 the package's path quadrature (`spheremin.paths`), a closed loop about a
 point (`loop_path`), the difference of X along two paths with the same
 ends (`check_path_independence`) and finite-difference tangents
-(`fd_tangents`); the immersion's terms as lists for np.polyval, pole by
-pole (`antiderivative`), as it first read them; and the residues at a
+(`fd_tangents`); the circle a residue contour once took
+(`contour_radius`); the immersion's terms as lists for np.polyval, pole
+by pole (`antiderivative`), as it first read them; and the residues at a
 list of points (`residues_at`), the puncture residues, period entries and
 ends puncture by puncture, each point tested for infinity and matched to
 the table on its own (`loop_puncture_residues`, `loop_period_entries`,
@@ -21,9 +22,9 @@ import math
 import numpy as np
 
 from spheremin.algebra import (
-    _floor_scales,
     _laurent_table,
     _outer_series,
+    _rounding_floor,
     first_entries,
     is_infinity,
     outer_expansion,
@@ -32,6 +33,7 @@ from spheremin.algebra import (
 from spheremin.errors import PoleEvaluation
 from spheremin.families import _vase_coefficients
 from spheremin.paths import (
+    NOISE_REL,
     ArcSegment,
     IntegrationPath,
     LineSegment,
@@ -99,6 +101,18 @@ def fd_tangents(data, z: complex, h: float = 1e-3):
     xu = (local(zs_p) - local(zs_m)) / (2.0 * h)
     xv = (local(zt_p) - local(zt_m)) / (2.0 * h)
     return xu, xv
+
+
+def contour_radius(p: complex, points, orders) -> float:
+    """The radius of the circle a residue contour about the root p once
+    took, one centre at a time: half the distance to the nearest other of
+    the roots (points, orders), a zero or cancelled root within rounding
+    reach (eps / NOISE_REL relative) aside, and 1.0 when none is left."""
+    reach = np.finfo(float).eps / NOISE_REL * abs(p)
+    dist = min((abs(q - p) for q, o in zip(points, orders)
+                if not same_point(p, q) and (o < 0 or abs(q - p) >= reach)),
+               default=math.inf)
+    return 0.5 * dist if dist < math.inf else 1.0
 
 
 def antiderivative(f):
@@ -229,16 +243,17 @@ _NO_ROOT = (np.empty(0, dtype=np.complex128), np.empty(0))
 def principal_part(f, points) -> list:
     """(c, floor) at the first of f's roots matching each finite point p,
     empty where none does: c = (c_1, ..., c_m), m = max(1, pole order),
-    and the floor within which each is not resolved.  The floors of the
-    entries not yet built are built in one `_floor_scales` call, whose
-    batch sizes their series."""
-    entries = first_entries(f._points, points).tolist()
-    scales = iter(_floor_scales(f, [i for i in entries if i >= 0]))
+    and the rounding floor within which each is not resolved: a pole's
+    own (`_rounding_floor`, each pole's on its own), and 0 where c_1 is
+    exactly 0."""
     out = []
-    for i in entries:
-        if i >= 0:
-            c, (radius, scale) = _laurent_table(f)[i, :max(1, -f._orders[i])], next(scales)
-        out.append((c, radius ** np.arange(1.0, len(c) + 1) * scale) if i >= 0 else _NO_ROOT)
+    for i in first_entries(f._points, points).tolist():
+        if i < 0:
+            out.append(_NO_ROOT)
+        elif f._orders[i] >= 0:
+            out.append((_laurent_table(f)[i, :1], np.zeros(1)))
+        else:
+            out.append((_laurent_table(f)[i, :-f._orders[i]], _rounding_floor(f, [i])[0]))
     return out
 
 
@@ -247,11 +262,8 @@ def loop_end_records(data) -> list:
     audit record's JSON holds them, point by point: the kind from the
     orders of G and of dh dz at the point, the normal from G's value there
     and the sign from dh's principal part at the point, or from its outer
-    expansion at INF.  dh's floors at the finite punctures are built
-    first in one `principal_part` call, the batch the record sizes its
-    series by."""
+    expansion at INF."""
     g, dh = data.gauss_map, data.dh
-    principal_part(dh, [p for p in data.punctures if not is_infinity(p)])
     records = []
     for p in data.punctures:
         og = order_at(g, p)

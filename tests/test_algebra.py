@@ -12,14 +12,14 @@ from hypothesis import strategies as st
 
 from spheremin.algebra import (
     INF,
-    NOISE_REL,
+    ROUNDING_REL,
     FactoredMeromorphic,
     _fmt_number,
     Factor,
     RootTable,
     _entry_bases,
+    _outer_bases,
     _series_product,
-    contour_radius,
     is_infinity,
     monomial,
     outer_expansion,
@@ -203,17 +203,6 @@ def _same(p, q):
     return abs(complex(p) - complex(q)) <= 1e-9 * abs(complex(p))
 
 
-def _radius(p, points, orders):
-    """The contour rule, one centre at a time: half the distance to the
-    nearest other root, a zero or cancelled root within rounding reach
-    (eps / NOISE_REL relative) aside."""
-    reach = np.finfo(float).eps / NOISE_REL * abs(p)
-    dist = min((abs(q - p) for q, o in zip(points, orders)
-                if not _same(p, q) and (o < 0 or abs(q - p) >= reach)),
-               default=math.inf)
-    return 0.5 * dist if dist < math.inf else 1.0
-
-
 _moduli = st.sampled_from([0.0, 1e-3, 0.5, 0.999999, 1.0, 1.5, 37.0, 1e4])
 _ratios = st.floats(0.999, 1.001)  # |p - q| / tolerance, at the boundary
 _angles = st.floats(0.0, 2.0 * math.pi)
@@ -234,20 +223,6 @@ def test_broadcast_same_point_is_the_scalar_rule(draws):
     moduli = np.abs(pts).tolist()
     assert [[same_point(a, b) for b in moduli] for a in moduli] == \
         same_point(np.array(moduli)[:, None], np.array(moduli)).tolist()
-
-
-def test_contour_radius_is_bitwise_the_scalar_rule():
-    # np.abs differs from abs in the last bit on about a third of random
-    # complex values, so a radius taken with it fails here
-    rng = np.random.default_rng(7)
-    for _ in range(300):
-        pts = (rng.normal(size=6) + 1j * rng.normal(size=6)) * 10.0 ** rng.integers(-3, 3)
-        # two neighbours of the centre, on either side of the rounding reach
-        offsets = np.array([1e-4, 1e-3]) * np.exp(2j * np.pi * rng.random(2))
-        pts[1:3] = pts[0] * (1.0 + offsets)
-        orders = rng.choice([-2, -1, 0, 1, 2], size=6)
-        p = complex(pts[0])
-        assert contour_radius(p, pts, orders) == _radius(p, pts.tolist(), orders)
 
 
 # -- residues ----------------------------------------------------------
@@ -304,22 +279,6 @@ def test_residue_at_dispatch():
     # regular point gives exactly zero
     assert residue_at(f, 5.0) == 0.0
     assert residue_at(f, INF) == pytest.approx(exact_residue_at(f, INF), rel=1e-10)
-
-
-def test_default_contour_radius():
-    f = FactoredMeromorphic(1.0, [monomial(1), shifted_power(1, 1.0)])
-    assert contour_radius(0.0, f._points, f._orders) == pytest.approx(0.5)
-    # entire function: falls back to a fixed radius
-    g = FactoredMeromorphic(2.0)
-    assert contour_radius(0.0, g._points, g._orders) == 1.0
-    # a zero within rounding reach of the centre does not bound the circle,
-    # a pole does
-    near = 1.0 + 1e-6
-    zero = FactoredMeromorphic(1.0, [shifted_power(1, 1.0, -1), shifted_power(1, near),
-                                     shifted_power(1, 3.0, -1)])
-    assert contour_radius(1.0, zero._points, zero._orders) == 1.0
-    pole = FactoredMeromorphic(1.0, [shifted_power(1, 1.0, -1), shifted_power(1, near, -1)])
-    assert contour_radius(1.0, pole._points, pole._orders) == pytest.approx(0.5e-6)
 
 
 def test_global_residue_theorem_fixed_cases():
@@ -630,10 +589,11 @@ def _assert_tables_match_the_series(f):
         return
     want_a, want_residue = series_outer(f)
     assert abs(residue - want_residue) <= floor
-    # a_n's floor: a_-1's scaled by radius**-(n + 1), as the magnitude part scales
-    radius = 2.0 * max([0.5, *map(abs, points)])
-    n = np.arange(f.degree + 1)
-    assert np.all(np.abs(a - want_a) <= floor * radius ** -(n + 1.0))
+    # a_n's own rounding floor, as a_-1's: the bound of its w**(degree - n) term
+    _, bound = _series_product(*_outer_bases(f, max(3, f.degree + 2)))
+    assert floor == ROUNDING_REL * abs(f.coefficient) * bound[0, f.degree + 1]
+    floors = ROUNDING_REL * abs(f.coefficient) * bound[0, :f.degree + 1][::-1]
+    assert np.all(np.abs(a - want_a) <= floors)
 
 
 def _with_charts(forms):
@@ -836,6 +796,29 @@ def test_batched_laurent_tables_with_an_empty_root_table():
     assert residues_at(constant, [0.5, 2.0]) == [0j, 0j]
     # dz/z: residue exactly 1 at 0 and -1 at infinity
     assert residues_at(data.dh, [0j, INF]) == [1, -1]
+
+
+def test_a_floor_is_the_same_alone_and_among_all_ends():
+    """A pole's rounding floors are == whether asked for alone or with the
+    others: c_m's bound sums over the terms j <= m only, so neither the
+    rows asked for nor the series length, set by the highest pole order
+    among them, moves its bits.  Checked at dh's poles, the finite ends,
+    of family data, and at the poles of a product with simple poles and
+    poles of order 6, the recurrence's sums then of 1 to 5 terms."""
+    from spheremin import algebra
+
+    cases = []
+    for family, k, x in [("vase", 8, 0.02658974358974359), ("vase", 24, 0.1),
+                         ("vase", 32, 0.4104358974358974), ("double_vase", 2, 0.001),
+                         ("double_vase", 6, 0.25)]:
+        dh = FAMILIES[family].build_data(k, x)[0].dh
+        cases.append((dh, np.flatnonzero(dh._orders < 0).tolist()))
+    f = FactoredMeromorphic(0.17 - 1.67j, [shifted_power(2, 1.0, -1), shifted_power(3, 2 + 1j, -6),
+                                           shifted_power(6, 3.0, -6)])
+    cases.append((f, np.flatnonzero(f._orders < 0).tolist()))
+    for f, entries in cases:
+        for i, floors in zip(entries, algebra._rounding_floor(f, entries)):
+            assert _bits_equal(algebra._rounding_floor(f, [i])[0], floors)
 
 
 # -- high orders against mpmath ------------------------------------------

@@ -7,10 +7,10 @@ import numpy as np
 import pytest
 
 from spheremin import kernels
-from spheremin.algebra import contour_radius
 from spheremin.families import FAMILIES
 
 from kernel_reference import power_loop_eval, squaring_eval
+from oracles import contour_radius
 from test_accuracy import mp_value
 
 BLOCK = kernels.BLOCK
@@ -77,7 +77,8 @@ def _circle_evaluations(family, k, x):
     calls = []
     for f in (u, v, w):
         centres = data._finite_punctures
-        radii = contour_radius(centres, f._points, f._orders)
+        points, orders = f._points.tolist(), f._orders.tolist()
+        radii = np.array([contour_radius(p, points, orders) for p in centres.tolist()])
         nodes = (centres[:, None] + radii[:, None] * ring).ravel()
         calls.append((f, nodes, f.eval_array(nodes)))
     nodes = 2.0 * max(0.5, float(np.abs(v._points).max())) * ring

@@ -1,5 +1,6 @@
 """Coordinate forms, audits, Gauss map and end classification."""
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -212,14 +213,35 @@ def test_classify_vase_ends(vase2):
     assert all(e.log_growth_sign == 1 for e in ring)
 
 
-@pytest.mark.parametrize("k, a, sign", [(16, 0.1, 0), (24, 0.5, 1)])
+def _mp_ring_residue(k: int, ak: float):
+    """Res_1(dh) of the vase, dh = -(z^k - a^k) dz / (z (z^k - 1)^2), at 60
+    digits: with z = 1 + t and z^k - 1 = t S(t), the t-derivative at 0 of
+    -(z^k - a^k) / (z S(t)^2), by mpmath's numerical differentiation."""
+    with mpmath.workdps(60):
+        def analytic(t):
+            z = 1 + t
+            s = mpmath.fsum(mpmath.binomial(k, j) * t ** (j - 1) for j in range(1, k + 1))
+            return -(z ** k - mpmath.mpf(ak)) / (z * s ** 2)
+        return mpmath.diff(analytic, 0)
+
+
+# the a and b of verify's 800-point sweep
+_SWEEP = np.linspace(0.001, 0.999, 40).tolist()
+
+
+@pytest.mark.parametrize("k, a, sign", [(16, 0.1, 0), (24, 0.5, 1), (8, _SWEEP[1], 1),
+                                        (24, _SWEEP[12], 1), (32, _SWEEP[16], 1)])
 def test_vase_ring_ends_share_one_sign(k, a, sign):
     # the k ends on the unit circle are equal under the k-fold rotation.
-    # Res(dh) = -a^k / k there: at (16, 0.1) that is -6.3e-18, below the
-    # rounding floor of its contour, and the signs used to be noise
+    # Res(dh) = -a^k / k there: at (16, 0.1) that is -6.3e-18, below its
+    # rounding floor, and the signs used to be noise; at the three sweep
+    # points it is -3.1e-14 to -1.3e-14, above it.  A resolved sign is
+    # that of -Re Res_1(dh) at 60 digits
     ends = _ends(make_vase(k, a).data)
     ring = [e.log_growth_sign for e in ends if e.kind == CATENOID_NON_VERTICAL]
     assert ring == [sign] * k
+    if sign:
+        assert sign == -mpmath.sign(mpmath.re(_mp_ring_residue(k, a ** k)))
 
 
 def test_classify_double_vase_ends(dvase2):
@@ -298,7 +320,7 @@ def test_table_ends_are_the_pointwise_ones():
     """The audit record reads each puncture's order pair from the root
     table and infinity's from the degrees, and its normals and growth signs
     at the punctures' entries; the oracles read them at the point, puncture
-    by puncture (on data built apart, so no floor is shared).  Both give the
+    by puncture (on data built apart, so no table is shared).  Both give the
     same order pair, kind, limit normal and log growth sign everywhere, and
     an end of no kind is a failure of the record naming its pair."""
     checked = 0
