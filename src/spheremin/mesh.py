@@ -7,11 +7,12 @@ no quadrature runs.  Vertex ids, faces and edge counts are array
 operations.  A face-geometry pass (one gather of the corners, three
 edges and one cross product per face) runs over all faces for the
 zero-area drop, and over the faces kept for the cotangent curvature.
-The immersion, the drop and the curvature walk their nodes or faces in
-blocks of `kernels.BLOCK` into whole-mesh arrays.  The OBJ writer formats
-bytes: `%.9g` `v` and `vn` lines, then `f a//a b//b c//c` lines with
-1-based ids, one formatted token per vertex reused by every face around
-it; PLY is binary little-endian.
+The immersion and the drop walk their nodes or faces in `kernels.BLOCK`
+slices into whole-mesh arrays; the curvature sums each slice face by
+face into per-vertex sums, with no per-face array.  The OBJ writer
+formats bytes: `%.9g` `v` and `vn` lines, then `f a//a b//b c//c` lines
+with 1-based ids, one formatted token per vertex reused by every face
+around it; PLY is binary little-endian.
 Output meshes are deterministic for a fixed spec, and identical meshes
 give identical bytes.
 """
@@ -230,17 +231,17 @@ def estimate_mean_curvature(mesh: SurfaceMesh):
     kept, one `kernels.BLOCK` of faces at a time, gives each face's edges
     and cross product; each corner's cotangent, obtuse test and the 179
     degree refusal (DegenerateTriangle) come from those, without angles.
-    Whole-mesh sums then run in corner order, as over one block.
+    Each block's terms go into per-vertex sums face by face, so H does not
+    depend on the block size and no array has a row per face beyond one block.
     Returns (|H| array with NaN off the interior, interior mask)."""
     V, F = mesh.vertices, mesh.faces
-    nv, m = len(V), len(F)
     interior = interior_vertices(mesh)  # first, while no face block is held
-    contrib, wd = np.empty((3, m)), np.empty((3, 6, m))
+    A, S = np.zeros(len(V)), np.zeros((3, len(V)))
     # a face without area has 0/0 cotangents, NaN in every product below
     with np.errstate(divide="ignore", invalid="ignore"):
-        for start in range(0, m, BLOCK):
-            block = slice(start, start + BLOCK)
-            E, twice_area = _face_geometry(V, F[block])
+        for start in range(0, len(F), BLOCK):
+            faces = F[start:start + BLOCK]
+            E, twice_area = _face_geometry(V, faces)
             # corner c sees the edges E[c+2] = E[c-1] and -E[c+1] = -E[c-2]: the
             # sign of their dot product tells an obtuse corner, and dot / |cross|
             # is its cotangent; per corner, so no (3, 3, block) product is held
@@ -253,26 +254,25 @@ def estimate_mean_curvature(mesh: SurfaceMesh):
             # Meyer mixed area: circumcentric pieces on non-obtuse faces, else
             # half the face area at the obtuse corner and a quarter elsewhere
             edge2_cot = np.sum(E * E, axis=1) * cots  # |E[c]|^2 cot c
-            contrib[:, block] = np.where(
+            contrib = np.where(
                 obtuse.any(axis=0),
                 np.where(obtuse, 0.5 * area, 0.25 * area),
                 0.125 * (edge2_cot[[1, 2, 0]] + edge2_cot[[2, 0, 1]]),
             )
+            # np.add.at sums in input order: face by face, corners in order
+            np.add.at(A, faces.ravel(), contrib.T.ravel())
             # cotangent Laplacian: the edge E[c], from i1 = F[:, c+1] to
-            # i2 = F[:, c+2], adds -cot(c) E[c] at i1 and cot(c) E[c] at i2
+            # i2 = F[:, c+2], adds -cot(c) E[c] at i1 and cot(c) E[c] at i2;
+            # a face's six terms in that order, one coordinate j at a time
+            index, w = faces[:, [1, 2, 2, 0, 0, 1]].ravel(), np.empty((len(faces), 3, 2))
             for j in range(3):
-                np.multiply(cots, E[:, j], out=wd[j, 1::2, block])
-                np.negative(wd[j, 1::2, block], out=wd[j, ::2, block])
-        # each vertex sums its terms in corner order (np.bincount
-        # accumulates in input order)
-        A = np.bincount(F.T.ravel(), contrib.ravel(), minlength=nv)
-        index = F[:, [1, 2, 2, 0, 0, 1]].T.ravel()
-        S = np.stack([np.bincount(index, w.ravel(), minlength=nv) for w in wd], axis=1)
-        del contrib, index, wd  # they would set the peak of the norms below
-        K = S / (2.0 * A[:, None])
+                np.multiply(cots.T, E[:, j].T, out=w[:, :, 1])
+                np.negative(w[:, :, 1], out=w[:, :, 0])
+                np.add.at(S[j], index, w.ravel())
+        K = S[:, interior] / (2.0 * A[interior])
 
-    H = np.full(nv, np.nan)
-    H[interior] = 0.5 * np.linalg.norm(K[interior], axis=1)
+    H = np.full(len(V), np.nan)
+    H[interior] = 0.5 * np.linalg.norm(K, axis=0)
     return H, interior
 
 

@@ -194,11 +194,11 @@ def test_array_assembly_matches_the_loops(vase2, tmp_path):
     assert (tmp_path / "m.ply").read_bytes().endswith(records)
 
 
-def fine_export_mesh(name, args):
-    # the meshes of a fine export, at its 64 x 128 resolution
+def fine_export_mesh(name, args, res=(64, 128)):
+    # the meshes of a fine export, at its 64 x 128 resolution unless res is given
     spec = FAMILIES[name]
     inst = construct(spec, *args)
-    domain = DomainSpec(spec.r_min, spec.r_max, 64, 128,
+    domain = DomainSpec(spec.r_min, spec.r_max, *res,
                         base_point=spec.base_point(inst.params))
     return sample_mesh(inst.data, domain)
 
@@ -434,6 +434,32 @@ def test_blocked_passes_hold_one_block_of_temporaries():
     assert large - small <= 4 * BLOCK + BLOCK_BYTES
 
 
+def test_blocked_curvature_holds_one_block_of_temporaries():
+    """From 3.9 to 7.9 face blocks (the catenoid at 64x128, then 128x128),
+    the traced peak of the curvature grows by no more than that of
+    `interior_vertices`, which it runs first, plus one block's worth: its
+    per-vertex sums grow with the vertices, and no array of its own has a
+    row per face beyond one block."""
+    meshes = [fine_export_mesh("catenoid", (), (n_r, 128)) for n_r in (64, 128)]
+    assert [mesh.n_faces // BLOCK for mesh in meshes] == [3, 7]
+    (small, large), (ring_small, ring_large) = (
+        [traced_peak(fn, mesh) for mesh in meshes]
+        for fn in (estimate_mean_curvature, interior_vertices))
+    assert large - small <= ring_large - ring_small + BLOCK_BYTES
+
+
+@pytest.mark.parametrize("name, args", FINE_EXPORTS)
+def test_curvature_does_not_depend_on_the_block_size(name, args, monkeypatch):
+    # each vertex sums its terms face by face whatever the slices
+    mesh = fine_export_mesh(name, args)
+    H, interior = estimate_mean_curvature(mesh)
+    for block in (7, 1000, 4096, mesh.n_faces + 1):
+        monkeypatch.setattr("spheremin.mesh.BLOCK", block)
+        H_block, interior_block = estimate_mean_curvature(mesh)
+        assert np.array_equal(interior_block, interior)
+        assert np.array_equal(H_block, H, equal_nan=True)
+
+
 def test_obj_text_of_a_hand_built_mesh(tmp_path):
     # faces out of vertex order, and vertex 2 (id 3) in no face
     from spheremin.mesh import SurfaceMesh
@@ -502,31 +528,38 @@ def per_face_terms(mesh):
 
 def add_at_curvature(mesh, terms):
     """Mixed-area cotangent |H| from per-corner `terms`, accumulated with
-    np.add.at: the reference for `estimate_mean_curvature`'s np.bincount
-    order."""
+    np.add.at in face order (each face's three corners, then its six
+    Laplacian terms, before the next face's): the reference for
+    `estimate_mean_curvature`'s sums."""
     V, F = mesh.vertices, mesh.faces
     nv = len(V)
     cots, obtuse, area, edge2 = terms(mesh)
-    A = np.zeros(nv)
     obtuse_any = np.any(obtuse, axis=0)
+    contrib = np.empty((len(F), 3))
     for c in range(3):
         voronoi = 0.125 * (
             edge2[(c + 1) % 3] * cots[(c + 1) % 3]
             + edge2[(c + 2) % 3] * cots[(c + 2) % 3]
         )
-        contrib = np.where(
+        contrib[:, c] = np.where(
             obtuse_any,
             np.where(obtuse[c], 0.5 * area, 0.25 * area),
             voronoi,
         )
-        np.add.at(A, F[:, c], contrib)
-    S = np.zeros((nv, 3))
+    A = np.zeros(nv)
+    np.add.at(A, F.ravel(), contrib.ravel())
+    # per face the six terms (c, i1) and (c, i2) for c = 0, 1, 2, where the
+    # edge from i1 = F[:, c+1] to i2 = F[:, c+2] adds cot(c) (V[i1] - V[i2])
+    # at i1 and its negative at i2
+    index, laplacian = np.empty((len(F), 6), dtype=np.int64), np.empty((len(F), 6, 3))
     for c in range(3):
         i1, i2 = F[:, (c + 1) % 3], F[:, (c + 2) % 3]
         w = cots[c][:, None]
         diff = V[i1] - V[i2]
-        np.add.at(S, i1, w * diff)
-        np.add.at(S, i2, -w * diff)
+        index[:, 2 * c], index[:, 2 * c + 1] = i1, i2
+        laplacian[:, 2 * c], laplacian[:, 2 * c + 1] = w * diff, -w * diff
+    S = np.zeros((nv, 3))
+    np.add.at(S, index.ravel(), laplacian.reshape(-1, 3))
     interior = interior_vertices(mesh)
     H = np.full(nv, np.nan)
     with np.errstate(divide="ignore", invalid="ignore"):
