@@ -14,13 +14,17 @@ misses in the last bit on a third of values.  A product is a coefficient
 and an exponent vector over a table, its factors the table's factors of
 nonzero exponent; products over one table are built together
 (`FactoredMeromorphic.over_table`), and one built from a factor list
-alone builds its own table over the factors that do not cancel.
+alone builds its own table over the factors that do not cancel.  One
+column space indexes every product and point over a table of P entries:
+the entries 0..P-1, infinity at P and "no entry" at -1.  A product's
+orders and Laurent rows are read at the entries, 0 where it has no zero
+or pole.
 
 Every Laurent coefficient is a finite Taylor computation on the factors:
 the factors' series about a table's entries (`_entry_bases`, one
 expansion for all the products over it, `laurent_tables`), a product's
 table of c_1, c_2, ... and its series in w = 1/z (`_outer_series`) are
-built once and kept, and residues are read from them at table entries
+built once and kept, and residues are read from them at columns
 (`entry_residues`) or at a point (`residue_at`).  A coefficient's
 rounding floor is ROUNDING_REL times |coefficient| times the bound that
 `_series_product` forms beside it, computed only when asked for, at
@@ -228,14 +232,13 @@ class FactoredMeromorphic:
     """coefficient * prod(factor**exponent), immutable after construction:
     a coefficient and an exponent vector over a `RootTable`, which other
     products may share (`over_table`).  Its factors are the table's factors
-    of nonzero exponent, in the table's order.  Its zeros and poles are the
-    table's entries where one of them vanishes (`_at`), their points and
-    orders, and each table entry's index among them, or -1 (`_local`).
-    Built from a list of factors alone, it has a table of its own over the
-    factors whose summed exponents are not 0."""
+    of nonzero exponent, in the table's order.  Its order at each of the
+    table's entries (`_orders`, 0 where it has no zero or pole) and its
+    Laurent rows are indexed by the table's entries, as every product over
+    the table is.  Built from a list of factors alone, it has a table of
+    its own over the factors whose summed exponents are not 0."""
 
-    __slots__ = ("coefficient", "_packed", "_table", "_nonzero", "_full", "_at",
-                 "_local", "_points", "_orders", "_laurent", "_outer")
+    __slots__ = ("coefficient", "_packed", "_table", "_nonzero", "_orders", "_laurent", "_outer")
 
     def __init__(self, coefficient: complex, factors=(), table=None, exponents=None):
         if table is None:  # a table of its own, over the factors that do not cancel
@@ -298,8 +301,7 @@ class FactoredMeromorphic:
         """(root, order) pairs over all finite zeros and poles, orders
         aggregated when distinct factors share a root."""
         nonzero = self._orders != 0
-        return list(zip(self._points[nonzero].tolist(),
-                        self._orders[nonzero].tolist()))
+        return list(zip(self._table.points[nonzero].tolist(), self._orders[nonzero].tolist()))
 
     def __str__(self):
         parts = [_fmt_number(self.coefficient)]
@@ -311,21 +313,18 @@ class FactoredMeromorphic:
 
 def _build(products, coefficients, table, exponents):
     """Fill products over one table from their coefficients and exponent
-    rows, their orders at every entry (`_full`) and the entries where one
-    of their factors vanishes (`_at`) from products with `table.vanish`."""
+    rows, and their orders at the table's entries from the product of the
+    rows with `table.vanish`."""
     coefficients = [complex(c) for c in coefficients]
     for c in coefficients:
         if c == 0 or not (math.isfinite(c.real) and math.isfinite(c.imag)):
             raise ValueError(f"coefficient must be {'nonzero' if c == 0 else 'finite'}")
-    full, hit = exponents @ table.vanish, (exponents != 0) @ table.vanish
-    local = np.where(hit, np.cumsum(hit, axis=1) - 1, -1)
-    for f, c, exps, orders, at, loc in zip(products, coefficients, exponents, full, hit, local):
-        nonzero, at = exps.nonzero()[0], at.nonzero()[0]
+    for f, c, exps, orders in zip(products, coefficients, exponents, exponents @ table.vanish):
+        nonzero = exps.nonzero()[0]
         for name, value in (
             ("coefficient", c),
             ("_packed", (table.ks[nonzero], table.cs[nonzero], exps[nonzero])),
-            ("_table", table), ("_nonzero", nonzero), ("_full", orders), ("_at", at),
-            ("_local", loc), ("_points", table.points[at]), ("_orders", orders[at]),
+            ("_table", table), ("_nonzero", nonzero), ("_orders", orders),
             ("_laurent", None),  # see _laurent_table
             ("_outer", None),  # see _outer_series
         ):
@@ -423,17 +422,17 @@ def _laurent_table(f: FactoredMeromorphic):
 
 def laurent_tables(products):
     """Build and keep the Laurent tables of products over one root table:
-    row i is (c_1, ..., c_n) about a product's entry i, n its highest pole
-    order (at least 1), 0 above the entry's own, so a zero, or an entry
-    whose orders cancel, has c_1 = 0 exactly; at a pole of order P, c_m is
-    the term P - m of f t**P.  The poles are one list of (product, entry)
-    pairs: the bases are expanded once about all of them, each product's
-    powers are one `_series_product` over its own pairs (zgemv rounds a
-    column by the number of columns), and the rest is one pass."""
+    row i is (c_1, ..., c_n) about the table's entry i, n the product's
+    highest pole order (at least 1), 0 above the entry's own, so every row
+    but a pole's is 0 exactly; at a pole of order P, c_m is the term P - m
+    of f t**P.  The poles are one list of (product, entry) pairs: the bases
+    are expanded once about all of them, each product's powers are one
+    `_series_product` over its own pairs (zgemv rounds a column by the
+    number of columns), and the rows are scattered to their entries."""
     products = [f for f in products if f._laurent is None]
     if not products:
         return
-    full = np.array([f._full for f in products])
+    full = np.array([f._orders for f in products])
     negative = full < 0
     form, entry = negative.nonzero()  # the pairs, product by product in entry order
     orders = np.maximum(1, -full.min(axis=1, initial=0)).tolist()
@@ -450,20 +449,20 @@ def laurent_tables(products):
     term = -full[form, entry][:, None] - np.arange(1, n + 1)
     c = np.where(term >= 0, g[np.arange(len(term))[:, None], term], 0)
     for f, m, start, stop in zip(products, orders, split, split[1:]):
-        rows = np.zeros((len(f._orders), m), dtype=np.complex128)
-        rows[f._local[entry[start:stop]]] = c[start:stop, :m]
+        rows = np.zeros((full.shape[1], m), dtype=np.complex128)
+        rows[entry[start:stop]] = c[start:stop, :m]
         object.__setattr__(f, "_laurent", rows)
 
 
 def _rounding_floor(f: FactoredMeromorphic, entries):
     """The rounding floors of c_1, ..., c_P at each of f's poles `entries`
-    (indices of its roots, ascending), P the pole's order: c_m's is
+    (entries of its table, ascending), P the pole's order: c_m's is
     ROUNDING_REL |coefficient| times the bound of its t**(P - m) term from
     `_series_product`, over at least 3 terms (`_series_product` bounds no
     shorter series).  That bound sums over the lower terms only, so a
     pole's floors do not depend on the others asked for with it."""
     orders = f._orders[entries]
-    b = _entry_bases(f._table, f._at[entries], max(3, -int(orders.min())))
+    b = _entry_bases(f._table, entries, max(3, -int(orders.min())))
     bound = ROUNDING_REL * abs(f.coefficient) * _series_product(b[f._nonzero], f._packed[2])[1]
     return [row[-order - 1::-1] for order, row in zip(orders.tolist(), bound)]
 
@@ -514,8 +513,8 @@ def primitive_terms(f: FactoredMeromorphic):
     """An antiderivative of f dz as arrays read from its outer series and
     Laurent table: (poly, poles, orders, c1, b).  `poly` holds the
     z**(n + 1) coefficients a_n / (n + 1), n = degree down to 0 (none below
-    degree 0).  f's poles are root-table entries (`poles`, in entry order,
-    and `orders`); `c1` holds their c_1 log(z - p) terms' c_1, and row j of
+    degree 0).  f's poles are table entries (`poles`, ascending, and
+    `orders`); `c1` holds their c_1 log(z - p) terms' c_1, and row j of
     `b` the t**(m - 1) coefficients c_m / (1 - m), t = 1/(z - p), m >= 2,
     0 beyond the pole's order."""
     poly = np.empty(0, dtype=np.complex128)
@@ -524,29 +523,25 @@ def primitive_terms(f: FactoredMeromorphic):
     poles = np.flatnonzero(f._orders < 0)
     c = _laurent_table(f)[poles]
     b = c[:, 1:] / (1 - np.arange(2, c.shape[1] + 1))
-    return poly, f._at[poles], -f._orders[poles], c[:, 0], b
+    return poly, poles, -f._orders[poles], c[:, 0], b
 
 
-def entry_residues(products, entries, infinite) -> np.ndarray:
-    """Residues of f dz for products over one table, a row each: c_1 at
-    each of the table's `entries` (0 at -1 or where f has no root), and
-    the outer series' where the mask `infinite` is set."""
+def entry_residues(products, columns) -> np.ndarray:
+    """Residues of f dz for products over one table, a row each, at the
+    `columns`: the table's entries 0..P-1 (c_1, 0 where f has no pole), P
+    infinity (the outer series') and -1 no entry (0)."""
     laurent_tables(products)
-    out = np.zeros((len(products), len(entries)), dtype=np.complex128)
-    for row, f in zip(out, products):  # entry -1 reads the 0 after the last c_1
-        row[:] = np.append(f._laurent[:, 0], 0)[np.append(f._local, -1)[entries]]
-        if infinite.any():
-            row[infinite] = _outer_series(f)[1]
-    return out
+    return np.array([np.append(f._laurent[:, 0], [_outer_series(f)[1], 0])[columns]
+                     for f in products])
 
 
 def residue_at(f: FactoredMeromorphic, p) -> complex:
     """Residue of f dz at any sphere point: c_1 of the Laurent table at the
-    first entry of f matching p (0 where none does), and at INF the outer
+    first table entry matching p (0 where none does), and at INF the outer
     series' residue; no floor is computed."""
     if is_infinity(p):
         return complex(_outer_series(f)[1])
-    (i,) = first_entries(f._points, [p]).tolist()
+    (i,) = first_entries(f._table.points, [p]).tolist()
     return complex(_laurent_table(f)[i, 0]) if i >= 0 else 0j
 
 

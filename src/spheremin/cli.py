@@ -73,7 +73,7 @@ def _parser() -> argparse.ArgumentParser:
     p_export = sub.add_parser("export", help="sample and export a mesh")
     common(p_export)
     p_export.add_argument("--tol", type=float, help="period-closure tolerance")
-    p_export.add_argument("--out", "-o", required=True, help="mesh output path")
+    p_export.add_argument("--out", "-o", help="mesh output path (required)")
     p_export.add_argument("--format", choices=["obj", "ply"], default="obj")
     p_export.add_argument("--rmin", type=float)
     p_export.add_argument("--rmax", type=float)
@@ -93,7 +93,7 @@ def _parser() -> argparse.ArgumentParser:
         help="comma-separated a (vase) or b (double_vase) values",
         default="0.1,0.3,0.5,0.7,0.9",
     )
-    p_report.add_argument("--out", "-o", required=True, help="CSV output path")
+    p_report.add_argument("--out", "-o", help="CSV output path (required)")
     return top
 
 
@@ -131,9 +131,13 @@ def _parse(argv) -> argparse.Namespace:
 
 
 def _resolve(args):
-    """The family's table entry, after rejecting the flags it cannot
-    honour: a parameter it does not take, --rho where it has no rho, and
-    a --tol or --rho that is not positive and finite."""
+    """The family's table entry, after rejecting a missing output path
+    (--out, from a flag or the config, which export and report need) and
+    the flags the family cannot honour: a parameter it does not take,
+    --rho where it has no rho, and a --tol or --rho that is not positive
+    and finite."""
+    if args.command in ("export", "report") and args.out is None:
+        raise ParameterDomainError(f"{args.command} needs --out")
     if args.family is None:
         raise ParameterDomainError("--family is required")
     spec = FAMILIES[args.family]

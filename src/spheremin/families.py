@@ -399,11 +399,3 @@ def make_family(family: str, k: int | None = None, a: float | None = None,
         raise ParameterDomainError(f"unknown family {family!r}")
     spec = FAMILIES[family]
     return construct(spec, k, {"a": a, "b": b}.get(spec.input_param))
-
-
-def from_descriptor(desc: dict) -> FamilyInstance:
-    """Reconstruct a verified instance from its JSON descriptor; the data
-    is rebuilt bit-identically from (family, k, a/b)."""
-    return make_family(
-        desc["family"], desc.get("k"), desc.get("a"), desc.get("b")
-    )

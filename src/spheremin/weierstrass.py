@@ -6,17 +6,17 @@ The immersion is X(z) = Re of the path integral of
 v = G dh and w = dh.  The data take G and dh as (coefficient, factors)
 and build one root table over all those factors and four products over
 it in one pass: G, dh, and u and v as the exponent vectors dh - G and
-G + dh.  A puncture is held as its table entry, with a mask of infinity,
-so the audits read orders, residues and the ends' rounding floors at the
-punctures' entries as arrays; INF itself is met only where a point is
-named (the Gauss map's value, JSON).  The antiderivative of each form is
-a polynomial, principal parts and c_1 log(z - p) terms (`Immersion`);
-once the periods close every c_1 is real, so X needs no path and no
-quadrature.  Its terms are arrays read from each form's Laurent table
-(`algebra.primitive_terms`), the table whose c_1 the period gate checks.
-X takes one pass over the nodes in `kernels.BLOCK` blocks, the base
-point in the last, forming each pole's terms once for the three forms by
-Horner.
+G + dh.  A puncture is held as its column of the table: an entry 0..P-1,
+P at infinity or -1, no entry.  The audits read orders, residues and the
+ends' rounding floors at the punctures' columns as arrays; INF itself is
+met only where a point is named (the Gauss map's value, JSON).  The
+antiderivative of each form is a polynomial, principal parts and
+c_1 log(z - p) terms (`Immersion`); once the periods close every c_1 is
+real, so X needs no path and no quadrature.  Its terms are arrays read
+from each form's Laurent table (`algebra.primitive_terms`), the table
+whose c_1 the period gate checks.  X takes one pass over the nodes in
+`kernels.BLOCK` blocks, the base point in the last, forming each pole's
+terms once for the three forms by Horner.
 """
 
 from __future__ import annotations
@@ -52,19 +52,18 @@ class WeierstrassData:
     """Gauss map G, height differential dh = h(z) dz and the puncture set.
     G and h are given as (coefficient, factors); the data build one root
     table over all their factors, and G, dh, u = dh/G and v = G dh are
-    exponent vectors over it.  A puncture is its table entry (`_entries`,
-    -1 at infinity or off the table), with a mask and a flag for INF."""
+    exponent vectors over it.  A puncture is its column of the table
+    (`_entries`): an entry 0..P-1, P at infinity, -1 off the table."""
 
     def __init__(self, gauss_map, dh, punctures):
         self.punctures = tuple(punctures)
-        self._inf = np.array([p is INF for p in self.punctures], dtype=bool)
         finite = np.array([p for p in self.punctures if p is not INF], dtype=np.complex128)
         repeats = [INF] * (len(self.punctures) - len(finite) - 1)
         matches = np.triu(same_point(finite[:, None], finite[None, :]), 1)
         repeats += finite[matches.any(axis=0)].tolist()
         if repeats:
             raise ParameterDomainError(f"punctures are not pairwise distinct: {repeats[0]!r}")
-        self._has_inf, self._finite_punctures = len(finite) < len(self.punctures), finite
+        self._finite_punctures = finite
         (g_coef, g_factors), (dh_coef, dh_factors) = gauss_map, dh
         table = self._table = RootTable([*g_factors, *dh_factors])
         eg, edh = table.exponents(g_factors), table.exponents(dh_factors)
@@ -74,12 +73,12 @@ class WeierstrassData:
             np.array([eg, edh, edh - eg, eg + edh]))
         self.gauss_map, self.dh, self._forms = g, dh, (u, v, dh)
         # the entries where G or dh has a zero or pole, G's first
-        og, odh = g._full, dh._full
+        og, odh = g._orders, dh._orders
         self._singular = np.concatenate([np.flatnonzero(og), np.flatnonzero(odh * (og == 0))])
-        # G's and dh's orders at each entry, at infinity, and 0 (entry -1)
+        # G's and dh's orders at each entry, at infinity (column P), and 0 (-1)
         self._orders = np.hstack([[og, odh], [[-g.degree, 0], [-dh.degree - 2, 0]]])
-        self._entries = np.full(len(self.punctures), -1)
-        self._entries[~self._inf] = first_entries(table.points, finite)
+        self._entries = np.full(len(self.punctures), len(table.points))
+        self._entries[[p is not INF for p in self.punctures]] = first_entries(table.points, finite)
         self._residues = None  # see puncture_residues
 
     def finite_singularities(self):
@@ -94,9 +93,9 @@ class WeierstrassData:
 
     def puncture_residues(self) -> np.ndarray:
         """(3, N) array of Res u, Res v and Res dh at the N punctures, read
-        at their entries on the first request and kept."""
+        at their columns on the first request and kept."""
         if self._residues is None:
-            self._residues = entry_residues(self._forms, self._entries, self._inf)
+            self._residues = entry_residues(self._forms, self._entries)
         return self._residues
 
 
@@ -245,8 +244,7 @@ def regularity_check(data: WeierstrassData):
     points = len(data._table.points)
     og, odh = data._orders
     bad = np.abs(og) != odh
-    bad[data._entries] = False  # a puncture; -1, no entry, is the zero column
-    bad[points] &= not data._has_inf
+    bad[data._entries] = False  # the punctures' columns: P is infinity, -1 the zero column
     columns = np.append(data._singular, points)
     return [RegularityViolation(INF if c == points else complex(data._table.points[c]),
                                 int(og[c]), int(odh[c])) for c in columns[bad[columns]].tolist()]
@@ -284,17 +282,18 @@ class EndDescriptor:
     log_growth_sign: int | None
 
 
-def _log_growth_sign(data: WeierstrassData, entry: int) -> int:
+def _log_growth_sign(data: WeierstrassData, column: int) -> int:
     """Sign of the vertical growth x3 ~ Re(Res_p(dh) * log(z - p)) at an
     end: -1 (the end points down) when the residue's real part is
     positive, and 0 when that real part is within its rounding floor, so
-    not resolved.  `entry` is dh's entry at a finite end, where dh has a
-    pole: c_1 from dh's Laurent table and its floor
-    (`algebra._rounding_floor`); -1 is infinity (`algebra.outer_expansion`)."""
-    if entry < 0:
+    not resolved.  `column` is the end's: at a finite end an entry
+    where dh has a pole, c_1 from dh's Laurent table and its floor
+    (`algebra._rounding_floor`); P, the column after the table's entries,
+    is infinity (`algebra.outer_expansion`)."""
+    if column == len(data._table.points):
         _, res, floor = outer_expansion(data.dh)
     else:
-        res, floor = _laurent_table(data.dh)[entry, 0], _rounding_floor(data.dh, [entry])[0][0]
+        res, floor = _laurent_table(data.dh)[column, 0], _rounding_floor(data.dh, [column])[0][0]
     if abs(res.real) <= floor:
         return 0
     return -1 if res.real > 0 else 1
@@ -316,31 +315,30 @@ def end_kind(g_order: int, dh_order: int):
 
 def puncture_ends(data: WeierstrassData) -> list:
     """(location, ord G, ord dh, end_kind) at each puncture, the orders read
-    at the punctures' entries and each distinct pair classified once."""
-    og, odh = data._orders[:, np.where(data._inf, len(data._table.points), data._entries)].tolist()
+    at the punctures' columns and each distinct pair classified once."""
+    og, odh = data._orders[:, data._entries].tolist()
     kinds = {pair: end_kind(*pair) for pair in set(zip(og, odh))}
     return [(p, g, d, kinds[g, d]) for p, g, d in zip(data.punctures, og, odh)]
 
 
-def _describe_end(data: WeierstrassData, p, g_order: int, kind, entry: int) -> EndDescriptor:
+def _describe_end(data: WeierstrassData, p, g_order: int, kind, column: int) -> EndDescriptor:
     """The limit normal and log growth sign of an end of the given kind at
-    dh's `entry`; an end of no kind has neither."""
+    its `column`; an end of no kind has neither."""
     if kind is None:
         return EndDescriptor(p, None, None, None)
     if kind == CATENOID_NON_VERTICAL:
         normal = tuple(gauss_normal(data, p))
     else:
         normal = (0.0, 0.0, -1.0) if g_order > 0 else (0.0, 0.0, 1.0)
-    sign = 0 if kind == PLANAR_HORIZONTAL else _log_growth_sign(data, entry)
+    sign = 0 if kind == PLANAR_HORIZONTAL else _log_growth_sign(data, column)
     return EndDescriptor(p, kind, normal, sign)
 
 
 def describe_ends(data: WeierstrassData, ends) -> list:
     """`_describe_end` at each (location, ord G, ord dh, kind) of `ends`,
-    the data's `puncture_ends`, each at dh's entry of its puncture (-1 at
-    infinity or where dh has no root)."""
-    entries = np.append(data.dh._local, -1)[data._entries].tolist()
-    return [_describe_end(data, p, g, kind, i) for (p, g, _, kind), i in zip(ends, entries)]
+    the data's `puncture_ends`, each at its puncture's column."""
+    return [_describe_end(data, p, g, kind, i)
+            for (p, g, _, kind), i in zip(ends, data._entries.tolist())]
 
 
 # -- report serialization ---------------------------------------------

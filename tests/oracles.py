@@ -11,10 +11,10 @@ ends puncture by puncture, each point tested for infinity and matched to
 the table on its own (`loop_puncture_residues`, `loop_period_entries`,
 `loop_worst`, `loop_puncture_ends`), as the data first read them; the
 orders and principal parts at points (`order_at`, `orders_at`,
-`one_form_order_at`, `principal_part`) and the ends' records point by
-point (`loop_end_records`), as the end record first read them; and the
-families' printed period equations as functions (`vase_equation`,
-`double_vase_equation`)."""
+`one_form_order_at`, `principal_part` over a product's `root_entries`)
+and the ends' records point by point (`loop_end_records`), as the end
+record first read them; and the families' printed period equations as
+functions (`vase_equation`, `double_vase_equation`)."""
 
 import cmath
 import math
@@ -132,7 +132,7 @@ def antiderivative(f):
         n = np.arange(f.degree + 1)
         rational.append((None, np.append((a / (n + 1))[::-1], 0.0)))
     poles = np.flatnonzero(f._orders < 0)
-    for i, c, order in zip(f._at[poles].tolist(), _laurent_table(f)[poles], -f._orders[poles]):
+    for i, c, order in zip(poles.tolist(), _laurent_table(f)[poles], -f._orders[poles]):
         logs.append((i, c[0]))
         if order > 1:
             # c_m (z - p)**-m integrates to c_m / (1 - m) * t**(m - 1), t = 1/(z - p)
@@ -144,16 +144,16 @@ def antiderivative(f):
 
 def residues_at(f, points) -> list:
     """Residue of f dz at each sphere point, from the Laurent table (0 where
-    f has no root) and at INF the outer series: each point tested for
-    infinity, the finite ones matched to f's roots."""
+    f has no pole) and at INF the outer series: each point tested for
+    infinity, the finite ones matched to f's table."""
     infinite = np.array([is_infinity(p) for p in points], dtype=bool)
     out = np.zeros(len(points), dtype=np.complex128)
     if infinite.any():
         out[infinite] = _outer_series(f)[1]
     finite = [p for p, inf in zip(points, infinite.tolist()) if not inf]
-    if finite and len(f._points):
-        local = first_entries(f._points, finite)
-        out[~infinite] = np.where(local >= 0, _laurent_table(f)[local, 0], 0)
+    if finite and len(f._table.points):
+        entry = first_entries(f._table.points, finite)
+        out[~infinite] = np.where(entry >= 0, _laurent_table(f)[entry, 0], 0)
     return out.tolist()
 
 
@@ -201,7 +201,7 @@ def loop_puncture_ends(data) -> list:
     """(location, ord G, ord dh, kind) at each puncture: infinity's orders
     from the degrees, a finite puncture's from the first table entry it
     matches (0, 0 where none does)."""
-    og, odh = data.gauss_map._full.tolist(), data.dh._full.tolist()
+    og, odh = data.gauss_map._orders.tolist(), data.dh._orders.tolist()
     ends = []
     for p in data.punctures:
         if is_infinity(p):
@@ -222,10 +222,10 @@ def order_at(f, p) -> int:
 
 
 def orders_at(f, points) -> np.ndarray:
-    """f's order at each finite point, from one broadcast over its roots:
+    """f's order at each finite point, from one broadcast over its table:
     the summed orders of the entries matching the point under
     same_point(entry, point)."""
-    hits = same_point(f._points, np.asarray(points, dtype=np.complex128)[:, None])
+    hits = same_point(f._table.points, np.asarray(points, dtype=np.complex128)[:, None])
     return np.where(hits, f._orders, 0).sum(axis=1)
 
 
@@ -237,6 +237,13 @@ def one_form_order_at(f, p) -> int:
     return order_at(f, p)
 
 
+def root_entries(f) -> np.ndarray:
+    """The entries of f's table where one of f's factors vanishes: its
+    zeros and poles, and the entries where their orders cancel.  A product
+    built from a factor list alone has a root at every entry of its table."""
+    return np.flatnonzero(f._table.vanish[f._nonzero].any(axis=0))
+
+
 _NO_ROOT = (np.empty(0, dtype=np.complex128), np.empty(0))
 
 
@@ -246,8 +253,9 @@ def principal_part(f, points) -> list:
     and the rounding floor within which each is not resolved: a pole's
     own (`_rounding_floor`, each pole's on its own), and 0 where c_1 is
     exactly 0."""
-    out = []
-    for i in first_entries(f._points, points).tolist():
+    roots, out = root_entries(f), []
+    for i in first_entries(f._table.points[roots], points).tolist():
+        i = roots[i] if i >= 0 else i
         if i < 0:
             out.append(_NO_ROOT)
         elif f._orders[i] >= 0:

@@ -42,7 +42,7 @@ from exact_residues import (
     series_principal_part,
 )
 from kernel_reference import squaring_power, times_power
-from oracles import order_at, orders_at, principal_part, residues_at
+from oracles import order_at, orders_at, principal_part, residues_at, root_entries
 
 
 def _poly_oracle(f: FactoredMeromorphic, z):
@@ -466,7 +466,7 @@ def _factor_table(factors):
 def test_root_table_is_the_factors_roots_end_to_end(factors):
     f = FactoredMeromorphic(1.0, factors)
     points, orders = _factor_table(f.factors)
-    assert f._points.tolist() == points
+    assert f._table.points.tolist() == points
     assert f._orders.tolist() == orders
     # each order is the sum over the factors having a root at the point
     queries = points + [0.5 + 0.5j, 3.0, 1e-12]
@@ -489,7 +489,7 @@ def test_root_table_skips_only_pairs_that_cannot_match():
         factors = [pool[i] for i in rng.choice(len(pool), size=rng.integers(1, 7))]
         f = FactoredMeromorphic(1.0, factors)
         points, orders = _factor_table(f.factors)
-        assert f._points.tolist() == points
+        assert f._table.points.tolist() == points
         assert f._orders.tolist() == orders
         assert [o for p, o in zip(points, orders) if p == 0] == [
             g.exponent for g in f.factors if g.c == 0]
@@ -507,7 +507,7 @@ def _point_matched_antiderivative(f):
         a = outer_expansion(f)[0]
         n = np.arange(f.degree + 1)
         rational.append((None, np.append((a / (n + 1))[::-1], 0.0)))
-    poles = f._points[f._orders < 0]
+    poles = f._table.points[f._orders < 0]
     for p, (c, _) in zip(poles.tolist(), principal_part(f, poles)):
         logs.append((p, c[0]))
         if len(c) > 1:
@@ -554,7 +554,7 @@ def test_antiderivative_by_entry_is_the_point_matched_one():
                    for (_, c), (_, w) in zip(rational, want_rational))
         assert points == [p for p, _ in want_logs]
         assert _bits_equal(c1, [c for _, c in want_logs])
-        merged += len(f._points) < sum(g.k for g in f.factors)
+        merged += len(f._table.points) < sum(g.k for g in f.factors)
         cancelled += bool((f._orders == 0).any())
         high += bool((f._orders <= -2).any())
     assert min(merged, cancelled, high) > 20
@@ -569,14 +569,15 @@ def _ring(n):
 
 
 def _assert_tables_match_the_series(f):
-    """Every entry's principal part of f and its outer expansion (the
-    polynomial part and the residue at infinity) match sympy's series at
-    40 digits within their floors; a zero, or an entry whose orders
-    cancel, has c_1 exactly 0, and below degree -1 the outer expansion is
-    the exact 0."""
+    """f's principal part at each of its `root_entries` and its outer
+    expansion (the polynomial part and the residue at infinity) match
+    sympy's series at 40 digits within their floors; a zero, or an entry
+    whose orders cancel, has c_1 exactly 0, and below degree -1 the outer
+    expansion is the exact 0."""
     f = FactoredMeromorphic(f.coefficient, f.factors)  # nothing built yet
-    points, orders = f._points.tolist(), f._orders.tolist()
-    for p, order, (c, floor) in zip(points, orders, principal_part(f, f._points)):
+    at = root_entries(f)
+    points, orders = f._table.points[at], f._orders[at].tolist()
+    for p, order, (c, floor) in zip(points.tolist(), orders, principal_part(f, points)):
         want = series_principal_part(f, p)
         assert len(c) == len(want) == max(1, -order)
         if order >= 0:
@@ -737,7 +738,7 @@ def test_laurent_tables_match_sympy(factors, coeff):
 
 def test_cancelling_example_merges_and_cancels():
     f = FactoredMeromorphic(1.5 - 0.5j, _CANCELLING)
-    assert len(f._points) == 1 + 1 + 2 + 3 - 2
+    assert len(f._table.points) == 1 + 1 + 2 + 3 - 2
     assert orders_at(f, [_R, -_R]).tolist() == [0, -1]
     ((c, _),) = principal_part(f, [_R])
     assert c.tolist() == [0j]
@@ -789,7 +790,7 @@ def test_batched_laurent_tables_with_an_empty_root_table():
     data = catenoid_weierstrass_data()
     constant = FactoredMeromorphic(3.0)
     forms = _with_charts([data.gauss_map, data.dh, *data.factored_forms(), constant])
-    assert any(not len(f._points) for f in forms)
+    assert any(not len(f._table.points) for f in forms)
     for f in forms:
         _assert_tables_match_the_series(f)
     assert [len(c) for c, _ in principal_part(constant, [0.5, 2.0])] == [0, 0]

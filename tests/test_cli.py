@@ -361,6 +361,29 @@ def test_config_k_max_reaches_report(tmp_path, capsys):
     assert "10 rows" in out
 
 
+def test_config_out_reaches_export_and_report(tmp_path, capsys, monkeypatch):
+    """`out` in the config gives export and report their output path, as
+    --out does, and writes the same bytes; a flag --out overrides it, and
+    with no output path anywhere both exit 2 naming --out."""
+    monkeypatch.chdir(tmp_path)
+    mesh = ["export", "--family", "vase", "--k", "2", "--a", "0.5", "--nr", "8", "--ntheta", "16"]
+    sweep = ["report", "--family", "vase", "--k-max", "3", "--values", "0.3,0.5"]
+    (tmp_path / "mesh.json").write_text(json.dumps({"out": "by_config.obj"}))
+    (tmp_path / "sweep.json").write_text(json.dumps({"out": "by_config.csv"}))
+    for argv, cfg, suffix in ((mesh, "mesh.json", ".obj"), (sweep, "sweep.json", ".csv")):
+        assert run(argv + ["--out", "by_flag" + suffix], capsys)[0] == EXIT_OK
+        code, out, _ = run(argv + ["--config", cfg], capsys)
+        assert code == EXIT_OK and out.startswith("wrote by_config" + suffix)
+        assert (tmp_path / ("by_config" + suffix)).read_bytes() == (
+            tmp_path / ("by_flag" + suffix)).read_bytes()
+        code, out, _ = run(argv + ["--config", cfg, "--out", "over" + suffix], capsys)
+        assert code == EXIT_OK and out.startswith("wrote over" + suffix)
+        code, out, err = run(argv, capsys)
+        assert (code, out) == (EXIT_PARAMS, "") and "--out" in err
+    assert (tmp_path / "by_config.obj.json").read_bytes() == (
+        tmp_path / "by_flag.obj.json").read_bytes()
+
+
 def test_unknown_config_key_is_parameter_error(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"family": "vase", "k": 2, "a": 0.5,

@@ -10,7 +10,7 @@ from spheremin import kernels
 from spheremin.families import FAMILIES
 
 from kernel_reference import power_loop_eval, squaring_eval
-from oracles import contour_radius
+from oracles import contour_radius, root_entries
 from test_accuracy import mp_value
 
 BLOCK = kernels.BLOCK
@@ -77,11 +77,12 @@ def _circle_evaluations(family, k, x):
     calls = []
     for f in (u, v, w):
         centres = data._finite_punctures
-        points, orders = f._points.tolist(), f._orders.tolist()
+        at = root_entries(f)
+        points, orders = f._table.points[at].tolist(), f._orders[at].tolist()
         radii = np.array([contour_radius(p, points, orders) for p in centres.tolist()])
         nodes = (centres[:, None] + radii[:, None] * ring).ravel()
         calls.append((f, nodes, f.eval_array(nodes)))
-    nodes = 2.0 * max(0.5, float(np.abs(v._points).max())) * ring
+    nodes = 2.0 * max(0.5, float(np.abs(v._table.points[root_entries(v)]).max())) * ring
     calls.append((v, nodes, v.eval_array(nodes)))
     return calls
 
