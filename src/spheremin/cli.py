@@ -6,7 +6,8 @@ disagrees with its independent check).  Flags override values from
 --config (a JSON file mirroring the flag names), which override the
 defaults; a flag the family cannot honour is rejected.  Every
 per-family decision reads the family table in `families.py`.  Identical
-configuration yields byte-identical outputs.
+configuration yields byte-identical outputs, each written through
+`mesh.open_output`, which replaces a file and removes a partial one.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ from .families import FAMILIES, FamilyInstance, provenance
 from .mesh import (
     DomainSpec,
     estimate_mean_curvature,
+    open_output,
     sample_mesh,
     write_metadata,
     write_obj,
@@ -168,7 +170,7 @@ def _tolerance(args, spec) -> float:
 def _emit(payload: dict, out: str | None):
     text = json.dumps(payload, indent=2, sort_keys=True)
     if out:
-        with open(out, "w", newline="\n") as fh:
+        with open_output(out, "w", newline="\n") as fh:
             fh.write(text + "\n")
     print(text)
 
@@ -256,7 +258,7 @@ def cmd_report(args, spec) -> int:
             res = spec.solve(k, v)
             rows.append({"family": spec.name, "k": k, "param": v,
                          "solved_value": res.value, **provenance(res)})
-    with open(args.out, "w", newline="\n") as fh:
+    with open_output(args.out, "w", newline="\n") as fh:
         writer = csv.DictWriter(fh, fieldnames=list(rows[0]), lineterminator="\n")
         writer.writeheader()
         writer.writerows(rows)

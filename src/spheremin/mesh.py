@@ -19,8 +19,11 @@ give identical bytes.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
+import os
+import stat
 from dataclasses import dataclass
 
 import numpy as np
@@ -279,6 +282,33 @@ def estimate_mean_curvature(mesh: SurfaceMesh):
 # -- export -----------------------------------------------------------
 
 
+@contextlib.contextmanager
+def open_output(path, mode="wb", **kwargs):
+    """`open(path, mode, **kwargs)` on a new file.  A regular file with this
+    user's owner and group, that it may write, is unlinked first and its
+    mode kept: readers and hard links keep the old bytes, and ext4 skips its
+    flush on closing a file truncated to 0.  Other paths open as `open`
+    opens them.  A failed write removes a file created here."""
+    old, created = None, False
+    with contextlib.suppress(OSError):  # `open` then truncates or reports
+        old = os.lstat(path)
+        if (stat.S_ISREG(old.st_mode) and os.access(path, os.W_OK)
+                and (old.st_uid, old.st_gid) == (os.geteuid(), os.getegid())):
+            os.unlink(path)
+            created = True
+    try:
+        with open(path, mode, **kwargs) as fh:
+            if created:  # the group a setgid directory gives is reset too
+                os.fchown(fh.fileno(), -1, old.st_gid)
+                os.fchmod(fh.fileno(), stat.S_IMODE(old.st_mode))
+            yield fh
+    except BaseException:
+        if created or old is None:
+            with contextlib.suppress(OSError):
+                os.unlink(path)
+        raise
+
+
 def write_obj(mesh: SurfaceMesh, path: str):
     """Wavefront OBJ, LF-terminated: one `v x y z` line per vertex, then
     one `vn x y z` line per normal, all at `%.9g`, then one
@@ -288,10 +318,10 @@ def write_obj(mesh: SurfaceMesh, path: str):
     lines reuse it, so a vertex shared by six faces costs one format, not
     twelve.  The three blocks are written one after the other, never
     joined; a mesh with no vertex and no face is one empty line.
-    Identical meshes give identical bytes."""
+    Identical meshes give identical bytes; `open_output` replaces the path."""
     tokens = np.array([b"%d//%d" % (i, i) for i in range(1, mesh.n_vertices + 1)],
                       dtype=object)
-    with open(path, "wb") as fh:
+    with open_output(path) as fh:
         if not (mesh.n_vertices or mesh.n_faces):
             fh.write(b"\n")
         fh.write(b"v %.9g %.9g %.9g\n" * mesh.n_vertices
@@ -304,7 +334,8 @@ def write_obj(mesh: SurfaceMesh, path: str):
 
 def write_ply(mesh: SurfaceMesh, path: str):
     """Binary little-endian PLY with position, normal and conformal factor;
-    a vertex table beyond float32 raises ParameterDomainError, writing nothing."""
+    a vertex table beyond float32 raises ParameterDomainError, writing nothing.
+    `open_output` replaces the path."""
     with np.errstate(over="ignore"):
         vdata = np.hstack([mesh.vertices, mesh.normals, mesh.conformal[:, None]]).astype("<f4")
     if not np.isfinite(vdata).all():
@@ -327,7 +358,7 @@ def write_ply(mesh: SurfaceMesh, path: str):
             "",
         ]
     )
-    with open(path, "wb") as fh:
+    with open_output(path) as fh:
         fh.write(header.encode("ascii"))
         fh.write(vdata.tobytes())
         fdata = np.zeros(mesh.n_faces, dtype=[("n", "u1"), ("v", "<i4", 3)])
@@ -337,6 +368,7 @@ def write_ply(mesh: SurfaceMesh, path: str):
 
 
 def write_metadata(mesh: SurfaceMesh, path: str):
+    """The mesh's metadata as sorted, indented JSON; `open_output` replaces the path."""
     text = json.dumps(mesh.metadata, indent=2, sort_keys=True) + "\n"
-    with open(path, "wb") as fh:
+    with open_output(path) as fh:
         fh.write(text.encode())

@@ -4,6 +4,7 @@ import dataclasses
 import json
 import math
 import os
+import stat
 import subprocess
 import sys
 import warnings
@@ -782,3 +783,105 @@ def test_main_calls_in_one_process_match_fresh_processes(tmp_path, monkeypatch, 
     assert [c for c, _, _ in in_process] == [EXIT_PARAMS, EXIT_OK, EXIT_PARAMS,
                                              EXIT_OK, EXIT_OK, EXIT_OK]
     assert in_process == fresh
+
+
+# -- output paths --------------------------------------------------------
+
+VASE_16 = ["export", "--family", "vase", "--k", "2", "--a", "0.5", "--nr", "16", "--ntheta", "32"]
+
+
+def test_reexport_replaces_the_mesh_and_sidecar(tmp_path, capsys):
+    """Exporting over a larger mesh gives the bytes of an export to a new
+    path, and a reader holding the old files still reads the old bytes."""
+    assert run(VASE_16 + ["--out", str(tmp_path / "new.obj")], capsys)[0] == EXIT_OK
+    out = tmp_path / "m.obj"
+    finer = ["--nr", "32", "--ntheta", "64", "--out", str(out)]
+    assert run(VASE_16 + finer, capsys)[0] == EXIT_OK
+    old = {p: p.read_bytes() for p in (out, tmp_path / "m.obj.json")}
+    held = {p: open(p, "rb") for p in old}
+    try:
+        assert run(VASE_16 + ["--out", str(out)], capsys)[0] == EXIT_OK
+        assert {p: fh.read() for p, fh in held.items()} == old
+    finally:
+        for fh in held.values():
+            fh.close()
+    for suffix in ("", ".json"):
+        assert (tmp_path / ("m.obj" + suffix)).read_bytes() == (
+            tmp_path / ("new.obj" + suffix)).read_bytes()
+
+
+def test_symlinked_out_stays_a_symlink(tmp_path, capsys):
+    assert run(VASE_16 + ["--out", str(tmp_path / "new.obj")], capsys)[0] == EXIT_OK
+    target, link = tmp_path / "target.obj", tmp_path / "link.obj"
+    target.write_bytes(b"old\n" * 10_000)
+    link.symlink_to(target)
+    assert run(VASE_16 + ["--out", str(link)], capsys)[0] == EXIT_OK
+    assert link.is_symlink()
+    assert target.read_bytes() == (tmp_path / "new.obj").read_bytes()
+
+
+def test_out_to_a_character_device(capsys):
+    code, out, _ = run(["solve", "--family", "vase", "--k", "2", "--a", "0.5",
+                        "--out", os.devnull], capsys)
+    assert code == EXIT_OK and json.loads(out)["solved"]["parameter"] == "rho"
+    assert stat.S_ISCHR(os.lstat(os.devnull).st_mode)
+
+
+def main_without_root(argv, cwd):
+    """`main(argv)` in a forked child working in `cwd`, as the user nobody
+    when the tests run as root, who may write any file; its exit code."""
+    pid = os.fork()
+    if pid == 0:
+        code = 100
+        try:
+            os.chdir(cwd)
+            if os.geteuid() == 0:
+                os.setgroups([])
+                os.setgid(65534)
+                os.setuid(65534)
+            code = main(argv)
+        finally:
+            os._exit(code)
+    return os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+
+
+@pytest.mark.parametrize("argv", [
+    ["solve", "--family", "vase", "--k", "2", "--a", "0.5"],
+    ["export", "--family", "catenoid", "--nr", "8", "--ntheta", "8"],
+    ["report", "--family", "vase", "--k-max", "2", "--values", "0.5"],
+])
+def test_read_only_output_is_refused(argv, tmp_path):
+    """A read-only output in a directory the user may write exits 1 and keeps
+    its bytes and mode: it is not unlinked and written anew."""
+    tmp_path.chmod(0o777)
+    out = tmp_path / "out"
+    out.write_bytes(b"old\n")
+    out.chmod(0o444)
+    if os.geteuid() == 0:  # the child's own file, so that only its mode refuses
+        os.chown(out, 65534, 65534)
+    assert main_without_root(argv + ["--out", "out"], tmp_path) == EXIT_RUNTIME
+    assert out.read_bytes() == b"old\n"
+    assert stat.S_IMODE(out.stat().st_mode) == 0o444
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["out"]
+
+
+@pytest.mark.parametrize("argv, fill, left", [
+    (["solve", "--family", "vase", "--k", "2", "--a", "0.5", "--out", "s.json"],
+     ".json", []),
+    (["verify", "--family", "catenoid", "--out", "v.json"], ".json", []),
+    (["report", "--family", "vase", "--k-max", "2", "--values", "0.5", "--out", "r.csv"],
+     ".csv", []),
+    (VASE_16 + ["--out", "m.obj"], ".obj", []),
+    (VASE_16 + ["--format", "ply", "--out", "m.ply"], ".ply", []),
+    (VASE_16 + ["--out", "m.obj"], ".json", ["m.obj"]),
+])
+def test_a_full_disk_leaves_no_partial_output(argv, fill, left, tmp_path, capsys,
+                                              monkeypatch, full_disk):
+    """A write that fills the disk part-way exits 1 and leaves no partial
+    file: a failed mesh writes no sidecar, and a failed sidecar leaves the
+    whole mesh."""
+    monkeypatch.chdir(tmp_path)
+    full_disk(fill)
+    code, _, err = run(argv, capsys)
+    assert code == EXIT_RUNTIME and "No space left on device" in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == left

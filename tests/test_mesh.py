@@ -1,6 +1,9 @@
 """Surface sampling, discrete curvature and mesh export formats."""
 
+import errno
 import json
+import os
+import stat
 import struct
 import tracemalloc
 import warnings
@@ -848,3 +851,65 @@ def test_sidecar_bytes_of_a_hand_built_mesh(tmp_path):
     )
     write_metadata(mesh, str(tmp_path / "m.json"))
     assert (tmp_path / "m.json").read_bytes() == want.encode()
+
+
+# -- replacing an output -----------------------------------------------
+
+WRITERS = [(write_obj, "m.obj"), (write_ply, "m.ply"), (write_metadata, "m.obj.json")]
+
+
+@pytest.fixture(scope="module")
+def small_mesh(vase2):
+    return sample_mesh(vase2.data, DomainSpec(0.45, 2.2, 8, 8, base_point=0.75))
+
+
+@pytest.mark.parametrize("writer, name", WRITERS)
+def test_rewrite_writes_a_new_file_with_the_old_mode(writer, name, small_mesh, tmp_path):
+    """A held reader keeps the old bytes, a 0o640 output keeps 0o640 (the
+    umask would give 0o644), and the bytes are those of a new path."""
+    writer(small_mesh, str(tmp_path / ("new_" + name)))
+    path = tmp_path / name
+    path.write_bytes(b"old\n" * 10_000)
+    path.chmod(0o640)
+    with open(path, "rb") as held:
+        writer(small_mesh, str(path))
+        assert held.read() == b"old\n" * 10_000
+    assert stat.S_IMODE(path.stat().st_mode) == 0o640
+    assert path.read_bytes() == (tmp_path / ("new_" + name)).read_bytes()
+
+
+def refuse(path):
+    raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), path)
+
+
+@pytest.mark.parametrize("patch", [
+    ("unlink", refuse),                         # a directory it may not write
+    ("geteuid", lambda: os.getuid() + 1),       # another user's file
+    ("getegid", lambda: os.getgid() + 1),       # a file of another group
+])
+def test_a_file_it_may_not_replace_is_rewritten_in_place(patch, small_mesh, tmp_path,
+                                                         monkeypatch):
+    """Such a file keeps its inode, and so its owner and group, as `open`
+    truncates it: a held reader sees the new bytes."""
+    write_obj(small_mesh, str(tmp_path / "new.obj"))
+    path = tmp_path / "m.obj"
+    path.write_bytes(b"old\n" * 10_000)
+    monkeypatch.setattr(os, *patch)
+    with open(path, "rb") as held:
+        write_obj(small_mesh, str(path))
+        assert held.read() == (tmp_path / "new.obj").read_bytes()
+
+
+@pytest.mark.parametrize("existing", [False, True])
+@pytest.mark.parametrize("writer, name", WRITERS)
+def test_a_failed_write_leaves_no_file(writer, name, existing, small_mesh, tmp_path,
+                                       full_disk):
+    """A write that fills the disk part-way removes the file it created, new
+    or in place of an old one, and raises."""
+    if existing:
+        (tmp_path / name).write_bytes(b"old\n")
+    full_disk(name)
+    with pytest.raises(OSError) as exc:
+        writer(small_mesh, str(tmp_path / name))
+    assert exc.value.errno == errno.ENOSPC
+    assert list(tmp_path.iterdir()) == []
