@@ -236,7 +236,7 @@ def cmd_export(args, spec) -> int:
     write_metadata(mesh, args.out + ".json")
     print(
         f"wrote {args.out}: {mesh.n_vertices} vertices, {mesh.n_faces} faces; "
-        f"max period defect {checked.period.worst.defect:.3e}; "
+        f"max period defect {checked.period.worst[1]:.3e}; "
         f"median |H| {median_h:.3e}"
     )
     return EXIT_OK

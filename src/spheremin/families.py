@@ -51,12 +51,19 @@ class SolveResult:
     params: object = field(default=None, compare=False, repr=False)
 
 
+# the largest k: a data's root table and puncture checks grow as k**2
+# (the double vase at k = 1024 takes about 230 MB, at 4096 about 3.2 GB)
+K_MAX = 1024
+
+
 def _check_domain(k: int, name: str, x: float, solved_name: str, solved):
-    """The domain of both families: k > 1, the input parameter `x` in
-    (0, 1) with x^k a normal float, and the solved parameter positive and
-    finite unless it is None (not solved yet)."""
+    """The domain of both families: 1 < k <= K_MAX, the input parameter
+    `x` in (0, 1) with x^k a normal float, and the solved parameter
+    positive and finite unless it is None (not solved yet)."""
     if k <= 1:
         raise ParameterDomainError(f"k must be an integer > 1, got {k}")
+    if k > K_MAX:
+        raise ParameterDomainError(f"k must be at most {K_MAX}, got {k}")
     if not 0.0 < x < 1.0:
         raise ParameterDomainError(f"{name} must lie in (0, 1), got {x}")
     if x ** k < sys.float_info.min:

@@ -43,6 +43,8 @@ ZERO_AREA = 1e-12
 # a face angle above 179 degrees, one whose |cross| < TAN_1_DEG |dot| with
 # dot < 0, is refused by the curvature estimate
 TAN_1_DEG = math.tan(math.radians(1.0))
+# the most grid nodes n_r * n_theta: an export holds about 300 B a node
+MAX_NODES = 2 ** 21
 # an exclusion disk's radius, as a fraction of the distance from its
 # puncture to the nearest other singularity or puncture
 EXCLUSION_SCALE = 0.05
@@ -68,6 +70,9 @@ class DomainSpec:
             )
         if self.n_r < 8 or self.n_theta < 8:
             raise ParameterDomainError("resolutions must be >= 8")
+        if self.n_r * self.n_theta > MAX_NODES:
+            raise ParameterDomainError(
+                f"n_r * n_theta must be at most {MAX_NODES}, got {self.n_r} x {self.n_theta}")
         radius = self.exclusion_radius
         if radius is not None and not 0.0 < radius < math.inf:
             raise ParameterDomainError(

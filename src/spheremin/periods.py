@@ -10,11 +10,12 @@ and v = G dh the data's factored forms, so each residue is the c_1 of one
 factored product's Laurent table, read at the punctures' table entries,
 or at infinity from its series in 1/z, exactly 0 below degree -1
 (`WeierstrassData.puncture_residues`).  No form is evaluated at any point.
-The report holds the conditions as arrays, and makes `PeriodEntry`
-objects only when asked for.  This module gates data on those residues,
-which the solvers read too; it knows no family.  `audit` is the one gate
-of every constructor, `verify` and `export`: one record of the
-regularity, degree, end and period checks and their failures.
+The report holds the conditions as arrays, a column per puncture, and
+its JSON and worst puncture are read from them.  This module gates data
+on those residues, which the solvers read too; it knows no family.
+`audit` is the one gate of every constructor, `verify` and `export`: one
+record of the regularity, degree, end and period checks and their
+failures, which becomes dicts in one place (`Audit.to_json`).
 `hybrid_root` is a bracketing root finder: it brackets on one array
 evaluation of a function over a grid, then refines the first bracket with
 scalar calls.  No solver calls it: both families take their roots in
@@ -28,23 +29,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NoRoot, PeriodViolation, SphereminError, UnrecognizedEndType
-from .weierstrass import DegreeAudit, WeierstrassData, degree_audit, describe_ends, point_json
+from .weierstrass import DegreeAudit, WeierstrassData, degree_audit, end_json, point_json
 from .weierstrass import puncture_ends, regularity_check
-
-
-@dataclass(frozen=True)
-class PeriodEntry:
-    location: object
-    res_minus: complex  # Res((1/G - G) dh)
-    res_plus: complex   # Res((1/G + G) dh)
-    res_dh: complex     # Res(dh)
-    tol: float
-    defect: float       # its column of `PeriodReport.defects`
-
-    @property
-    def closed(self) -> bool:
-        """All three conditions within tol: a NaN defect is not."""
-        return self.defect <= self.tol
 
 
 @dataclass(frozen=True, eq=False)
@@ -67,25 +53,24 @@ class PeriodReport:
         return bool((self.defects <= self.tol).all())
 
     @property
-    def entries(self) -> tuple:
-        return tuple(map(PeriodEntry, self.locations, *self.residues.tolist(),
-                         [self.tol] * len(self.locations), self.defects.tolist()))
-
-    @property
-    def worst(self) -> PeriodEntry:
-        """The first puncture of NaN defect, else the first of the largest."""
+    def worst(self) -> tuple:
+        """(location, defect) of the first puncture of NaN defect, else of
+        the first of the largest."""
         defects = self.defects
         nan = np.isnan(defects)
-        return self.entries[int(nan.argmax() if nan.any() else defects.argmax())]
+        i = int(nan.argmax() if nan.any() else defects.argmax())
+        return self.locations[i], float(defects[i])
 
     def to_json(self) -> dict:
+        """Each puncture's location, its three residues and whether its
+        defect is within tol (a NaN defect is not)."""
         def c(v):
             return {"re": v.real, "im": v.imag}
 
+        columns = zip(self.locations, *self.residues.tolist(), (self.defects <= self.tol).tolist())
         return {"tolerance": self.tol, "punctures": [
-            {"location": point_json(e.location), "res_1G_minus_G": c(e.res_minus),
-             "res_1G_plus_G": c(e.res_plus), "res_dh": c(e.res_dh), "closed": e.closed}
-            for e in self.entries]}
+            {"location": point_json(p), "res_1G_minus_G": c(minus), "res_1G_plus_G": c(plus),
+             "res_dh": c(dh), "closed": closed} for p, minus, plus, dh, closed in columns]}
 
 
 def period_report(data: WeierstrassData, tol: float) -> PeriodReport:
@@ -99,10 +84,9 @@ def assert_period_closed(data: WeierstrassData, tol: float) -> PeriodReport:
     report) if any condition fails."""
     report = period_report(data, tol)
     if not report.closed:
-        worst = report.worst
+        location, defect = report.worst
         raise PeriodViolation(
-            f"period condition fails at {worst.location!r} "
-            f"(defect {worst.defect:.3e} > {tol:.1e})",
+            f"period condition fails at {location!r} (defect {defect:.3e} > {tol:.1e})",
             report=report,
         )
     return report
@@ -124,9 +108,8 @@ class Audit:
     def to_json(self) -> dict:
         """The record, each end with its limit normal and log growth sign."""
         return {
-            "ends": [{**vars(e), "location": point_json(e.location),
-                      "limit_normal": e.kind and list(map(float, e.limit_normal))}
-                     for e in describe_ends(self.data, self.ends)],
+            "ends": [end_json(self.data, end, column)
+                     for end, column in zip(self.ends, self.data._entries.tolist())],
             "degree_audit": {**vars(self.degrees), "passed": self.degrees.passed},
             "regularity_violations": [{**vars(v), "location": point_json(v.location)}
                                       for v in self.violations],

@@ -9,14 +9,16 @@ it in one pass: G, dh, and u and v as the exponent vectors dh - G and
 G + dh.  A puncture is held as its column of the table: an entry 0..P-1,
 P at infinity or -1, no entry.  The audits read orders, residues and the
 ends' rounding floors at the punctures' columns as arrays; INF itself is
-met only where a point is named (the Gauss map's value, JSON).  The
-antiderivative of each form is a polynomial, principal parts and
-c_1 log(z - p) terms (`Immersion`); once the periods close every c_1 is
-real, so X needs no path and no quadrature.  Its terms are arrays read
-from each form's Laurent table (`algebra.primitive_terms`), the table
-whose c_1 the period gate checks.  X takes one pass over the nodes in
-`kernels.BLOCK` blocks, the base point in the last, forming each pole's
-terms once for the three forms by Horner.
+met only where a point is named (a limit normal, JSON).  Each end of the
+audit record is one JSON dict, made at its puncture's column
+(`end_json`).  The antiderivative of each form is a polynomial,
+principal parts and c_1 log(z - p) terms (`Immersion`); once the periods
+close every c_1 is real, so X needs no path and no quadrature.  Its
+terms are arrays read from each form's Laurent table
+(`algebra.primitive_terms`), the table whose c_1 the period gate checks.
+X takes one pass over the nodes in `kernels.BLOCK` blocks, the base
+point in the last, forming each pole's terms once for the three forms by
+Horner.
 """
 
 from __future__ import annotations
@@ -188,18 +190,6 @@ class Immersion:
         return X[:-1] - X[-1]
 
 
-def gauss_value(data: WeierstrassData, p) -> complex:
-    """Value of G at a sphere point; at INF, where G grows like its
-    coefficient times z**degree, a pole above degree 0, the coefficient at
-    degree 0 and 0 below.  Raises PoleEvaluation at poles of G."""
-    g = data.gauss_map
-    if not is_infinity(p):
-        return g.eval(p)
-    if g.degree > 0:
-        raise PoleEvaluation(p, "G")
-    return g.coefficient if g.degree == 0 else 0j
-
-
 def stereographic_normal(g):
     """(n_x, n_y, n_z) by inverse stereographic projection of G values, a
     scalar or an array; G = 0 maps to the south pole (0, 0, -1)."""
@@ -216,12 +206,18 @@ def metric_scale(g, dh):
 
 
 def gauss_normal(data: WeierstrassData, z) -> np.ndarray:
-    """Unit normal at a sphere point; G = infinity, or a G whose squared
+    """Unit normal at a sphere point, from G's value there: at INF, where G
+    grows like its coefficient times z**degree, a pole above degree 0, the
+    coefficient at degree 0 and 0 below.  A pole of G, or a G whose squared
     modulus overflows, maps to (0, 0, 1)."""
-    try:
-        g = gauss_value(data, z)
-    except PoleEvaluation:
-        g = complex(math.inf)
+    g = data.gauss_map
+    if is_infinity(z):
+        g = complex(math.inf) if g.degree > 0 else g.coefficient if g.degree == 0 else 0j
+    else:
+        try:
+            g = g.eval(z)
+        except PoleEvaluation:
+            g = complex(math.inf)
     if not math.isfinite(abs(g) * abs(g)):
         return np.array([0.0, 0.0, 1.0])
     return np.array(stereographic_normal(g))
@@ -274,14 +270,6 @@ def degree_audit(data: WeierstrassData) -> DegreeAudit:
 # -- end classification -----------------------------------------------
 
 
-@dataclass(frozen=True)
-class EndDescriptor:
-    location: object
-    kind: str | None  # None: the order pair matches no pattern
-    limit_normal: tuple | None
-    log_growth_sign: int | None
-
-
 def _log_growth_sign(data: WeierstrassData, column: int) -> int:
     """Sign of the vertical growth x3 ~ Re(Res_p(dh) * log(z - p)) at an
     end: -1 (the end points down) when the residue's real part is
@@ -321,24 +309,20 @@ def puncture_ends(data: WeierstrassData) -> list:
     return [(p, g, d, kinds[g, d]) for p, g, d in zip(data.punctures, og, odh)]
 
 
-def _describe_end(data: WeierstrassData, p, g_order: int, kind, column: int) -> EndDescriptor:
-    """The limit normal and log growth sign of an end of the given kind at
-    its `column`; an end of no kind has neither."""
-    if kind is None:
-        return EndDescriptor(p, None, None, None)
+def end_json(data: WeierstrassData, end, column: int) -> dict:
+    """An end (location, ord G, ord dh, kind) of `puncture_ends` at its
+    puncture's `column`, as the audit record holds it: its kind, limit
+    normal and log growth sign; an end of no kind has neither."""
+    p, g_order, _, kind = end
+    normal = sign = None
     if kind == CATENOID_NON_VERTICAL:
-        normal = tuple(gauss_normal(data, p))
-    else:
-        normal = (0.0, 0.0, -1.0) if g_order > 0 else (0.0, 0.0, 1.0)
-    sign = 0 if kind == PLANAR_HORIZONTAL else _log_growth_sign(data, column)
-    return EndDescriptor(p, kind, normal, sign)
-
-
-def describe_ends(data: WeierstrassData, ends) -> list:
-    """`_describe_end` at each (location, ord G, ord dh, kind) of `ends`,
-    the data's `puncture_ends`, each at its puncture's column."""
-    return [_describe_end(data, p, g, kind, i)
-            for (p, g, _, kind), i in zip(ends, data._entries.tolist())]
+        normal = gauss_normal(data, p).tolist()
+    elif kind is not None:
+        normal = [0.0, 0.0, -1.0] if g_order > 0 else [0.0, 0.0, 1.0]
+    if kind is not None:
+        sign = 0 if kind == PLANAR_HORIZONTAL else _log_growth_sign(data, column)
+    return {"location": point_json(p), "kind": kind, "limit_normal": normal,
+            "log_growth_sign": sign}
 
 
 # -- report serialization ---------------------------------------------

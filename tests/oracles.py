@@ -6,10 +6,11 @@ ends (`check_path_independence`) and finite-difference tangents
 (`fd_tangents`); the circle a residue contour once took
 (`contour_radius`); the immersion's terms as lists for np.polyval, pole
 by pole (`antiderivative`), as it first read them; and the residues at a
-list of points (`residues_at`), the puncture residues, period entries and
-ends puncture by puncture, each point tested for infinity and matched to
-the table on its own (`loop_puncture_residues`, `loop_period_entries`,
-`loop_worst`, `loop_puncture_ends`), as the data first read them; the
+list of points (`residues_at`), the puncture residues, period entries,
+the report's JSON and ends puncture by puncture, each point tested for
+infinity and matched to the table on its own (`loop_puncture_residues`,
+`loop_period_entries`, `loop_worst`, `loop_period_json`,
+`loop_puncture_ends`), as the data first read them; the
 orders and principal parts at points (`order_at`, `orders_at`,
 `one_form_order_at`, `principal_part` over a product's `root_entries`)
 and the ends' records point by point (`loop_end_records`), as the end
@@ -40,7 +41,6 @@ from spheremin.paths import (
     integrate_forms,
     integrate_point,
 )
-from spheremin.periods import PeriodEntry
 from spheremin.weierstrass import (
     CATENOID_NON_VERTICAL,
     CATENOID_VERTICAL_DOWN,
@@ -164,10 +164,11 @@ def loop_puncture_residues(data) -> list:
     return list(zip(*(residues_at(f, data.punctures) for f in data.factored_forms())))
 
 
-def loop_period_entries(data, tol) -> list:
-    """One PeriodEntry per puncture, Res((1/G -+ G) dh) = Res u -+ Res v
-    taken on Python complex numbers, each with its `loop_defect`."""
-    return [PeriodEntry(p, u - v, u + v, w, tol, loop_defect(u - v, u + v, w))
+def loop_period_entries(data) -> list:
+    """(location, Res((1/G - G) dh), Res((1/G + G) dh), Res(dh), defect)
+    per puncture, Res u -+ Res v taken on Python complex numbers, each with
+    its `loop_defect`."""
+    return [(p, u - v, u + v, w, loop_defect(u - v, u + v, w))
             for p, (u, v, w) in zip(data.punctures, loop_puncture_residues(data))]
 
 
@@ -180,11 +181,23 @@ def loop_defect(res_minus, res_plus, res_dh) -> float:
 
 
 def loop_worst(entries):
-    """The entry of NaN defect, else of the largest, the first on a tie:
-    Python's max over (NaN, defect) keys."""
-    def rank(e):
-        return math.isnan(e.defect), e.defect
-    return max(entries, key=rank)
+    """(location, defect) of the entry of NaN defect, else of the largest,
+    the first on a tie: Python's max over (NaN, defect) keys."""
+    p, *_, defect = max(entries, key=lambda e: (math.isnan(e[-1]), e[-1]))
+    return p, defect
+
+
+def loop_period_json(entries, tol) -> dict:
+    """The period report's JSON, entry by entry: each location as "inf"
+    or its parts, each residue as its parts, and closed where the defect is
+    within tol (a NaN defect is not)."""
+    def c(v):
+        return {"re": v.real, "im": v.imag}
+
+    return {"tolerance": tol, "punctures": [
+        {"location": "inf" if is_infinity(p) else c(complex(p)), "res_1G_minus_G": c(minus),
+         "res_1G_plus_G": c(plus), "res_dh": c(dh), "closed": defect <= tol}
+        for p, minus, plus, dh, defect in entries]}
 
 
 def loop_end_kind(g: int, d: int):

@@ -141,14 +141,14 @@ def test_criterion_04_period_closure_and_winding(vase_grid, dv_grid):
     worst = 0.0
     for (k, a), res in vase_grid[0].items():
         report = period_report(vase_weierstrass_data(k, a, res.value), 1e-8)
-        worst = max(worst, report.worst.defect)
+        worst = max(worst, report.worst[1])
         if not report.closed:
             break
     for (k, b), res in dv_grid.items():
         report = period_report(
             double_vase_weierstrass_data(k, b, res.value), 1e-8
         )
-        worst = max(worst, report.worst.defect)
+        worst = max(worst, report.worst[1])
         if not report.closed:
             break
 

@@ -7,6 +7,7 @@ import os
 import stat
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -202,6 +203,33 @@ def test_verify_rho_whose_gauss_map_overflows_fails_the_period(capsys):
     assert any("period" in f for f in payload["failures"])
     assert [e["limit_normal"] for e in payload["ends"]
             if e["kind"] == "catenoid_non_vertical"] == [[0.0, 0.0, 1.0]] * 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--family", "double_vase", "--k", "1025", "--b", "0.9999"],
+    ["verify", "--family", "vase", "--k", "1025", "--a", "0.99999"],
+    ["solve", "--family", "vase", "--k", "1025", "--a", "0.5"],
+    ["export", "--family", "catenoid", "--nr", "2049", "--ntheta", "1024"],
+    ["export", "--family", "catenoid", "--nr", "1024", "--ntheta", "2049"],
+], ids=lambda argv: "-".join(argv[::2]))
+def test_sizes_past_their_bounds_exit_2_before_any_array(argv, tmp_path, capsys):
+    """k past 1024, whose tables grow as k**2, and grids past 2**21 nodes,
+    about 300 B each in an export, are refused with exit 2: no file is
+    written and the refusal's peak allocation stays under 1 MB."""
+    out = tmp_path / "big.obj"
+    assert main(["verify", "--family", "catenoid"]) == EXIT_OK  # parser and imports first
+    capsys.readouterr()
+    tracemalloc.start()
+    try:
+        code = main([*argv, "--out", str(out)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    _, err = capsys.readouterr()
+    assert code == EXIT_PARAMS
+    assert err.startswith("invalid parameters: ") and "must be at most" in err
+    assert list(tmp_path.iterdir()) == []
+    assert peak < 2 ** 20
 
 
 def test_verify_catenoid(capsys):

@@ -11,7 +11,10 @@ from spheremin.algebra import is_infinity, outer_expansion
 from spheremin.errors import ParameterDomainError, SphereminError
 from spheremin.families import (
     FAMILIES,
+    K_MAX,
+    DoubleVaseParams,
     FamilyInstance,
+    VaseParams,
     double_vase_weierstrass_data,
     make_double_vase,
     make_family,
@@ -67,6 +70,14 @@ def test_invalid_parameters_rejected():
         make_family("vase", k=2)  # missing a
     with pytest.raises(ParameterDomainError):
         make_family("nonsense")
+
+
+@pytest.mark.parametrize("params", [VaseParams, DoubleVaseParams])
+def test_k_is_bounded(params):
+    # the params hold no array: k = K_MAX is taken and one more refused
+    assert params(K_MAX, 0.9).k == K_MAX == 1024
+    with pytest.raises(ParameterDomainError, match="k must be at most 1024, got 1025"):
+        params(K_MAX + 1, 0.9)
 
 
 def test_vase_data_rotation_symmetry():
@@ -309,7 +320,7 @@ def test_double_vase_gate_above_the_contour_noise_floor():
     # here, where successive trapezoidal estimates differed by ~1e-12
     inst = make_double_vase(3, 0.99014)
     assert inst.period.closed
-    assert inst.period.worst.defect < 1e-10
+    assert inst.period.worst[1] < 1e-10
 
 
 EXTREME_KS = (2, 3, 4, 6, 8, 12, 16, 24, 32)

@@ -25,6 +25,7 @@ from spheremin.errors import DegenerateTriangle, ParameterDomainError
 from spheremin.families import FAMILIES, construct, make_double_vase, make_vase
 from spheremin.kernels import BLOCK
 from spheremin.mesh import (
+    MAX_NODES,
     ZERO_AREA,
     DomainSpec,
     _face_geometry,
@@ -54,6 +55,13 @@ def test_domain_spec_validation():
         DomainSpec(0.5, 2.0, n_r=4)
     with pytest.raises(ParameterDomainError):
         DomainSpec(0.5, 2.0, exclusion_radius=-0.1)
+
+
+def test_domain_spec_bounds_the_grid():
+    # 2**21 nodes is the most: a spec holds no array, so neither side builds one
+    assert DomainSpec(0.5, 2.0, n_r=2048, n_theta=1024).n_r * 1024 == MAX_NODES == 2 ** 21
+    with pytest.raises(ParameterDomainError, match=r"at most 2097152, got 2049 x 1024"):
+        DomainSpec(0.5, 2.0, n_r=2049, n_theta=1024)
 
 
 @pytest.mark.parametrize("name", list(FAMILIES))

@@ -1,6 +1,7 @@
 """Period conditions, residue equations and the family solvers."""
 
 import cmath
+import json
 import math
 import types
 
@@ -47,6 +48,7 @@ from exact_residues import combo_residue_package, combo_residue_exact
 from oracles import (
     double_vase_equation,
     loop_period_entries,
+    loop_period_json,
     loop_puncture_ends,
     loop_puncture_residues,
     loop_worst,
@@ -334,8 +336,8 @@ def test_array_path_is_the_per_point_path(grid):
     """The data's (3, N) puncture residues, the array period report and
     the ends read at the punctures' table entries are, on every grid point
     that builds, exactly the per-point path's (`tests/oracles.py`): one
-    `residues_at` per form over the puncture list, one PeriodEntry per
-    puncture and one table match per puncture, on data of their own whose
+    `residues_at` per form over the puncture list, one entry per puncture
+    and one table match per puncture, on data of their own whose
     forms build their Laurent tables one by one."""
     built = 0
     cases = {"tier1": TIER1_GRID, "800": GRID_800, "off-table": _off_table_data()}[grid]
@@ -349,13 +351,12 @@ def test_array_path_is_the_per_point_path(grid):
         built += 1
         want = loop_puncture_residues(fresh)
         assert _same_bits(data.puncture_residues(), np.array(want).T), case
-        report, entries = period_report(data, tol), loop_period_entries(fresh, tol)
-        assert _same_bits(report.residues, [[e.res_minus for e in entries],
-                                            [e.res_plus for e in entries],
-                                            [e.res_dh for e in entries]])
-        assert report.entries == tuple(entries)
-        assert report.closed == all(e.closed for e in entries)
-        assert report.defects.tolist() == [e.defect for e in entries]
+        report, entries = period_report(data, tol), loop_period_entries(fresh)
+        _, minus, plus, dh, defects = zip(*entries)
+        assert _same_bits(report.residues, [minus, plus, dh])
+        assert report.to_json() == loop_period_json(entries, tol)
+        assert report.closed == all(d <= tol for d in defects)
+        assert report.defects.tolist() == list(defects)
         assert report.worst == loop_worst(entries)
         assert puncture_ends(data) == loop_puncture_ends(fresh)
     assert built == {"tier1": 55, "800": 800, "off-table": 2}[grid]
@@ -567,8 +568,8 @@ def test_hybrid_root_never_brackets_across_nan():
 def test_period_report_closed_for_solved_vase(vase2):
     report = period_report(vase2.data, tol=1e-9)
     assert report.closed
-    assert len(report.entries) == len(vase2.data.punctures)
     payload = report.to_json()
+    assert len(payload["punctures"]) == len(vase2.data.punctures)
     assert all(p["closed"] for p in payload["punctures"])
 
 
@@ -577,13 +578,15 @@ def test_period_report_open_for_unsolved_vase():
     report = period_report(data, tol=1e-9)
     assert not report.closed
     # the violation sits at the unit roots, in the i*(1/G+G) condition
-    open_entries = [e for e in report.entries if not e.closed]
-    assert open_entries
-    for e in open_entries:
-        assert abs(abs(complex(e.location)) - 1.0) < 1e-12
+    open_columns = np.flatnonzero(~(report.defects <= report.tol)).tolist()
+    assert open_columns
+    assert open_columns == [i for i, p in enumerate(report.to_json()["punctures"])
+                            if not p["closed"]]
+    for i in open_columns:
+        assert abs(abs(complex(report.locations[i])) - 1.0) < 1e-12
         # i * Res((1/G + G) dh) real  <=>  Re Res((1/G + G) dh) = 0
-        assert abs(e.res_plus.real) > e.tol
-        assert e.defect == pytest.approx(VASE_RES_K2_A05_RHO1, rel=1e-9)
+        assert abs(report.residues[1, i].real) > report.tol
+        assert report.defects[i] == pytest.approx(VASE_RES_K2_A05_RHO1, rel=1e-9)
 
 
 def test_assert_period_closed_raises_with_report():
@@ -611,23 +614,48 @@ def test_nan_residue_reaches_the_defect_and_the_worst_entry(field, monkeypatch):
         report = PeriodReport(locations, np.array(columns).T, tol)
         ok, bad = locations.index(0j), locations.index(1.0 + 0j)
         assert report.defects[ok] == 5e-10 and math.isnan(report.defects[bad])
-        assert report.entries[ok].closed and report.entries[ok].defect == 5e-10
-        assert not report.entries[bad].closed and math.isnan(report.entries[bad].defect)
+        punctures = report.to_json()["punctures"]
+        assert punctures[ok]["closed"] and not punctures[bad]["closed"]
         assert not report.closed
-        worst = report.worst
-        assert worst.location == 1.0 + 0j and math.isnan(worst.defect)
-        assert getattr(worst, field) != getattr(worst, field)  # the NaN part itself
+        location, defect = report.worst
+        assert location == 1.0 + 0j and math.isnan(defect)
+        part = punctures[bad][{"res_minus": "res_1G_minus_G", "res_plus": "res_1G_plus_G",
+                               "res_dh": "res_dh"}[field]]
+        assert math.isnan(part["re"]) and math.isnan(part["im"])  # the NaN part itself
         monkeypatch.setattr(periods, "period_report", lambda data, tol, report=report: report)
         with pytest.raises(PeriodViolation, match=r"at \(1\+0j\) \(defect nan > 1\.0e-09\)"):
             assert_period_closed(types.SimpleNamespace(punctures=locations), tol)
 
 
+def test_nan_defect_reaches_the_audit_record(monkeypatch):
+    """A NaN residue at infinity reaches the record's period entries as a
+    NaN part of an open puncture, and the failure names that puncture."""
+    from spheremin import periods
+
+    data = FAMILIES["catenoid"].build_data()[0]
+    tol = 1e-9
+    report = PeriodReport(data.punctures, np.array([[1.0 + 5e-10j, 5e-10 + 1j, 2.0 + 5e-10j],
+                                                    [1.0 + 0j, complex(math.nan, 0.0), 0j]]).T,
+                          tol)
+    monkeypatch.setattr(periods, "period_report", lambda data, tol: report)
+    record = periods.audit(data, tol).to_json()
+    assert json.dumps(record["period"], sort_keys=True) == (
+        '{"punctures": [{"closed": true, "location": {"im": 0.0, "re": 0.0}, '
+        '"res_1G_minus_G": {"im": 5e-10, "re": 1.0}, "res_1G_plus_G": {"im": 1.0, "re": 5e-10}, '
+        '"res_dh": {"im": 5e-10, "re": 2.0}}, '
+        '{"closed": false, "location": "inf", "res_1G_minus_G": {"im": 0.0, "re": 1.0}, '
+        '"res_1G_plus_G": {"im": 0.0, "re": NaN}, "res_dh": {"im": 0.0, "re": 0.0}}], '
+        '"tolerance": 1e-09}')
+    assert record["failures"] == ["period condition fails at INF (defect nan > 1.0e-09)"]
+    assert not record["passed"]
+
+
 def test_period_report_entry_at_b(dvase2):
     b = dvase2.params.b
-    (entry,) = [e for e in period_report(dvase2.data, tol=1e-8).entries
-                if same_point(e.location, b)]
-    assert entry.closed
-    assert entry.defect < 1e-8
+    report = period_report(dvase2.data, tol=1e-8)
+    (i,) = [i for i, p in enumerate(report.locations) if same_point(p, b)]
+    assert report.to_json()["punctures"][i]["closed"]
+    assert report.defects[i] < 1e-8
 
 
 @pytest.mark.parametrize("family, k, x",
@@ -685,4 +713,4 @@ def test_constructor_reads_the_puncture_residues_once(family, k, x, monkeypatch)
     assert len(asked) == 1 and len(asked[0]) == 3
     assert all(f is g for f, g in zip(asked[0], forms))
     # the residual at the third puncture (z = 1 or z = b) is the gate's, bit for bit
-    assert inst.provenance["residual"] == abs(inst.period.entries[2].res_plus)
+    assert inst.provenance["residual"] == abs(inst.period.residues[1, 2])

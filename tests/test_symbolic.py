@@ -115,6 +115,7 @@ def test_gate_residue_near_unit_b_matches_sympy(k):
     solved = solve_double_vase_a(k, 0.999)
     exact = float(residue.subs({a: sp.Rational(solved.value),
                                 b: sp.Rational(0.999)}).evalf(30))
-    (gate,) = [e.res_plus for e in period_report(solved.data, 1e-8).entries
-               if same_point(e.location, 0.999)]
+    report = period_report(solved.data, 1e-8)
+    (gate,) = [r for p, r in zip(report.locations, report.residues[1].tolist())
+               if same_point(p, 0.999)]
     assert abs(gate - exact) <= 1e-10

@@ -28,9 +28,8 @@ from spheremin.weierstrass import (
     CoordinateForms,
     WeierstrassData,
     degree_audit,
-    describe_ends,
     gauss_normal,
-    gauss_value,
+    point_json,
     puncture_ends,
     regularity_check,
     stereographic_normal,
@@ -53,8 +52,11 @@ def _catenoid_data():
 
 
 def _ends(data):
-    """The ends of the data's audit record, with their normals and signs."""
-    return describe_ends(data, puncture_ends(data))
+    """The ends of the data's audit record, with their normals and signs,
+    each location read back as a point."""
+    return [{**e, "location": INF if e["location"] == "inf"
+             else complex(e["location"]["re"], e["location"]["im"])}
+            for e in audit(data, 1e-9).to_json()["ends"]]
 
 
 def test_duplicate_punctures_rejected():
@@ -113,7 +115,8 @@ def test_coordinate_forms_catenoid_values():
 
 def test_gauss_value_and_normal():
     data = _catenoid_data()
-    assert gauss_value(data, 1.0 + 1.0j) == 1.0 + 1.0j
+    # G(1 + i) = 1 + i
+    assert gauss_normal(data, 1.0 + 1.0j).tolist() == list(stereographic_normal(1.0 + 1.0j))
     # G(0) = 0 -> south pole; G(inf) = inf -> north pole
     assert np.allclose(gauss_normal(data, 0.0), [0.0, 0.0, -1.0])
     assert np.allclose(gauss_normal(data, INF), [0.0, 0.0, 1.0])
@@ -129,24 +132,24 @@ def test_gauss_value_and_normal():
     (-2, [shifted_power(1, 1.0), shifted_power(3, 2.0, -1)]),
 ])
 def test_gauss_value_and_normal_at_infinity_from_the_degree(degree, factors):
-    # against the oracle's w = 1/z pullback of G at w = 0: a pole above
-    # degree 0, the coefficient at 0, exactly 0 below
+    # G's value at infinity against the oracle's w = 1/z pullback of G at
+    # w = 0: a pole above degree 0, the coefficient at 0, exactly 0 below
     G = FactoredMeromorphic(0.5 - 2.0j, factors)
     assert G.degree == degree
     data = WeierstrassData((G.coefficient, G.factors), (1.0, []), (INF,))
     if degree > 0:
         with pytest.raises(PoleEvaluation):
             infinity_chart(G).eval(0.0)
-        with pytest.raises(PoleEvaluation):
-            gauss_value(data, INF)
         assert gauss_normal(data, INF).tolist() == [0.0, 0.0, 1.0]
         return
     want = infinity_chart(G).eval(0.0)
-    assert gauss_value(data, INF) == pytest.approx(want, rel=1e-12, abs=0.0)
+    value = data.gauss_map.coefficient if degree == 0 else 0j
+    assert value == pytest.approx(want, rel=1e-12, abs=0.0)
+    assert gauss_normal(data, INF).tolist() == list(stereographic_normal(value))
     assert np.allclose(gauss_normal(data, INF), stereographic_normal(want),
                        rtol=0.0, atol=1e-12)
     if degree < 0:
-        assert gauss_value(data, INF) == want == 0j
+        assert want == 0j
         assert gauss_normal(data, INF).tolist() == [0.0, 0.0, -1.0]
 
 
@@ -162,15 +165,34 @@ def test_regularity_clean_families(vase2, dvase2, catenoid):
         assert regularity_check(inst.data) == []
 
 
-def test_regularity_detects_corruption():
-    # dropping the (z^k - a^k) factor of dh orphans the zeros of G
+def _corrupted_vase_data():
+    # dropping the (z^k - a^k) factor of dh orphans the zeros of G, z = +-a
     k, a, rho = 2, 0.5, 1.0
     G = (rho, [monomial(1), shifted_power(k, a ** k)])
     bad_dh = (-1.0, [monomial(-1), shifted_power(k, 1.0, -2)])
-    data = WeierstrassData(G, bad_dh, (0j, INF, *shifted_power(k, 1.0).roots()))
-    violations = regularity_check(data)
+    return WeierstrassData(G, bad_dh, (0j, INF, *shifted_power(k, 1.0).roots()))
+
+
+def test_regularity_detects_corruption():
+    violations = regularity_check(_corrupted_vase_data())
     locs = sorted(complex(v.location).real for v in violations)
-    assert locs == pytest.approx([-a, a])
+    assert locs == pytest.approx([-0.5, 0.5])
+
+
+def test_regularity_violations_reach_the_record_and_its_failure_text():
+    """Each violation is an entry of the record, its location as JSON, and
+    the first failure names them all by their reprs."""
+    data = _corrupted_vase_data()
+    violations = regularity_check(data)
+    record = audit(data, 1e-9).to_json()
+    assert record["regularity_violations"] == [
+        {"location": point_json(v.location), "g_order": 1, "dh_order": 0} for v in violations]
+    assert [complex(v.location) for v in violations] == pytest.approx([0.5, -0.5], abs=1e-15)
+    assert record["failures"][0] == f"regularity violations: {violations}"
+    assert record["failures"][0].startswith(
+        "regularity violations: [RegularityViolation(location=(0.5+0j), g_order=1, dh_order=0), "
+        "RegularityViolation(location=(-0.5+")
+    assert not record["passed"]
 
 
 def test_degree_audit_families(vase2, dvase2, catenoid):
@@ -200,17 +222,17 @@ def test_classify_vase_ends(vase2):
     ends = _ends(vase2.data)
     kinds = {}
     for e in ends:
-        kinds.setdefault(e.kind, []).append(e.location)
+        kinds.setdefault(e["kind"], []).append(e["location"])
     assert kinds[PLANAR_HORIZONTAL] == [INF]
     assert kinds[CATENOID_VERTICAL_DOWN] == [0j]
     assert len(kinds[CATENOID_NON_VERTICAL]) == k
     for loc in kinds[CATENOID_NON_VERTICAL]:
         assert abs(abs(loc) - 1.0) < 1e-12
     # the vertical end at 0 grows downward, the ring ends upward
-    at0 = next(e for e in ends if e.location == 0j)
-    assert at0.log_growth_sign == -1
-    ring = [e for e in ends if e.kind == CATENOID_NON_VERTICAL]
-    assert all(e.log_growth_sign == 1 for e in ring)
+    at0 = next(e for e in ends if e["location"] == 0j)
+    assert at0["log_growth_sign"] == -1
+    ring = [e for e in ends if e["kind"] == CATENOID_NON_VERTICAL]
+    assert all(e["log_growth_sign"] == 1 for e in ring)
 
 
 def _mp_ring_residue(k: int, ak: float):
@@ -238,7 +260,7 @@ def test_vase_ring_ends_share_one_sign(k, a, sign):
     # points it is -3.1e-14 to -1.3e-14, above it.  A resolved sign is
     # that of -Re Res_1(dh) at 60 digits
     ends = _ends(make_vase(k, a).data)
-    ring = [e.log_growth_sign for e in ends if e.kind == CATENOID_NON_VERTICAL]
+    ring = [e["log_growth_sign"] for e in ends if e["kind"] == CATENOID_NON_VERTICAL]
     assert ring == [sign] * k
     if sign:
         assert sign == -mpmath.sign(mpmath.re(_mp_ring_residue(k, a ** k)))
@@ -249,7 +271,7 @@ def test_classify_double_vase_ends(dvase2):
     ends = _ends(dvase2.data)
     kinds = {}
     for e in ends:
-        kinds.setdefault(e.kind, []).append(e.location)
+        kinds.setdefault(e["kind"], []).append(e["location"])
     assert sorted(map(str, kinds[PLANAR_HORIZONTAL])) == sorted(["0j", "INF"])
     ring = kinds[CATENOID_NON_VERTICAL]
     assert len(ring) == 2 * k
@@ -267,14 +289,14 @@ def test_small_double_vase_ends_are_all_non_vertical(k, b):
     pole of G lies about 4e-10 from each end on |z| = b, and an absolute
     matching tolerance used to merge the two."""
     ends = _ends(make_double_vase(k, b).data)
-    kinds = [e.kind for e in ends]
+    kinds = [e["kind"] for e in ends]
     assert kinds.count(CATENOID_NON_VERTICAL) == 2 * k
     assert kinds.count(PLANAR_HORIZONTAL) == 2
 
 
 def test_classify_catenoid_ends(catenoid):
     ends = _ends(catenoid.data)
-    assert {e.kind for e in ends} == {
+    assert {e["kind"] for e in ends} == {
         CATENOID_VERTICAL_DOWN,
         CATENOID_VERTICAL_UP,
     }
@@ -301,8 +323,8 @@ def test_planar_end_of_order_k_1():
     data = _planar_k1_data()
     kinds = [PLANAR_HORIZONTAL, PLANAR_HORIZONTAL, CATENOID_NON_VERTICAL]
     assert [kind for _, _, _, kind in puncture_ends(data)] == kinds
-    assert [e.kind for e in _ends(data)] == kinds
-    assert [e.limit_normal for e in _ends(data)][:2] == [(0.0, 0.0, -1.0), (0.0, 0.0, 1.0)]
+    assert [e["kind"] for e in _ends(data)] == kinds
+    assert [e["limit_normal"] for e in _ends(data)][:2] == [[0.0, 0.0, -1.0], [0.0, 0.0, 1.0]]
 
 
 def _grid_data():
@@ -351,11 +373,41 @@ def test_audit_rejects_bad_orders():
         "limit_normal": None, "log_growth_sign": None}
 
 
+def test_end_of_no_kind_at_infinity():
+    """G = z^2 has a double pole at infinity, where dh = dz/(z (z - 1)^2)
+    has a simple zero: (-2, 1) matches no pattern, and the record holds
+    that end with no kind, normal or sign, and a failure naming its pair."""
+    G = (1.0, [monomial(2)])
+    dh = (1.0, [monomial(-1), shifted_power(1, 1.0, -2)])
+    record = audit(WeierstrassData(G, dh, (0j, INF, 1 + 0j)), 1e-9).to_json()
+    assert record["ends"][1] == {"location": "inf", "kind": None,
+                                 "limit_normal": None, "log_growth_sign": None}
+    assert ("end at INF has order pair (G: -2, dh: 1) matching no planar/catenoid pattern"
+            in record["failures"])
+
+
+def test_non_vertical_end_at_infinity_with_g_of_degree_0():
+    """G = 2 (z - 1)/(z - 2) has degree 0, so G(inf) = 2, and
+    dh = (z - 1)(z - 2)/(z - 3)^2 dz has a double pole there: a
+    non-vertical end whose normal is that of G = 2.  dh = (1 + 3/z + ...) dz
+    near infinity, so x3 grows like 3 log|z| and the end points up."""
+    G = (2.0, [shifted_power(1, 1.0), shifted_power(1, 2.0, -1)])
+    dh = (1.0, [shifted_power(1, 1.0), shifted_power(1, 2.0), shifted_power(1, 3.0, -2)])
+    data = WeierstrassData(G, dh, (3 + 0j, INF))
+    record = audit(data, 1e-9).to_json()
+    assert record["regularity_violations"] == [] and record["degree_audit"]["passed"]
+    assert record["ends"][1] == {"location": "inf", "kind": CATENOID_NON_VERTICAL,
+                                 "limit_normal": [0.8, 0.0, 0.6], "log_growth_sign": 1}
+    assert [0.8, 0.0, 0.6] == list(stereographic_normal(2.0 + 0j))
+    assert [(e["kind"], e["limit_normal"], e["log_growth_sign"])
+            for e in record["ends"]] == loop_end_records(data)
+
+
 def test_non_vertical_normal_is_not_vertical(vase2):
     ends = _ends(vase2.data)
     for e in ends:
-        if e.kind == CATENOID_NON_VERTICAL:
-            n = np.asarray(e.limit_normal)
+        if e["kind"] == CATENOID_NON_VERTICAL:
+            n = np.asarray(e["limit_normal"])
             assert np.linalg.norm(n) == pytest.approx(1.0)
             assert abs(n[2]) < 1.0 - 1e-6
 
@@ -375,5 +427,5 @@ def test_verification_report_shape(vase2):
 def test_unsolved_vase_still_classifies():
     # end classification is structural and holds for any rho
     data = vase_weierstrass_data(3, 0.5, 1.0)
-    kinds = [e.kind for e in _ends(data)]
+    kinds = [e["kind"] for e in _ends(data)]
     assert kinds.count(CATENOID_NON_VERTICAL) == 3
